@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 
+from .tape import Var
+
 __all__ = [
     "Dual",
     "EvaluationError",
@@ -241,6 +243,8 @@ def sqrt(x):
         return Dual(x.tag, r, tuple([half_inv * p for p in x.partials]))
     if x < 0.0:
         raise EvaluationError("sqrt of negative value %r" % (x,))
+    if x.__class__ is Var:
+        return x.sqrt()
     return math.sqrt(x)
 
 

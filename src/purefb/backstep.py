@@ -46,9 +46,6 @@ __all__ = [
     "PaperStage",
     "StageEval",
     "SynthesisError",
-    "build_eta",
-    "build_psi",
-    "psi1",
     "synthesize",
 ]
 
@@ -317,40 +314,3 @@ def synthesize(bounds, params, floor_probe=200, floor_seed=7):
                 stacklevel=2,
             )
     return stack
-
-
-def psi1(bounds):
-    """First-stage gain shape rho_1 + 1 as a standalone function of z_1."""
-    rho1 = bounds.rho[0]
-
-    def psi(z1):
-        return rho1((z1,)) + 1.0
-
-    return psi
-
-
-def build_eta(stage, stack):
-    """Dominance coefficient of a 1-based stage as a function of (z, k)."""
-    if stage < 2:
-        raise SynthesisError("eta starts at stage 2")
-
-    def eta(zbar, kbar):
-        return stack.eta_value(stage, zbar, kbar)
-
-    return eta
-
-
-def build_psi(stage, eta_fn, bounds):
-    """Compose a stage gain shape from its dominance coefficient.
-
-    Returns psi(zbar, kbar, xbar) = eta(zbar, kbar) + phi_{stage-1}(xbar) + 1
-    with xbar the reconstructed state prefix.
-    """
-    if stage < 2:
-        raise SynthesisError("composed shapes start at stage 2")
-    phi_prev = bounds.phi[stage - 2]
-
-    def psi(zbar, kbar, xbar):
-        return eta_fn(zbar, kbar) + phi_prev(tuple(xbar[:stage])) + 1.0
-
-    return psi

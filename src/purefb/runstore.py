@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import config as configmod
-from .simkit import Trajectory, read_csv
+from .simkit import StatePoint, Trajectory, read_csv
 
 __all__ = ["RunPaths", "RunStoreError", "save_run", "load_run", "list_runs"]
 
@@ -151,7 +151,10 @@ def load_run(out_dir, run_id):
         seed=summary["seed"],
     )
     traj.diverged = summary["diverged"]
-    traj.failure = summary["failure"]
+    failure = summary["failure"]
+    if failure is not None:
+        failure = StatePoint(failure[0], tuple(failure[1]))
+    traj.failure = failure
     traj.meta = summary["meta"]
     return cfg, traj
 

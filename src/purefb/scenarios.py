@@ -29,6 +29,14 @@ and a sample recorder producing the documented column layout
 t, x*, z*, k*, u, psi*, eta* (plus trailing integral accumulator columns,
 and a degrees copy of the roll angle for the missile).
 
+numeric-2d has one source for each piece of its loop: the plant rates come
+from ``PlantSpec.stage_rate`` and the control from ``ControllerStack``,
+assembled by ``rhs_reference``.  ``rhs`` is that same function traced once
+(see ``tape``) at the first evaluation point of a run and compiled to
+straight-line Python, bit-identical to ``rhs_reference``; building a
+scenario does not trace.  The missile loop is integrated as written, since
+its flight condition calls ``math.cos``/``math.sin`` of t.
+
 The exact squared-error integrals ride along as ODE components so the
 update-law energy identity gamma_i * int z_i^2 = k_i(T) - k_i(0) can be
 checked without quadrature error.
@@ -44,6 +52,7 @@ from .backstep import ControllerStack, DesignParams, PaperStage, synthesize
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
 from .simkit import Trajectory, integrate
+from .tape import Traced, select_lt
 
 __all__ = ["Scenario", "build", "scenario_ids", "SCENARIO_IDS"]
 
@@ -58,15 +67,13 @@ class Scenario:
     adaptive: tuple  # 1-based stages with gain adaptation
     k0: tuple  # initial gains, aligned with adaptive
     theta: UncertaintyProfile
-    theta_const: Optional[tuple]
     plant: Optional[PlantSpec]
     bounds: Optional[BoundSpec]
     oracle: Optional[OracleConstants]
     params: Optional[DesignParams]
     stack: Optional[ControllerStack]
-    rhs: Callable
-    rhs_reference: Callable  # generic evaluation path (equals rhs unless a
-    # hand-flattened fast path is active)
+    rhs: Callable  # what run() integrates
+    rhs_reference: Callable  # the generic evaluation path
     recorder: tuple  # (column names, row builder)
     T: float
     h: float
@@ -74,14 +81,19 @@ class Scenario:
     sign: float = 1.0
     meta: dict = field(default_factory=dict)
     missile_parts: Optional[tuple] = None  # (MissileParams, MissileDesign)
+    traced: Optional[Traced] = None  # compiles rhs_reference into rhs
 
     def y0(self):
         return tuple(self.x0) + tuple(self.k0) + (0.0,) * len(self.adaptive)
 
     def run(self, T=None, h=None, decimation=None, seed=None, abort_limit=1e9):
+        y0 = self.y0()
+        if self.traced is not None:
+            # the first rhs evaluation of the run is at (0, y0)
+            self.traced.trace(0.0, [float(v) for v in y0])
         return integrate(
             self.rhs,
-            self.y0(),
+            y0,
             self.T if T is None else T,
             self.h if h is None else h,
             self.decimation if decimation is None else decimation,
@@ -212,54 +224,27 @@ def numeric2d(
     g1, g2 = gamma
     value = profile.value
 
-    def rhs_generic(t, y):
+    def gain_rate(g, p, z):
+        rate = g * p * p * z * z
+        return select_lt(abs(z), dz, 0.0, rate) if dz > 0.0 else rate
+
+    def rhs_reference(t, y):
         x = (y[0], y[1])
-        k = (y[2], y[3])
         th = value(t)
-        ev = stack.evaluate(x, k)
+        ev = stack.evaluate(x, (y[2], y[3]))
         u = sign * ev.alpha[1]
         z1, z2 = ev.z
         p1, p2 = ev.psi
-        kd1 = 0.0 if dz > 0.0 and abs(z1) < dz else g1 * p1 * p1 * z1 * z1
-        kd2 = 0.0 if dz > 0.0 and abs(z2) < dz else g2 * p2 * p2 * z2 * z2
         return (
-            _n2_drift1(x[:1], th) + _n2_gain1(x, th) * y[1],
-            _n2_drift2(x, th) + _n2_gain2((y[0], y[1], u), th) * u,
-            kd1,
-            kd2,
+            plant.stage_rate(0, x, y[1], th),
+            plant.stage_rate(1, x, u, th),
+            gain_rate(g1, p1, z1),
+            gain_rate(g2, p2, z2),
             z1 * z1,
             z2 * z2,
         )
 
-    if mode == "paper":
-        mu1, mu2 = mu
-        th1c, th2c = theta
-
-        # hand-flattened copy of rhs_generic for this mode; the suite checks
-        # the two agree pointwise
-        def rhs(t, y):
-            x1 = y[0]
-            x2 = y[1]
-            k1 = y[2]
-            k2 = y[3]
-            z1 = x1
-            a1 = -(mu1 * k1 * 2.0 * z1)
-            z2 = x2 - a1
-            p2 = _n2_psi2_closed_form(z1, k1, x1, x2, mu1, g1)
-            u = sign * -(mu2 * k2 * p2 * z2)
-            kd1 = 0.0 if dz > 0.0 and abs(z1) < dz else g1 * 2.0 * 2.0 * z1 * z1
-            kd2 = 0.0 if dz > 0.0 and abs(z2) < dz else g2 * p2 * p2 * z2 * z2
-            return (
-                th1c * x1 + th1c * (1.0 + x2 * x2 / 5.0) * x2,
-                th2c * x1 * x2 + th2c * (1.0 + u * u / 7.0) * u,
-                kd1,
-                kd2,
-                z1 * z1,
-                z2 * z2,
-            )
-
-    else:
-        rhs = rhs_generic
+    traced = Traced(rhs_reference)
 
     columns = ["x1", "x2", "z1", "z2", "k1", "k2", "u", "psi1", "psi2"]
     if mode == "auto":
@@ -299,20 +284,20 @@ def numeric2d(
         adaptive=(1, 2),
         k0=k0,
         theta=profile,
-        theta_const=theta,
         plant=plant,
         bounds=bounds,
         oracle=oracle,
         params=params,
         stack=stack,
-        rhs=rhs,
-        rhs_reference=rhs_generic,
+        rhs=traced.call,
+        rhs_reference=rhs_reference,
         recorder=(tuple(columns), build_row),
         T=float(T),
         h=float(h),
         decimation=int(decimation),
         sign=sign,
         meta=meta,
+        traced=traced,
     )
 
 
@@ -432,7 +417,6 @@ def stt_missile(
         adaptive=(2, 3),
         k0=(float(k20), float(k30)),
         theta=profile,
-        theta_const=None,
         plant=None,
         bounds=None,
         oracle=None,

@@ -1,0 +1,232 @@
+"""Straight-line tapes of right-hand sides, compiled to Python functions.
+
+A ``Var`` is a tracing scalar: it carries the concrete value of one
+evaluation point and the SSA name of the tape line that computes it.
+Running a generic right-hand side ``f(t, y)`` once on ``Var`` inputs --
+through the plant, the controller stack and the dual-number tower of
+``autodiff``, which are all generic over their scalar -- records every
+float operation it performs, in order (tape-based AD as in Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., 2008).  The tape is emitted as
+the source of one flat function and compiled with ``compile()``.
+
+The compiled function returns the same bits as ``f`` at every point:
+
+* operations are recorded with their operands in evaluation order; the
+  only rewrites are x*1.0, 1.0*x, x/1.0 and x-0.0 -> x, exact in IEEE
+  arithmetic.  Operations between constants never reach the tape;
+* a repeated operation on the same operands reuses the first line;
+* a comparison on a ``Var`` (the sqrt domain and division-by-zero checks,
+  any data-dependent branch) becomes a guard: where it comes out
+  differently than at the traced point, the call returns ``f(t, y)``,
+  which takes the other branch or raises the error ``f`` raises;
+* ``select_lt`` records a conditional expression instead of a guard;
+* lines that no output or guard reads are dropped unless they may raise
+  (division by a ``Var``, powers, sqrt).
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+import types
+
+__all__ = ["Traced", "Var", "select_lt"]
+
+
+class _Tape:
+    """Lines of one trace: (name or None for a guard, text, operands, may raise)."""
+
+    def __init__(self):
+        self.lines = []
+        self.seen = {}  # expression or guard text -> name
+        self.consts = {}  # names of constants without a literal form
+
+    def operand(self, x):
+        if x.__class__ is Var:
+            return x.name
+        if x.__class__ is not float and x.__class__ is not int:
+            raise TypeError("cannot trace a %s operand" % type(x).__name__)
+        if not math.isfinite(x):
+            name = "_c_" + repr(x).replace("-", "neg")
+            self.consts[name] = x
+            return name
+        text = repr(x)
+        return "(%s)" % text if text[0] == "-" else text
+
+    def emit(self, expr, args, value, may_raise=False):
+        name = self.seen.get(expr)
+        if name is None:
+            name = self.seen[expr] = "v%d" % len(self.lines)
+            deps = tuple(a.name for a in args if a.__class__ is Var)
+            self.lines.append((name, "%s = %s" % (name, expr), deps, may_raise))
+        return Var(self, name, value)
+
+    def guard(self, cond, args, outcome):
+        text = ("if %s:" if not outcome else "if not %s:") % cond
+        if text not in self.seen:
+            self.seen[text] = None
+            deps = tuple(a.name for a in args if a.__class__ is Var)
+            self.lines.append((None, text + " return _fallback(t, y)", deps, True))
+
+    def source(self, out, name):
+        """Body of ``def name(t, y)`` returning ``out``, dead lines dropped."""
+        items = ", ".join(self.operand(v) for v in out)
+        ret = ("(%s,)" if out.__class__ is tuple else "[%s]") % items
+        live = {v.name for v in out if v.__class__ is Var}
+        kept = []
+        for line in reversed(self.lines):
+            if line[3] or line[0] in live:
+                live.update(line[2])
+                kept.append(line[1])
+        kept.reverse()
+        body = "".join("    %s\n" % text for text in kept)
+        return "def %s(t, y):\n%s    return %s\n" % (name, body, ret)
+
+
+def _value(x):
+    return x.value if x.__class__ is Var else x
+
+
+def _binary(op, fn, reflected=False):
+    def method(self, other):
+        if other.__class__ not in (Var, float, int):
+            return NotImplemented
+        a, b = (other, self) if reflected else (self, other)
+        value = fn(_value(a), _value(b))
+        # exact identities: x*1.0 = 1.0*x = x/1.0 = x-0.0 = x, signed zeros,
+        # infinities and NaNs included
+        if op in ("*", "/") and b.__class__ is float and b == 1.0:
+            return a
+        if op == "*" and a.__class__ is float and a == 1.0:
+            return b
+        if op == "-" and b.__class__ is float and b == 0.0 and math.copysign(1.0, b) > 0:
+            return a
+        tape = self.tape
+        expr = "%s %s %s" % (tape.operand(a), op, tape.operand(b))
+        may_raise = op == "**" or (op == "/" and b.__class__ is Var)
+        return tape.emit(expr, (a, b), value, may_raise)
+
+    return method
+
+
+def _compare(op, fn):
+    def method(self, other):
+        if other.__class__ not in (Var, float, int):
+            return NotImplemented
+        outcome = fn(self.value, _value(other))
+        tape = self.tape
+        tape.guard("%s %s %s" % (self.name, op, tape.operand(other)), (self, other), outcome)
+        return outcome
+
+    return method
+
+
+class Var:
+    """Tracing scalar: a concrete value plus the tape line that computes it."""
+
+    __slots__ = ("tape", "name", "value")
+
+    def __init__(self, tape, name, value):
+        self.tape = tape
+        self.name = name
+        self.value = value
+
+    def __repr__(self):
+        return "Var(%s=%r)" % (self.name, self.value)
+
+    __add__ = _binary("+", operator.add)
+    __radd__ = _binary("+", operator.add, True)
+    __sub__ = _binary("-", operator.sub)
+    __rsub__ = _binary("-", operator.sub, True)
+    __mul__ = _binary("*", operator.mul)
+    __rmul__ = _binary("*", operator.mul, True)
+    __truediv__ = _binary("/", operator.truediv)
+    __rtruediv__ = _binary("/", operator.truediv, True)
+    __pow__ = _binary("**", operator.pow)
+    __rpow__ = _binary("**", operator.pow, True)
+    __lt__ = _compare("<", operator.lt)
+    __le__ = _compare("<=", operator.le)
+    __gt__ = _compare(">", operator.gt)
+    __ge__ = _compare(">=", operator.ge)
+    __eq__ = _compare("==", operator.eq)
+    __ne__ = _compare("!=", operator.ne)
+    __hash__ = None
+
+    def __neg__(self):
+        return self.tape.emit("-" + self.name, (self,), -self.value)
+
+    def __pos__(self):
+        return self
+
+    def __abs__(self):
+        return self.tape.emit("abs(%s)" % self.name, (self,), abs(self.value))
+
+    def __bool__(self):
+        outcome = bool(self.value)
+        self.tape.guard(self.name, (self,), outcome)
+        return outcome
+
+    def sqrt(self):
+        """math.sqrt of this value, for ``autodiff.sqrt`` past its domain check."""
+        return self.tape.emit("_sqrt(%s)" % self.name, (self,), math.sqrt(self.value), True)
+
+
+def select_lt(a, b, then, other):
+    """``then if a < b else other``; traced as a conditional expression, not a guard."""
+    args = (a, b, then, other)
+    for x in args:
+        if x.__class__ is Var:
+            tape = x.tape
+            break
+    else:
+        return then if a < b else other
+    value = _value(then) if _value(a) < _value(b) else _value(other)
+    expr = "(%s if %s < %s else %s)" % tuple(tape.operand(x) for x in (then, a, b, other))
+    return tape.emit(expr, args, value)
+
+
+def _untraced(t, y):
+    """Code of ``Traced.call`` until a trace succeeds."""
+    return _first(t, y)  # a global of each Traced namespace
+
+
+class Traced:
+    """Stand-in for a right-hand side ``fn(t, y)`` that compiles itself once.
+
+    ``call`` is a plain function with the signature of ``fn``.  Until a
+    trace succeeds it traces at its arguments; afterwards its code object
+    is the compiled tape, so whoever holds ``call`` -- an integrator, a
+    profiling wrapper -- runs the tape with no frame in between.  ``fn``
+    stays the reference: guard misses fall back to it.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.source = None  # emitted source once traced
+        self._ns = {"_fallback": fn, "_first": self._first, "_sqrt": math.sqrt}
+        self.call = types.FunctionType(_untraced.__code__, self._ns, "rhs")
+
+    def trace(self, t, y):
+        """Compile at (t, y) unless done; True when ``call`` runs the tape."""
+        if self.source is None:
+            tape = _Tape()
+            ys = []
+            for i, v in enumerate(y):
+                name = "y%d" % i
+                tape.lines.append((name, "%s = y[%d]" % (name, i), (), False))
+                ys.append(Var(tape, name, v))
+            try:
+                out = self.fn(Var(tape, "t", t), ys)
+                source = tape.source(out, "tape")
+            except Exception:
+                # fn fails at this point (fn(t, y) raises the same error) or
+                # does what a Var cannot record; either way fn answers
+                return False
+            self._ns.update(tape.consts)
+            exec(compile(source, "<tape>", "exec"), self._ns)
+            self.call.__code__ = self._ns["tape"].__code__
+            self.source = source
+        return True
+
+    def _first(self, t, y):
+        return (self.call if self.trace(t, y) else self.fn)(t, y)

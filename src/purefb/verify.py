@@ -510,10 +510,11 @@ def _mc_run(args):
     sid, overrides, tol_kwargs = args
     scn = scenarios.build(sid, **overrides)
     traj = scn.run()
-    report = check_theorem1(traj, VerifyTolerances(**tol_kwargs))
+    tol = VerifyTolerances(**tol_kwargs)
+    report = check_theorem1(traj, tol)
     tail = None
     if not traj.diverged:
-        mask = traj.t >= traj.t[-1] * 0.9
+        mask = traj.t >= traj.t[-1] * (1.0 - tol.tail_frac)
         tail = max(
             float(np.max(np.abs(traj.col(c)[mask]))) for c in traj.meta["x_cols"]
         )

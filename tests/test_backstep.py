@@ -12,9 +12,6 @@ from purefb.backstep import (
     DesignParams,
     PaperStage,
     SynthesisError,
-    build_eta,
-    build_psi,
-    psi1,
     synthesize,
 )
 from purefb.plant import BoundSpec
@@ -241,8 +238,8 @@ def test_eta_accessors_guarded():
     stack = numeric2d(mode="paper").stack
     with pytest.raises(SynthesisError):
         stack.eta_value(2, (1.0, 1.0), (0.5,))
-    with pytest.raises(SynthesisError):
-        build_eta(1, numeric2d(mode="auto").stack)
+    with pytest.raises(SynthesisError, match="stage 2"):
+        numeric2d(mode="auto").stack.eta_value(1, (1.0, 1.0), (0.5,))
 
 
 def test_floor_probe_warns_on_sub_unit_shape():
@@ -251,32 +248,3 @@ def test_floor_probe_warns_on_sub_unit_shape():
                          mode="paper", paper_stages=stages)
     with pytest.warns(UserWarning, match="below 1"):
         synthesize(None, params)
-
-
-# ------------------------------------------------------------- composition
-
-
-def test_psi1_closed_forms():
-    one = psi1(BoundSpec(n=1, rho=(lambda xb: 1.0,), phi=()))
-    assert one(5.0) == 2.0
-    flat = psi1(BoundSpec(n=1, rho=(lambda xb: 0.0,), phi=()))
-    assert flat(-2.0) == 1.0
-    quad = psi1(BoundSpec(n=1, rho=(lambda xb: xb[0] * xb[0],), phi=()))
-    assert quad(3.0) == 10.0
-
-
-def test_build_psi_composition():
-    bounds = BoundSpec(
-        n=2, rho=(lambda xb: 0.0, lambda xb: 0.0), phi=(lambda xb: 1.0,)
-    )
-    shape = build_psi(2, lambda zb, kb: 0.0, bounds)
-    assert shape((1.0, 2.0), (0.5,), (1.0, 2.5)) == 2.0
-
-
-def test_build_eta_matches_stack():
-    stack = numeric2d(mode="auto").stack
-    eta2 = build_eta(2, stack)
-    for _ in range(20):
-        zb = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=2))
-        kb = (float(rng.uniform(0.01, 3.0)),)
-        assert eta2(zb, kb) == stack.eta_value(2, zb, kb)

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from purefb import runstore, scenarios
+from purefb import cli, runstore, scenarios
 from purefb.config import load_text
+from purefb.simkit import StatePoint
 
 
 def short_config(out_dir):
@@ -90,3 +91,21 @@ def test_summary_holds_run_statistics(tmp_path):
     assert summary["samples"] == 21
     assert "x1" in summary["stats"]["terminal"]
     assert summary["meta"]["mode"] == "paper"
+
+
+def test_diverged_run_round_trips_and_verifies(tmp_path, capsys):
+    cfg = load_text(
+        "scenario.id = numeric-2d\n"
+        "integrator.T = 1.0\n"
+        "design.sign_flip = true\n"
+        "run.out = %s\n" % tmp_path
+    )
+    traj = run_once(cfg)
+    assert traj.diverged
+    runstore.save_run(cfg, traj)
+    _, back = runstore.load_run(str(tmp_path), cfg.run_id)
+    assert back.diverged
+    assert isinstance(back.failure, StatePoint)
+    assert back.failure == traj.failure
+    assert cli.main(["verify", cfg.run_id, "--out", str(tmp_path)]) == 3
+    assert "verdict: FAIL" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Scenario registry: wiring, recorders, fast-path equivalence."""
+"""Scenario registry: wiring, recorders, compiled-rhs equivalence."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from purefb import scenarios
+from purefb.simkit import StatePoint, integrate
 
 rng = np.random.default_rng(6021023)
 
@@ -62,25 +63,55 @@ def test_theta_outside_declared_box_rejected():
         )
 
 
-def test_paper_fast_path_matches_generic_sweep():
-    """The flattened benchmark right-hand side is the generic one, bit for bit."""
-    scn = scenarios.build("numeric-2d", mode="paper")
-    assert scn.rhs is not scn.rhs_reference
-    for _ in range(200):
-        y = tuple(float(v) for v in np.concatenate([
-            rng.uniform(-4.0, 4.0, size=2),
-            rng.uniform(0.01, 10.0, size=2),
-            rng.uniform(0.0, 5.0, size=2),
-        ]))
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+LOOPS = [(mode, dz, sign) for mode in ("paper", "auto")
+         for dz in (0.0, 0.05) for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize(
+    "mode,deadzone,sign", LOOPS,
+    ids=["%s-dz%g-sign%+d" % (m, dz, s) for m, dz, s in LOOPS])
+def test_compiled_rhs_matches_reference(mode, deadzone, sign):
+    """The compiled right-hand side is the generic one, bit for bit."""
+    scn = scenarios.build("numeric-2d", mode=mode, deadzone=deadzone, sign=sign)
+    assert scn.traced.source is None  # build does not trace
+    assert scn.traced.trace(0.0, list(scn.y0()))
+    assert scn.rhs.__code__.co_name == "tape"
+    if deadzone:
+        assert "(0.0 if" in scn.traced.source
+    sides = set()
+    for i in range(200):
+        # every other point lands near the dead-zone edge of both errors
+        width = 0.1 if i % 2 else 4.0
+        z = [float(v) for v in rng.uniform(-width, width, size=2)]
+        k = [float(v) for v in rng.uniform(0.01, 10.0, size=2)]
+        x, _, _, _ = scn.stack.reconstruct(z, k[:1])
+        y = [float(v) for v in x] + k + [float(v) for v in rng.uniform(0.0, 5.0, size=2)]
         t = float(rng.uniform(0.0, 100.0))
-        fast = scn.rhs(t, y)
-        ref = scn.rhs_reference(t, y)
-        assert fast == tuple(ref) or list(fast) == list(ref)
+        sides.update(abs(zi) < 0.05 for zi in z)
+        assert bits(scn.rhs(t, y)) == bits(scn.rhs_reference(t, y))
+    assert sides == {True, False}
 
 
-def test_auto_mode_shares_one_path():
-    scn = scenarios.build("numeric-2d", mode="auto")
-    assert scn.rhs is scn.rhs_reference
+def test_sign_flipped_run_diverges_like_the_reference():
+    scn = scenarios.build("numeric-2d", sign=-1.0, T=1.0, decimation=1)
+    traj = scn.run()
+    ref = integrate(scn.rhs_reference, scn.y0(), scn.T, scn.h, scn.decimation,
+                    recorder=scn.recorder, sid=scn.sid, meta=scn.meta)
+    assert traj.diverged and ref.diverged
+    assert traj.data.shape[0] > 1
+    assert np.array_equal(traj.data, ref.data)
+    assert isinstance(traj.failure, StatePoint)
+    assert traj.failure.t == ref.failure.t
+    assert bits(traj.failure.y) == bits(ref.failure.y)
+
+
+def test_missile_is_not_compiled():
+    scn = scenarios.build("stt-missile")
+    assert scn.traced is None and scn.rhs is scn.rhs_reference
 
 
 def test_missile_wiring():
