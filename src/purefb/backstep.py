@@ -27,7 +27,8 @@ is limited to four stages.
 
 A scenario may instead supply externally derived gain shapes ("paper"
 stages), including a plain psi (not squared) in the virtual control; the
-update law always squares the shape.
+update law, written once in ``ControllerStack.gain_rates``, always squares
+the shape.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .autodiff import partial, seed, smooth_abs
+from .tape import select_lt
 
 __all__ = [
     "ControllerStack",
@@ -259,39 +261,24 @@ class ControllerStack:
             eta = eta + c[r]
         return eta
 
-    # -- public point evaluations -----------------------------------------
-
-    def transform(self, x, k):
-        """Error coordinates z at a state/gain point."""
-        return self.evaluate(x, k).z
+    # -- point evaluations -------------------------------------------------
 
     def alpha_value(self, stage, xbar, kbar):
         """Virtual control of a 1-based stage at state coordinates."""
         return self.evaluate(xbar, kbar, upto=stage).alpha[stage - 1]
 
-    def psi_value(self, stage, zbar, kbar):
-        """Gain shape of a 1-based stage at transformed coordinates."""
-        _, psi, _, _ = self.reconstruct(list(zbar[:stage]), kbar)
-        return psi[stage - 1]
+    def gain_rates(self, ev):
+        """Update law gamma_i psi_i^2 z_i^2 of each stage of a sweep ev.
 
-    def eta_value(self, stage, zbar, kbar):
-        """Dominance coefficient of a 1-based stage (auto mode only)."""
-        if self._paper is not None:
-            raise SynthesisError("eta is only constructed in auto mode")
-        if stage < 2:
-            raise SynthesisError("eta starts at stage 2")
-        _, _, eta, _ = self.reconstruct(list(zbar[:stage]), kbar)
-        return eta[stage - 1]
-
-    def gain_rate(self, stage, zbar, kbar):
-        """Adaptation rate gamma_i psi_i^2 z_i^2 with the dead zone applied."""
-        st = stage - 1
-        zi = zbar[st]
+        The dead zone is written with ``select_lt``, so a traced sweep
+        compiles it to a conditional expression rather than a guard.
+        """
         dz = self._deadzone
-        if dz > 0.0 and abs(zi) < dz:
-            return 0.0
-        ps = self.psi_value(stage, zbar, kbar)
-        return self._gamma[st] * ps * ps * zi * zi
+        rates = []
+        for g, ps, zi in zip(self._gamma, ev.psi, ev.z):
+            rate = g * ps * ps * zi * zi
+            rates.append(select_lt(abs(zi), dz, 0.0, rate) if dz > 0.0 else rate)
+        return rates
 
 
 def synthesize(bounds, params, floor_probe=200, floor_seed=7):

@@ -124,8 +124,11 @@ def _cmd_run(args):
     return EXIT_DIVERGED if traj.diverged else EXIT_OK
 
 
-def _monitor_report(cfg, traj):
-    """All monitors applicable to the scenario; returns (payload, ok)."""
+def _monitor_report(cfg, traj, scn):
+    """All monitors applicable to the scenario; returns (payload, ok).
+
+    scn is the scenario that produced traj, or None to build it from cfg.
+    """
     tol = cfg.tolerances()
     invariants = verify.check_theorem1(traj, tol=tol)
     payload = {"invariants": invariants.to_dict(), "tolerances": tol.to_dict()}
@@ -137,7 +140,8 @@ def _monitor_report(cfg, traj):
                  "  [%s]" % check.detail if not check.passed else ""))
     if traj.diverged:
         return payload, ok
-    scn = scenarios.build(cfg.sid, **cfg.scenario_overrides())
+    if scn is None:
+        scn = scenarios.build(cfg.sid, **cfg.scenario_overrides())
     if scn.oracle is not None:
         budget = verify.lyapunov_budget(
             traj, scn.oracle, slack=cfg["verify.budget_slack"])
@@ -170,11 +174,12 @@ def _cmd_verify(args):
         out_dir = args.out or "runs"
         cfg, traj = runstore.load_run(out_dir, args.run_id)
         paths = runstore.paths_for(out_dir, args.run_id)
+        scn = None
     else:
         cfg = _load_config(args)
-        _, traj = _execute(cfg)
+        scn, traj = _execute(cfg)
         paths = None
-    payload, ok = _monitor_report(cfg, traj)
+    payload, ok = _monitor_report(cfg, traj, scn)
     verdict = "PASS" if ok and not traj.diverged else "FAIL"
     payload["verdict"] = verdict
     if paths is not None:
@@ -194,16 +199,11 @@ def _cmd_montecarlo(args):
     if args.runs < 1:
         raise _CliError("--runs must be at least 1")
     x0_box = tuple(zip(cfg["sweep.x0_lo"], cfg["sweep.x0_hi"]))
-    over = cfg.scenario_overrides()
-    theta_box = over["theta_box"]
-    overrides = {key: over[key] for key in
-                 ("mode", "mu", "gamma", "k0", "deadzone", "smoothing",
-                  "sign", "T", "h", "decimation")}
-    overrides["theta_box"] = theta_box
+    overrides = cfg.scenario_overrides()
     start = time.perf_counter()
     report = verify.monte_carlo(
         cfg.sid, args.runs, cfg.seed,
-        x0_box=x0_box, theta_box=theta_box,
+        x0_box=x0_box, theta_box=overrides["theta_box"],
         overrides=overrides, tol=cfg.tolerances(),
     )
     elapsed = time.perf_counter() - start
@@ -244,10 +244,8 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (_CliError, configmod.ConfigError, runstore.RunStoreError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_CliError, ValueError) as exc:
+        # ConfigError and RunStoreError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,7 @@ the documented schema shipped under docs/.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from .verify import VerifyTolerances
@@ -257,13 +257,7 @@ class RunConfig:
     def tolerances(self):
         v = self.values
         return VerifyTolerances(
-            tol_x=v["verify.tol_x"],
-            tol_k=v["verify.tol_k"],
-            tail_frac=v["verify.tail_frac"],
-            k_monotone=v["verify.k_monotone"],
-            z_tail=v["verify.z_tail"],
-            energy_slack=v["verify.energy_slack"],
-            budget_slack=v["verify.budget_slack"],
+            **{f.name: v["verify." + f.name] for f in fields(VerifyTolerances)}
         )
 
     def scenario_overrides(self):

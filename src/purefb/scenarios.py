@@ -30,12 +30,13 @@ t, x*, z*, k*, u, psi*, eta* (plus trailing integral accumulator columns,
 and a degrees copy of the roll angle for the missile).
 
 numeric-2d has one source for each piece of its loop: the plant rates come
-from ``PlantSpec.stage_rate`` and the control from ``ControllerStack``,
-assembled by ``rhs_reference``.  ``rhs`` is that same function traced once
-(see ``tape``) at the first evaluation point of a run and compiled to
-straight-line Python, bit-identical to ``rhs_reference``; building a
-scenario does not trace.  The missile loop is integrated as written, since
-its flight condition calls ``math.cos``/``math.sin`` of t.
+from ``PlantSpec.stage_rate``, the control and the gain update law from
+``ControllerStack``, assembled by ``rhs_reference``.  ``rhs`` is that same
+function traced (see ``tape``) by ``Scenario.run`` at the first evaluation
+point of a run, (0, y0), and compiled to straight-line Python,
+bit-identical to ``rhs_reference``; building a scenario does not trace.
+The missile loop is integrated as written, since its flight condition
+calls ``math.cos``/``math.sin`` of t.
 
 The exact squared-error integrals ride along as ODE components so the
 update-law energy identity gamma_i * int z_i^2 = k_i(T) - k_i(0) can be
@@ -52,7 +53,7 @@ from .backstep import ControllerStack, DesignParams, PaperStage, synthesize
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
 from .simkit import Trajectory, integrate
-from .tape import Traced, select_lt
+from .tape import Traced
 
 __all__ = ["Scenario", "build", "scenario_ids", "SCENARIO_IDS"]
 
@@ -70,7 +71,6 @@ class Scenario:
     plant: Optional[PlantSpec]
     bounds: Optional[BoundSpec]
     oracle: Optional[OracleConstants]
-    params: Optional[DesignParams]
     stack: Optional[ControllerStack]
     rhs: Callable  # what run() integrates
     rhs_reference: Callable  # the generic evaluation path
@@ -78,7 +78,6 @@ class Scenario:
     T: float
     h: float
     decimation: int
-    sign: float = 1.0
     meta: dict = field(default_factory=dict)
     missile_parts: Optional[tuple] = None  # (MissileParams, MissileDesign)
     traced: Optional[Traced] = None  # compiles rhs_reference into rhs
@@ -89,7 +88,7 @@ class Scenario:
     def run(self, T=None, h=None, decimation=None, seed=None, abort_limit=1e9):
         y0 = self.y0()
         if self.traced is not None:
-            # the first rhs evaluation of the run is at (0, y0)
+            # the one place rhs is traced: its first evaluation is at (0, y0)
             self.traced.trace(0.0, [float(v) for v in y0])
         return integrate(
             self.rhs,
@@ -142,8 +141,8 @@ def _n2_phi2(xb):
 
 def _n2_psi2_closed_form(z1, k1, x1, x2, mu1, gamma1):
     """The benchmark's published second-stage gain shape."""
-    rho2 = (1.0 + x1 * x1 + x2 * x2) / 4.0
-    phi1 = 1.0 + x2 * x2 / 5.0
+    rho2 = _n2_rho2((x1, x2))
+    phi1 = _n2_phi1((x1, x2))
     mk = mu1 * k1
     return (
         (1.0 + 2.0 * mk) * rho2
@@ -219,27 +218,18 @@ def numeric2d(
     )
     stack = synthesize(bounds, params)
 
-    dz = float(deadzone)
     sign = float(sign)
-    g1, g2 = gamma
     value = profile.value
-
-    def gain_rate(g, p, z):
-        rate = g * p * p * z * z
-        return select_lt(abs(z), dz, 0.0, rate) if dz > 0.0 else rate
 
     def rhs_reference(t, y):
         x = (y[0], y[1])
         th = value(t)
         ev = stack.evaluate(x, (y[2], y[3]))
-        u = sign * ev.alpha[1]
         z1, z2 = ev.z
-        p1, p2 = ev.psi
         return (
             plant.stage_rate(0, x, y[1], th),
-            plant.stage_rate(1, x, u, th),
-            gain_rate(g1, p1, z1),
-            gain_rate(g2, p2, z2),
+            plant.stage_rate(1, x, sign * ev.alpha[1], th),
+            *stack.gain_rates(ev),
             z1 * z1,
             z2 * z2,
         )
@@ -267,7 +257,7 @@ def numeric2d(
         "theta": list(theta),
         "theta_box": [list(edge) for edge in theta_box],
         "sign": sign,
-        "deadzone": dz,
+        "deadzone": params.deadzone,
         "x_cols": ["x1", "x2"],
         "z_cols": ["z1", "z2"],
         "k_cols": ["k1", "k2"],
@@ -287,7 +277,6 @@ def numeric2d(
         plant=plant,
         bounds=bounds,
         oracle=oracle,
-        params=params,
         stack=stack,
         rhs=traced.call,
         rhs_reference=rhs_reference,
@@ -295,7 +284,6 @@ def numeric2d(
         T=float(T),
         h=float(h),
         decimation=int(decimation),
-        sign=sign,
         meta=meta,
         traced=traced,
     )
@@ -420,7 +408,6 @@ def stt_missile(
         plant=None,
         bounds=None,
         oracle=None,
-        params=None,
         stack=None,
         rhs=rhs,
         rhs_reference=rhs,
@@ -428,7 +415,6 @@ def stt_missile(
         T=float(T),
         h=float(h),
         decimation=int(decimation),
-        sign=sign,
         meta=meta,
         missile_parts=(mparams, design),
     )

@@ -187,23 +187,23 @@ def select_lt(a, b, then, other):
 
 def _untraced(t, y):
     """Code of ``Traced.call`` until a trace succeeds."""
-    return _first(t, y)  # a global of each Traced namespace
+    return _fallback(t, y)  # a global of each Traced namespace
 
 
 class Traced:
-    """Stand-in for a right-hand side ``fn(t, y)`` that compiles itself once.
+    """Stand-in for a right-hand side ``fn(t, y)``, compiled by ``trace``.
 
-    ``call`` is a plain function with the signature of ``fn``.  Until a
-    trace succeeds it traces at its arguments; afterwards its code object
-    is the compiled tape, so whoever holds ``call`` -- an integrator, a
-    profiling wrapper -- runs the tape with no frame in between.  ``fn``
-    stays the reference: guard misses fall back to it.
+    ``call`` is a plain function with the signature of ``fn``.  It runs
+    ``fn`` until ``trace`` succeeds and never traces by itself; afterwards
+    its code object is the compiled tape, so whoever holds ``call`` -- an
+    integrator, a profiling wrapper -- runs the tape with no frame in
+    between.  ``fn`` stays the reference: guard misses fall back to it.
     """
 
     def __init__(self, fn):
         self.fn = fn
         self.source = None  # emitted source once traced
-        self._ns = {"_fallback": fn, "_first": self._first, "_sqrt": math.sqrt}
+        self._ns = {"_fallback": fn, "_sqrt": math.sqrt}
         self.call = types.FunctionType(_untraced.__code__, self._ns, "rhs")
 
     def trace(self, t, y):
@@ -227,6 +227,3 @@ class Traced:
             self.call.__code__ = self._ns["tape"].__code__
             self.source = source
         return True
-
-    def _first(self, t, y):
-        return (self.call if self.trace(t, y) else self.fn)(t, y)

@@ -23,8 +23,7 @@ failed, never silently passed.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,15 +55,7 @@ class VerifyTolerances:
     budget_slack: float = 1e-6  # absolute slack of the energy budget
 
     def to_dict(self):
-        return {
-            "tol_x": self.tol_x,
-            "tol_k": self.tol_k,
-            "tail_frac": self.tail_frac,
-            "k_monotone": self.k_monotone,
-            "z_tail": self.z_tail,
-            "energy_slack": self.energy_slack,
-            "budget_slack": self.budget_slack,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -504,13 +495,11 @@ class MonteCarloReport:
         }
 
 
-def _mc_run(args):
+def _mc_run(sid, overrides, tol):
     from . import scenarios
 
-    sid, overrides, tol_kwargs = args
     scn = scenarios.build(sid, **overrides)
     traj = scn.run()
-    tol = VerifyTolerances(**tol_kwargs)
     report = check_theorem1(traj, tol)
     tail = None
     if not traj.diverged:
@@ -543,15 +532,18 @@ def monte_carlo(
 
     Initial states are drawn uniformly from x0_box; when theta_box is given
     each run also draws a constant uncertainty vector from it (declared as
-    the run's box).  All draws come from one generator seeded up front,
-    so the aggregate is deterministic regardless of worker count.
+    the run's box).  All draws come from one generator seeded up front and
+    the runs execute in order in this process, so the aggregate is
+    deterministic.  ``workers`` must be 1.
     """
     if M < 1:
         raise ValueError("Monte-Carlo needs at least one run")
+    if workers != 1:
+        raise ValueError("the sweep runs in one process; workers must be 1")
     tol = tol or VerifyTolerances()
     rng = np.random.default_rng(seed)
     base = dict(overrides or {})
-    jobs = []
+    results = []
     for _ in range(M):
         over = dict(base)
         over["x0"] = tuple(float(rng.uniform(lo, hi)) for lo, hi in x0_box)
@@ -560,12 +552,7 @@ def monte_carlo(
                 float(rng.uniform(lo, hi)) for lo, hi in theta_box
             )
             over["theta_box"] = tuple(tuple(edge) for edge in theta_box)
-        jobs.append((sid, over, tol.to_dict()))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_run, jobs))
-    else:
-        results = [_mc_run(job) for job in jobs]
+        results.append(_mc_run(sid, over, tol))
     passes = sum(1 for r in results if r["passed"])
     return MonteCarloReport(
         sid=sid, runs=M, passes=passes, seed=seed, results=results

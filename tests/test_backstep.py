@@ -97,7 +97,7 @@ def test_eta_closed_form_degenerate_cascade():
         z1 = float(rng.uniform(-3.0, 3.0))
         z2 = float(rng.uniform(-3.0, 3.0))
         k1 = float(rng.uniform(0.01, 5.0))
-        got = stack.eta_value(2, (z1, z2), (k1,))
+        got = stack.reconstruct([z1, z2], [k1])[2][1]
         want = (
             smooth_abs(mu1 * k1, eps) * phi_const * (1.0 + mu1 * k1)
             + gamma1 * smooth_abs(mu1 * z1, eps) * smooth_abs(z1, eps)
@@ -110,7 +110,7 @@ def test_transform_reconstruct_round_trip():
     for _ in range(1000):
         x = tuple(float(v) for v in rng.uniform(-4.0, 4.0, size=2))
         k = tuple(float(v) for v in rng.uniform(0.01, 8.0, size=2))
-        z = stack.transform(x, k)
+        z = stack.evaluate(x, k).z
         back, _, _, _ = stack.reconstruct(z, k[:1])
         for a, b in zip(x, back):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
@@ -170,8 +170,7 @@ def test_origin_is_a_fixed_point(mode):
     ev = stack.evaluate((0.0, 0.0), (0.01, 0.01))
     assert ev.z == [0.0, 0.0]
     assert ev.alpha == [0.0, 0.0]
-    assert stack.gain_rate(1, (0.0, 0.0), (0.01, 0.01)) == 0.0
-    assert stack.gain_rate(2, (0.0, 0.0), (0.01, 0.01)) == 0.0
+    assert stack.gain_rates(ev) == [0.0, 0.0]
 
 
 def test_gain_rate_dominates_raw_error_energy():
@@ -181,9 +180,10 @@ def test_gain_rate_dominates_raw_error_energy():
     for _ in range(300):
         zb = [float(v) for v in rng.uniform(-5.0, 5.0, size=2)]
         kb = [float(v) for v in rng.uniform(0.01, 10.0, size=2)]
-        for stage in (1, 2):
-            rate = stack.gain_rate(stage, zb, kb)
-            floor = gamma[stage - 1] * zb[stage - 1] ** 2
+        x = stack.reconstruct(zb, kb[:1])[0]
+        ev = stack.evaluate(x, kb)
+        for rate, g, zi in zip(stack.gain_rates(ev), gamma, ev.z):
+            floor = g * zi ** 2
             assert rate >= floor - 1e-12 * max(1.0, floor)
 
 
@@ -192,8 +192,9 @@ def test_gain_rate_dead_zone():
     params = DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,),
                          deadzone=0.1, mode="paper", paper_stages=stages)
     stack = ControllerStack(None, params)
-    assert stack.gain_rate(1, (0.05,), (1.0,)) == 0.0
-    assert stack.gain_rate(1, (-2.0,), (1.0,)) == pytest.approx(3.2, rel=1e-15)
+    assert stack.gain_rates(stack.evaluate((0.05,), (1.0,))) == [0.0]
+    assert stack.gain_rates(stack.evaluate((-2.0,), (1.0,))) == [
+        pytest.approx(3.2, rel=1e-15)]
 
 
 # ------------------------------------------------------------- validation
@@ -232,14 +233,6 @@ def test_auto_mode_stage_limit():
 def test_auto_mode_needs_bounds():
     with pytest.raises(SynthesisError):
         ControllerStack(None, auto_params())
-
-
-def test_eta_accessors_guarded():
-    stack = numeric2d(mode="paper").stack
-    with pytest.raises(SynthesisError):
-        stack.eta_value(2, (1.0, 1.0), (0.5,))
-    with pytest.raises(SynthesisError, match="stage 2"):
-        numeric2d(mode="auto").stack.eta_value(1, (1.0, 1.0), (0.5,))
 
 
 def test_floor_probe_warns_on_sub_unit_shape():

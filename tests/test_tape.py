@@ -6,7 +6,7 @@ import pytest
 
 from purefb import autodiff
 from purefb.autodiff import EvaluationError, partial, real_value, seed
-from purefb.tape import Traced, select_lt
+from purefb.tape import Traced, Var, select_lt
 
 
 def guarded(t, y):
@@ -73,12 +73,27 @@ def test_only_exact_rewrites():
         assert [r.hex() for r in tr.call(0.0, [v])] == [r.hex() for r in ops(0.0, [v])]
 
 
-def test_failing_trace_point_raises_and_retries():
+def test_failing_trace_point_runs_the_reference_until_traced():
     tr = Traced(guarded)
     assert not tr.trace(0.0, [0.0, 1.0])
     assert raised(tr.call, 0.0, [0.0, 1.0]) == raised(guarded, 0.0, [0.0, 1.0])
-    assert tr.source is None and tr.call(1.0, [2.0, 4.0]) == guarded(1.0, [2.0, 4.0])
-    assert tr.source is not None
+    assert tr.call(1.0, [2.0, 4.0]) == guarded(1.0, [2.0, 4.0]) and tr.source is None
+    assert tr.trace(1.0, [2.0, 4.0]) and tr.source is not None
+
+
+def test_calls_never_trace():
+    attempts = []
+
+    def uses_math(t, y):
+        if t.__class__ is Var:
+            attempts.append(t)
+        return (math.cos(t) * y[0],)
+
+    tr = Traced(uses_math)
+    assert not tr.trace(0.5, [2.0])
+    for i in range(100):
+        assert tr.call(0.5 + i, [2.0]) == uses_math(0.5 + i, [2.0])
+    assert len(attempts) == 1 and tr.source is None
 
 
 def test_untraceable_function_runs_the_reference():

@@ -159,6 +159,12 @@ def test_monte_carlo_requires_runs():
         monte_carlo("numeric-2d", 0, 1, x0_box=((-1.0, 1.0), (-1.0, 1.0)))
 
 
+def test_monte_carlo_runs_in_one_process():
+    with pytest.raises(ValueError, match="workers"):
+        monte_carlo("numeric-2d", 1, 1, x0_box=((-1.0, 1.0), (-1.0, 1.0)),
+                    workers=2)
+
+
 def test_monte_carlo_deterministic_aggregate():
     kwargs = dict(
         x0_box=((-3.0, 3.0), (-3.0, 3.0)),
