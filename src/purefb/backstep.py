@@ -281,14 +281,19 @@ class ControllerStack:
         return rates
 
 
-def synthesize(bounds, params, floor_probe=200, floor_seed=7):
+# probe points (and their seed) of the psi >= 1 audit of supplied shapes
+FLOOR_PROBE = 200
+FLOOR_SEED = 7
+
+
+def synthesize(bounds, params):
     """Build the controller stack and, for supplied shapes, audit psi >= 1."""
     stack = ControllerStack(bounds, params)
-    if params.mode == "paper" and floor_probe:
-        rng = np.random.default_rng(floor_seed)
+    if params.mode == "paper":
+        rng = np.random.default_rng(FLOOR_SEED)
         bad = 0
         n = params.n
-        for _ in range(floor_probe):
+        for _ in range(FLOOR_PROBE):
             zb = [float(v) for v in rng.uniform(-3.0, 3.0, size=n)]
             kb = [float(v) for v in rng.uniform(0.01, 5.0, size=n)]
             _, psi, _, _ = stack.reconstruct(zb, kb)
@@ -297,7 +302,7 @@ def synthesize(bounds, params, floor_probe=200, floor_seed=7):
         if bad:
             warnings.warn(
                 "supplied gain shapes dipped below 1 at %d of %d probe points"
-                % (bad, floor_probe),
+                % (bad, FLOOR_PROBE),
                 stacklevel=2,
             )
     return stack

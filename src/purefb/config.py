@@ -17,6 +17,7 @@ the documented schema shipped under docs/.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -192,15 +193,29 @@ SCHEMA = (
 
 _BY_NAME = {k.name: k for k in SCHEMA}
 
+# sections whose keys are the scenario factories' keywords
+SCENARIO_SECTIONS = ("integrator", "design", "init", "uncertainty", "missile")
+# (key path, factory keyword) of every key in those sections
+_KEYWORDS = tuple(
+    (k.name, k.name.partition(".")[2])
+    for k in SCHEMA if k.name.partition(".")[0] in SCENARIO_SECTIONS
+)
+
+
+def _finite(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError("must be finite")
+    return v
+
 
 def _coerce(key, text):
     text = text.strip()
     try:
         if key.typ == "float":
-            return float(text)
+            return _finite(text)
         if key.typ == "int":
-            v = int(text)
-            return v
+            return int(text)
         if key.typ == "bool":
             low = text.lower()
             if low in ("true", "yes", "on", "1"):
@@ -209,7 +224,7 @@ def _coerce(key, text):
                 return False
             raise ValueError("not a boolean")
         if key.typ == "floats":
-            vals = tuple(float(p) for p in text.split(","))
+            vals = tuple(_finite(p) for p in text.split(","))
             if key.count is not None and len(vals) != key.count:
                 raise ValueError("expected %d comma-separated values" % key.count)
             return vals
@@ -261,59 +276,21 @@ class RunConfig:
         )
 
     def scenario_overrides(self):
-        """Keyword arguments for scenarios.build."""
+        """Keyword arguments for scenarios.build.
+
+        Every key of the sections in SCENARIO_SECTIONS is passed under its
+        name after the dot.  Two are reshaped: design.sign_flip becomes
+        sign = -1.0 or 1.0, and uncertainty.box_lo/box_hi become theta_box,
+        each edge defaulting to theta.
+        """
         v = self.values
-        sign = -1.0 if v["design.sign_flip"] else 1.0
-        common = {
-            "T": v["integrator.T"],
-            "h": v["integrator.h"],
-            "decimation": v["integrator.decimation"],
-            "sign": sign,
-        }
-        if self.sid == N2:
-            theta = v["uncertainty.theta"]
-            lo = v.get("uncertainty.box_lo")
-            hi = v.get("uncertainty.box_hi")
-            lo = theta if lo is None else lo
-            hi = theta if hi is None else hi
-            return dict(
-                common,
-                mode=v["design.mode"],
-                mu=v["design.mu"],
-                gamma=v["design.gamma"],
-                k0=v["design.k0"],
-                deadzone=v["design.deadzone"],
-                smoothing=v["design.smoothing"],
-                x0=v["init.x0"],
-                theta=theta,
-                theta_box=tuple(zip(lo, hi)),
-            )
-        return dict(
-            common,
-            roll0_deg=v["init.roll_deg"],
-            rate0=v["init.rate"],
-            defl0=v["init.defl"],
-            k1=v["design.k1"],
-            mu2=v["design.mu2"],
-            mu3=v["design.mu3"],
-            gamma2=v["design.gamma2"],
-            gamma3=v["design.gamma3"],
-            k20=v["design.k20"],
-            k30=v["design.k30"],
-            epsilon=v["design.epsilon"],
-            s=v["missile.s"],
-            l=v["missile.l"],
-            jx=v["missile.jx"],
-            tau_a=v["missile.tau_a"],
-            rho_air=v["missile.rho_air"],
-            v_mean=v["missile.v_mean"],
-            v_amp=v["missile.v_amp"],
-            v_freq=v["missile.v_freq"],
-            mx_mean=v["missile.mx_mean"],
-            mx_amp=v["missile.mx_amp"],
-            mx_freq=v["missile.mx_freq"],
-            xi_const=v["missile.xi_const"],
-        )
+        over = {key: v[name] for name, key in _KEYWORDS if name in v}
+        over["sign"] = -1.0 if over.pop("sign_flip") else 1.0
+        if "theta" in over:
+            lo, hi = over.pop("box_lo"), over.pop("box_hi")
+            theta = over["theta"]
+            over["theta_box"] = tuple(zip(lo or theta, hi or theta))
+        return over
 
 
 def parse_text(text):

@@ -20,14 +20,15 @@ Two benchmarks are registered:
     ``missile``.
 
 A scenario bundles the plant truth, the bound declarations the controller
-is allowed to see, the oracle constants only the verifier may read, the
-closed-loop right-hand side over the augmented state
-
-    y = (plant state, adaptive gains, integrals of z_i^2),
-
-and a sample recorder producing the documented column layout
-t, x*, z*, k*, u, psi*, eta* (plus trailing integral accumulator columns,
-and a degrees copy of the roll angle for the missile).
+is allowed to see, the oracle constants only the verifier may read, and the
+closed-loop right-hand side over the augmented state y = (plant state x,
+adaptive gains k, integrals of z_i^2).  Every recorded row is laid out as
+t, x1..xn, z1..zn, k_i, u, <scenario extras>, intz_i, with k_i and intz_i
+for each adaptive stage i: a factory supplies only the names of its extras
+and a probe (t, y) -> (z, u, extra values), and ``Scenario`` derives the
+columns, the row builder and the verifier's column groups.  A factory's
+keywords are the run-config keys by name: ``section.key`` arrives as
+``key`` (see ``RunConfig.scenario_overrides``).
 
 numeric-2d has one source for each piece of its loop: the plant rates come
 from ``PlantSpec.stage_rate``, the control and the gain update law from
@@ -52,7 +53,7 @@ from typing import Callable, Optional
 from .backstep import ControllerStack, DesignParams, PaperStage, synthesize
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
-from .simkit import Trajectory, integrate
+from .simkit import integrate
 from .tape import Traced
 
 __all__ = ["Scenario", "build", "scenario_ids", "SCENARIO_IDS"]
@@ -60,7 +61,11 @@ __all__ = ["Scenario", "build", "scenario_ids", "SCENARIO_IDS"]
 
 @dataclass
 class Scenario:
-    """One runnable closed loop plus everything the verifier needs."""
+    """One runnable closed loop plus everything the verifier needs.
+
+    Derives ``recorder`` (column names, row builder) and the meta entries
+    x_cols, z_cols, k_cols, intz_cols, n and adaptive from its fields.
+    """
 
     sid: str
     n: int
@@ -68,39 +73,49 @@ class Scenario:
     adaptive: tuple  # 1-based stages with gain adaptation
     k0: tuple  # initial gains, aligned with adaptive
     theta: UncertaintyProfile
-    plant: Optional[PlantSpec]
-    bounds: Optional[BoundSpec]
-    oracle: Optional[OracleConstants]
-    stack: Optional[ControllerStack]
     rhs: Callable  # what run() integrates
     rhs_reference: Callable  # the generic evaluation path
-    recorder: tuple  # (column names, row builder)
+    probe: Callable  # (t, y) -> (z, u, extra values)
+    extra: tuple  # names of the scenario's own columns, after u
     T: float
     h: float
     decimation: int
     meta: dict = field(default_factory=dict)
+    bounds: Optional[BoundSpec] = None
+    oracle: Optional[OracleConstants] = None
+    stack: Optional[ControllerStack] = None
     missile_parts: Optional[tuple] = None  # (MissileParams, MissileDesign)
     traced: Optional[Traced] = None  # compiles rhs_reference into rhs
+
+    def __post_init__(self):
+        n, m, probe = self.n, len(self.adaptive), self.probe
+        groups = {
+            "x_cols": ["x%d" % i for i in range(1, n + 1)],
+            "z_cols": ["z%d" % i for i in range(1, n + 1)],
+            "k_cols": ["k%d" % i for i in self.adaptive],
+            "intz_cols": ["intz%d" % i for i in self.adaptive],
+        }
+        self.meta.update(groups, n=n, adaptive=list(self.adaptive))
+        names = (*groups["x_cols"], *groups["z_cols"], *groups["k_cols"], "u",
+                 *self.extra, *groups["intz_cols"])
+
+        def build_row(t, y):
+            z, u, extra = probe(t, y)
+            return [*y[:n], *z, *y[n:n + m], u, *extra, *y[n + m:]]
+
+        self.recorder = (names, build_row)
 
     def y0(self):
         return tuple(self.x0) + tuple(self.k0) + (0.0,) * len(self.adaptive)
 
-    def run(self, T=None, h=None, decimation=None, seed=None, abort_limit=1e9):
+    def run(self, seed=None):
         y0 = self.y0()
         if self.traced is not None:
             # the one place rhs is traced: its first evaluation is at (0, y0)
             self.traced.trace(0.0, [float(v) for v in y0])
         return integrate(
-            self.rhs,
-            y0,
-            self.T if T is None else T,
-            self.h if h is None else h,
-            self.decimation if decimation is None else decimation,
-            recorder=self.recorder,
-            sid=self.sid,
-            seed=seed,
-            abort_limit=abort_limit,
-            meta=self.meta,
+            self.rhs, y0, self.T, self.h, self.decimation,
+            recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,
         )
 
 
@@ -236,19 +251,10 @@ def numeric2d(
 
     traced = Traced(rhs_reference)
 
-    columns = ["x1", "x2", "z1", "z2", "k1", "k2", "u", "psi1", "psi2"]
-    if mode == "auto":
-        columns.append("eta2")
-    columns += ["intz1", "intz2"]
-
-    def build_row(t, y):
+    def probe(t, y):
         ev = stack.evaluate((y[0], y[1]), (y[2], y[3]))
-        row = [y[0], y[1], ev.z[0], ev.z[1], y[2], y[3], sign * ev.alpha[1],
-               ev.psi[0], ev.psi[1]]
-        if ev.eta[1] is not None:
-            row.append(ev.eta[1])
-        row += [y[4], y[5]]
-        return row
+        shapes = ev.psi if mode == "paper" else (*ev.psi, ev.eta[1])
+        return ev.z, sign * ev.alpha[1], shapes
 
     meta = {
         "scenario": "numeric-2d",
@@ -258,12 +264,6 @@ def numeric2d(
         "theta_box": [list(edge) for edge in theta_box],
         "sign": sign,
         "deadzone": params.deadzone,
-        "x_cols": ["x1", "x2"],
-        "z_cols": ["z1", "z2"],
-        "k_cols": ["k1", "k2"],
-        "intz_cols": ["intz1", "intz2"],
-        "adaptive": [1, 2],
-        "n": 2,
         "mu": list(mu),
         "gamma": list(gamma),
     }
@@ -274,13 +274,13 @@ def numeric2d(
         adaptive=(1, 2),
         k0=k0,
         theta=profile,
-        plant=plant,
         bounds=bounds,
         oracle=oracle,
         stack=stack,
         rhs=traced.call,
         rhs_reference=rhs_reference,
-        recorder=(tuple(columns), build_row),
+        probe=probe,
+        extra=("psi1", "psi2", "eta2") if mode == "auto" else ("psi1", "psi2"),
         T=float(T),
         h=float(h),
         decimation=int(decimation),
@@ -293,9 +293,9 @@ def numeric2d(
 
 
 def stt_missile(
-    roll0_deg=10.0,
-    rate0=0.0,
-    defl0=0.0,
+    roll_deg=10.0,
+    rate=0.0,
+    defl=0.0,
     k1=5.0,
     mu2=0.5,
     mu3=0.5,
@@ -370,30 +370,16 @@ def stt_missile(
             diag.z3 * diag.z3,
         )
 
-    columns = (
-        "x1", "x2", "x3", "z1", "z2", "z3", "k2", "k3", "u", "psi3",
-        "roll_deg", "intz2", "intz3",
-    )
-
-    def build_row(t, y):
+    def probe(t, y):
         state = (y[0], y[1], y[2])
         cmd, _, _, diag = missile_control(state, (y[3], y[4]), t, design, mparams)
-        return [
-            y[0], y[1], y[2], diag.z1, diag.z2, diag.z3, y[3], y[4],
-            sign * cmd, diag.psi3, math.degrees(y[0]), y[5], y[6],
-        ]
+        return (diag.z1, diag.z2, diag.z3), sign * cmd, (diag.psi3, math.degrees(y[0]))
 
     meta = {
         "scenario": "stt-missile",
         "mode": "threestep",
-        "roll0_deg": float(roll0_deg),
+        "roll0_deg": float(roll_deg),
         "sign": sign,
-        "x_cols": ["x1", "x2", "x3"],
-        "z_cols": ["z1", "z2", "z3"],
-        "k_cols": ["k2", "k3"],
-        "intz_cols": ["intz2", "intz3"],
-        "adaptive": [2, 3],
-        "n": 3,
         "mu": [mu2, mu3],
         "gamma": [gamma2, gamma3],
         "angles": "radians (roll_deg column is the degrees copy)",
@@ -401,17 +387,14 @@ def stt_missile(
     return Scenario(
         sid="stt-missile",
         n=3,
-        x0=(math.radians(roll0_deg), float(rate0), float(defl0)),
+        x0=(math.radians(roll_deg), float(rate), float(defl)),
         adaptive=(2, 3),
         k0=(float(k20), float(k30)),
         theta=profile,
-        plant=None,
-        bounds=None,
-        oracle=None,
-        stack=None,
         rhs=rhs,
         rhs_reference=rhs,
-        recorder=(columns, build_row),
+        probe=probe,
+        extra=("psi3", "roll_deg"),
         T=float(T),
         h=float(h),
         decimation=int(decimation),

@@ -110,6 +110,25 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "what.ever" in capsys.readouterr().err
 
 
+NON_FINITE = [
+    ("integrator.T", "integrator.T = inf\n"),
+    ("init.x0", "init.x0 = nan, 1.0\n"),
+    ("uncertainty.theta", "uncertainty.theta = inf, 2.0\n"
+                          "uncertainty.box_lo = 0.8, 1.6\n"
+                          "uncertainty.box_hi = inf, 2.4\n"),
+]
+
+
+@pytest.mark.parametrize("key,text", NON_FINITE, ids=[k for k, _ in NON_FINITE])
+def test_non_finite_float_exits_2_before_running(tmp_path, capsys, key, text):
+    cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\n" + text)
+    out = registry(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "%s: must be finite" % key in err
+    assert not os.path.exists(out)
+
+
 def test_mode_flag_switches_synthesis(short_cfg, tmp_path):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out,

@@ -1,11 +1,13 @@
 """Scenario registry: wiring, recorders, compiled-rhs equivalence."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from purefb import scenarios
+from purefb.config import load_text
 from purefb.simkit import StatePoint, integrate
 
 rng = np.random.default_rng(6021023)
@@ -126,7 +128,7 @@ def test_missile_wiring():
     )
     row = build_row(0.0, scn.y0())
     assert row[names.index("roll_deg")] == pytest.approx(10.0, rel=1e-12)
-    assert scn.stack is None and scn.plant is None
+    assert scn.stack is None
     assert scn.missile_parts is not None
 
 
@@ -156,3 +158,26 @@ def test_run_respects_overridden_grid():
     traj = scn.run()
     assert traj.data.shape[0] == 11
     assert traj.t[-1] == pytest.approx(2.0, abs=1e-12)
+
+
+def schema_overrides(sid):
+    return load_text("scenario.id = %s\n" % sid).scenario_overrides()
+
+
+@pytest.mark.parametrize("sid", scenarios.SCENARIO_IDS)
+def test_config_keys_are_factory_keywords(sid):
+    params = inspect.signature(scenarios.SCENARIOS[sid]).parameters
+    assert set(schema_overrides(sid)) == set(params)
+
+
+@pytest.mark.parametrize("sid", scenarios.SCENARIO_IDS)
+def test_factory_defaults_match_schema_defaults(sid):
+    plain = scenarios.build(sid)
+    configured = scenarios.build(sid, **schema_overrides(sid))
+    assert plain.y0() == configured.y0()
+    assert (plain.T, plain.h, plain.decimation) == (
+        configured.T, configured.h, configured.decimation)
+    assert plain.recorder[0] == configured.recorder[0]
+    assert plain.meta == configured.meta
+    y0 = list(plain.y0())
+    assert bits(plain.rhs(0.0, y0)) == bits(configured.rhs(0.0, y0))
