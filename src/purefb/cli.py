@@ -8,7 +8,8 @@ Subcommands:
     plot        re-render the SVG charts of a stored run
 
 Exit codes: 0 success, 1 monitor failure, 2 usage or config error,
-3 divergence.
+3 divergence, 4 internal error (anything else that went wrong, such as
+an unwritable registry; printed as one line, without a traceback).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
+EXIT_INTERNAL = 4
 
 
 class _CliError(Exception):
@@ -248,6 +250,10 @@ def main(argv=None):
         # ConfigError and RunStoreError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # KeyboardInterrupt and SystemExit are not Exceptions: they pass
+        print("error: internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -75,6 +75,9 @@ class Key:
 N2 = "numeric-2d"
 MS = "stt-missile"
 
+# most integration steps (integrator.T / integrator.h) one run may ask for
+STEP_BUDGET = 10_000_000
+
 SCHEMA = (
     Key("scenario.id", "str", None, "registered scenario to run",
         required=True, choices=(N2, MS)),
@@ -362,6 +365,13 @@ def load_text(text, overrides=None):
             problem = key.check(value)
             if problem:
                 raise ConfigError("%s: %s (got %s)" % (name, problem, value))
+    steps = values["integrator.T"] / values["integrator.h"]
+    if steps > STEP_BUDGET:
+        raise ConfigError(
+            "integrator.h: %r asks for %.3g steps over integrator.T = %r, "
+            "more than the budget of %d" % (values["integrator.h"], steps,
+                                            values["integrator.T"], STEP_BUDGET)
+        )
     lines = []
     for name in sorted(values):
         if values[name] is None or name == "run.out":
@@ -390,7 +400,8 @@ def schema_markdown():
         "Format: one `section.key = value` per line; `#` starts a comment",
         "line; blank lines are ignored.  Float lists are comma separated.",
         "Unknown keys are rejected.  Keys marked with a scenario apply only",
-        "when `scenario.id` selects it.",
+        "when `scenario.id` selects it.  A run may take at most %d" % STEP_BUDGET,
+        "integration steps (`integrator.T / integrator.h`).",
         "",
         "| key | type | default | applies to | description |",
         "|---|---|---|---|---|",

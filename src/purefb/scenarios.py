@@ -36,8 +36,11 @@ from ``PlantSpec.stage_rate``, the control and the gain update law from
 function traced (see ``tape``) by ``Scenario.run`` at the first evaluation
 point of a run, (0, y0), and compiled to straight-line Python,
 bit-identical to ``rhs_reference``; building a scenario does not trace.
-The missile loop is integrated as written, since its flight condition
-calls ``math.cos``/``math.sin`` of t.
+The same trace compiles one whole RK4 step at the run's h
+(``Traced.step``), which ``Scenario.run`` hands to ``integrate`` only
+while ``self.rhs is self.traced.call``: an rhs replaced after building
+is integrated as given.  The missile loop is integrated as written,
+since its flight condition calls ``math.cos``/``math.sin`` of t.
 
 The exact squared-error integrals ride along as ODE components so the
 update-law energy identity gamma_i * int z_i^2 = k_i(T) - k_i(0) can be
@@ -110,12 +113,17 @@ class Scenario:
 
     def run(self, seed=None):
         y0 = self.y0()
+        step = None
         if self.traced is not None:
-            # the one place rhs is traced: its first evaluation is at (0, y0)
-            self.traced.trace(0.0, [float(v) for v in y0])
+            # the one place rhs is traced: its first evaluation is at (0, y0);
+            # the compiled step is that rhs only while rhs is the traced call
+            compiled = self.rhs is self.traced.call
+            self.traced.trace(0.0, [float(v) for v in y0], self.h if compiled else None)
+            step = self.traced.step if compiled else None
         return integrate(
             self.rhs, y0, self.T, self.h, self.decimation,
             recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,
+            step=step,
         )
 
 

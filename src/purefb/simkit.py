@@ -4,7 +4,10 @@ The augmented state (plant state, adaptive gains, squared-error integrals)
 is advanced by classical fourth-order Runge-Kutta with a constant step, so
 a run is a pure function of its configuration: identical settings produce
 bit-identical trajectories.  Time-varying inputs are sampled exactly at the
-stage times t, t + h/2, t + h.
+stage times t, t + h/2, t + h.  The RK4 formula is written once, in
+``rk4_combine``; ``rk4_step`` runs it on floats, and ``tape.Traced``
+traces it to compile a whole step, which ``integrate`` accepts as
+``step``.
 
 Divergence is handled as data, not as a crash: a non-finite stage
 evaluation or a component exceeding the abort threshold ends the run early
@@ -26,6 +29,7 @@ __all__ = [
     "Trajectory",
     "integrate",
     "measure_order",
+    "rk4_combine",
     "rk4_step",
 ]
 
@@ -47,6 +51,28 @@ class DivergenceError(RuntimeError):
         super().__init__("%s at t=%.6g" % (detail, t))
 
 
+def rk4_combine(rhs, y, t, h):
+    """The classical Runge-Kutta formula for one step from t to t+h.
+
+    Generic over the scalar type of t and y: ``rk4_step`` runs it on
+    floats, and ``tape.Traced`` runs it on tracing scalars to compile a
+    whole step.  Returns a list.
+    """
+    k1 = rhs(t, y)
+    h2 = 0.5 * h
+    t2 = t + h2
+    y2 = [yi + h2 * ki for yi, ki in zip(y, k1)]
+    k2 = rhs(t2, y2)
+    y3 = [yi + h2 * ki for yi, ki in zip(y, k2)]
+    k3 = rhs(t2, y3)
+    y4 = [yi + h * ki for yi, ki in zip(y, k3)]
+    k4 = rhs(t + h, y4)
+    return [
+        yi + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    ]
+
+
 def rk4_step(rhs, y, t, h):
     """One classical Runge-Kutta step from t to t+h.
 
@@ -55,19 +81,7 @@ def rk4_step(rhs, y, t, h):
     DivergenceError carrying the pre-step state.
     """
     try:
-        k1 = rhs(t, y)
-        h2 = 0.5 * h
-        t2 = t + h2
-        y2 = [yi + h2 * ki for yi, ki in zip(y, k1)]
-        k2 = rhs(t2, y2)
-        y3 = [yi + h2 * ki for yi, ki in zip(y, k2)]
-        k3 = rhs(t2, y3)
-        y4 = [yi + h * ki for yi, ki in zip(y, k3)]
-        k4 = rhs(t + h, y4)
-        out = [
-            yi + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ]
+        out = rk4_combine(rhs, y, t, h)
     except (ArithmeticError, ValueError) as exc:
         raise DivergenceError(t, y, detail=str(exc) or "arithmetic failure") from exc
     if not math.isfinite(sum(out)):
@@ -164,6 +178,7 @@ def integrate(
     seed=None,
     abort_limit=ABORT_LIMIT,
     meta=None,
+    step=None,
 ):
     """Integrate dy/dt = rhs(t, y) on [0, T] and record every decimation-th step.
 
@@ -175,6 +190,13 @@ def integrate(
     floor(T/h/decimation) + 1 retained samples.  A non-finite step or a
     component beyond abort_limit stops the run with the partial trajectory
     flagged instead of raising.
+
+    step, when given, is a compiled form of ``rk4_step(rhs, ., ., h)``:
+    step(t, y) returns the next state, or None where it cannot vouch for
+    it (a guard missed, or a component is NaN or beyond abort_limit).  A
+    None, or an arithmetic error raised by step, sends that one step
+    through ``rk4_step`` and its checks, so flags and failure points are
+    those of the plain path.
     """
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
@@ -207,15 +229,21 @@ def integrate(
     for s in range(steps):
         t = s * h
         try:
-            y = rk4_step(rhs, y, t, h)
-        except DivergenceError as exc:
-            diverged = True
-            failure = exc.point
-            break
-        if max(abs(v) for v in y) > abort_limit:
-            diverged = True
-            failure = StatePoint(t + h, tuple(y))
-            break
+            y_next = step(t, y) if step else None
+        except (ArithmeticError, ValueError):
+            y_next = None  # rk4_step meets the same error
+        if y_next is None:
+            try:
+                y_next = rk4_step(rhs, y, t, h)
+            except DivergenceError as exc:
+                diverged = True
+                failure = exc.point
+                break
+            if max(abs(v) for v in y_next) > abort_limit:
+                diverged = True
+                failure = StatePoint(t + h, tuple(y_next))
+                break
+        y = y_next
         if (s + 1) % decimation == 0:
             record((s + 1) * h, y)
     return Trajectory(

@@ -21,20 +21,35 @@ The compiled function returns the same bits as ``f`` at every point:
   which takes the other branch or raises the error ``f`` raises;
 * ``select_lt`` records a conditional expression instead of a guard;
 * lines that no output or guard reads are dropped unless they may raise
-  (division by a ``Var``, powers, sqrt).
+  (division by a ``Var``, powers, sqrt);
+* a line read exactly once that cannot raise is written into its reader
+  as a nested expression (up to ``_MAX_DEPTH`` deep) instead of a
+  temporary; raising lines and guards stay statements, in order.
+
+``Traced`` compiles ``f`` itself and, given the step h, one whole RK4
+step of ``f`` (``simkit.rk4_combine`` traced on ``Var`` inputs), whose
+guards return None instead of calling ``f``.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
 import types
 
+from .simkit import ABORT_LIMIT, rk4_combine
+
 __all__ = ["Traced", "Var", "select_lt"]
 
 
+# inlined expressions nest at most this deep, far below the parser's limit
+_MAX_DEPTH = 40
+
+
 class _Tape:
-    """Lines of one trace: (name or None for a guard, text, operands, may raise)."""
+    """Lines of one trace: (name or None for a guard, format, operands,
+    names of the traced operands, may raise)."""
 
     def __init__(self):
         self.lines = []
@@ -53,34 +68,76 @@ class _Tape:
         text = repr(x)
         return "(%s)" % text if text[0] == "-" else text
 
-    def emit(self, expr, args, value, may_raise=False):
+    def emit(self, fmt, args, value, may_raise=False):
+        ops = tuple(self.operand(a) for a in args)
+        expr = fmt % ops
         name = self.seen.get(expr)
         if name is None:
             name = self.seen[expr] = "v%d" % len(self.lines)
             deps = tuple(a.name for a in args if a.__class__ is Var)
-            self.lines.append((name, "%s = %s" % (name, expr), deps, may_raise))
+            self.lines.append((name, fmt, ops, deps, may_raise))
         return Var(self, name, value)
 
     def guard(self, cond, args, outcome):
-        text = ("if %s:" if not outcome else "if not %s:") % cond
+        fmt = ("if %s:" if not outcome else "if not %s:") % cond
+        ops = tuple(self.operand(a) for a in args)
+        text = fmt % ops
         if text not in self.seen:
             self.seen[text] = None
             deps = tuple(a.name for a in args if a.__class__ is Var)
-            self.lines.append((None, text + " return _fallback(t, y)", deps, True))
+            self.lines.append((None, fmt, ops, deps, True))
 
-    def source(self, out, name):
-        """Body of ``def name(t, y)`` returning ``out``, dead lines dropped."""
-        items = ", ".join(self.operand(v) for v in out)
-        ret = ("(%s,)" if out.__class__ is tuple else "[%s]") % items
-        live = {v.name for v in out if v.__class__ is Var}
+    def source(self, out, name, miss, limit=None):
+        """Source of ``def name(t, y)`` returning ``out``.
+
+        A guard that misses runs the statement ``miss``.  With limit, the
+        function returns None instead of ``out`` unless every component
+        lies in [-limit, limit] (so not NaN).  Dead lines are dropped; a
+        line read exactly once that cannot raise is written into its
+        reader as a nested expression, up to _MAX_DEPTH deep.
+        """
+        ops = tuple(self.operand(v) for v in out)
+        outs = [v.name for v in out if v.__class__ is Var]
+        live = set(outs)
         kept = []
         for line in reversed(self.lines):
-            if line[3] or line[0] in live:
-                live.update(line[2])
-                kept.append(line[1])
+            if line[4] or line[0] in live:
+                live.update(line[3])
+                kept.append(line)
         kept.reverse()
-        body = "".join("    %s\n" % text for text in kept)
-        return "def %s(t, y):\n%s    return %s\n" % (name, body, ret)
+        uses = collections.Counter(d for line in kept for d in line[3])
+        uses.update(outs if limit is None else outs * 2)  # the range test reads them too
+        nested = {}  # name -> (expression, depth) awaiting its one reader
+
+        def render(fmt, ops):
+            parts, depth = [], 0
+            for op in ops:
+                sub = nested.pop(op, None)
+                if sub is None:
+                    parts.append(op)
+                else:
+                    parts.append("(%s)" % sub[0])
+                    depth = max(depth, sub[1])
+            return fmt % tuple(parts), depth + 1
+
+        body = []
+        for line_name, fmt, line_ops, _, may_raise in kept:
+            text, depth = render(fmt, line_ops)
+            if line_name is None:
+                body.append("%s %s" % (text, miss))
+            elif not may_raise and uses[line_name] == 1 and depth < _MAX_DEPTH:
+                nested[line_name] = (text, depth)
+            else:
+                body.append("%s = %s" % (line_name, text))
+        items = render(", ".join(["%s"] * len(ops)), ops)[0]
+        ret = ("(%s,)" if out.__class__ is tuple else "[%s]") % items
+        if limit is None:
+            body.append("return " + ret)
+        else:
+            bound = repr(float(limit))
+            inside = " and ".join("-%s <= %s <= %s" % (bound, op, bound) for op in ops)
+            body += ["if %s:" % inside, "    return " + ret, "return None"]
+        return "def %s(t, y):\n%s" % (name, "".join("    %s\n" % text for text in body))
 
 
 def _value(x):
@@ -101,10 +158,8 @@ def _binary(op, fn, reflected=False):
             return b
         if op == "-" and b.__class__ is float and b == 0.0 and math.copysign(1.0, b) > 0:
             return a
-        tape = self.tape
-        expr = "%s %s %s" % (tape.operand(a), op, tape.operand(b))
         may_raise = op == "**" or (op == "/" and b.__class__ is Var)
-        return tape.emit(expr, (a, b), value, may_raise)
+        return self.tape.emit("%s " + op + " %s", (a, b), value, may_raise)
 
     return method
 
@@ -114,8 +169,7 @@ def _compare(op, fn):
         if other.__class__ not in (Var, float, int):
             return NotImplemented
         outcome = fn(self.value, _value(other))
-        tape = self.tape
-        tape.guard("%s %s %s" % (self.name, op, tape.operand(other)), (self, other), outcome)
+        self.tape.guard("%s " + op + " %s", (self, other), outcome)
         return outcome
 
     return method
@@ -153,22 +207,22 @@ class Var:
     __hash__ = None
 
     def __neg__(self):
-        return self.tape.emit("-" + self.name, (self,), -self.value)
+        return self.tape.emit("-%s", (self,), -self.value)
 
     def __pos__(self):
         return self
 
     def __abs__(self):
-        return self.tape.emit("abs(%s)" % self.name, (self,), abs(self.value))
+        return self.tape.emit("abs(%s)", (self,), abs(self.value))
 
     def __bool__(self):
         outcome = bool(self.value)
-        self.tape.guard(self.name, (self,), outcome)
+        self.tape.guard("%s", (self,), outcome)
         return outcome
 
     def sqrt(self):
         """math.sqrt of this value, for ``autodiff.sqrt`` past its domain check."""
-        return self.tape.emit("_sqrt(%s)" % self.name, (self,), math.sqrt(self.value), True)
+        return self.tape.emit("_sqrt(%s)", (self,), math.sqrt(self.value), True)
 
 
 def select_lt(a, b, then, other):
@@ -181,8 +235,7 @@ def select_lt(a, b, then, other):
     else:
         return then if a < b else other
     value = _value(then) if _value(a) < _value(b) else _value(other)
-    expr = "(%s if %s < %s else %s)" % tuple(tape.operand(x) for x in (then, a, b, other))
-    return tape.emit(expr, args, value)
+    return tape.emit("(%s if %s < %s else %s)", (then, a, b, other), value)
 
 
 def _untraced(t, y):
@@ -198,32 +251,57 @@ class Traced:
     its code object is the compiled tape, so whoever holds ``call`` -- an
     integrator, a profiling wrapper -- runs the tape with no frame in
     between.  ``fn`` stays the reference: guard misses fall back to it.
+
+    ``step``, once ``trace`` was given a step h, is one whole RK4 step of
+    ``fn`` (``simkit.rk4_combine`` traced at h): step(t, y) returns the
+    list ``rk4_step(fn, y, t, h)`` returns, bit for bit, or None where a
+    guard misses or a component is NaN or beyond +-``simkit.ABORT_LIMIT``.
+    It may raise the arithmetic error ``fn`` raises.
     """
 
     def __init__(self, fn):
         self.fn = fn
         self.source = None  # emitted source once traced
+        self.step = None
+        self.step_source = None
+        self.step_h = None  # the h step was compiled at
         self._ns = {"_fallback": fn, "_sqrt": math.sqrt}
         self.call = types.FunctionType(_untraced.__code__, self._ns, "rhs")
 
-    def trace(self, t, y):
-        """Compile at (t, y) unless done; True when ``call`` runs the tape."""
+    def trace(self, t, y, h=None):
+        """Compile at (t, y) unless done; True when ``call`` runs the tape.
+
+        With h, also compile ``step`` at h, tracing its first stage at
+        (t, y); ``step`` stays None where that trace fails.
+        """
         if self.source is None:
-            tape = _Tape()
-            ys = []
-            for i, v in enumerate(y):
-                name = "y%d" % i
-                tape.lines.append((name, "%s = y[%d]" % (name, i), (), False))
-                ys.append(Var(tape, name, v))
-            try:
-                out = self.fn(Var(tape, "t", t), ys)
-                source = tape.source(out, "tape")
-            except Exception:
-                # fn fails at this point (fn(t, y) raises the same error) or
-                # does what a Var cannot record; either way fn answers
+            self.source = self._compile(self.fn, t, y, "tape", "return _fallback(t, y)")
+            if self.source is None:
                 return False
-            self._ns.update(tape.consts)
-            exec(compile(source, "<tape>", "exec"), self._ns)
             self.call.__code__ = self._ns["tape"].__code__
-            self.source = source
+        if h is not None and h != self.step_h:
+            fn = self.fn
+            self.step_source = self._compile(
+                lambda tv, yv: rk4_combine(fn, yv, tv, h), t, y, "step", "return None",
+                ABORT_LIMIT)
+            self.step = self._ns.pop("step", None)
+            self.step_h = h
         return True
+
+    def _compile(self, fn, t, y, name, miss, limit=None):
+        """Trace fn at (t, y) and define ``name`` in the namespace; its source or None."""
+        tape = _Tape()
+        ys = []
+        for i, v in enumerate(y):
+            var_name = "y%d" % i
+            tape.lines.append((var_name, "y[%d]" % i, (), (), False))
+            ys.append(Var(tape, var_name, v))
+        try:
+            source = tape.source(fn(Var(tape, "t", t), ys), name, miss, limit)
+        except Exception:
+            # fn fails at this point (fn(t, y) raises the same error) or
+            # does what a Var cannot record; either way fn answers
+            return None
+        self._ns.update(tape.consts)
+        exec(compile(source, "<tape>", "exec"), self._ns)
+        return source

@@ -129,6 +129,34 @@ def test_non_finite_float_exits_2_before_running(tmp_path, capsys, key, text):
     assert not os.path.exists(out)
 
 
+def test_step_budget_exits_2_before_running(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\nintegrator.h = 1e-9\n")
+    out = registry(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: integrator.h:") and "budget" in err
+    assert not os.path.exists(out)
+
+
+def test_internal_error_exits_4_with_one_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "scenario.id = stt-missile\nintegrator.T = 0.1\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["run", "--config", cfg, "--out", str(blocker / "runs")]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: internal error: NotADirectoryError:")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_interrupt_is_not_swallowed(short_cfg, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("purefb.scenarios.build", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", short_cfg])
+
+
 def test_mode_flag_switches_synthesis(short_cfg, tmp_path):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out,

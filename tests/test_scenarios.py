@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purefb import scenarios
 from purefb.config import load_text
-from purefb.simkit import StatePoint, integrate
+from purefb.simkit import ABORT_LIMIT, DivergenceError, StatePoint, integrate, rk4_step
 
 rng = np.random.default_rng(6021023)
 
@@ -96,6 +98,118 @@ def test_compiled_rhs_matches_reference(mode, deadzone, sign):
         sides.update(abs(zi) < 0.05 for zi in z)
         assert bits(scn.rhs(t, y)) == bits(scn.rhs_reference(t, y))
     assert sides == {True, False}
+
+
+def loop_state(scn, z, k, intz):
+    """Augmented state whose errors are z, at gains k."""
+    x, _, _, _ = scn.stack.reconstruct(z, k[:1])
+    return [float(v) for v in x] + list(k) + list(intz)
+
+
+def plain_step(scn, t, y):
+    """Bits of rk4_step of the generic rhs, or None where integrate stops there."""
+    try:
+        out = rk4_step(scn.rhs_reference, y, t, scn.h)
+    except DivergenceError:
+        return None
+    return bits(out) if max(abs(v) for v in out) <= ABORT_LIMIT else None
+
+
+def fused_step(scn, t, y):
+    out = scn.traced.step(t, y)
+    return None if out is None else bits(out)
+
+
+@pytest.mark.parametrize(
+    "mode,deadzone,sign", LOOPS,
+    ids=["%s-dz%g-sign%+d" % (m, dz, s) for m, dz, s in LOOPS])
+def test_compiled_step_matches_rk4_step(mode, deadzone, sign):
+    """One compiled RK4 step is rk4_step of the generic rhs, bit for bit."""
+    scn = scenarios.build("numeric-2d", mode=mode, deadzone=deadzone, sign=sign)
+    assert scn.traced.trace(0.0, list(scn.y0()), scn.h)
+    step = scn.traced.step
+    assert step is not None and "return None" in scn.traced.step_source
+    sides = set()
+    taken = 0
+    for i in range(200):
+        # every other point lands near the dead-zone edge of both errors
+        width = 0.1 if i % 2 else 2.0
+        z = [float(v) for v in rng.uniform(-width, width, size=2)]
+        k = [float(v) for v in rng.uniform(0.01, 3.0, size=2)]
+        y = loop_state(scn, z, k, [float(v) for v in rng.uniform(0.0, 5.0, size=2)])
+        t = float(rng.uniform(0.0, 100.0))
+        sides.update(abs(zi) < 0.05 for zi in z)
+        want = plain_step(scn, t, y)
+        assert fused_step(scn, t, y) == want
+        taken += want is not None
+    assert sides == {True, False}
+    assert taken >= 100  # most of these steps stay within the abort limit
+
+
+_STEPPED = {}
+
+
+def stepped(mode):
+    """A numeric-2d loop of this mode with its compiled step, built once."""
+    if mode not in _STEPPED:
+        scn = scenarios.build("numeric-2d", mode=mode, deadzone=0.05)
+        assert scn.traced.trace(0.0, list(scn.y0()), scn.h)
+        _STEPPED[mode] = scn
+    return _STEPPED[mode]
+
+
+coordinate = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(["paper", "auto"]),
+       z=st.tuples(coordinate, coordinate),
+       k=st.tuples(st.floats(0.01, 3.0), st.floats(0.01, 3.0)),
+       intz=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+       t=st.floats(0.0, 100.0))
+def test_compiled_step_matches_rk4_step_everywhere(mode, z, k, intz, t):
+    scn = stepped(mode)
+    y = loop_state(scn, z, k, intz)
+    assert fused_step(scn, t, y) == plain_step(scn, t, y)
+
+
+def run_from(scn, y0, step=None, rhs=None):
+    return integrate(rhs or scn.rhs, y0, 0.01, scn.h, 1, recorder=scn.recorder,
+                     sid=scn.sid, meta=scn.meta, step=step)
+
+
+@pytest.mark.parametrize("mode", ["paper", "auto"])
+@pytest.mark.parametrize("bad", ["nan", "out-of-range"])
+def test_compiled_step_declines_and_the_plain_step_fails_as_before(mode, bad):
+    scn = stepped(mode)
+    y = list(scn.y0())
+    if bad == "nan":
+        y[-1] = math.nan
+    else:
+        y[-1] = ABORT_LIMIT * (1.0 - 1e-15)  # grows past the limit in one step
+    assert scn.traced.step(0.0, y) is None
+    fused = run_from(scn, y, step=scn.traced.step)
+    plain = run_from(scn, y, rhs=scn.rhs_reference)
+    assert fused.diverged and plain.diverged
+    assert fused.failure.t == plain.failure.t
+    assert bits(fused.failure.y) == bits(plain.failure.y)
+    assert np.array_equal(fused.data, plain.data, equal_nan=True)
+
+
+def test_replaced_rhs_is_integrated_as_given():
+    scn = scenarios.build("numeric-2d", T=0.5)
+    calls = []
+    compiled = scn.rhs
+
+    def counting(t, y):
+        calls.append(t)
+        return compiled(t, y)
+
+    scn.rhs = counting
+    traj = scn.run()
+    assert len(calls) == 4 * 500
+    assert scn.traced.step is None  # not compiled for a run that cannot use it
+    assert np.array_equal(traj.data, scenarios.build("numeric-2d", T=0.5).run().data)
 
 
 def test_sign_flipped_run_diverges_like_the_reference():

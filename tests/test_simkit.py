@@ -75,6 +75,37 @@ def test_rk4_step_wraps_arithmetic_failure():
         rk4_step(lambda t, y: (1.0 / y[0],), (0.0,), 0.0, 0.1)
 
 
+def test_declined_or_failing_step_runs_rk4_step():
+    rhs = lambda t, y: (y[0] ** 2,)
+    plain = integrate(rhs, (1.0,), T=2.0, h=1e-2)
+
+    def declines(t, y):
+        return None
+
+    def fails(t, y):
+        raise OverflowError("from the step")
+
+    for step in (declines, fails):
+        traj = integrate(rhs, (1.0,), T=2.0, h=1e-2, step=step)
+        assert np.array_equal(traj.data, plain.data)
+        assert traj.diverged and traj.failure == plain.failure
+
+
+def test_accepted_step_replaces_rk4_step():
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (-y[0],)
+
+    def step(t, y):
+        return rk4_step(lambda s, v: (-v[0],), y, t, 0.1) if t < 0.45 else None
+
+    traj = integrate(rhs, (1.0,), T=1.0, h=0.1, step=step)
+    assert np.array_equal(traj.data, integrate(rhs, (1.0,), T=1.0, h=0.1).data)
+    assert len(calls) == 4 * 5 + 4 * 10  # the five declined steps, then the plain run
+
+
 def test_step_consistency_errors():
     with pytest.raises(ValueError, match="integer"):
         integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.3)
