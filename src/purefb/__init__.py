@@ -27,7 +27,7 @@ from .plant import (
     box_sampler,
     decompose,
 )
-from .scenarios import SCENARIO_IDS, build, scenario_ids
+from .scenarios import SCENARIO_IDS, build
 from .simkit import DivergenceError, Trajectory, integrate, measure_order, read_csv
 from .verify import (
     VerifyTolerances,
@@ -66,7 +66,6 @@ __all__ = [
     "partial",
     "read_csv",
     "real_value",
-    "scenario_ids",
     "smooth_abs",
     "synthesize",
     "__version__",

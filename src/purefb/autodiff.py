@@ -18,7 +18,9 @@ to a constant of the queried pass correctly reports a zero derivative.
 Supported primitives: ``+ - * /``, integer powers, ``sin``, ``cos``,
 ``exp``, ``sqrt`` and ``smooth_abs``.  Anything else (``math.*`` calls,
 float-exponent ``**``, plain ``abs``) fails loudly rather than silently
-dropping derivatives.
+dropping derivatives.  The innermost scalar may also be a tracing
+``tape.Var``: ``sqrt``, ``sin`` and ``cos`` hand it to the tape, so they
+are traced; ``exp`` is not.
 """
 
 from __future__ import annotations
@@ -217,6 +219,8 @@ def sin(x):
     if x.__class__ is Dual:
         c = cos(x.value)
         return Dual(x.tag, sin(x.value), tuple([c * p for p in x.partials]))
+    if x.__class__ is Var:
+        return x.sin()
     return math.sin(x)
 
 
@@ -224,6 +228,8 @@ def cos(x):
     if x.__class__ is Dual:
         s = sin(x.value)
         return Dual(x.tag, cos(x.value), tuple([-(s * p) for p in x.partials]))
+    if x.__class__ is Var:
+        return x.cos()
     return math.cos(x)
 
 

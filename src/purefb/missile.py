@@ -67,15 +67,6 @@ class MissileParams:
         v = self.speed(t)
         return self.rho_air * v * v * self.s * self.l * self.mx_slope(t) / (2.0 * self.jx)
 
-    def check_profiles(self, T, samples=1000):
-        """Positivity of the flight-condition profiles on a time grid."""
-        for j in range(samples + 1):
-            t = T * j / samples
-            if not self.speed(t) > 0.0:
-                raise ValueError("speed profile not positive at t=%.6g" % t)
-            if not self.mx_slope(t) > 0.0:
-                raise ValueError("moment-slope profile not positive at t=%.6g" % t)
-
 
 @dataclass(frozen=True)
 class MissileDesign:

@@ -13,7 +13,7 @@ above.  The true bounding constants are a verification-only oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "box_sampler",
     "check_origin",
     "decompose",
-    "theta_eval",
 ]
 
 
@@ -105,29 +104,6 @@ class UncertaintyProfile:
     value: Callable[[float], tuple]
     box: tuple
     name: str = "theta"
-
-    def __call__(self, t):
-        return theta_eval(self, t)
-
-
-def theta_eval(profile: UncertaintyProfile, t: float):
-    """Evaluate an uncertainty profile and enforce its declared box."""
-    v = profile.value(t)
-    box = profile.box
-    if len(v) != len(box):
-        raise PlantConfigError(
-            "%s(t) returned %d components for a box of %d"
-            % (profile.name, len(v), len(box))
-        )
-    for j, (lo, hi) in enumerate(box):
-        vj = v[j]
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if not (lo - slack <= vj <= hi + slack):
-            raise PlantConfigError(
-                "%s[%d] = %r at t = %r leaves its declared box [%r, %r]"
-                % (profile.name, j + 1, vj, t, lo, hi)
-            )
-    return v
 
 
 @dataclass(frozen=True)

@@ -30,17 +30,20 @@ columns, the row builder and the verifier's column groups.  A factory's
 keywords are the run-config keys by name: ``section.key`` arrives as
 ``key`` (see ``RunConfig.scenario_overrides``).
 
-numeric-2d has one source for each piece of its loop: the plant rates come
-from ``PlantSpec.stage_rate``, the control and the gain update law from
-``ControllerStack``, assembled by ``rhs_reference``.  ``rhs`` is that same
-function traced (see ``tape``) by ``Scenario.run`` at the first evaluation
-point of a run, (0, y0), and compiled to straight-line Python,
-bit-identical to ``rhs_reference``; building a scenario does not trace.
-The same trace compiles one whole RK4 step at the run's h
-(``Traced.step``), which ``Scenario.run`` hands to ``integrate`` only
-while ``self.rhs is self.traced.call``: an rhs replaced after building
-is integrated as given.  The missile loop is integrated as written,
-since its flight condition calls ``math.cos``/``math.sin`` of t.
+A factory hands ``Scenario`` one generic right-hand side,
+``rhs_reference``.  numeric-2d assembles it from one source for each
+piece of its loop: the plant rates from ``PlantSpec.stage_rate``, the
+control and the gain update law from ``ControllerStack``.  stt-missile
+assembles it from ``missile_control`` and ``stt_dynamics``, with the
+flight condition written through ``autodiff.cos``/``sin``.  ``Scenario``
+derives ``traced`` and ``rhs = traced.call``: that same function traced
+(see ``tape``) by ``Scenario.run`` at the first evaluation point of a
+run, (0, y0), and compiled to straight-line Python, bit-identical to
+``rhs_reference``; building a scenario does not trace.  The same trace
+compiles one whole RK4 step at the run's h (``Traced.step``), which
+``Scenario.run`` hands to ``integrate`` only while
+``self.rhs is self.traced.call``: an rhs replaced after building is
+integrated as given.
 
 The exact squared-error integrals ride along as ODE components so the
 update-law energy identity gamma_i * int z_i^2 = k_i(T) - k_i(0) can be
@@ -53,21 +56,23 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .autodiff import cos, sin
 from .backstep import ControllerStack, DesignParams, PaperStage, synthesize
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
 from .simkit import integrate
 from .tape import Traced
 
-__all__ = ["Scenario", "build", "scenario_ids", "SCENARIO_IDS"]
+__all__ = ["Scenario", "build", "SCENARIO_IDS"]
 
 
 @dataclass
 class Scenario:
     """One runnable closed loop plus everything the verifier needs.
 
-    Derives ``recorder`` (column names, row builder) and the meta entries
-    x_cols, z_cols, k_cols, intz_cols, n and adaptive from its fields.
+    Derives ``traced`` and ``rhs``, ``recorder`` (column names, row
+    builder) and the meta entries x_cols, z_cols, k_cols, intz_cols, n and
+    adaptive from its fields.
     """
 
     sid: str
@@ -76,7 +81,6 @@ class Scenario:
     adaptive: tuple  # 1-based stages with gain adaptation
     k0: tuple  # initial gains, aligned with adaptive
     theta: UncertaintyProfile
-    rhs: Callable  # what run() integrates
     rhs_reference: Callable  # the generic evaluation path
     probe: Callable  # (t, y) -> (z, u, extra values)
     extra: tuple  # names of the scenario's own columns, after u
@@ -87,10 +91,12 @@ class Scenario:
     bounds: Optional[BoundSpec] = None
     oracle: Optional[OracleConstants] = None
     stack: Optional[ControllerStack] = None
-    missile_parts: Optional[tuple] = None  # (MissileParams, MissileDesign)
-    traced: Optional[Traced] = None  # compiles rhs_reference into rhs
+    traced: Traced = field(init=False)  # compiles rhs_reference into rhs
+    rhs: Callable = field(init=False)  # what run() integrates
 
     def __post_init__(self):
+        self.traced = Traced(self.rhs_reference)
+        self.rhs = self.traced.call
         n, m, probe = self.n, len(self.adaptive), self.probe
         groups = {
             "x_cols": ["x%d" % i for i in range(1, n + 1)],
@@ -113,13 +119,11 @@ class Scenario:
 
     def run(self, seed=None):
         y0 = self.y0()
-        step = None
-        if self.traced is not None:
-            # the one place rhs is traced: its first evaluation is at (0, y0);
-            # the compiled step is that rhs only while rhs is the traced call
-            compiled = self.rhs is self.traced.call
-            self.traced.trace(0.0, [float(v) for v in y0], self.h if compiled else None)
-            step = self.traced.step if compiled else None
+        # the one place rhs is traced: its first evaluation is at (0, y0);
+        # the compiled step is that rhs only while rhs is the traced call
+        compiled = self.rhs is self.traced.call
+        self.traced.trace(0.0, [float(v) for v in y0], self.h if compiled else None)
+        step = self.traced.step if compiled else None
         return integrate(
             self.rhs, y0, self.T, self.h, self.decimation,
             recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,
@@ -257,8 +261,6 @@ def numeric2d(
             z2 * z2,
         )
 
-    traced = Traced(rhs_reference)
-
     def probe(t, y):
         ev = stack.evaluate((y[0], y[1]), (y[2], y[3]))
         shapes = ev.psi if mode == "paper" else (*ev.psi, ev.eta[1])
@@ -285,7 +287,6 @@ def numeric2d(
         bounds=bounds,
         oracle=oracle,
         stack=stack,
-        rhs=traced.call,
         rhs_reference=rhs_reference,
         probe=probe,
         extra=("psi1", "psi2", "eta2") if mode == "auto" else ("psi1", "psi2"),
@@ -293,7 +294,6 @@ def numeric2d(
         h=float(h),
         decimation=int(decimation),
         meta=meta,
-        traced=traced,
     )
 
 
@@ -333,15 +333,23 @@ def stt_missile(
         raise ValueError("xi_const must be positive")
 
     def speed(t):
-        return v_mean * (1.0 + v_amp * math.cos(v_freq * t))
+        return v_mean * (1.0 + v_amp * cos(v_freq * t))
 
     def mx_slope(t):
-        return mx_mean * (1.0 + mx_amp * math.sin(mx_freq * t))
+        return mx_mean * (1.0 + mx_amp * sin(mx_freq * t))
 
     mparams = MissileParams(
         s=s, l=l, jx=jx, tau_a=tau_a, rho_air=rho_air, speed=speed, mx_slope=mx_slope
     )
-    mparams.check_profiles(T)
+    box = (
+        (v_mean * (1.0 - abs(v_amp)), v_mean * (1.0 + abs(v_amp))),
+        (mx_mean * (1.0 - abs(mx_amp)), mx_mean * (1.0 + abs(mx_amp))),
+    )
+    # |cos|, |sin| <= 1: each profile lies between its two box edges at every
+    # t, so it is positive for all t exactly when both edges are
+    for what, (lo, hi) in zip(("speed", "moment-slope"), box):
+        if not (lo > 0.0 and hi > 0.0):
+            raise ValueError("%s profile not positive: it reaches %r" % (what, min(lo, hi)))
     design = MissileDesign(
         k1=k1,
         mu2=mu2,
@@ -354,16 +362,11 @@ def stt_missile(
         xi=lambda defl: xi_const,
     )
     profile = UncertaintyProfile(
-        value=lambda t: (speed(t), mx_slope(t)),
-        box=(
-            (v_mean * (1.0 - abs(v_amp)), v_mean * (1.0 + abs(v_amp))),
-            (mx_mean * (1.0 - abs(mx_amp)), mx_mean * (1.0 + abs(mx_amp))),
-        ),
-        name="flight condition",
+        value=lambda t: (speed(t), mx_slope(t)), box=box, name="flight condition"
     )
     sign = float(sign)
 
-    def rhs(t, y):
+    def rhs_reference(t, y):
         state = (y[0], y[1], y[2])
         cmd, kd2, kd3, diag = missile_control(state, (y[3], y[4]), t, design, mparams)
         cmd = sign * cmd
@@ -399,24 +402,18 @@ def stt_missile(
         adaptive=(2, 3),
         k0=(float(k20), float(k30)),
         theta=profile,
-        rhs=rhs,
-        rhs_reference=rhs,
+        rhs_reference=rhs_reference,
         probe=probe,
         extra=("psi3", "roll_deg"),
         T=float(T),
         h=float(h),
         decimation=int(decimation),
         meta=meta,
-        missile_parts=(mparams, design),
     )
 
 
 SCENARIOS = {"numeric-2d": numeric2d, "stt-missile": stt_missile}
 SCENARIO_IDS = tuple(sorted(SCENARIOS))
-
-
-def scenario_ids():
-    return SCENARIO_IDS
 
 
 def build(sid, **overrides):

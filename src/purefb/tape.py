@@ -5,9 +5,11 @@ evaluation point and the SSA name of the tape line that computes it.
 Running a generic right-hand side ``f(t, y)`` once on ``Var`` inputs --
 through the plant, the controller stack and the dual-number tower of
 ``autodiff``, which are all generic over their scalar -- records every
-float operation it performs, in order (tape-based AD as in Griewank &
-Walther, *Evaluating Derivatives*, 2nd ed., 2008).  The tape is emitted as
-the source of one flat function and compiled with ``compile()``.
+float operation it performs (``+ - * / **``, ``abs`` and the ``sqrt``,
+``cos`` and ``sin`` of ``autodiff``), in order (tape-based AD as in
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).  The tape is
+emitted as the source of one flat function and compiled with
+``compile()``.
 
 The compiled function returns the same bits as ``f`` at every point:
 
@@ -21,7 +23,7 @@ The compiled function returns the same bits as ``f`` at every point:
   which takes the other branch or raises the error ``f`` raises;
 * ``select_lt`` records a conditional expression instead of a guard;
 * lines that no output or guard reads are dropped unless they may raise
-  (division by a ``Var``, powers, sqrt);
+  (division by a ``Var``, powers, sqrt, cos, sin);
 * a line read exactly once that cannot raise is written into its reader
   as a nested expression (up to ``_MAX_DEPTH`` deep) instead of a
   temporary; raising lines and guards stay statements, in order.
@@ -224,6 +226,14 @@ class Var:
         """math.sqrt of this value, for ``autodiff.sqrt`` past its domain check."""
         return self.tape.emit("_sqrt(%s)", (self,), math.sqrt(self.value), True)
 
+    def cos(self):
+        """math.cos of this value, for ``autodiff.cos``; raises at infinities."""
+        return self.tape.emit("_cos(%s)", (self,), math.cos(self.value), True)
+
+    def sin(self):
+        """math.sin of this value, for ``autodiff.sin``; raises at infinities."""
+        return self.tape.emit("_sin(%s)", (self,), math.sin(self.value), True)
+
 
 def select_lt(a, b, then, other):
     """``then if a < b else other``; traced as a conditional expression, not a guard."""
@@ -265,7 +275,7 @@ class Traced:
         self.step = None
         self.step_source = None
         self.step_h = None  # the h step was compiled at
-        self._ns = {"_fallback": fn, "_sqrt": math.sqrt}
+        self._ns = {"_fallback": fn, "_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin}
         self.call = types.FunctionType(_untraced.__code__, self._ns, "rhs")
 
     def trace(self, t, y, h=None):

@@ -10,12 +10,10 @@ from purefb.plant import (
     PlantConfigError,
     PlantSpec,
     ProbeReport,
-    UncertaintyProfile,
     assumption_probe,
     box_sampler,
     check_origin,
     decompose,
-    theta_eval,
 )
 from purefb.scenarios import (
     _n2_drift1,
@@ -126,28 +124,6 @@ def test_check_origin_two_state():
     plant = two_state_plant()
     draws = [tuple(rng.uniform(0.5, 2.5, size=2)) for _ in range(50)]
     assert check_origin(plant, draws) == 0.0
-
-
-# ------------------------------------------------------- uncertainty boxes
-
-
-def test_theta_eval_constant_in_box():
-    prof = UncertaintyProfile(value=lambda t: (1.0, 2.0), box=((0.8, 1.2), (1.6, 2.4)))
-    assert prof(0.0) == (1.0, 2.0)
-    assert theta_eval(prof, 55.5) == (1.0, 2.0)
-
-
-def test_theta_eval_time_varying():
-    prof = UncertaintyProfile(value=lambda t: (1.0 + t / 10.0,), box=((1.0, 2.0),))
-    assert prof(5.0) == (1.5,)
-    with pytest.raises(PlantConfigError, match=r"theta\[1\]"):
-        prof(20.0)
-
-
-def test_theta_eval_arity_mismatch():
-    prof = UncertaintyProfile(value=lambda t: (1.0, 2.0), box=((0.0, 3.0),))
-    with pytest.raises(PlantConfigError, match="components"):
-        prof(0.0)
 
 
 # --------------------------------------------------------- oracle constants

@@ -17,7 +17,6 @@ rng = np.random.default_rng(6021023)
 
 def test_registry_lists_both_benchmarks():
     assert tuple(scenarios.SCENARIO_IDS) == ("numeric-2d", "stt-missile")
-    assert tuple(scenarios.scenario_ids()) == ("numeric-2d", "stt-missile")
 
 
 def test_build_unknown_id():
@@ -30,7 +29,7 @@ def test_two_state_wiring():
     assert scn.n == 2
     assert scn.x0 == (-2.0, 3.0)
     assert scn.adaptive == (1, 2)
-    assert scn.theta(0.0) == (1.0, 2.0)
+    assert scn.theta.value(0.0) == (1.0, 2.0)
     assert scn.y0() == (-2.0, 3.0, 0.01, 0.01, 0.0, 0.0)
     names, build_row = scn.recorder
     assert tuple(names) == (
@@ -74,36 +73,60 @@ def bits(values):
 LOOPS = [(mode, dz, sign) for mode in ("paper", "auto")
          for dz in (0.0, 0.05) for sign in (1.0, -1.0)]
 
-
-@pytest.mark.parametrize(
-    "mode,deadzone,sign", LOOPS,
-    ids=["%s-dz%g-sign%+d" % (m, dz, s) for m, dz, s in LOOPS])
-def test_compiled_rhs_matches_reference(mode, deadzone, sign):
-    """The compiled right-hand side is the generic one, bit for bit."""
-    scn = scenarios.build("numeric-2d", mode=mode, deadzone=deadzone, sign=sign)
-    assert scn.traced.source is None  # build does not trace
-    assert scn.traced.trace(0.0, list(scn.y0()))
-    assert scn.rhs.__code__.co_name == "tape"
-    if deadzone:
-        assert "(0.0 if" in scn.traced.source
-    sides = set()
-    for i in range(200):
-        # every other point lands near the dead-zone edge of both errors
-        width = 0.1 if i % 2 else 4.0
-        z = [float(v) for v in rng.uniform(-width, width, size=2)]
-        k = [float(v) for v in rng.uniform(0.01, 10.0, size=2)]
-        x, _, _, _ = scn.stack.reconstruct(z, k[:1])
-        y = [float(v) for v in x] + k + [float(v) for v in rng.uniform(0.0, 5.0, size=2)]
-        t = float(rng.uniform(0.0, 100.0))
-        sides.update(abs(zi) < 0.05 for zi in z)
-        assert bits(scn.rhs(t, y)) == bits(scn.rhs_reference(t, y))
-    assert sides == {True, False}
+# (scenario id, factory keywords) of every loop the compiled code is checked on
+CASES = [("numeric-2d", {"mode": m, "deadzone": dz, "sign": s}) for m, dz, s in LOOPS] + [
+    ("stt-missile", {"sign": s}) for s in (1.0, -1.0)]
+CASE_IDS = ["%s-dz%g-sign%+d" % loop for loop in LOOPS] + [
+    "stt-missile-sign%+d" % s for s in (1.0, -1.0)]
 
 
 def loop_state(scn, z, k, intz):
     """Augmented state whose errors are z, at gains k."""
     x, _, _, _ = scn.stack.reconstruct(z, k[:1])
     return [float(v) for v in x] + list(k) + list(intz)
+
+
+def numeric_point(scn, i, wide):
+    """A numeric-2d state and time, and which side of the dead zone each error is on."""
+    width, k_hi = (4.0, 10.0) if wide else (2.0, 3.0)
+    if i % 2:
+        width = 0.1  # near the dead-zone edge of both errors
+    z = [float(v) for v in rng.uniform(-width, width, size=2)]
+    k = [float(v) for v in rng.uniform(0.01, k_hi, size=2)]
+    y = loop_state(scn, z, k, [float(v) for v in rng.uniform(0.0, 5.0, size=2)])
+    return y, float(rng.uniform(0.0, 100.0)), {abs(zi) < 0.05 for zi in z}
+
+
+def missile_point(scn, i, wide):
+    """A stt-missile state (roll, rate, deflection, gains, integrals) and time.
+
+    Gains up to 1 leave about a fifth of the RK4 steps past the abort
+    limit; wide draws reach 3.
+    """
+    x = [float(v) for v in rng.uniform(-1.0, 1.0, size=3) * (0.5, 0.5, 0.05)]
+    k = [float(v) for v in rng.uniform(0.01, 3.0 if wide else 1.0, size=2)]
+    y = x + k + [float(v) for v in rng.uniform(0.0, 5.0, size=2)]
+    return y, float(rng.uniform(0.0, 20.0)), set()
+
+
+SAMPLERS = {"numeric-2d": numeric_point, "stt-missile": missile_point}
+
+
+@pytest.mark.parametrize("sid,kwargs", CASES, ids=CASE_IDS)
+def test_compiled_rhs_matches_reference(sid, kwargs):
+    """The compiled right-hand side is the generic one, bit for bit."""
+    scn = scenarios.build(sid, **kwargs)
+    assert scn.traced.source is None  # build does not trace
+    assert scn.traced.trace(0.0, list(scn.y0()))
+    assert scn.rhs.__code__.co_name == "tape"
+    if kwargs.get("deadzone"):
+        assert "(0.0 if" in scn.traced.source
+    sides = set()
+    for i in range(200):
+        y, t, side = SAMPLERS[sid](scn, i, True)
+        sides |= side
+        assert bits(scn.rhs(t, y)) == bits(scn.rhs_reference(t, y))
+    assert sides == ({True, False} if sid == "numeric-2d" else set())
 
 
 def plain_step(scn, t, y):
@@ -120,29 +143,22 @@ def fused_step(scn, t, y):
     return None if out is None else bits(out)
 
 
-@pytest.mark.parametrize(
-    "mode,deadzone,sign", LOOPS,
-    ids=["%s-dz%g-sign%+d" % (m, dz, s) for m, dz, s in LOOPS])
-def test_compiled_step_matches_rk4_step(mode, deadzone, sign):
+@pytest.mark.parametrize("sid,kwargs", CASES, ids=CASE_IDS)
+def test_compiled_step_matches_rk4_step(sid, kwargs):
     """One compiled RK4 step is rk4_step of the generic rhs, bit for bit."""
-    scn = scenarios.build("numeric-2d", mode=mode, deadzone=deadzone, sign=sign)
+    scn = scenarios.build(sid, **kwargs)
     assert scn.traced.trace(0.0, list(scn.y0()), scn.h)
     step = scn.traced.step
     assert step is not None and "return None" in scn.traced.step_source
     sides = set()
     taken = 0
     for i in range(200):
-        # every other point lands near the dead-zone edge of both errors
-        width = 0.1 if i % 2 else 2.0
-        z = [float(v) for v in rng.uniform(-width, width, size=2)]
-        k = [float(v) for v in rng.uniform(0.01, 3.0, size=2)]
-        y = loop_state(scn, z, k, [float(v) for v in rng.uniform(0.0, 5.0, size=2)])
-        t = float(rng.uniform(0.0, 100.0))
-        sides.update(abs(zi) < 0.05 for zi in z)
+        y, t, side = SAMPLERS[sid](scn, i, False)
+        sides |= side
         want = plain_step(scn, t, y)
         assert fused_step(scn, t, y) == want
         taken += want is not None
-    assert sides == {True, False}
+    assert sides == ({True, False} if sid == "numeric-2d" else set())
     assert taken >= 100  # most of these steps stay within the abort limit
 
 
@@ -225,9 +241,24 @@ def test_sign_flipped_run_diverges_like_the_reference():
     assert bits(traj.failure.y) == bits(ref.failure.y)
 
 
-def test_missile_is_not_compiled():
-    scn = scenarios.build("stt-missile")
-    assert scn.traced is None and scn.rhs is scn.rhs_reference
+@pytest.mark.parametrize("sid", scenarios.SCENARIO_IDS)
+def test_every_scenario_runs_compiled(sid):
+    scn = scenarios.build(sid, T=0.1)
+    assert scn.traced.source is None and scn.rhs is scn.traced.call
+    scn.run()
+    assert scn.rhs.__code__.co_name == "tape"
+    assert scn.traced.step is not None
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_missile_run_matches_the_reference_integration(sign):
+    scn = scenarios.build("stt-missile", sign=sign, T=2.0, decimation=1)
+    traj = scn.run()
+    ref = integrate(scn.rhs_reference, scn.y0(), scn.T, scn.h, scn.decimation,
+                    recorder=scn.recorder, sid=scn.sid, meta=scn.meta)
+    assert traj.diverged == ref.diverged == (sign < 0)
+    assert np.array_equal(traj.data, ref.data, equal_nan=True)
+    assert repr(traj.failure) == repr(ref.failure)
 
 
 def test_missile_wiring():
@@ -243,7 +274,6 @@ def test_missile_wiring():
     row = build_row(0.0, scn.y0())
     assert row[names.index("roll_deg")] == pytest.approx(10.0, rel=1e-12)
     assert scn.stack is None
-    assert scn.missile_parts is not None
 
 
 def test_missile_rhs_initial_rates():

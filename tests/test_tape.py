@@ -183,6 +183,27 @@ def test_guard_miss_declines_the_step_and_the_run_is_unchanged():
     assert [v.hex() for v in fused.data.ravel()] == [v.hex() for v in plain.data.ravel()]
 
 
+def test_cos_of_infinity_declines_the_step_with_the_plain_error():
+    def ripple(t, y):
+        return (autodiff.cos(y[0]) * y[1], autodiff.sin(t) - y[1])
+
+    h = 0.25
+    tr = Traced(ripple)
+    assert tr.trace(0.0, [0.5, 1.0], h)
+    assert "_cos(" in tr.step_source and "_sin(" in tr.step_source
+    for y in ([0.5, 1.0], [-3.0, 2.5]):
+        assert step_bits(tr.call(0.3, y)) == step_bits(ripple(0.3, y))
+        assert step_bits(tr.step(0.3, y)) == step_bits(rk4_step(ripple, y, 0.3, h))
+    y = [math.inf, 1.0]
+    assert raised(tr.step, 0.0, y) == raised(rk4_combine, ripple, y, 0.0, h)
+    assert raised(tr.step, 0.0, y)[0] is ValueError
+    assert raised(rk4_step, tr.call, y, 0.0, h) == raised(rk4_step, ripple, y, 0.0, h)
+    fused = integrate(tr.call, y, 1.0, h, step=tr.step)
+    plain = integrate(ripple, y, 1.0, h)
+    assert fused.diverged and plain.diverged
+    assert repr(fused.failure) == repr(plain.failure)
+
+
 @pytest.mark.parametrize("y", [[math.nan], [ABORT_LIMIT * (1.0 - 1e-16) - 1.0], [-math.inf]],
                          ids=["nan", "out-of-range", "inf"])
 def test_step_declines_states_the_integrator_stops_at(y):
