@@ -25,7 +25,6 @@ from .plant import (
     UncertaintyProfile,
     assumption_probe,
     box_sampler,
-    decompose,
 )
 from .scenarios import SCENARIO_IDS, build
 from .simkit import DivergenceError, Trajectory, integrate, measure_order, read_csv
@@ -56,7 +55,6 @@ __all__ = [
     "box_sampler",
     "build",
     "check_theorem1",
-    "decompose",
     "dominance_audit",
     "gradient",
     "integrate",

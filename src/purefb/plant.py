@@ -17,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import partial, real_value, seed
-
 __all__ = [
     "BoundSpec",
     "OracleConstants",
@@ -29,7 +27,6 @@ __all__ = [
     "assumption_probe",
     "box_sampler",
     "check_origin",
-    "decompose",
 ]
 
 
@@ -158,35 +155,6 @@ class OracleConstants:
         for j in range(1, n):
             cands.append((n - j) + self.sigma(j - 1))
         return max(cands)
-
-
-def decompose(f, xbar_next, theta, eps_d=1e-8):
-    """Split a pure-feedback stage f(x_1..x_{i+1}, theta) into drift + gain.
-
-    Returns (varphi, g) with varphi = f evaluated at a zeroed last argument
-    and g the exact secant slope toward the actual last argument, falling
-    back to the forward derivative at zero when |x_{i+1}| <= eps_d.  By the
-    mean value theorem f = varphi + g * x_{i+1} exactly on the secant branch.
-    """
-    if not eps_d > 0.0:
-        raise PlantConfigError("eps_d must be positive")
-    head = tuple(xbar_next[:-1])
-    last = xbar_next[-1]
-    varphi = f(head + (0.0,), theta)
-    if not np.isfinite(real_value(varphi)):
-        raise PlantConfigError("stage function is not finite at the zeroed point")
-    if abs(real_value(last)) > eps_d:
-        full = f(tuple(xbar_next), theta)
-        if not np.isfinite(real_value(full)):
-            raise PlantConfigError("stage function is not finite at the sample")
-        g = (full - varphi) / last
-    else:
-        (d,), tag = seed([0.0])
-        y = f(head + (d,), theta)
-        g = partial(y, 0, tag)
-        if not np.isfinite(real_value(g)):
-            raise PlantConfigError("stage derivative is not finite at zero")
-    return varphi, g
 
 
 def box_sampler(x_box, theta_box, u_box):

@@ -142,14 +142,17 @@ def load_run(out_dir, run_id):
         raise RunStoreError(
             "registry dir %s holds config hashing to %s" % (run_id, cfg.run_id)
         )
-    with open(paths.summary) as fh:
-        summary = json.load(fh)
-    traj = read_csv(
-        paths.trajectory,
-        sid=summary["sid"],
-        h=summary["h"],
-        seed=summary["seed"],
-    )
+    try:
+        with open(paths.summary) as fh:
+            summary = json.load(fh)
+        traj = read_csv(
+            paths.trajectory,
+            sid=summary["sid"],
+            h=summary["h"],
+            seed=summary["seed"],
+        )
+    except OSError as exc:
+        raise RunStoreError("cannot read run %s: %s" % (run_id, exc)) from None
     traj.diverged = summary["diverged"]
     failure = summary["failure"]
     if failure is not None:

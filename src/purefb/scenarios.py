@@ -35,15 +35,11 @@ A factory hands ``Scenario`` one generic right-hand side,
 piece of its loop: the plant rates from ``PlantSpec.stage_rate``, the
 control and the gain update law from ``ControllerStack``.  stt-missile
 assembles it from ``missile_control`` and ``stt_dynamics``, with the
-flight condition written through ``autodiff.cos``/``sin``.  ``Scenario``
-derives ``traced`` and ``rhs = traced.call``: that same function traced
-(see ``tape``) by ``Scenario.run`` at the first evaluation point of a
-run, (0, y0), and compiled to straight-line Python, bit-identical to
-``rhs_reference``; building a scenario does not trace.  The same trace
-compiles one whole RK4 step at the run's h (``Traced.step``), which
-``Scenario.run`` hands to ``integrate`` only while
-``self.rhs is self.traced.call``: an rhs replaced after building is
-integrated as given.
+flight condition written through ``autodiff.cos``/``sin``.
+``Scenario.run`` compiles one whole RK4 step of it at the run's h
+(``tape.compile_step``, traced at the first evaluation point of the run,
+(0, y0)) and hands that step to ``integrate``; building a scenario does
+not trace.
 
 The exact squared-error integrals ride along as ODE components so the
 update-law energy identity gamma_i * int z_i^2 = k_i(T) - k_i(0) can be
@@ -61,7 +57,7 @@ from .backstep import ControllerStack, DesignParams, PaperStage, synthesize
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
 from .simkit import integrate
-from .tape import Traced
+from .tape import compile_step
 
 __all__ = ["Scenario", "build", "SCENARIO_IDS"]
 
@@ -70,9 +66,9 @@ __all__ = ["Scenario", "build", "SCENARIO_IDS"]
 class Scenario:
     """One runnable closed loop plus everything the verifier needs.
 
-    Derives ``traced`` and ``rhs``, ``recorder`` (column names, row
-    builder) and the meta entries x_cols, z_cols, k_cols, intz_cols, n and
-    adaptive from its fields.
+    Derives ``rhs``, ``recorder`` (column names, row builder) and the
+    meta entries x_cols, z_cols, k_cols, intz_cols, n and adaptive from
+    its fields.
     """
 
     sid: str
@@ -91,12 +87,10 @@ class Scenario:
     bounds: Optional[BoundSpec] = None
     oracle: Optional[OracleConstants] = None
     stack: Optional[ControllerStack] = None
-    traced: Traced = field(init=False)  # compiles rhs_reference into rhs
     rhs: Callable = field(init=False)  # what run() integrates
 
     def __post_init__(self):
-        self.traced = Traced(self.rhs_reference)
-        self.rhs = self.traced.call
+        self.rhs = self.rhs_reference
         n, m, probe = self.n, len(self.adaptive), self.probe
         groups = {
             "x_cols": ["x%d" % i for i in range(1, n + 1)],
@@ -119,11 +113,11 @@ class Scenario:
 
     def run(self, seed=None):
         y0 = self.y0()
-        # the one place rhs is traced: its first evaluation is at (0, y0);
-        # the compiled step is that rhs only while rhs is the traced call
-        compiled = self.rhs is self.traced.call
-        self.traced.trace(0.0, [float(v) for v in y0], self.h if compiled else None)
-        step = self.traced.step if compiled else None
+        # the one place that traces: its first evaluation is at (0, y0); the
+        # compiled step is a step of rhs only while rhs is rhs_reference
+        step = None
+        if self.rhs is self.rhs_reference:
+            step = compile_step(self.rhs_reference, 0.0, [float(v) for v in y0], self.h)
         return integrate(
             self.rhs, y0, self.T, self.h, self.decimation,
             recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,

@@ -5,9 +5,9 @@ is advanced by classical fourth-order Runge-Kutta with a constant step, so
 a run is a pure function of its configuration: identical settings produce
 bit-identical trajectories.  Time-varying inputs are sampled exactly at the
 stage times t, t + h/2, t + h.  The RK4 formula is written once, in
-``rk4_combine``; ``rk4_step`` runs it on floats, and ``tape.Traced``
-traces it to compile a whole step, which ``integrate`` accepts as
-``step``.
+``rk4_combine``; ``rk4_step`` runs it on floats, and
+``tape.compile_step`` traces it to compile a whole step, which
+``integrate`` accepts as ``step``.
 
 Divergence is handled as data, not as a crash: a non-finite stage
 evaluation or a component exceeding the abort threshold ends the run early
@@ -55,8 +55,8 @@ def rk4_combine(rhs, y, t, h):
     """The classical Runge-Kutta formula for one step from t to t+h.
 
     Generic over the scalar type of t and y: ``rk4_step`` runs it on
-    floats, and ``tape.Traced`` runs it on tracing scalars to compile a
-    whole step.  Returns a list.
+    floats, and ``tape.compile_step`` runs it on tracing scalars to
+    compile a whole step.  Returns a list.
     """
     k1 = rhs(t, y)
     h2 = 0.5 * h

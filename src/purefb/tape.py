@@ -1,17 +1,18 @@
-"""Straight-line tapes of right-hand sides, compiled to Python functions.
+"""Straight-line tapes of RK4 steps, compiled to Python functions.
 
 A ``Var`` is a tracing scalar: it carries the concrete value of one
 evaluation point and the SSA name of the tape line that computes it.
-Running a generic right-hand side ``f(t, y)`` once on ``Var`` inputs --
-through the plant, the controller stack and the dual-number tower of
-``autodiff``, which are all generic over their scalar -- records every
-float operation it performs (``+ - * / **``, ``abs`` and the ``sqrt``,
-``cos`` and ``sin`` of ``autodiff``), in order (tape-based AD as in
-Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).  The tape is
-emitted as the source of one flat function and compiled with
-``compile()``.
+Running ``simkit.rk4_combine`` of a generic right-hand side ``f(t, y)``
+once on ``Var`` inputs -- through the plant, the controller stack and the
+dual-number tower of ``autodiff``, which are all generic over their
+scalar -- records every float operation of one whole RK4 step (``+ - * /
+**``, ``abs`` and the ``sqrt``, ``cos`` and ``sin`` of ``autodiff``), in
+order (tape-based AD as in Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., 2008).  ``compile_step`` emits the tape as the source of one
+flat function and compiles it with ``compile()``.
 
-The compiled function returns the same bits as ``f`` at every point:
+The compiled step returns the same bits as ``rk4_step(f, y, t, h)``, or
+None where it cannot vouch for them:
 
 * operations are recorded with their operands in evaluation order; the
   only rewrites are x*1.0, 1.0*x, x/1.0 and x-0.0 -> x, exact in IEEE
@@ -19,18 +20,15 @@ The compiled function returns the same bits as ``f`` at every point:
 * a repeated operation on the same operands reuses the first line;
 * a comparison on a ``Var`` (the sqrt domain and division-by-zero checks,
   any data-dependent branch) becomes a guard: where it comes out
-  differently than at the traced point, the call returns ``f(t, y)``,
-  which takes the other branch or raises the error ``f`` raises;
+  differently than at the traced point, the step returns None;
 * ``select_lt`` records a conditional expression instead of a guard;
+* the step returns None unless every component lies in
+  +-``simkit.ABORT_LIMIT`` (so not NaN);
 * lines that no output or guard reads are dropped unless they may raise
   (division by a ``Var``, powers, sqrt, cos, sin);
 * a line read exactly once that cannot raise is written into its reader
   as a nested expression (up to ``_MAX_DEPTH`` deep) instead of a
   temporary; raising lines and guards stay statements, in order.
-
-``Traced`` compiles ``f`` itself and, given the step h, one whole RK4
-step of ``f`` (``simkit.rk4_combine`` traced on ``Var`` inputs), whose
-guards return None instead of calling ``f``.
 """
 
 from __future__ import annotations
@@ -38,11 +36,10 @@ from __future__ import annotations
 import collections
 import math
 import operator
-import types
 
 from .simkit import ABORT_LIMIT, rk4_combine
 
-__all__ = ["Traced", "Var", "select_lt"]
+__all__ = ["Var", "compile_step", "select_lt"]
 
 
 # inlined expressions nest at most this deep, far below the parser's limit
@@ -89,14 +86,14 @@ class _Tape:
             deps = tuple(a.name for a in args if a.__class__ is Var)
             self.lines.append((None, fmt, ops, deps, True))
 
-    def source(self, out, name, miss, limit=None):
-        """Source of ``def name(t, y)`` returning ``out``.
+    def source(self, out):
+        """Source of ``def step(t, y)`` returning the list ``out``.
 
-        A guard that misses runs the statement ``miss``.  With limit, the
-        function returns None instead of ``out`` unless every component
-        lies in [-limit, limit] (so not NaN).  Dead lines are dropped; a
-        line read exactly once that cannot raise is written into its
-        reader as a nested expression, up to _MAX_DEPTH deep.
+        A guard that misses returns None, and so does the function unless
+        every component lies in [-ABORT_LIMIT, ABORT_LIMIT] (so not NaN).
+        Dead lines are dropped; a line read exactly once that cannot raise
+        is written into its reader as a nested expression, up to
+        _MAX_DEPTH deep.
         """
         ops = tuple(self.operand(v) for v in out)
         outs = [v.name for v in out if v.__class__ is Var]
@@ -108,7 +105,7 @@ class _Tape:
                 kept.append(line)
         kept.reverse()
         uses = collections.Counter(d for line in kept for d in line[3])
-        uses.update(outs if limit is None else outs * 2)  # the range test reads them too
+        uses.update(outs * 2)  # the return and the range test read them
         nested = {}  # name -> (expression, depth) awaiting its one reader
 
         def render(fmt, ops):
@@ -126,20 +123,16 @@ class _Tape:
         for line_name, fmt, line_ops, _, may_raise in kept:
             text, depth = render(fmt, line_ops)
             if line_name is None:
-                body.append("%s %s" % (text, miss))
+                body.append(text + " return None")
             elif not may_raise and uses[line_name] == 1 and depth < _MAX_DEPTH:
                 nested[line_name] = (text, depth)
             else:
                 body.append("%s = %s" % (line_name, text))
         items = render(", ".join(["%s"] * len(ops)), ops)[0]
-        ret = ("(%s,)" if out.__class__ is tuple else "[%s]") % items
-        if limit is None:
-            body.append("return " + ret)
-        else:
-            bound = repr(float(limit))
-            inside = " and ".join("-%s <= %s <= %s" % (bound, op, bound) for op in ops)
-            body += ["if %s:" % inside, "    return " + ret, "return None"]
-        return "def %s(t, y):\n%s" % (name, "".join("    %s\n" % text for text in body))
+        bound = repr(float(ABORT_LIMIT))
+        inside = " and ".join("-%s <= %s <= %s" % (bound, op, bound) for op in ops)
+        body += ["if %s:" % inside, "    return [%s]" % items, "return None"]
+        return "def step(t, y):\n%s" % "".join("    %s\n" % text for text in body)
 
 
 def _value(x):
@@ -248,70 +241,30 @@ def select_lt(a, b, then, other):
     return tape.emit("(%s if %s < %s else %s)", (then, a, b, other), value)
 
 
-def _untraced(t, y):
-    """Code of ``Traced.call`` until a trace succeeds."""
-    return _fallback(t, y)  # a global of each Traced namespace
+def compile_step(fn, t, y, h):
+    """One whole RK4 step of ``fn`` at step h, compiled from a trace at (t, y).
 
-
-class Traced:
-    """Stand-in for a right-hand side ``fn(t, y)``, compiled by ``trace``.
-
-    ``call`` is a plain function with the signature of ``fn``.  It runs
-    ``fn`` until ``trace`` succeeds and never traces by itself; afterwards
-    its code object is the compiled tape, so whoever holds ``call`` -- an
-    integrator, a profiling wrapper -- runs the tape with no frame in
-    between.  ``fn`` stays the reference: guard misses fall back to it.
-
-    ``step``, once ``trace`` was given a step h, is one whole RK4 step of
-    ``fn`` (``simkit.rk4_combine`` traced at h): step(t, y) returns the
-    list ``rk4_step(fn, y, t, h)`` returns, bit for bit, or None where a
-    guard misses or a component is NaN or beyond +-``simkit.ABORT_LIMIT``.
-    It may raise the arithmetic error ``fn`` raises.
+    Returns ``step(t, y)``, which returns the list ``rk4_step(fn, y, t, h)``
+    returns, bit for bit, or None where a guard misses or a component is
+    NaN or beyond +-``simkit.ABORT_LIMIT``; it may raise the arithmetic
+    error ``fn`` raises.  ``step.source`` is the emitted source.  Returns
+    None where the trace fails: ``fn`` raises at this point or does what a
+    ``Var`` cannot record.
     """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.source = None  # emitted source once traced
-        self.step = None
-        self.step_source = None
-        self.step_h = None  # the h step was compiled at
-        self._ns = {"_fallback": fn, "_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin}
-        self.call = types.FunctionType(_untraced.__code__, self._ns, "rhs")
-
-    def trace(self, t, y, h=None):
-        """Compile at (t, y) unless done; True when ``call`` runs the tape.
-
-        With h, also compile ``step`` at h, tracing its first stage at
-        (t, y); ``step`` stays None where that trace fails.
-        """
-        if self.source is None:
-            self.source = self._compile(self.fn, t, y, "tape", "return _fallback(t, y)")
-            if self.source is None:
-                return False
-            self.call.__code__ = self._ns["tape"].__code__
-        if h is not None and h != self.step_h:
-            fn = self.fn
-            self.step_source = self._compile(
-                lambda tv, yv: rk4_combine(fn, yv, tv, h), t, y, "step", "return None",
-                ABORT_LIMIT)
-            self.step = self._ns.pop("step", None)
-            self.step_h = h
-        return True
-
-    def _compile(self, fn, t, y, name, miss, limit=None):
-        """Trace fn at (t, y) and define ``name`` in the namespace; its source or None."""
-        tape = _Tape()
-        ys = []
-        for i, v in enumerate(y):
-            var_name = "y%d" % i
-            tape.lines.append((var_name, "y[%d]" % i, (), (), False))
-            ys.append(Var(tape, var_name, v))
-        try:
-            source = tape.source(fn(Var(tape, "t", t), ys), name, miss, limit)
-        except Exception:
-            # fn fails at this point (fn(t, y) raises the same error) or
-            # does what a Var cannot record; either way fn answers
-            return None
-        self._ns.update(tape.consts)
-        exec(compile(source, "<tape>", "exec"), self._ns)
-        return source
+    tape = _Tape()
+    ys = []
+    for i, v in enumerate(y):
+        var_name = "y%d" % i
+        tape.lines.append((var_name, "y[%d]" % i, (), (), False))
+        ys.append(Var(tape, var_name, v))
+    try:
+        source = tape.source(rk4_combine(fn, ys, Var(tape, "t", t), h))
+    except Exception:
+        # fn fails at this point (rk4_step meets the same error) or does
+        # what a Var cannot record; either way the plain step answers
+        return None
+    ns ={"_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin, **tape.consts}
+    exec(compile(source, "<tape>", "exec"), ns)
+    step = ns["step"]
+    step.source = source
+    return step

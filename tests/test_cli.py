@@ -179,6 +179,19 @@ def test_unknown_run_id_exits_2(tmp_path, capsys):
     assert "no run" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["summary.json", "trajectory.csv"])
+def test_stored_run_missing_file_exits_2(short_cfg, tmp_path, capsys, name):
+    out = registry(tmp_path)
+    assert main(["run", "--config", short_cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    os.remove(os.path.join(out, rid, name))
+    capsys.readouterr()
+    for command in ("verify", "plot"):
+        assert main([command, rid, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "internal error" not in err
+
+
 def test_montecarlo_aggregate(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

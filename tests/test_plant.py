@@ -1,9 +1,8 @@
-"""Plant contracts: stage splitting, envelope probing, oracle constants."""
+"""Plant contracts: stage rates, envelope probing, oracle constants."""
 
 import numpy as np
 import pytest
 
-from purefb.autodiff import sin
 from purefb.plant import (
     BoundSpec,
     OracleConstants,
@@ -13,7 +12,6 @@ from purefb.plant import (
     assumption_probe,
     box_sampler,
     check_origin,
-    decompose,
 )
 from purefb.scenarios import (
     _n2_drift1,
@@ -37,57 +35,6 @@ def two_state_plant():
 
 def two_state_bounds():
     return BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1, _n2_phi2))
-
-
-# ---------------------------------------------------------------- decompose
-
-
-def test_decompose_cubic_example():
-    # f = x1 + x2 + x2^3/5 splits at x2 = 1 into drift x1 and secant gain 1.2
-    f = lambda xb, th: xb[0] + xb[1] + xb[1] ** 3 / 5.0
-    varphi, g = decompose(f, (0.7, 1.0), ())
-    assert varphi == pytest.approx(0.7, abs=0.0)
-    assert g == pytest.approx(1.2, rel=1e-15)
-
-
-def test_decompose_secant_identity():
-    """varphi + g * x_last reproduces f exactly on the secant branch."""
-    f = lambda xb, th: (
-        th[0] * xb[0] * xb[1] + sin(xb[1]) + 0.3 * xb[1] ** 2 + xb[0]
-    )
-    for _ in range(200):
-        x0 = float(rng.uniform(-2.0, 2.0))
-        x1 = float(rng.uniform(-2.0, 2.0))
-        if abs(x1) <= 1e-8:
-            continue
-        th = (float(rng.uniform(0.5, 1.5)),)
-        varphi, g = decompose(f, (x0, x1), th)
-        recon = varphi + g * x1
-        want = f((x0, x1), th)
-        assert abs(recon - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_decompose_derivative_branch_at_zero():
-    # at x2 = 0 the gain falls back to the forward derivative x1 + 1
-    f = lambda xb, th: xb[0] * xb[1] + sin(xb[1]) + xb[1] ** 2 / 3.0
-    varphi, g = decompose(f, (1.4, 0.0), ())
-    assert varphi == 0.0
-    assert g == pytest.approx(2.4, rel=1e-14)
-
-
-@pytest.mark.parametrize("eps_d", [1e-2, 1e-4, 1e-6])
-def test_decompose_splice_is_continuous(eps_d):
-    """Secant and derivative branches agree near the switch to O(eps_d)."""
-    f = lambda xb, th: xb[0] * xb[1] + sin(xb[1]) + xb[1] ** 2 / 3.0
-    x0 = 0.8
-    _, g_secant = decompose(f, (x0, 1.02 * eps_d), (), eps_d=eps_d)
-    _, g_deriv = decompose(f, (x0, 0.98 * eps_d), (), eps_d=eps_d)
-    assert abs(g_secant - g_deriv) <= 2.0 * eps_d
-
-
-def test_decompose_rejects_bad_eps():
-    with pytest.raises(PlantConfigError):
-        decompose(lambda xb, th: xb[0], (1.0,), (), eps_d=0.0)
 
 
 # ------------------------------------------------------------- stage rates

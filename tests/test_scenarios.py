@@ -1,4 +1,4 @@
-"""Scenario registry: wiring, recorders, compiled-rhs equivalence."""
+"""Scenario registry: wiring, recorders, compiled-step equivalence."""
 
 import inspect
 import math
@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purefb import scenarios
+from purefb import scenarios, simkit
 from purefb.config import load_text
 from purefb.simkit import ABORT_LIMIT, DivergenceError, StatePoint, integrate, rk4_step
+from purefb.tape import compile_step
 
 rng = np.random.default_rng(6021023)
 
@@ -86,47 +87,28 @@ def loop_state(scn, z, k, intz):
     return [float(v) for v in x] + list(k) + list(intz)
 
 
-def numeric_point(scn, i, wide):
+def numeric_point(scn, i):
     """A numeric-2d state and time, and which side of the dead zone each error is on."""
-    width, k_hi = (4.0, 10.0) if wide else (2.0, 3.0)
-    if i % 2:
-        width = 0.1  # near the dead-zone edge of both errors
+    width = 0.1 if i % 2 else 2.0  # odd draws lie near the dead-zone edge of both errors
     z = [float(v) for v in rng.uniform(-width, width, size=2)]
-    k = [float(v) for v in rng.uniform(0.01, k_hi, size=2)]
+    k = [float(v) for v in rng.uniform(0.01, 3.0, size=2)]
     y = loop_state(scn, z, k, [float(v) for v in rng.uniform(0.0, 5.0, size=2)])
     return y, float(rng.uniform(0.0, 100.0)), {abs(zi) < 0.05 for zi in z}
 
 
-def missile_point(scn, i, wide):
+def missile_point(scn, i):
     """A stt-missile state (roll, rate, deflection, gains, integrals) and time.
 
     Gains up to 1 leave about a fifth of the RK4 steps past the abort
-    limit; wide draws reach 3.
+    limit.
     """
     x = [float(v) for v in rng.uniform(-1.0, 1.0, size=3) * (0.5, 0.5, 0.05)]
-    k = [float(v) for v in rng.uniform(0.01, 3.0 if wide else 1.0, size=2)]
+    k = [float(v) for v in rng.uniform(0.01, 1.0, size=2)]
     y = x + k + [float(v) for v in rng.uniform(0.0, 5.0, size=2)]
     return y, float(rng.uniform(0.0, 20.0)), set()
 
 
 SAMPLERS = {"numeric-2d": numeric_point, "stt-missile": missile_point}
-
-
-@pytest.mark.parametrize("sid,kwargs", CASES, ids=CASE_IDS)
-def test_compiled_rhs_matches_reference(sid, kwargs):
-    """The compiled right-hand side is the generic one, bit for bit."""
-    scn = scenarios.build(sid, **kwargs)
-    assert scn.traced.source is None  # build does not trace
-    assert scn.traced.trace(0.0, list(scn.y0()))
-    assert scn.rhs.__code__.co_name == "tape"
-    if kwargs.get("deadzone"):
-        assert "(0.0 if" in scn.traced.source
-    sides = set()
-    for i in range(200):
-        y, t, side = SAMPLERS[sid](scn, i, True)
-        sides |= side
-        assert bits(scn.rhs(t, y)) == bits(scn.rhs_reference(t, y))
-    assert sides == ({True, False} if sid == "numeric-2d" else set())
 
 
 def plain_step(scn, t, y):
@@ -138,25 +120,32 @@ def plain_step(scn, t, y):
     return bits(out) if max(abs(v) for v in out) <= ABORT_LIMIT else None
 
 
-def fused_step(scn, t, y):
-    out = scn.traced.step(t, y)
+def fused_step(step, t, y):
+    out = step(t, y)
     return None if out is None else bits(out)
+
+
+def compiled(scn):
+    """The RK4 step a run of scn compiles, traced at (0, y0)."""
+    step = compile_step(scn.rhs_reference, 0.0, list(scn.y0()), scn.h)
+    assert step is not None and "return None" in step.source
+    return step
 
 
 @pytest.mark.parametrize("sid,kwargs", CASES, ids=CASE_IDS)
 def test_compiled_step_matches_rk4_step(sid, kwargs):
     """One compiled RK4 step is rk4_step of the generic rhs, bit for bit."""
     scn = scenarios.build(sid, **kwargs)
-    assert scn.traced.trace(0.0, list(scn.y0()), scn.h)
-    step = scn.traced.step
-    assert step is not None and "return None" in scn.traced.step_source
+    step = compiled(scn)
+    if kwargs.get("deadzone"):
+        assert "(0.0 if" in step.source
     sides = set()
     taken = 0
     for i in range(200):
-        y, t, side = SAMPLERS[sid](scn, i, False)
+        y, t, side = SAMPLERS[sid](scn, i)
         sides |= side
         want = plain_step(scn, t, y)
-        assert fused_step(scn, t, y) == want
+        assert fused_step(step, t, y) == want
         taken += want is not None
     assert sides == ({True, False} if sid == "numeric-2d" else set())
     assert taken >= 100  # most of these steps stay within the abort limit
@@ -166,11 +155,10 @@ _STEPPED = {}
 
 
 def stepped(mode):
-    """A numeric-2d loop of this mode with its compiled step, built once."""
+    """A numeric-2d loop of this mode and its compiled step, built once."""
     if mode not in _STEPPED:
         scn = scenarios.build("numeric-2d", mode=mode, deadzone=0.05)
-        assert scn.traced.trace(0.0, list(scn.y0()), scn.h)
-        _STEPPED[mode] = scn
+        _STEPPED[mode] = scn, compiled(scn)
     return _STEPPED[mode]
 
 
@@ -184,9 +172,9 @@ coordinate = st.floats(-2.0, 2.0)
        intz=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
        t=st.floats(0.0, 100.0))
 def test_compiled_step_matches_rk4_step_everywhere(mode, z, k, intz, t):
-    scn = stepped(mode)
+    scn, step = stepped(mode)
     y = loop_state(scn, z, k, intz)
-    assert fused_step(scn, t, y) == plain_step(scn, t, y)
+    assert fused_step(step, t, y) == plain_step(scn, t, y)
 
 
 def run_from(scn, y0, step=None, rhs=None):
@@ -197,14 +185,14 @@ def run_from(scn, y0, step=None, rhs=None):
 @pytest.mark.parametrize("mode", ["paper", "auto"])
 @pytest.mark.parametrize("bad", ["nan", "out-of-range"])
 def test_compiled_step_declines_and_the_plain_step_fails_as_before(mode, bad):
-    scn = stepped(mode)
+    scn, step = stepped(mode)
     y = list(scn.y0())
     if bad == "nan":
         y[-1] = math.nan
     else:
         y[-1] = ABORT_LIMIT * (1.0 - 1e-15)  # grows past the limit in one step
-    assert scn.traced.step(0.0, y) is None
-    fused = run_from(scn, y, step=scn.traced.step)
+    assert step(0.0, y) is None
+    fused = run_from(scn, y, step=step)
     plain = run_from(scn, y, rhs=scn.rhs_reference)
     assert fused.diverged and plain.diverged
     assert fused.failure.t == plain.failure.t
@@ -215,16 +203,15 @@ def test_compiled_step_declines_and_the_plain_step_fails_as_before(mode, bad):
 def test_replaced_rhs_is_integrated_as_given():
     scn = scenarios.build("numeric-2d", T=0.5)
     calls = []
-    compiled = scn.rhs
+    reference = scn.rhs
 
     def counting(t, y):
         calls.append(t)
-        return compiled(t, y)
+        return reference(t, y)
 
     scn.rhs = counting
     traj = scn.run()
     assert len(calls) == 4 * 500
-    assert scn.traced.step is None  # not compiled for a run that cannot use it
     assert np.array_equal(traj.data, scenarios.build("numeric-2d", T=0.5).run().data)
 
 
@@ -242,12 +229,12 @@ def test_sign_flipped_run_diverges_like_the_reference():
 
 
 @pytest.mark.parametrize("sid", scenarios.SCENARIO_IDS)
-def test_every_scenario_runs_compiled(sid):
-    scn = scenarios.build(sid, T=0.1)
-    assert scn.traced.source is None and scn.rhs is scn.traced.call
-    scn.run()
-    assert scn.rhs.__code__.co_name == "tape"
-    assert scn.traced.step is not None
+def test_every_scenario_runs_compiled(sid, monkeypatch):
+    plain = []
+    monkeypatch.setattr(simkit, "rk4_step", lambda *args: plain.append(args))
+    traj = scenarios.build(sid, T=0.1).run()
+    assert not traj.diverged
+    assert plain == []  # every step ran compiled
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
