@@ -6,8 +6,13 @@ virtual control
     alpha_i = -mu_i k_i psi_i^2 z_i,      dk_i/dt = gamma_i psi_i^2 z_i^2,
 
 where psi_i is a gain-shape function dominating every cross term of the
-stage-i error derivative.  psi_1 = rho_1 + 1.  For i >= 2 the shape is
-psi_i = eta_i + phi_{i-1} + 1 with eta_i built constructively:
+stage-i error derivative.  Both directions of the error transform run
+through one forward sweep, ``ControllerStack._sweep``, where alpha_i is
+written once: ``evaluate`` starts it from x (z_i = x_i - alpha_{i-1}),
+``reconstruct`` from z (x_i = z_i + alpha_{i-1}).
+
+psi_1 = rho_1 + 1.  For i >= 2 the shape is psi_i = eta_i + phi_{i-1} + 1
+with eta_i built constructively:
 
   * reconstruct x-bar from (z-bar, k-bar),
   * differentiate alpha_{i-1} with respect to all state and gain arguments
@@ -173,28 +178,45 @@ class ControllerStack:
         et = self._eta_core(st, z, k, x, psi)
         return et + self._phi[st - 1](x[: st + 1]) + 1.0, et
 
+    def _sweep(self, v, k, m, from_z):
+        """The one forward sweep over stages 0..m-1, from x or from z.
+
+        v holds state coordinates, or error coordinates when from_z; k holds
+        the gains.  Returns (x, StageEval).  From x, alpha covers every
+        stage; from z, every stage but the last, which x-bar does not need.
+        """
+        mu = self._mu
+        pw = self._pow
+        x = [v[0]] if from_z else v
+        z = []
+        psi = []
+        eta = []
+        alpha = []
+        for st in range(m):
+            if st == 0:
+                zi = v[0]
+            elif from_z:
+                zi = v[st]
+                x.append(zi + alpha[st - 1])
+            else:
+                zi = v[st] - alpha[st - 1]
+            z.append(zi)
+            ps, et = self._stage_psi_eta(st, z, k, x, psi)
+            psi.append(ps)
+            eta.append(et)
+            if from_z and st == m - 1:
+                break
+            body = ps * ps if pw[st] == 2 else ps
+            alpha.append(-(mu[st] * k[st] * body * zi))
+        return x, StageEval(z, psi, eta, alpha)
+
     def evaluate(self, x, k, upto=None):
         """Forward sweep over stages 0..upto-1 from state coordinates.
 
         x and k are sequences of generic scalars with at least ``upto``
         entries; alpha[n-1] is the actual plant input.
         """
-        n = self.n if upto is None else upto
-        mu = self._mu
-        pw = self._pow
-        z = []
-        psi = []
-        eta = []
-        alpha = []
-        for st in range(n):
-            zi = x[st] - alpha[st - 1] if st else x[0]
-            z.append(zi)
-            ps, et = self._stage_psi_eta(st, z, k, x, psi)
-            psi.append(ps)
-            eta.append(et)
-            body = ps * ps if pw[st] == 2 else ps
-            alpha.append(-(mu[st] * k[st] * body * zi))
-        return StageEval(z, psi, eta, alpha)
+        return self._sweep(x, k, self.n if upto is None else upto, False)[1]
 
     def reconstruct(self, zbar, kbar):
         """Invert the error transform: x-bar from (z-bar, k-bar).
@@ -202,25 +224,8 @@ class ControllerStack:
         kbar needs len(zbar) - 1 entries.  Returns (x, psi, eta, alpha) with
         alpha covering stages below the last.
         """
-        m = len(zbar)
-        mu = self._mu
-        pw = self._pow
-        x = [zbar[0]]
-        z = []
-        psi = []
-        eta = []
-        alpha = []
-        for st in range(m):
-            z.append(zbar[st])
-            ps, et = self._stage_psi_eta(st, z, kbar, x, psi)
-            psi.append(ps)
-            eta.append(et)
-            if st + 1 < m:
-                body = ps * ps if pw[st] == 2 else ps
-                a = -(mu[st] * kbar[st] * body * zbar[st])
-                alpha.append(a)
-                x.append(zbar[st + 1] + a)
-        return x, psi, eta, alpha
+        x, ev = self._sweep(zbar, kbar, len(zbar), True)
+        return x, ev.psi, ev.eta, ev.alpha
 
     def _eta_core(self, st, z, k, x, psi):
         """Dominance coefficient of stage st (0-based, st >= 1).

@@ -151,14 +151,16 @@ def load_run(out_dir, run_id):
             h=summary["h"],
             seed=summary["seed"],
         )
+        traj.diverged = summary["diverged"]
+        failure = summary["failure"]
+        traj.meta = summary["meta"]
     except OSError as exc:
         raise RunStoreError("cannot read run %s: %s" % (run_id, exc)) from None
-    traj.diverged = summary["diverged"]
-    failure = summary["failure"]
+    except KeyError as exc:
+        raise RunStoreError("%s lacks the key %s" % (paths.summary, exc)) from None
     if failure is not None:
         failure = StatePoint(failure[0], tuple(failure[1]))
     traj.failure = failure
-    traj.meta = summary["meta"]
     return cfg, traj
 
 

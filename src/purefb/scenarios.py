@@ -242,23 +242,28 @@ def numeric2d(
     sign = float(sign)
     value = profile.value
 
+    def control(y):
+        """The controller sweep at y and the plant input it applies."""
+        ev = stack.evaluate((y[0], y[1]), (y[2], y[3]))
+        return ev, sign * ev.alpha[1]
+
     def rhs_reference(t, y):
         x = (y[0], y[1])
         th = value(t)
-        ev = stack.evaluate(x, (y[2], y[3]))
+        ev, u = control(y)
         z1, z2 = ev.z
         return (
             plant.stage_rate(0, x, y[1], th),
-            plant.stage_rate(1, x, sign * ev.alpha[1], th),
+            plant.stage_rate(1, x, u, th),
             *stack.gain_rates(ev),
             z1 * z1,
             z2 * z2,
         )
 
     def probe(t, y):
-        ev = stack.evaluate((y[0], y[1]), (y[2], y[3]))
+        ev, u = control(y)
         shapes = ev.psi if mode == "paper" else (*ev.psi, ev.eta[1])
-        return ev.z, sign * ev.alpha[1], shapes
+        return ev.z, u, shapes
 
     meta = {
         "scenario": "numeric-2d",
@@ -360,15 +365,15 @@ def stt_missile(
     )
     sign = float(sign)
 
+    def control(t, y):
+        """missile_control at (t, y), with the applied (signed) command."""
+        cmd, kd2, kd3, diag = missile_control(y[:3], (y[3], y[4]), t, design, mparams)
+        return sign * cmd, kd2, kd3, diag
+
     def rhs_reference(t, y):
-        state = (y[0], y[1], y[2])
-        cmd, kd2, kd3, diag = missile_control(state, (y[3], y[4]), t, design, mparams)
-        cmd = sign * cmd
-        droll, drate, ddefl = stt_dynamics(state, t, cmd, mparams)
+        cmd, kd2, kd3, diag = control(t, y)
         return (
-            droll,
-            drate,
-            ddefl,
+            *stt_dynamics(y[:3], t, cmd, mparams),
             kd2,
             kd3,
             diag.z2 * diag.z2,
@@ -376,9 +381,8 @@ def stt_missile(
         )
 
     def probe(t, y):
-        state = (y[0], y[1], y[2])
-        cmd, _, _, diag = missile_control(state, (y[3], y[4]), t, design, mparams)
-        return (diag.z1, diag.z2, diag.z3), sign * cmd, (diag.psi3, math.degrees(y[0]))
+        cmd, _, _, diag = control(t, y)
+        return (diag.z1, diag.z2, diag.z3), cmd, (diag.psi3, math.degrees(y[0]))
 
     meta = {
         "scenario": "stt-missile",

@@ -176,7 +176,6 @@ def integrate(
     recorder=None,
     sid="",
     seed=None,
-    abort_limit=ABORT_LIMIT,
     meta=None,
     step=None,
 ):
@@ -188,12 +187,12 @@ def integrate(
     default the raw state is recorded under names y1..ym.  The step count
     T/h must be an integer and divisible by decimation, giving
     floor(T/h/decimation) + 1 retained samples.  A non-finite step or a
-    component beyond abort_limit stops the run with the partial trajectory
+    component beyond ``ABORT_LIMIT`` stops the run with the partial trajectory
     flagged instead of raising.
 
     step, when given, is a compiled form of ``rk4_step(rhs, ., ., h)``:
     step(t, y) returns the next state, or None where it cannot vouch for
-    it (a guard missed, or a component is NaN or beyond abort_limit).  A
+    it (a guard missed, or a component is NaN or beyond ``ABORT_LIMIT``).  A
     None, or an arithmetic error raised by step, sends that one step
     through ``rk4_step`` and its checks, so flags and failure points are
     those of the plain path.
@@ -239,7 +238,7 @@ def integrate(
                 diverged = True
                 failure = exc.point
                 break
-            if max(abs(v) for v in y_next) > abort_limit:
+            if max(abs(v) for v in y_next) > ABORT_LIMIT:
                 diverged = True
                 failure = StatePoint(t + h, tuple(y_next))
                 break

@@ -19,6 +19,11 @@ still letting the test harness check the quantitative claims:
 
 An incomplete (diverged) trajectory is reported as not applicable and
 failed, never silently passed.
+
+A report's JSON is its fields: every report (and ``VerifyTolerances``)
+shares one ``to_dict``, ``dataclasses.asdict``, and a verdict
+(``passed``, ``all_passed``) is a field derived from the others when the
+report is made.
 """
 
 from __future__ import annotations
@@ -42,8 +47,15 @@ __all__ = [
 ]
 
 
+class _Fields:
+    """A report's JSON layout is its dataclass fields."""
+
+    def to_dict(self):
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class VerifyTolerances:
+class VerifyTolerances(_Fields):
     """Thresholds operationalizing the asymptotic claims at a finite horizon."""
 
     tol_x: float = 1e-2  # tail sup-norm of the plant state
@@ -54,12 +66,9 @@ class VerifyTolerances:
     energy_slack: float = 1e-6  # slack in gamma_i int z_i^2 <= k_i(T)-k_i(0)
     budget_slack: float = 1e-6  # absolute slack of the energy budget
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
-class CheckResult:
+class CheckResult(_Fields):
     """One monitored condition: signed margin >= 0 means satisfied."""
 
     name: str
@@ -68,40 +77,21 @@ class CheckResult:
     where: Optional[float] = None  # time of the worst margin, when meaningful
     detail: str = ""
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "margin": float(self.margin),
-            "where": None if self.where is None else float(self.where),
-            "detail": self.detail,
-        }
-
 
 @dataclass
-class InvariantReport:
-    sid: str
+class InvariantReport(_Fields):
+    scenario: str
     applicable: bool
     diverged: bool
     checks: list = field(default_factory=list)
     detail: str = ""
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self):
-        return self.applicable and all(c.passed for c in self.checks)
+    def __post_init__(self):
+        self.passed = self.applicable and all(c.passed for c in self.checks)
 
     def failed_names(self):
         return [c.name for c in self.checks if not c.passed]
-
-    def to_dict(self):
-        return {
-            "scenario": self.sid,
-            "applicable": self.applicable,
-            "diverged": self.diverged,
-            "passed": self.passed,
-            "detail": self.detail,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def _meta_cols(traj, key):
@@ -125,7 +115,7 @@ def check_theorem1(traj, tol=None):
     if traj.diverged:
         t_fail = traj.failure.t if traj.failure is not None else None
         return InvariantReport(
-            sid=traj.sid,
+            scenario=traj.sid,
             applicable=False,
             diverged=True,
             checks=[
@@ -141,7 +131,7 @@ def check_theorem1(traj, tol=None):
     intz_cols = _meta_cols(traj, "intz_cols")
     gammas = [float(g) for g in _meta_cols(traj, "gamma")]
     t = traj.t
-    t_final = t[-1]
+    t_final = float(t[-1])
     checks = []
 
     # (a) every recorded signal stays finite and below the abort threshold
@@ -169,8 +159,7 @@ def check_theorem1(traj, tol=None):
 
     # (b) tail convergence of the plant state
     t_tail = t_final * (1.0 - tol.tail_frac)
-    mask = t >= t_tail
-    sup = max(float(np.max(np.abs(traj.col(c)[mask]))) for c in x_cols)
+    sup = _tail_sup_x(traj, x_cols, tol.tail_frac)
     checks.append(
         CheckResult(
             "state-tail",
@@ -258,33 +247,28 @@ def check_theorem1(traj, tol=None):
         )
     )
     return InvariantReport(
-        sid=traj.sid, applicable=True, diverged=False, checks=checks
+        scenario=traj.sid, applicable=True, diverged=False, checks=checks
     )
 
 
+def _tail_sup_x(traj, x_cols, tail_frac):
+    """sup |x| over the tail window, the last tail_frac of the horizon."""
+    mask = traj.t >= float(traj.t[-1]) * (1.0 - tail_frac)
+    return max(float(np.max(np.abs(traj.col(c)[mask]))) for c in x_cols)
+
+
 @dataclass
-class AuditReport:
+class AuditReport(_Fields):
     stage: int
     samples: int
     violations: int
     min_slack: float
     worst: Optional[dict] = None
     vartheta: float = 1.0
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self):
-        return self.violations == 0
-
-    def to_dict(self):
-        return {
-            "stage": self.stage,
-            "samples": self.samples,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-            "vartheta": self.vartheta,
-            "worst": self.worst,
-            "passed": self.passed,
-        }
+    def __post_init__(self):
+        self.passed = self.violations == 0
 
 
 def _fd_partial(fn, args, j, rel=1e-6):
@@ -380,25 +364,17 @@ def dominance_audit(
 
 
 @dataclass
-class BudgetReport:
-    sid: str
+class BudgetReport(_Fields):
+    scenario: str
     applicable: bool
-    passed: bool
     min_slack: float
     where: Optional[float]
     epsilon: float
     detail: str = ""
+    passed: bool = field(init=False)
 
-    def to_dict(self):
-        return {
-            "scenario": self.sid,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "min_slack": self.min_slack,
-            "where": self.where,
-            "epsilon": self.epsilon,
-            "detail": self.detail,
-        }
+    def __post_init__(self):
+        self.passed = self.applicable and self.min_slack >= 0.0
 
 
 def lyapunov_budget(traj, oracle, mu=None, gamma=None, slack=1e-6):
@@ -422,14 +398,14 @@ def lyapunov_budget(traj, oracle, mu=None, gamma=None, slack=1e-6):
     """
     if traj.diverged:
         return BudgetReport(
-            traj.sid, False, False, float("-inf"), None, 0.0,
+            traj.sid, False, float("-inf"), None, 0.0,
             "diverged run; budget not evaluable",
         )
     n = traj.meta.get("n")
     adaptive = list(traj.meta.get("adaptive", []))
     if n is None or adaptive != list(range(1, int(n) + 1)):
         return BudgetReport(
-            traj.sid, False, False, 0.0, None, 0.0,
+            traj.sid, False, 0.0, None, 0.0,
             "budget needs adaptation on every stage",
         )
     z_cols = _meta_cols(traj, "z_cols")
@@ -462,9 +438,8 @@ def lyapunov_budget(traj, oracle, mu=None, gamma=None, slack=1e-6):
             min_slack = s
             where = float(traj.t[idx])
     return BudgetReport(
-        sid=traj.sid,
+        scenario=traj.sid,
         applicable=True,
-        passed=min_slack >= 0.0,
         min_slack=min_slack,
         where=where,
         epsilon=eps,
@@ -473,26 +448,16 @@ def lyapunov_budget(traj, oracle, mu=None, gamma=None, slack=1e-6):
 
 
 @dataclass
-class MonteCarloReport:
-    sid: str
+class MonteCarloReport(_Fields):
+    scenario: str
     runs: int
     passes: int
     seed: int
     results: list = field(default_factory=list)
+    all_passed: bool = field(init=False)
 
-    @property
-    def all_passed(self):
-        return self.passes == self.runs
-
-    def to_dict(self):
-        return {
-            "scenario": self.sid,
-            "runs": self.runs,
-            "passes": self.passes,
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "results": self.results,
-        }
+    def __post_init__(self):
+        self.all_passed = self.passes == self.runs
 
 
 def _mc_run(sid, overrides, tol):
@@ -501,12 +466,6 @@ def _mc_run(sid, overrides, tol):
     scn = scenarios.build(sid, **overrides)
     traj = scn.run()
     report = check_theorem1(traj, tol)
-    tail = None
-    if not traj.diverged:
-        mask = traj.t >= traj.t[-1] * (1.0 - tol.tail_frac)
-        tail = max(
-            float(np.max(np.abs(traj.col(c)[mask]))) for c in traj.meta["x_cols"]
-        )
     return {
         "overrides": {
             key: val for key, val in overrides.items() if key in ("x0", "theta")
@@ -514,7 +473,8 @@ def _mc_run(sid, overrides, tol):
         "diverged": traj.diverged,
         "passed": report.passed,
         "failed": report.failed_names(),
-        "tail_sup_x": tail,
+        "tail_sup_x": (None if traj.diverged
+                       else _tail_sup_x(traj, traj.meta["x_cols"], tol.tail_frac)),
     }
 
 
@@ -555,5 +515,5 @@ def monte_carlo(
         results.append(_mc_run(sid, over, tol))
     passes = sum(1 for r in results if r["passed"])
     return MonteCarloReport(
-        sid=sid, runs=M, passes=passes, seed=seed, results=results
+        scenario=sid, runs=M, passes=passes, seed=seed, results=results
     )

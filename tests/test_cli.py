@@ -192,6 +192,19 @@ def test_stored_run_missing_file_exits_2(short_cfg, tmp_path, capsys, name):
         assert name in err and "internal error" not in err
 
 
+def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys):
+    out = registry(tmp_path)
+    assert main(["run", "--config", short_cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    with open(os.path.join(out, rid, "summary.json"), "w") as fh:
+        fh.write("{}\n")
+    capsys.readouterr()
+    for command in ("verify", "plot"):
+        assert main([command, rid, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "summary.json" in err and "internal error" not in err
+
+
 def test_montecarlo_aggregate(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

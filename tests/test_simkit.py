@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from purefb.simkit import (
+    ABORT_LIMIT,
     DivergenceError,
     Trajectory,
     integrate,
@@ -64,8 +65,8 @@ def test_finite_escape_sets_divergence_flag():
 
 
 def test_abort_limit_stops_growth():
-    traj = integrate(lambda t, y: (1.0,), (0.0,), T=2.0, h=1e-2,
-                     abort_limit=0.5)
+    # starts 0.5 below the limit and crosses it at t = 0.5
+    traj = integrate(lambda t, y: (1.0,), (ABORT_LIMIT - 0.5,), T=2.0, h=1e-2)
     assert traj.diverged
     assert traj.failure.t <= 0.6
 

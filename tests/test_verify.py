@@ -1,5 +1,7 @@
 """Stability monitors: invariant checks, energy budget, dominance audit."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,48 @@ def test_monte_carlo_seed_prefix_property():
     small = monte_carlo("numeric-2d", 2, 4, **kwargs)
     larger = monte_carlo("numeric-2d", 4, 4, **kwargs)
     assert larger.results[:2] == small.results
+
+
+# ------------------------------------------------------------- JSON layout
+
+CHECK_KEYS = {"name", "passed", "margin", "where", "detail"}
+INVARIANT_KEYS = {"scenario", "applicable", "diverged", "passed", "detail", "checks"}
+BUDGET_KEYS = {"scenario", "applicable", "passed", "min_slack", "where",
+               "epsilon", "detail"}
+AUDIT_KEYS = {"stage", "samples", "violations", "min_slack", "vartheta",
+              "worst", "passed"}
+MC_KEYS = {"scenario", "runs", "passes", "seed", "all_passed", "results"}
+MC_RUN_KEYS = {"overrides", "diverged", "passed", "failed", "tail_sup_x"}
+
+
+def test_report_json_layout(auto_scenario):
+    """Every report's to_dict() keeps the key set report.json is read by."""
+    good = scenarios.build("numeric-2d", T=2.0).run()
+    bad = scenarios.build("numeric-2d", sign=-1.0, T=2.0).run()
+    assert bad.diverged
+    oracle = scenarios.build("numeric-2d").oracle
+    layouts = []
+    for traj in (good, bad):
+        inv = check_theorem1(traj).to_dict()
+        assert set(inv) == INVARIANT_KEYS
+        assert inv["scenario"] == "numeric-2d"
+        assert all(set(c) == CHECK_KEYS for c in inv["checks"])
+        assert set(lyapunov_budget(traj, oracle).to_dict()) == BUDGET_KEYS
+        layouts.append(inv)
+    audit = dominance_audit(
+        auto_scenario.stack, auto_scenario.bounds, auto_scenario.oracle,
+        stage=2, samples=3, seed=5,
+    ).to_dict()
+    assert set(audit) == AUDIT_KEYS
+    assert set(audit["worst"]) == {"z", "k", "lhs", "rhs", "sample"}
+    mc = monte_carlo("numeric-2d", 1, 3, x0_box=((-1.0, 1.0), (-1.0, 1.0)),
+                     overrides={"T": 2.0}).to_dict()
+    assert set(mc) == MC_KEYS
+    assert mc["scenario"] == "numeric-2d"
+    assert [set(r) for r in mc["results"]] == [MC_RUN_KEYS]
+    for d in (*layouts, audit, mc):
+        json.dumps(d, sort_keys=True)
+        assert type(d["passed" if "passed" in d else "all_passed"]) is bool
+    for c in (c for inv in layouts for c in inv["checks"]):
+        assert type(c["passed"]) is bool and type(c["margin"]) is float
+        assert c["where"] is None or type(c["where"]) is float
