@@ -10,21 +10,13 @@ three-state missile roll autopilot).
 __version__ = "1.0.0"
 
 from .autodiff import EvaluationError, gradient, partial, real_value, smooth_abs
-from .backstep import (
-    ControllerStack,
-    DesignParams,
-    PaperStage,
-    SynthesisError,
-    synthesize,
-)
+from .backstep import ControllerStack, DesignParams, SynthesisError, synthesize
 from .plant import (
     BoundSpec,
     OracleConstants,
     PlantConfigError,
     PlantSpec,
     UncertaintyProfile,
-    assumption_probe,
-    box_sampler,
 )
 from .scenarios import SCENARIO_IDS, build
 from .simkit import DivergenceError, Trajectory, integrate, measure_order, read_csv
@@ -43,7 +35,6 @@ __all__ = [
     "DivergenceError",
     "EvaluationError",
     "OracleConstants",
-    "PaperStage",
     "PlantConfigError",
     "PlantSpec",
     "SCENARIO_IDS",
@@ -51,8 +42,6 @@ __all__ = [
     "Trajectory",
     "UncertaintyProfile",
     "VerifyTolerances",
-    "assumption_probe",
-    "box_sampler",
     "build",
     "check_theorem1",
     "dominance_audit",

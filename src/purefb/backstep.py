@@ -31,7 +31,9 @@ legal.  The tower depth grows with the stage index, so automatic synthesis
 is limited to four stages.
 
 A scenario may instead supply externally derived gain shapes ("paper"
-stages), including a plain psi (not squared) in the virtual control; the
+stages): plain callables psi(z, k, x) of the growing prefixes (k holds the
+gains of the stages below, x the reconstructed state prefix).  Their shape
+enters the virtual control unsquared, alpha_i = -mu_i k_i psi_i z_i; the
 update law, written once in ``ControllerStack.gain_rates``, always squares
 the shape.
 """
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from .tape import select_lt
 __all__ = [
     "ControllerStack",
     "DesignParams",
-    "PaperStage",
     "StageEval",
     "SynthesisError",
     "synthesize",
@@ -64,33 +65,18 @@ class SynthesisError(ValueError):
 
 
 @dataclass(frozen=True)
-class PaperStage:
-    """Externally derived gain shape for one stage.
-
-    psi maps the growing prefixes (z, k, x) to a scalar; k holds the gains
-    of the stages below, x the reconstructed state prefix.
-    alpha_psi_power is the exponent of psi inside the virtual control (the
-    update law is always quadratic in psi).
-    """
-
-    psi: Callable
-    alpha_psi_power: int = 2
-
-    def __post_init__(self):
-        if self.alpha_psi_power not in (1, 2):
-            raise SynthesisError("alpha_psi_power must be 1 or 2")
-
-
-@dataclass(frozen=True)
 class DesignParams:
-    """Per-stage design constants of the adaptive controller."""
+    """Per-stage design constants of the adaptive controller.
+
+    paper_stages holds one gain shape psi(z, k, x) per stage, or None to
+    synthesize the shapes from the bounds.
+    """
 
     mu: tuple
     gamma: tuple
     k0: tuple
     deadzone: float = 0.0
     smoothing: float = 1e-6
-    mode: str = "auto"
     paper_stages: Optional[tuple] = None
 
     def __post_init__(self):
@@ -107,17 +93,17 @@ class DesignParams:
             raise SynthesisError("deadzone must be >= 0")
         if not self.smoothing > 0.0:
             raise SynthesisError("smoothing must be positive")
-        if self.mode not in ("auto", "paper"):
-            raise SynthesisError("mode must be 'auto' or 'paper'")
-        if self.mode == "paper":
-            if self.paper_stages is None or len(self.paper_stages) != n:
-                raise SynthesisError("paper mode needs one PaperStage per stage")
-        elif self.paper_stages is not None:
-            raise SynthesisError("auto mode does not take paper stages")
+        if self.paper_stages is not None and len(self.paper_stages) != n:
+            raise SynthesisError("paper mode needs one gain shape per stage")
 
     @property
     def n(self):
         return len(self.mu)
+
+    @property
+    def mode(self):
+        """Either "auto" (shapes synthesized from the bounds) or "paper"."""
+        return "auto" if self.paper_stages is None else "paper"
 
 
 class StageEval(NamedTuple):
@@ -149,8 +135,6 @@ class ControllerStack:
                     "derivative tower depth grows with the stage index"
                     % MAX_AUTO_STAGES
                 )
-            if len(bounds.phi) < n - 1:
-                raise SynthesisError("automatic synthesis needs phi_1..phi_{n-1}")
         self.n = n
         self.params = params
         self.bounds = bounds
@@ -158,12 +142,7 @@ class ControllerStack:
         self._gamma = params.gamma
         self._eps = params.smoothing
         self._deadzone = params.deadzone
-        if params.mode == "paper":
-            self._paper = params.paper_stages
-            self._pow = tuple(s.alpha_psi_power for s in params.paper_stages)
-        else:
-            self._paper = None
-            self._pow = (2,) * n
+        self._paper = params.paper_stages
         self._rho = bounds.rho if bounds is not None else None
         self._phi = bounds.phi if bounds is not None else None
 
@@ -172,7 +151,7 @@ class ControllerStack:
     def _stage_psi_eta(self, st, z, k, x, psi):
         """Gain shape (and dominance coefficient, auto mode) of stage st."""
         if self._paper is not None:
-            return self._paper[st].psi(z, k, x), None
+            return self._paper[st](z, k, x), None
         if st == 0:
             return self._rho[0](x[:1]) + 1.0, None
         et = self._eta_core(st, z, k, x, psi)
@@ -186,7 +165,7 @@ class ControllerStack:
         stage; from z, every stage but the last, which x-bar does not need.
         """
         mu = self._mu
-        pw = self._pow
+        paper = self._paper is not None
         x = [v[0]] if from_z else v
         z = []
         psi = []
@@ -206,7 +185,7 @@ class ControllerStack:
             eta.append(et)
             if from_z and st == m - 1:
                 break
-            body = ps * ps if pw[st] == 2 else ps
+            body = ps if paper else ps * ps
             alpha.append(-(mu[st] * k[st] * body * zi))
         return x, StageEval(z, psi, eta, alpha)
 

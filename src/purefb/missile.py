@@ -20,10 +20,9 @@ explicit gain shape on the last stage:
     dk3/dt = gamma3 psi3^2 z3^2,
     cmd = -mu3 k3 psi3^2 z3,
 
-with phi2 = xi(defl) a positive deflection-dependent weight (constant 1
-by default).  The completion-of-squares constant epsilon must satisfy
-k1 - 3 epsilon / 4 > 0, which keeps the first error term negative
-definite.
+with phi2 = constant xi, a positive weight (1 by default).  The
+completion-of-squares constant epsilon must satisfy k1 - 3 epsilon / 4 > 0,
+which keeps the first error term negative definite.
 """
 
 from __future__ import annotations
@@ -39,10 +38,6 @@ __all__ = [
     "missile_control",
     "stt_dynamics",
 ]
-
-
-def _unit_xi(defl):
-    return 1.0
 
 
 @dataclass(frozen=True)
@@ -80,10 +75,11 @@ class MissileDesign:
     k20: float
     k30: float
     epsilon: float
-    xi: Callable = _unit_xi
+    xi: float = 1.0
 
     def __post_init__(self):
-        for name in ("k1", "mu2", "mu3", "gamma2", "gamma3", "k20", "k30", "epsilon"):
+        for name in ("k1", "mu2", "mu3", "gamma2", "gamma3", "k20", "k30",
+                     "epsilon", "xi"):
             if not getattr(self, name) > 0.0:
                 raise ValueError("%s must be positive" % name)
         if not self.k1 - 0.75 * self.epsilon > 0.0:
@@ -126,7 +122,7 @@ def missile_control(state, gains, t, design, params):
     z2 = rate + d.k1 * z1
     z3 = defl + d.mu2 * k2 * z2
     dk2 = d.gamma2 * z2 * z2
-    phi2 = d.xi(defl)
+    phi2 = d.xi
     m2 = d.mu2
     psi3 = (
         m2 * k2

@@ -15,18 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "BoundSpec",
     "OracleConstants",
     "PlantConfigError",
     "PlantSpec",
-    "ProbeReport",
     "UncertaintyProfile",
-    "assumption_probe",
-    "box_sampler",
-    "check_origin",
 ]
 
 
@@ -70,9 +64,9 @@ class BoundSpec:
 
     rho[i] maps (x_1..x_{i+1}) -> real >= 0 and dominates the drift:
     |f_i| <= c_i rho_i sum|x_j|.  phi[i] maps (x_1..x_{i+2}) -> real > 0 and
-    bounds the gain from above for inner stages; the last entry is optional
-    and only exercised by the sampling probe.  All bound functions must be
-    built from the supported smooth primitives so they can be differentiated.
+    bounds the gain of inner stage i+1 from above, so phi has n - 1 entries.
+    All bound functions must be built from the supported smooth primitives
+    so they can be differentiated.
     """
 
     n: int
@@ -82,16 +76,8 @@ class BoundSpec:
     def __post_init__(self):
         if len(self.rho) != self.n:
             raise PlantConfigError("rho must supply one function per stage")
-        if len(self.phi) not in (self.n - 1, self.n):
-            raise PlantConfigError(
-                "phi must cover stages 1..n-1 (the last stage entry is optional)"
-            )
-
-    def phi_at(self, i):
-        """phi for 0-based stage i, or None when not declared."""
-        if i < len(self.phi):
-            return self.phi[i]
-        return None
+        if len(self.phi) != self.n - 1:
+            raise PlantConfigError("phi must cover stages 1..n-1")
 
 
 @dataclass(frozen=True)
@@ -100,7 +86,6 @@ class UncertaintyProfile:
 
     value: Callable[[float], tuple]
     box: tuple
-    name: str = "theta"
 
 
 @dataclass(frozen=True)
@@ -155,95 +140,3 @@ class OracleConstants:
         for j in range(1, n):
             cands.append((n - j) + self.sigma(j - 1))
         return max(cands)
-
-
-def box_sampler(x_box, theta_box, u_box):
-    """Uniform sampler over per-component (lo, hi) boxes for the probe."""
-
-    def sample(rng):
-        x = tuple(float(rng.uniform(lo, hi)) for lo, hi in x_box)
-        th = tuple(float(rng.uniform(lo, hi)) for lo, hi in theta_box)
-        u = float(rng.uniform(u_box[0], u_box[1]))
-        return x, th, u
-
-    return sample
-
-
-@dataclass
-class ProbeViolation:
-    index: int
-    stage: int
-    kind: str
-    lhs: float
-    rhs: float
-    x: tuple
-    theta: tuple
-    u: float
-
-
-@dataclass
-class ProbeReport:
-    samples: int
-    checked: int
-    violation_count: int
-    violations: list
-
-    @property
-    def passed(self):
-        return self.violation_count == 0
-
-
-def assumption_probe(plant, bounds, oracle, sampler, n_samples, seed_=0,
-                     max_recorded=100):
-    """Sample the declared growth/gain envelopes against the true stages.
-
-    Checks |f_i| <= c_i rho_i sum_{j<=i} |x_j| and b_i <= g_i <= B_i phi_i
-    (lower bound only on the last stage unless its phi is declared) at
-    n_samples random points.  A certificate of consistency between the plant,
-    its bound declarations and the oracle constants, not a proof.
-    """
-    rng = np.random.default_rng(seed_)
-    violations = []
-    count = 0
-    checked = 0
-
-    def record(idx, stage, kind, lhs, rhs, x, th, u):
-        nonlocal count
-        count += 1
-        if len(violations) < max_recorded:
-            violations.append(ProbeViolation(idx, stage, kind, lhs, rhs, x, th, u))
-
-    for idx in range(n_samples):
-        x, th, u = sampler(rng)
-        sum_abs = 0.0
-        for i in range(plant.n):
-            xbar = x[: i + 1]
-            sum_abs += abs(x[i])
-            fv = plant.drift[i](xbar, th)
-            envelope = oracle.c[i] * bounds.rho[i](xbar) * sum_abs
-            checked += 1
-            if abs(fv) > envelope + 1e-12 * (1.0 + abs(envelope)):
-                record(idx, i + 1, "drift", abs(fv), envelope, x, th, u)
-            nxt = x[i + 1] if i + 1 < plant.n else u
-            gv = plant.gain[i](tuple(xbar) + (nxt,), th)
-            tol = 1e-12 * (1.0 + abs(gv))
-            checked += 1
-            if gv < oracle.b[i] - tol:
-                record(idx, i + 1, "gain-low", gv, oracle.b[i], x, th, u)
-            phi_i = bounds.phi_at(i)
-            if phi_i is not None:
-                cap = oracle.B[i] * phi_i(tuple(xbar) + (nxt,))
-                checked += 1
-                if gv > cap + 1e-12 * (1.0 + abs(cap)):
-                    record(idx, i + 1, "gain-high", gv, cap, x, th, u)
-    return ProbeReport(n_samples, checked, count, violations)
-
-
-def check_origin(plant, theta_samples):
-    """Verify drift[i](0, theta) == 0 for each supplied theta draw."""
-    zero = (0.0,) * plant.n
-    worst = 0.0
-    for th in theta_samples:
-        for i in range(plant.n):
-            worst = max(worst, abs(plant.drift[i](zero[: i + 1], th)))
-    return worst

@@ -20,12 +20,11 @@ import datetime
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import config as configmod
-from .simkit import StatePoint, Trajectory, read_csv
+from .simkit import StatePoint, read_csv
 
 __all__ = ["RunPaths", "RunStoreError", "save_run", "load_run", "list_runs"]
 
@@ -129,6 +128,17 @@ def save_aggregate(out_dir, run_id, tag, payload):
     return target
 
 
+def _failure_point(value, where):
+    """StatePoint from a stored failure ``[t, [y...]]``; None stays None."""
+    if value is None:
+        return None
+    if (isinstance(value, list) and len(value) == 2 and isinstance(value[1], list)
+            and all(isinstance(v, (int, float)) for v in [value[0], *value[1]])):
+        return StatePoint(value[0], tuple(value[1]))
+    raise RunStoreError(
+        "%s: failure must be null or [t, [y...]], got %r" % (where, value))
+
+
 def load_run(out_dir, run_id):
     """Load (RunConfig, Trajectory) back from the registry."""
     paths = paths_for(out_dir, run_id)
@@ -145,6 +155,8 @@ def load_run(out_dir, run_id):
     try:
         with open(paths.summary) as fh:
             summary = json.load(fh)
+        if not isinstance(summary, dict):
+            raise RunStoreError("%s does not hold a JSON object" % paths.summary)
         traj = read_csv(
             paths.trajectory,
             sid=summary["sid"],
@@ -152,15 +164,12 @@ def load_run(out_dir, run_id):
             seed=summary["seed"],
         )
         traj.diverged = summary["diverged"]
-        failure = summary["failure"]
+        traj.failure = _failure_point(summary["failure"], paths.summary)
         traj.meta = summary["meta"]
     except OSError as exc:
         raise RunStoreError("cannot read run %s: %s" % (run_id, exc)) from None
     except KeyError as exc:
         raise RunStoreError("%s lacks the key %s" % (paths.summary, exc)) from None
-    if failure is not None:
-        failure = StatePoint(failure[0], tuple(failure[1]))
-    traj.failure = failure
     return cfg, traj
 
 

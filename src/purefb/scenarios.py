@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .autodiff import cos, sin
-from .backstep import ControllerStack, DesignParams, PaperStage, synthesize
+from .backstep import ControllerStack, DesignParams, synthesize
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
 from .simkit import integrate
@@ -156,10 +156,6 @@ def _n2_rho2(xb):
     return (1.0 + xb[0] * xb[0] + xb[1] * xb[1]) / 4.0
 
 
-def _n2_phi2(xb):
-    return 1.0 + xb[2] * xb[2] / 7.0
-
-
 def _n2_psi2_closed_form(z1, k1, x1, x2, mu1, gamma1):
     """The benchmark's published second-stage gain shape."""
     rho2 = _n2_rho2((x1, x2))
@@ -209,32 +205,26 @@ def numeric2d(
     plant = PlantSpec(
         n=2, drift=(_n2_drift1, _n2_drift2), gain=(_n2_gain1, _n2_gain2)
     )
-    bounds = BoundSpec(
-        n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1, _n2_phi2)
-    )
+    bounds = BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
     mu = tuple(float(v) for v in mu)
     gamma = tuple(float(v) for v in gamma)
     k0 = tuple(float(v) for v in k0)
     if mode == "paper":
         mu1, gamma1 = mu[0], gamma[0]
         stages = (
-            PaperStage(psi=lambda z, k, x: 2.0, alpha_psi_power=1),
-            PaperStage(
-                psi=lambda z, k, x: _n2_psi2_closed_form(
-                    z[0], k[0], x[0], x[1], mu1, gamma1
-                ),
-                alpha_psi_power=1,
-            ),
+            lambda z, k, x: 2.0,
+            lambda z, k, x: _n2_psi2_closed_form(z[0], k[0], x[0], x[1], mu1, gamma1),
         )
-    else:
+    elif mode == "auto":
         stages = None
+    else:
+        raise ValueError("mode must be 'paper' or 'auto', got %r" % (mode,))
     params = DesignParams(
         mu=mu,
         gamma=gamma,
         k0=k0,
         deadzone=float(deadzone),
         smoothing=float(smoothing),
-        mode=mode,
         paper_stages=stages,
     )
     stack = synthesize(bounds, params)
@@ -268,7 +258,7 @@ def numeric2d(
     meta = {
         "scenario": "numeric-2d",
         "mode": mode,
-        "alpha_psi_power": [s.alpha_psi_power for s in stages] if stages else [2, 2],
+        "alpha_psi_power": [1, 1] if stages else [2, 2],
         "theta": list(theta),
         "theta_box": [list(edge) for edge in theta_box],
         "sign": sign,
@@ -328,9 +318,6 @@ def stt_missile(
     h=1e-3,
     decimation=20,
 ):
-    if not xi_const > 0.0:
-        raise ValueError("xi_const must be positive")
-
     def speed(t):
         return v_mean * (1.0 + v_amp * cos(v_freq * t))
 
@@ -358,11 +345,9 @@ def stt_missile(
         k20=k20,
         k30=k30,
         epsilon=epsilon,
-        xi=lambda defl: xi_const,
+        xi=xi_const,
     )
-    profile = UncertaintyProfile(
-        value=lambda t: (speed(t), mx_slope(t)), box=box, name="flight condition"
-    )
+    profile = UncertaintyProfile(value=lambda t: (speed(t), mx_slope(t)), box=box)
     sign = float(sign)
 
     def control(t, y):

@@ -1,7 +1,5 @@
 """Controller synthesis: sweeps, dominance coefficients, gain shapes."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -10,18 +8,17 @@ from purefb.backstep import (
     MAX_AUTO_STAGES,
     ControllerStack,
     DesignParams,
-    PaperStage,
     SynthesisError,
     synthesize,
 )
 from purefb.plant import BoundSpec
-from purefb.scenarios import _n2_phi1, _n2_phi2, _n2_rho1, _n2_rho2, numeric2d
+from purefb.scenarios import _n2_phi1, _n2_rho1, _n2_rho2, numeric2d
 
 rng = np.random.default_rng(77103)
 
 
 def two_state_bounds():
-    return BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1, _n2_phi2))
+    return BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
 
 
 def auto_params(n=2, deadzone=0.0):
@@ -188,9 +185,8 @@ def test_gain_rate_dominates_raw_error_energy():
 
 
 def test_gain_rate_dead_zone():
-    stages = (PaperStage(psi=lambda z, k, x: 2.0, alpha_psi_power=1),)
     params = DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,),
-                         deadzone=0.1, mode="paper", paper_stages=stages)
+                          deadzone=0.1, paper_stages=(lambda z, k, x: 2.0,))
     stack = ControllerStack(None, params)
     assert stack.gain_rates(stack.evaluate((0.05,), (1.0,))) == [0.0]
     assert stack.gain_rates(stack.evaluate((-2.0,), (1.0,))) == [
@@ -205,17 +201,15 @@ def test_design_params_validation():
         DesignParams(mu=(0.2,), gamma=(0.2, 0.2), k0=(0.01,))
     with pytest.raises(SynthesisError, match=r"mu\[1\]"):
         DesignParams(mu=(-1.0,), gamma=(0.2,), k0=(0.01,))
-    with pytest.raises(SynthesisError):
-        DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,), mode="other")
-    with pytest.raises(SynthesisError):
-        DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,), mode="paper")
-    with pytest.raises(SynthesisError):
-        DesignParams(
-            mu=(0.2,), gamma=(0.2,), k0=(0.01,),
-            paper_stages=(PaperStage(psi=lambda z, k, x: 2.0),),
-        )
-    with pytest.raises(SynthesisError):
-        PaperStage(psi=lambda z, k, x: 2.0, alpha_psi_power=3)
+    with pytest.raises(SynthesisError, match="one gain shape per stage"):
+        DesignParams(mu=(0.2, 0.2), gamma=(0.2, 0.2), k0=(0.01, 0.01),
+                     paper_stages=(lambda z, k, x: 2.0,))
+    # the mode follows from whether gain shapes are supplied
+    assert DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,)).mode == "auto"
+    assert DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,),
+                        paper_stages=(lambda z, k, x: 2.0,)).mode == "paper"
+    with pytest.raises(ValueError, match="mode"):
+        numeric2d(mode="other")
 
 
 def test_auto_mode_stage_limit():
@@ -236,8 +230,7 @@ def test_auto_mode_needs_bounds():
 
 
 def test_floor_probe_warns_on_sub_unit_shape():
-    stages = (PaperStage(psi=lambda z, k, x: 0.5, alpha_psi_power=1),)
     params = DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,),
-                         mode="paper", paper_stages=stages)
+                          paper_stages=(lambda z, k, x: 0.5,))
     with pytest.warns(UserWarning, match="below 1"):
         synthesize(None, params)

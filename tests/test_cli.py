@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, persisted artifacts."""
 
+import json
 import os
 
 import pytest
@@ -192,12 +193,21 @@ def test_stored_run_missing_file_exits_2(short_cfg, tmp_path, capsys, name):
         assert name in err and "internal error" not in err
 
 
-def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys):
+@pytest.mark.parametrize("edit", ["missing-key", "not-an-object", "bad-failure"])
+def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys, edit):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
     rid = only_run_id(out)
-    with open(os.path.join(out, rid, "summary.json"), "w") as fh:
-        fh.write("{}\n")
+    path = os.path.join(out, rid, "summary.json")
+    if edit == "bad-failure":
+        with open(path) as fh:
+            summary = json.load(fh)
+        summary["failure"] = [1.0]
+        text = json.dumps(summary)
+    else:
+        text = "{}" if edit == "missing-key" else "[]"
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
     capsys.readouterr()
     for command in ("verify", "plot"):
         assert main([command, rid, "--out", out]) == 2

@@ -120,6 +120,9 @@ def test_design_validation():
     with pytest.raises(ValueError, match="gamma2"):
         MissileDesign(k1=5.0, mu2=0.5, mu3=0.5, gamma2=0.0, gamma3=0.1,
                       k20=0.1, k30=0.1, epsilon=0.1)
+    with pytest.raises(ValueError, match="xi"):
+        MissileDesign(k1=5.0, mu2=0.5, mu3=0.5, gamma2=0.1, gamma3=0.1,
+                      k20=0.1, k30=0.1, epsilon=0.1, xi=0.0)
 
 
 def test_profile_positivity_guard():

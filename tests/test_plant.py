@@ -3,25 +3,16 @@
 import numpy as np
 import pytest
 
-from purefb.plant import (
-    BoundSpec,
-    OracleConstants,
-    PlantConfigError,
-    PlantSpec,
-    ProbeReport,
-    assumption_probe,
-    box_sampler,
-    check_origin,
-)
+from purefb.plant import BoundSpec, OracleConstants, PlantConfigError, PlantSpec
 from purefb.scenarios import (
     _n2_drift1,
     _n2_drift2,
     _n2_gain1,
     _n2_gain2,
     _n2_phi1,
-    _n2_phi2,
     _n2_rho1,
     _n2_rho2,
+    numeric2d,
 )
 
 rng = np.random.default_rng(415)
@@ -31,10 +22,6 @@ def two_state_plant():
     return PlantSpec(
         n=2, drift=(_n2_drift1, _n2_drift2), gain=(_n2_gain1, _n2_gain2)
     )
-
-
-def two_state_bounds():
-    return BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1, _n2_phi2))
 
 
 # ------------------------------------------------------------- stage rates
@@ -61,16 +48,11 @@ def test_plant_spec_validation():
 def test_bound_spec_validation():
     with pytest.raises(PlantConfigError):
         BoundSpec(n=2, rho=(_n2_rho1,), phi=(_n2_phi1,))
-    # last-stage phi is optional
+    # phi covers the inner stages only
+    with pytest.raises(PlantConfigError, match="1..n-1"):
+        BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1, _n2_phi1))
     b = BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
-    assert b.phi_at(0) is _n2_phi1
-    assert b.phi_at(1) is None
-
-
-def test_check_origin_two_state():
-    plant = two_state_plant()
-    draws = [tuple(rng.uniform(0.5, 2.5, size=2)) for _ in range(50)]
-    assert check_origin(plant, draws) == 0.0
+    assert b.phi == (_n2_phi1,)
 
 
 # --------------------------------------------------------- oracle constants
@@ -101,63 +83,40 @@ def test_oracle_validation():
 
 
 def test_probe_two_state_envelopes_hold():
-    """10^4 samples over the declared boxes: no envelope violation."""
-    oracle = OracleConstants(b=(0.8, 1.6), B=(1.2, 2.4), c=(1.2, 2.4))
-    sampler = box_sampler(
-        x_box=((-3.0, 3.0), (-3.0, 3.0)),
-        theta_box=((0.8, 1.2), (1.6, 2.4)),
-        u_box=(-10.0, 10.0),
-    )
-    report = assumption_probe(
-        two_state_plant(), two_state_bounds(), oracle, sampler, 10000, seed_=3
-    )
-    assert isinstance(report, ProbeReport)
-    assert report.samples == 10000
-    # drift + gain-low + gain-high for both stages at every sample
-    assert report.checked == 60000
-    assert report.violation_count == 0
-    assert report.passed
+    """numeric-2d's own bounds and oracle dominate its plant.
 
+    For the configured theta box and 20 random valid boxes, 2 000 samples
+    each of theta in the box and of x_1, x_2, u with log-uniform magnitude
+    in [10^-3, 10^3] (the stage-2 envelope is tightest near |x_j| = 0.7)
+    meet |f_i| <= c_i rho_i sum_{j<=i} |x_j| and b_i <= g_i on both stages,
+    and g_1 <= B_1 phi_1 on the inner one.
+    """
 
-def test_probe_flags_zero_gain_everywhere():
-    plant = PlantSpec(n=1, drift=(lambda xb, th: 0.0,), gain=(lambda xb, th: 0.0,))
-    bounds = BoundSpec(n=1, rho=(lambda xb: 1.0,), phi=())
-    oracle = OracleConstants(b=(1.0,), B=(1.0,), c=(1.0,))
-    sampler = box_sampler(((-1.0, 1.0),), ((0.0, 1.0),), (-1.0, 1.0))
-    report = assumption_probe(plant, bounds, oracle, sampler, 500, seed_=0)
-    assert report.violation_count == 500
-    assert not report.passed
-    assert len(report.violations) == 100  # recording is capped
-    assert all(v.kind == "gain-low" for v in report.violations)
+    def signed_log_uniform():
+        sign = rng.choice((-1.0, 1.0), size=2000)
+        return sign * 10.0 ** rng.uniform(-3.0, 3.0, size=2000)
 
-
-def test_probe_counts_match_analytic_predicate():
-    """An undersized drift constant is flagged exactly where it should be."""
-    oracle = OracleConstants(b=(1.0, 2.0), B=(1.0, 2.0), c=(1.0, 0.1))
-    x_box = ((-2.0, 2.0), (-2.0, 2.0))
-    theta_box = ((1.0, 1.0), (2.0, 2.0))
-    u_box = (-1.0, 1.0)
-    report = assumption_probe(
-        two_state_plant(),
-        two_state_bounds(),
-        oracle,
-        box_sampler(x_box, theta_box, u_box),
-        2000,
-        seed_=11,
-    )
-    # replay the sampler's draw order with the same generator
-    replay = np.random.default_rng(11)
-    expected = 0
-    for _ in range(2000):
-        x1 = float(replay.uniform(*x_box[0]))
-        x2 = float(replay.uniform(*x_box[1]))
-        replay.uniform(*theta_box[0])
-        replay.uniform(*theta_box[1])
-        replay.uniform(*u_box)
-        lhs = abs(2.0 * x1 * x2)
-        env = 0.1 * (1.0 + x1 * x1 + x2 * x2) / 4.0 * (abs(x1) + abs(x2))
-        if lhs > env + 1e-12 * (1.0 + env):
-            expected += 1
-    assert expected > 0
-    assert report.violation_count == expected
-    assert all(v.stage == 2 and v.kind == "drift" for v in report.violations)
+    boxes = [((0.8, 1.2), (1.6, 2.4))]
+    for _ in range(20):
+        lo = rng.uniform(0.01, 5.0, size=2)
+        hi = lo + rng.uniform(0.0, 5.0, size=2)
+        boxes.append(tuple(zip(lo.tolist(), hi.tolist())))
+    plant = two_state_plant()
+    for box in boxes:
+        scn = numeric2d(theta=tuple(lo for lo, _ in box), theta_box=box)
+        bounds, oracle = scn.bounds, scn.oracle
+        x = (signed_log_uniform(), signed_log_uniform())
+        th = tuple(rng.uniform(lo, hi, size=2000) for lo, hi in box)
+        u = signed_log_uniform()
+        sum_abs = 0.0
+        for i in range(2):
+            xbar = x[: i + 1]
+            sum_abs = sum_abs + np.abs(x[i])
+            env = oracle.c[i] * bounds.rho[i](xbar) * sum_abs
+            assert np.all(np.abs(plant.drift[i](xbar, th))
+                          <= env + 1e-12 * (1.0 + env)), (box, i)
+            nxt = x[1] if i == 0 else u
+            g = plant.gain[i]((*xbar, nxt), th)
+            assert np.all(g >= oracle.b[i] - 1e-12 * (1.0 + np.abs(g))), (box, i)
+        cap = oracle.B[0] * bounds.phi[0](x)
+        assert np.all(plant.gain[0](x, th) <= cap + 1e-12 * (1.0 + cap)), box
