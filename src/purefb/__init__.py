@@ -10,7 +10,7 @@ three-state missile roll autopilot).
 __version__ = "1.0.0"
 
 from .autodiff import EvaluationError, gradient, partial, real_value, smooth_abs
-from .backstep import ControllerStack, DesignParams, SynthesisError, synthesize
+from .backstep import ControllerStack, DesignParams, SynthesisError
 from .plant import (
     BoundSpec,
     OracleConstants,
@@ -54,6 +54,5 @@ __all__ = [
     "read_csv",
     "real_value",
     "smooth_abs",
-    "synthesize",
     "__version__",
 ]

@@ -35,16 +35,14 @@ stages): plain callables psi(z, k, x) of the growing prefixes (k holds the
 gains of the stages below, x the reconstructed state prefix).  Their shape
 enters the virtual control unsquared, alpha_i = -mu_i k_i psi_i z_i; the
 update law, written once in ``ControllerStack.gain_rates``, always squares
-the shape.
+the shape.  Supplied shapes must satisfy psi_i >= 1 by their own algebra
+(see docs/modeling-notes.md); building a stack samples nothing.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .autodiff import partial, seed, smooth_abs
 from .tape import select_lt
@@ -54,7 +52,6 @@ __all__ = [
     "DesignParams",
     "StageEval",
     "SynthesisError",
-    "synthesize",
 ]
 
 MAX_AUTO_STAGES = 4
@@ -69,7 +66,7 @@ class DesignParams:
     """Per-stage design constants of the adaptive controller.
 
     paper_stages holds one gain shape psi(z, k, x) per stage, or None to
-    synthesize the shapes from the bounds.
+    build the shapes from the bounds.  Supplied shapes must stay >= 1.
     """
 
     mu: tuple
@@ -137,7 +134,6 @@ class ControllerStack:
                 )
         self.n = n
         self.params = params
-        self.bounds = bounds
         self._mu = params.mu
         self._gamma = params.gamma
         self._eps = params.smoothing
@@ -264,29 +260,3 @@ class ControllerStack:
             rates.append(select_lt(abs(zi), dz, 0.0, rate) if dz > 0.0 else rate)
         return rates
 
-
-# probe points (and their seed) of the psi >= 1 audit of supplied shapes
-FLOOR_PROBE = 200
-FLOOR_SEED = 7
-
-
-def synthesize(bounds, params):
-    """Build the controller stack and, for supplied shapes, audit psi >= 1."""
-    stack = ControllerStack(bounds, params)
-    if params.mode == "paper":
-        rng = np.random.default_rng(FLOOR_SEED)
-        bad = 0
-        n = params.n
-        for _ in range(FLOOR_PROBE):
-            zb = [float(v) for v in rng.uniform(-3.0, 3.0, size=n)]
-            kb = [float(v) for v in rng.uniform(0.01, 5.0, size=n)]
-            _, psi, _, _ = stack.reconstruct(zb, kb)
-            if min(float(p) for p in psi) < 1.0:
-                bad += 1
-        if bad:
-            warnings.warn(
-                "supplied gain shapes dipped below 1 at %d of %d probe points"
-                % (bad, FLOOR_PROBE),
-                stacklevel=2,
-            )
-    return stack

@@ -108,12 +108,12 @@ class ControlDiag(NamedTuple):
     psi3: float
 
 
-def missile_control(state, gains, t, design, params):
+def missile_control(state, gains, design):
     """Deflection command and gain rates at one state.
 
     Returns (cmd, dk2, dk3, diag).  dk2 is evaluated before psi3, which
-    depends on it; t is unused by the law itself (kept for signature
-    symmetry with the dynamics).
+    depends on it.  The law reads neither time nor the airframe: the flight
+    condition enters only through ``stt_dynamics``.
     """
     roll, rate, defl = state
     k2, k3 = gains

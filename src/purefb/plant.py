@@ -13,7 +13,6 @@ above.  The true bounding constants are a verification-only oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 __all__ = [
     "BoundSpec",
@@ -82,9 +81,8 @@ class BoundSpec:
 
 @dataclass(frozen=True)
 class UncertaintyProfile:
-    """Piecewise-continuous uncertainty trajectory with a declared box."""
+    """Declared uncertainty box, one (lo, hi) pair per parameter."""
 
-    value: Callable[[float], tuple]
     box: tuple
 
 

@@ -157,6 +157,8 @@ def load_run(out_dir, run_id):
             summary = json.load(fh)
         if not isinstance(summary, dict):
             raise RunStoreError("%s does not hold a JSON object" % paths.summary)
+        if not isinstance(summary["meta"], dict):
+            raise RunStoreError("%s: meta must be a JSON object" % paths.summary)
         traj = read_csv(
             paths.trajectory,
             sid=summary["sid"],

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .autodiff import cos, sin
-from .backstep import ControllerStack, DesignParams, synthesize
+from .backstep import ControllerStack, DesignParams
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
 from .simkit import integrate
@@ -66,13 +66,12 @@ __all__ = ["Scenario", "build", "SCENARIO_IDS"]
 class Scenario:
     """One runnable closed loop plus everything the verifier needs.
 
-    Derives ``rhs``, ``recorder`` (column names, row builder) and the
-    meta entries x_cols, z_cols, k_cols, intz_cols, n and adaptive from
-    its fields.
+    Derives ``n`` (from x0), ``rhs``, ``recorder`` (column names, row
+    builder) and the meta entries scenario, x_cols, z_cols, k_cols,
+    intz_cols, n and adaptive from its fields.
     """
 
     sid: str
-    n: int
     x0: tuple
     adaptive: tuple  # 1-based stages with gain adaptation
     k0: tuple  # initial gains, aligned with adaptive
@@ -88,9 +87,11 @@ class Scenario:
     oracle: Optional[OracleConstants] = None
     stack: Optional[ControllerStack] = None
     rhs: Callable = field(init=False)  # what run() integrates
+    n: int = field(init=False)
 
     def __post_init__(self):
         self.rhs = self.rhs_reference
+        self.n = len(self.x0)
         n, m, probe = self.n, len(self.adaptive), self.probe
         groups = {
             "x_cols": ["x%d" % i for i in range(1, n + 1)],
@@ -98,7 +99,7 @@ class Scenario:
             "k_cols": ["k%d" % i for i in self.adaptive],
             "intz_cols": ["intz%d" % i for i in self.adaptive],
         }
-        self.meta.update(groups, n=n, adaptive=list(self.adaptive))
+        self.meta.update(groups, scenario=self.sid, n=n, adaptive=list(self.adaptive))
         names = (*groups["x_cols"], *groups["z_cols"], *groups["k_cols"], "u",
                  *self.extra, *groups["intz_cols"])
 
@@ -193,7 +194,6 @@ def numeric2d(
         if not lo <= v <= hi:
             raise ValueError("theta %r leaves its declared box" % (theta,))
 
-    profile = UncertaintyProfile(value=lambda t: theta, box=theta_box)
     # envelope constants follow the box: |th1 x1| <= th1_hi * 1 * |x1|,
     # |th2 x1 x2| <= th2_hi * rho2 * (|x1|+|x2|), gains bracketed by the box
     # edges times the declared phi caps
@@ -227,10 +227,9 @@ def numeric2d(
         smoothing=float(smoothing),
         paper_stages=stages,
     )
-    stack = synthesize(bounds, params)
+    stack = ControllerStack(bounds, params)
 
     sign = float(sign)
-    value = profile.value
 
     def control(y):
         """The controller sweep at y and the plant input it applies."""
@@ -239,12 +238,11 @@ def numeric2d(
 
     def rhs_reference(t, y):
         x = (y[0], y[1])
-        th = value(t)
         ev, u = control(y)
         z1, z2 = ev.z
         return (
-            plant.stage_rate(0, x, y[1], th),
-            plant.stage_rate(1, x, u, th),
+            plant.stage_rate(0, x, y[1], theta),
+            plant.stage_rate(1, x, u, theta),
             *stack.gain_rates(ev),
             z1 * z1,
             z2 * z2,
@@ -256,7 +254,6 @@ def numeric2d(
         return ev.z, u, shapes
 
     meta = {
-        "scenario": "numeric-2d",
         "mode": mode,
         "alpha_psi_power": [1, 1] if stages else [2, 2],
         "theta": list(theta),
@@ -268,11 +265,10 @@ def numeric2d(
     }
     return Scenario(
         sid="numeric-2d",
-        n=2,
         x0=tuple(float(v) for v in x0),
         adaptive=(1, 2),
         k0=k0,
-        theta=profile,
+        theta=UncertaintyProfile(box=theta_box),
         bounds=bounds,
         oracle=oracle,
         stack=stack,
@@ -347,16 +343,15 @@ def stt_missile(
         epsilon=epsilon,
         xi=xi_const,
     )
-    profile = UncertaintyProfile(value=lambda t: (speed(t), mx_slope(t)), box=box)
     sign = float(sign)
 
-    def control(t, y):
-        """missile_control at (t, y), with the applied (signed) command."""
-        cmd, kd2, kd3, diag = missile_control(y[:3], (y[3], y[4]), t, design, mparams)
+    def control(y):
+        """missile_control at y, with the applied (signed) command."""
+        cmd, kd2, kd3, diag = missile_control(y[:3], (y[3], y[4]), design)
         return sign * cmd, kd2, kd3, diag
 
     def rhs_reference(t, y):
-        cmd, kd2, kd3, diag = control(t, y)
+        cmd, kd2, kd3, diag = control(y)
         return (
             *stt_dynamics(y[:3], t, cmd, mparams),
             kd2,
@@ -366,11 +361,10 @@ def stt_missile(
         )
 
     def probe(t, y):
-        cmd, _, _, diag = control(t, y)
+        cmd, _, _, diag = control(y)
         return (diag.z1, diag.z2, diag.z3), cmd, (diag.psi3, math.degrees(y[0]))
 
     meta = {
-        "scenario": "stt-missile",
         "mode": "threestep",
         "roll0_deg": float(roll_deg),
         "sign": sign,
@@ -380,11 +374,10 @@ def stt_missile(
     }
     return Scenario(
         sid="stt-missile",
-        n=3,
         x0=(math.radians(roll_deg), float(rate), float(defl)),
         adaptive=(2, 3),
         k0=(float(k20), float(k30)),
-        theta=profile,
+        theta=UncertaintyProfile(box=box),
         rhs_reference=rhs_reference,
         probe=probe,
         extra=("psi3", "roll_deg"),

@@ -33,6 +33,8 @@ from typing import Optional
 
 import numpy as np
 
+from .simkit import ABORT_LIMIT
+
 __all__ = [
     "AuditReport",
     "BudgetReport",
@@ -151,7 +153,7 @@ def check_theorem1(traj, tol=None):
         CheckResult(
             "bounded",
             finite,
-            float("-inf") if not finite else 1e9 - worst,
+            float("-inf") if not finite else ABORT_LIMIT - worst,
             None,
             "largest recorded magnitude %.6g in %s" % (worst, worst_col),
         )

@@ -9,7 +9,6 @@ from purefb.backstep import (
     ControllerStack,
     DesignParams,
     SynthesisError,
-    synthesize,
 )
 from purefb.plant import BoundSpec
 from purefb.scenarios import _n2_phi1, _n2_rho1, _n2_rho2, numeric2d
@@ -43,7 +42,7 @@ def three_stage_stack():
     )
     params = DesignParams(mu=(0.3, 0.3, 0.3), gamma=(0.1, 0.1, 0.1),
                           k0=(0.05, 0.05, 0.05))
-    return synthesize(bounds, params)
+    return ControllerStack(bounds, params)
 
 
 # --------------------------------------------------------------- sweeps
@@ -87,7 +86,7 @@ def test_eta_closed_form_degenerate_cascade():
         phi=(lambda xb: phi_const,),
     )
     params = auto_params()
-    stack = synthesize(bounds, params)
+    stack = ControllerStack(bounds, params)
     eps = params.smoothing
     mu1, gamma1 = params.mu[0], params.gamma[0]
     for _ in range(50):
@@ -221,16 +220,10 @@ def test_auto_mode_stage_limit():
     )
     params = DesignParams(mu=(0.2,) * n, gamma=(0.2,) * n, k0=(0.01,) * n)
     with pytest.raises(SynthesisError, match="stages"):
-        synthesize(bounds, params)
+        ControllerStack(bounds, params)
 
 
 def test_auto_mode_needs_bounds():
     with pytest.raises(SynthesisError):
         ControllerStack(None, auto_params())
 
-
-def test_floor_probe_warns_on_sub_unit_shape():
-    params = DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,),
-                          paper_stages=(lambda z, k, x: 0.5,))
-    with pytest.warns(UserWarning, match="below 1"):
-        synthesize(None, params)

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -57,8 +58,8 @@ def test_rerun_reproduces_csv_bytes(short_cfg, tmp_path):
     assert main(["run", "--config", short_cfg, "--out", out_b]) == 0
     rid = only_run_id(out_a)
     assert rid == only_run_id(out_b)
-    csv_a = open(os.path.join(out_a, rid, "trajectory.csv"), "rb").read()
-    csv_b = open(os.path.join(out_b, rid, "trajectory.csv"), "rb").read()
+    csv_a = Path(out_a, rid, "trajectory.csv").read_bytes()
+    csv_b = Path(out_b, rid, "trajectory.csv").read_bytes()
     assert csv_a == csv_b
 
 
@@ -163,7 +164,7 @@ def test_mode_flag_switches_synthesis(short_cfg, tmp_path):
     assert main(["run", "--config", short_cfg, "--out", out,
                  "--mode", "auto"]) == 0
     rid = only_run_id(out)
-    stored = open(os.path.join(out, rid, "config.cfg")).read()
+    stored = Path(out, rid, "config.cfg").read_text()
     assert "design.mode = auto" in stored
 
 
@@ -193,16 +194,20 @@ def test_stored_run_missing_file_exits_2(short_cfg, tmp_path, capsys, name):
         assert name in err and "internal error" not in err
 
 
-@pytest.mark.parametrize("edit", ["missing-key", "not-an-object", "bad-failure"])
+@pytest.mark.parametrize("edit", ["missing-key", "not-an-object", "bad-failure",
+                                  "meta-not-an-object"])
 def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys, edit):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
     rid = only_run_id(out)
     path = os.path.join(out, rid, "summary.json")
-    if edit == "bad-failure":
+    if edit in ("bad-failure", "meta-not-an-object"):
         with open(path) as fh:
             summary = json.load(fh)
-        summary["failure"] = [1.0]
+        if edit == "bad-failure":
+            summary["failure"] = [1.0]
+        else:
+            summary["meta"] = []
         text = json.dumps(summary)
     else:
         text = "{}" if edit == "missing-key" else "[]"
@@ -243,11 +248,11 @@ def test_plot_rerenders_identically(short_cfg, tmp_path):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
     rid = only_run_id(out)
-    states = os.path.join(out, rid, "plots", "states.svg")
-    first = open(states, "rb").read()
-    os.remove(states)
+    states = Path(out, rid, "plots", "states.svg")
+    first = states.read_bytes()
+    states.unlink()
     assert main(["plot", rid, "--out", out]) == 0
-    assert open(states, "rb").read() == first
+    assert states.read_bytes() == first
 
 
 def test_usage_error_without_subcommand(capsys):

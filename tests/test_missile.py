@@ -54,9 +54,9 @@ def test_roll_acceleration_is_gain_times_deflection():
 
 def test_control_law_initial_point_hand_values():
     """Full hand evaluation of the cascade at the 10-degree start."""
-    params, design = nominal_parts()
+    _, design = nominal_parts()
     state = (math.radians(10.0), 0.0, 0.0)
-    cmd, dk2, dk3, diag = missile_control(state, (0.1, 0.1), 0.0, design, params)
+    cmd, dk2, dk3, diag = missile_control(state, (0.1, 0.1), design)
     z1 = math.radians(10.0)
     z2 = 5.0 * z1
     z3 = 0.5 * 0.1 * z2
@@ -83,9 +83,7 @@ def test_control_law_initial_point_hand_values():
 
 def test_equilibrium_is_quiet():
     params, design = nominal_parts()
-    cmd, dk2, dk3, diag = missile_control(
-        (0.0, 0.0, 0.0), (0.1, 0.1), 1.7, design, params
-    )
+    cmd, dk2, dk3, diag = missile_control((0.0, 0.0, 0.0), (0.1, 0.1), design)
     assert cmd == 0.0
     assert dk2 == 0.0
     assert dk3 == 0.0
@@ -94,12 +92,11 @@ def test_equilibrium_is_quiet():
 
 
 def test_gain_rates_never_negative():
-    params, design = nominal_parts()
+    _, design = nominal_parts()
     for _ in range(10000):
         state = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=3))
         gains = tuple(float(v) for v in rng.uniform(0.01, 10.0, size=2))
-        t = float(rng.uniform(0.0, 20.0))
-        _, dk2, dk3, _ = missile_control(state, gains, t, design, params)
+        _, dk2, dk3, _ = missile_control(state, gains, design)
         assert dk2 >= 0.0
         assert dk3 >= 0.0
 

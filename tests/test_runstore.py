@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,9 +44,10 @@ def test_save_and_load_round_trip(tmp_path):
 def test_rerun_overwrites_same_directory(tmp_path):
     cfg = short_config(tmp_path)
     runstore.save_run(cfg, run_once(cfg))
-    first = open(runstore.paths_for(str(tmp_path), cfg.run_id).trajectory, "rb").read()
+    csv = Path(runstore.paths_for(str(tmp_path), cfg.run_id).trajectory)
+    first = csv.read_bytes()
     runstore.save_run(cfg, run_once(cfg))
-    second = open(runstore.paths_for(str(tmp_path), cfg.run_id).trajectory, "rb").read()
+    second = csv.read_bytes()
     assert first == second
     assert runstore.list_runs(str(tmp_path)) == [cfg.run_id]
 
@@ -64,9 +66,8 @@ def test_list_runs_empty_for_missing_root(tmp_path):
 def test_tampered_config_detected(tmp_path):
     cfg = short_config(tmp_path)
     paths = runstore.save_run(cfg, run_once(cfg))
-    text = open(paths.config).read().replace("run.seed = 0", "run.seed = 99")
-    with open(paths.config, "w") as fh:
-        fh.write(text)
+    stored = Path(paths.config)
+    stored.write_text(stored.read_text().replace("run.seed = 0", "run.seed = 99"))
     with pytest.raises(runstore.RunStoreError, match="hash"):
         runstore.load_run(str(tmp_path), cfg.run_id)
 
@@ -75,11 +76,11 @@ def test_report_and_aggregate_files(tmp_path):
     cfg = short_config(tmp_path)
     paths = runstore.save_run(cfg, run_once(cfg))
     rp = runstore.save_report(paths, {"verdict": "PASS"})
-    assert json.load(open(rp))["verdict"] == "PASS"
+    assert json.loads(Path(rp).read_text())["verdict"] == "PASS"
     ap = runstore.save_aggregate(str(tmp_path), cfg.run_id, "mc-m2-s0",
                                  {"passes": 2})
     assert ap.endswith("aggregate-mc-m2-s0.json")
-    assert json.load(open(ap))["passes"] == 2
+    assert json.loads(Path(ap).read_text())["passes"] == 2
 
 
 def test_summary_holds_run_statistics(tmp_path):

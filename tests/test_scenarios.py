@@ -30,7 +30,7 @@ def test_two_state_wiring():
     assert scn.n == 2
     assert scn.x0 == (-2.0, 3.0)
     assert scn.adaptive == (1, 2)
-    assert scn.theta.value(0.0) == (1.0, 2.0)
+    assert scn.theta.box == ((1.0, 1.0), (2.0, 2.0))
     assert scn.y0() == (-2.0, 3.0, 0.01, 0.01, 0.0, 0.0)
     names, build_row = scn.recorder
     assert tuple(names) == (
@@ -57,6 +57,24 @@ def test_meta_carries_verifier_grouping():
             assert key in scn.meta, (sid, key)
         assert len(scn.meta["gamma"]) == len(scn.meta["k_cols"])
         assert len(scn.meta["intz_cols"]) == len(scn.meta["k_cols"])
+
+
+@pytest.mark.parametrize("sid,kwargs", [("numeric-2d", {"mode": "paper"}),
+                                         ("numeric-2d", {"mode": "auto"}),
+                                         ("stt-missile", {})],
+                         ids=["numeric-2d-paper", "numeric-2d-auto", "stt-missile"])
+def test_build_does_not_sample(monkeypatch, sid, kwargs):
+    """Building is pure construction: no controller sweep runs."""
+    calls = []
+    reconstruct = scenarios.ControllerStack.reconstruct
+
+    def counted(self, zbar, kbar):
+        calls.append(1)
+        return reconstruct(self, zbar, kbar)
+
+    monkeypatch.setattr(scenarios.ControllerStack, "reconstruct", counted)
+    scenarios.build(sid, **kwargs)
+    assert calls == []
 
 
 def test_theta_outside_declared_box_rejected():
