@@ -15,6 +15,7 @@ an unwritable registry; printed as one line, without a traceback).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -222,8 +223,6 @@ def _cmd_plot(args):
     out_dir = args.out or "runs"
     _, traj = runstore.load_run(out_dir, args.run_id)
     paths = runstore.paths_for(out_dir, args.run_id)
-    import os
-
     os.makedirs(paths.plots, exist_ok=True)
     written = svgplot.plot_trajectory(traj, paths.plots)
     for path in written:

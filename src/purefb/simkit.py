@@ -17,6 +17,7 @@ harness aggregates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 ABORT_LIMIT = 1e9
+CSV_BLOCK_ROWS = 4096
 
 
 class StatePoint(NamedTuple):
@@ -127,10 +129,17 @@ class Trajectory:
         return self.data[:, 0]
 
     def write_csv(self, path):
+        """Write the table, streamed in blocks of ``CSV_BLOCK_ROWS`` rows.
+
+        Each float64 cell is written as ``repr`` of its Python float, the
+        same bytes as ``repr(float(v))`` per cell; only one block of text
+        is held at a time.
+        """
         with open(path, "w") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.data:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for start in range(0, len(self.data), CSV_BLOCK_ROWS):
+                rows = self.data[start:start + CSV_BLOCK_ROWS].tolist()
+                fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
     def summary(self):
         """Terminal values, per-column extrema and flags as plain data."""
@@ -163,7 +172,10 @@ def read_csv(path, sid="", h=0.0, seed=None):
         if not header:
             raise ValueError("empty trajectory file %s" % path)
         columns = tuple(header.split(","))
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise ValueError("trajectory file %s has a header but no rows" % path)
+        data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
     return Trajectory(sid=sid, columns=columns, data=data, h=h, seed=seed)
 
 

@@ -3,11 +3,21 @@
 Renders one chart per file: shared time axis, one polyline per series,
 nice 1/2/5-stepped ticks, a small legend.  Output is plain text SVG so
 runs stay diffable and the registry stays self-contained.
+
+A series with more samples than the plot is wide in pixels is reduced
+per pixel column to its first, last, minimum and maximum sample (M4:
+Jugel, Jerzak, Hackenbroich & Markl, "M4: A Visualization-Oriented Time
+Series Data Aggregation", PVLDB 7(10), 2014); the line drawn at that
+width is the same, and the file size follows the plot width rather than
+the run length.
 """
 
 from __future__ import annotations
 
 import math
+import os
+
+import numpy as np
 
 __all__ = ["line_plot", "plot_trajectory"]
 
@@ -17,6 +27,7 @@ MARGIN_L = 66
 MARGIN_R = 16
 MARGIN_T = 34
 MARGIN_B = 46
+PLOT_W = WIDTH - MARGIN_L - MARGIN_R  # pixel columns under the polylines
 
 PALETTE = (
     "#1f6fb2", "#d2542c", "#2e8540", "#8251a1",
@@ -63,22 +74,46 @@ class _Axis:
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 
+def _column_starts(px):
+    """First index of each run of samples in one pixel column.
+
+    The column of a sample is floor(px); the right edge of the plot
+    belongs to the last column, so there are at most PLOT_W columns.
+    """
+    col = np.minimum(np.floor(px), WIDTH - MARGIN_R - 1)
+    return np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+
+
+def _m4(py, starts):
+    """Sorted indices of the first, last, minimum and maximum of each column."""
+    n = len(py)
+    counts = np.diff(np.r_[starts, n])
+    group = np.repeat(np.arange(len(starts)), counts)
+    idx = np.arange(n)
+    keep = [starts, starts + counts - 1]
+    for extremum in (np.minimum, np.maximum):
+        hit = py == extremum.reduceat(py, starts)[group]
+        first = np.minimum.reduceat(np.where(hit, idx, n), starts)
+        keep.append(first[first < n])
+    return np.unique(np.concatenate(keep))
+
+
 def line_plot(path, t, series, title="", xlabel="t [s]", ylabel=""):
     """Write one SVG chart.
 
     t: 1-D sample times; series: iterable of (label, values) with values
     matching len(t).  Returns path.
     """
-    t = [float(v) for v in t]
-    named = [(str(label), [float(v) for v in vals]) for label, vals in series]
-    if not t or not named:
+    t = np.asarray(t, dtype=float)
+    named = [(str(label), np.asarray(vals, dtype=float)) for label, vals in series]
+    if not t.size or not named:
         raise ValueError("line_plot needs at least one sample and one series")
     for label, vals in named:
         if len(vals) != len(t):
             raise ValueError("series %r length %d != %d" % (label, len(vals), len(t)))
-    ylo = min(min(vals) for _, vals in named)
-    yhi = max(max(vals) for _, vals in named)
-    xaxis = _Axis(min(t), max(t), MARGIN_L, WIDTH - MARGIN_R)
+    ylo = min(float(vals.min()) for _, vals in named)
+    yhi = max(float(vals.max()) for _, vals in named)
+    xaxis = _Axis(float(t.min()), float(t.max()), MARGIN_L, WIDTH - MARGIN_R)
     yaxis = _Axis(ylo, yhi, HEIGHT - MARGIN_B, MARGIN_T)
 
     parts = [
@@ -128,11 +163,14 @@ def line_plot(path, t, series, title="", xlabel="t [s]", ylabel=""):
             'transform="rotate(-90 16 %d)">%s</text>'
             % (HEIGHT // 2, HEIGHT // 2, ylabel)
         )
+    px = xaxis.pix(t)
+    starts = _column_starts(px) if len(t) > PLOT_W else None
     for idx, (label, vals) in enumerate(named):
         color = PALETTE[idx % len(PALETTE)]
+        py = yaxis.pix(vals)
+        keep = slice(None) if starts is None else _m4(py, starts)
         points = " ".join(
-            "%.2f,%.2f" % (xaxis.pix(tv), yaxis.pix(v))
-            for tv, v in zip(t, vals)
+            "%.2f,%.2f" % xy for xy in zip(px[keep].tolist(), py[keep].tolist())
         )
         parts.append(
             '<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>'
@@ -163,8 +201,6 @@ def plot_trajectory(traj, out_dir):
     Uses the trajectory's column-group metadata; returns the written
     paths.
     """
-    import os
-
     meta = traj.meta
     t = traj.t
     written = []

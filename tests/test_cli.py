@@ -194,6 +194,19 @@ def test_stored_run_missing_file_exits_2(short_cfg, tmp_path, capsys, name):
         assert name in err and "internal error" not in err
 
 
+def test_stored_header_only_csv_exits_2(short_cfg, tmp_path, capsys):
+    out = registry(tmp_path)
+    assert main(["run", "--config", short_cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    path = Path(out, rid, "trajectory.csv")
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    for command in ("verify", "plot"):
+        assert main([command, rid, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "trajectory.csv" in err[0], err
+
+
 @pytest.mark.parametrize("edit", ["missing-key", "not-an-object", "bad-failure",
                                   "meta-not-an-object"])
 def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys, edit):

@@ -7,6 +7,7 @@ import pytest
 
 from purefb.simkit import (
     ABORT_LIMIT,
+    CSV_BLOCK_ROWS,
     DivergenceError,
     Trajectory,
     integrate,
@@ -147,6 +148,26 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert back.columns == traj.columns
     # repr round-trip keeps every float bit-exact
     assert np.array_equal(back.data, traj.data)
+
+
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 3])
+def test_csv_bytes_match_per_cell_repr(tmp_path, rows):
+    specials = [-0.0, 5e-324, 0.1, 1.5e-7, 1e16, 1e22, 123456789.125]
+    rng = np.random.default_rng(7)
+    data = np.column_stack([
+        0.1 * np.arange(rows),
+        np.resize(specials, rows),
+        -np.resize(specials[::-1], rows),
+        rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
+    ])
+    traj = Trajectory(sid="g", columns=("t", "a", "b", "c"), data=data, h=0.1)
+    path = tmp_path / "g.csv"
+    traj.write_csv(path)
+    want = "t,a,b,c\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in data
+    )
+    assert path.read_bytes() == want.encode()
+    assert np.array_equal(read_csv(path).data, data)
 
 
 def test_summary_reports_terminal_and_extrema():

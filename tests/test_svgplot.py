@@ -2,11 +2,33 @@
 
 import math
 import os
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from purefb import scenarios
-from purefb.svgplot import _nice_ticks, line_plot, plot_trajectory
+from purefb.simkit import Trajectory
+from purefb.svgplot import (
+    HEIGHT,
+    MARGIN_B,
+    MARGIN_L,
+    MARGIN_R,
+    MARGIN_T,
+    PLOT_W,
+    WIDTH,
+    _Axis,
+    _nice_ticks,
+    line_plot,
+    plot_trajectory,
+)
+
+
+def polyline_points(path):
+    """The "x,y" strings of each polyline in an SVG file."""
+    text = Path(path).read_text()
+    return [m.split(" ") for m in re.findall(r'<polyline points="([^"]*)"', text)]
 
 
 def test_nice_ticks_use_125_steps():
@@ -35,6 +57,8 @@ def test_line_plot_contents(tmp_path):
     assert ">sin</text>" in text and ">cos</text>" in text
     assert ">waves</text>" in text
     assert "viewBox" in text
+    # no more samples than pixel columns: every sample is drawn
+    assert [len(points) for points in polyline_points(path)] == [101, 101]
 
 
 def test_line_plot_rejects_bad_series(tmp_path):
@@ -67,3 +91,35 @@ def test_plot_trajectory_standard_set(tmp_path):
     assert names == ["errors.svg", "gains.svg", "input.svg", "states.svg"]
     for p in written:
         assert os.path.getsize(p) > 500
+
+
+def test_one_sample_trajectory_writes_every_chart(tmp_path):
+    full = scenarios.build("numeric-2d", T=2.0).run()
+    traj = Trajectory(sid=full.sid, columns=full.columns, data=full.data[:1],
+                      h=full.h, meta=full.meta)
+    written = plot_trajectory(traj, str(tmp_path))
+    assert sorted(os.path.basename(p) for p in written) == [
+        "errors.svg", "gains.svg", "input.svg", "states.svg"]
+    for p in written:
+        assert all(len(points) == 1 for points in polyline_points(p))
+
+
+def test_long_series_keeps_first_last_min_max_per_pixel_column(tmp_path):
+    rng = np.random.default_rng(20001)
+    t = np.linspace(0.0, 20.0, 20001)
+    y = np.sin(2.0 * math.pi * (0.05 + 0.4 * t) * t) + 0.1 * rng.standard_normal(t.size)
+    path = tmp_path / "chirp.svg"
+    line_plot(path, t, [("chirp", y)])
+    (points,) = polyline_points(path)
+    assert len(points) <= 4 * PLOT_W
+    xs = [float(p.split(",")[0]) for p in points]
+    assert xs == sorted(xs)
+    px = _Axis(t.min(), t.max(), MARGIN_L, WIDTH - MARGIN_R).pix(t)
+    py = _Axis(y.min(), y.max(), HEIGHT - MARGIN_B, MARGIN_T).pix(y)
+    # pixel column floor(px); the right edge belongs to the last column
+    column = np.minimum(np.floor(px), WIDTH - MARGIN_R - 1)
+    kept = set(points)
+    for c in np.unique(column):
+        idx = np.flatnonzero(column == c)
+        for i in (idx[0], idx[-1], idx[np.argmin(py[idx])], idx[np.argmax(py[idx])]):
+            assert "%.2f,%.2f" % (px[i], py[i]) in kept, (c, i)
