@@ -4,12 +4,13 @@ Renders one chart per file: shared time axis, one polyline per series,
 nice 1/2/5-stepped ticks, a small legend.  Output is plain text SVG so
 runs stay diffable and the registry stays self-contained.
 
-A series with more samples than the plot is wide in pixels is reduced
-per pixel column to its first, last, minimum and maximum sample (M4:
-Jugel, Jerzak, Hackenbroich & Markl, "M4: A Visualization-Oriented Time
-Series Data Aggregation", PVLDB 7(10), 2014); the line drawn at that
-width is the same, and the file size follows the plot width rather than
-the run length.
+Each series is reduced per pixel column to its first, last, minimum and
+maximum sample (M4: Jugel, Jerzak, Hackenbroich & Markl, "M4: A
+Visualization-Oriented Time Series Data Aggregation", PVLDB 7(10),
+2014); the line drawn at that width is the same, and the file size
+follows the plot width rather than the run length.  A column with at
+most two samples keeps them all, so a series on a uniform time grid no
+longer than the plot is wide keeps every sample.
 """
 
 from __future__ import annotations
@@ -164,11 +165,11 @@ def line_plot(path, t, series, title="", xlabel="t [s]", ylabel=""):
             % (HEIGHT // 2, HEIGHT // 2, ylabel)
         )
     px = xaxis.pix(t)
-    starts = _column_starts(px) if len(t) > PLOT_W else None
+    starts = _column_starts(px)
     for idx, (label, vals) in enumerate(named):
         color = PALETTE[idx % len(PALETTE)]
         py = yaxis.pix(vals)
-        keep = slice(None) if starts is None else _m4(py, starts)
+        keep = _m4(py, starts)
         points = " ".join(
             "%.2f,%.2f" % xy for xy in zip(px[keep].tolist(), py[keep].tolist())
         )
