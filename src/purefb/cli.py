@@ -98,13 +98,10 @@ def _execute(cfg):
 
 
 def _print_trajectory(traj):
-    stats = traj.summary()
     x_cols = traj.meta.get("x_cols", [])
     k_cols = traj.meta.get("k_cols", [])
-    tail = ", ".join(
-        "%s=%.3e" % (c, stats["terminal"][c]) for c in x_cols)
-    gains = ", ".join(
-        "%s=%.6g" % (c, stats["terminal"][c]) for c in k_cols)
+    tail = ", ".join("%s=%.3e" % (c, traj.col(c)[-1]) for c in x_cols)
+    gains = ", ".join("%s=%.6g" % (c, traj.col(c)[-1]) for c in k_cols)
     print("samples: %d  (h=%g)" % (traj.data.shape[0], traj.h))
     if tail:
         print("terminal state: %s" % tail)

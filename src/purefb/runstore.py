@@ -7,7 +7,8 @@ rewrites byte-identical data files.  Layout:
 
     config.cfg       canonical config text (hash input, exact)
     trajectory.csv   recorded samples
-    summary.json     terminal values, extrema, column list, run metadata
+    summary.json     what config and CSV cannot say: failure point, run
+                     metadata, final time, terminal values and extrema
     record.json      registry bookkeeping (id, timestamp, file list)
     report.json      verification report (written by the verify command)
     aggregate-*.json sweep aggregates
@@ -21,12 +22,13 @@ import json
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import config as configmod
 from .simkit import StatePoint, read_csv
 
 __all__ = ["RunPaths", "RunStoreError", "save_run", "load_run", "list_runs"]
+
+
+_COLUMN_GROUPS = ("x_cols", "z_cols", "k_cols", "intz_cols")
 
 
 class RunStoreError(ValueError):
@@ -67,21 +69,9 @@ def paths_for(out_dir, run_id):
     return RunPaths(run_id=run_id, root=os.path.join(out_dir, run_id))
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -92,18 +82,9 @@ def save_run(cfg, traj):
     with open(paths.config, "w") as fh:
         fh.write(cfg.canonical)
     traj.write_csv(paths.trajectory)
-    summary = {
-        "sid": traj.sid,
-        "columns": list(traj.columns),
-        "h": traj.h,
-        "seed": traj.seed,
-        "diverged": traj.diverged,
-        "failure": traj.failure,
-        "samples": traj.data.shape[0],
-        "meta": traj.meta,
-        "stats": traj.summary(),
-    }
-    _write_json(paths.summary, summary)
+    # sid, h and seed are in config.cfg, the columns in trajectory.csv
+    _write_json(paths.summary,
+                {"failure": traj.failure, "meta": traj.meta, **traj.summary()})
     record = {
         "run_id": cfg.run_id,
         "config_sha256": cfg.sha256,
@@ -140,7 +121,12 @@ def _failure_point(value, where):
 
 
 def load_run(out_dir, run_id):
-    """Load (RunConfig, Trajectory) back from the registry."""
+    """Load (RunConfig, Trajectory) back from the registry.
+
+    sid, h and seed come from the hash-checked config; only ``failure`` and
+    ``meta`` are read from summary.json.  Every column that a ``*_cols``
+    group of meta names must be in trajectory.csv.
+    """
     paths = paths_for(out_dir, run_id)
     if not os.path.isdir(paths.root):
         known = ", ".join(list_runs(out_dir)) or "none"
@@ -159,19 +145,19 @@ def load_run(out_dir, run_id):
             raise RunStoreError("%s does not hold a JSON object" % paths.summary)
         if not isinstance(summary["meta"], dict):
             raise RunStoreError("%s: meta must be a JSON object" % paths.summary)
-        traj = read_csv(
-            paths.trajectory,
-            sid=summary["sid"],
-            h=summary["h"],
-            seed=summary["seed"],
-        )
-        traj.diverged = summary["diverged"]
+        traj = read_csv(paths.trajectory, sid=cfg.sid, h=cfg["integrator.h"],
+                        seed=cfg.seed)
         traj.failure = _failure_point(summary["failure"], paths.summary)
         traj.meta = summary["meta"]
     except OSError as exc:
         raise RunStoreError("cannot read run %s: %s" % (run_id, exc)) from None
     except KeyError as exc:
         raise RunStoreError("%s lacks the key %s" % (paths.summary, exc)) from None
+    missing = [c for key in _COLUMN_GROUPS for c in traj.meta.get(key, ())
+               if c not in traj.columns]
+    if missing:
+        raise RunStoreError("%s lacks the columns %s that %s names"
+                            % (paths.trajectory, ", ".join(missing), paths.summary))
     return cfg, traj
 
 

@@ -67,8 +67,8 @@ class Scenario:
     """One runnable closed loop plus everything the verifier needs.
 
     Derives ``n`` (from x0), ``rhs``, ``recorder`` (column names, row
-    builder) and the meta entries scenario, x_cols, z_cols, k_cols,
-    intz_cols, n and adaptive from its fields.
+    builder) and the meta entries x_cols, z_cols, k_cols, intz_cols, n
+    and adaptive from its fields.
     """
 
     sid: str
@@ -99,7 +99,7 @@ class Scenario:
             "k_cols": ["k%d" % i for i in self.adaptive],
             "intz_cols": ["intz%d" % i for i in self.adaptive],
         }
-        self.meta.update(groups, scenario=self.sid, n=n, adaptive=list(self.adaptive))
+        self.meta.update(groups, n=n, adaptive=list(self.adaptive))
         names = (*groups["x_cols"], *groups["z_cols"], *groups["k_cols"], "u",
                  *self.extra, *groups["intz_cols"])
 
@@ -255,7 +255,6 @@ def numeric2d(
 
     meta = {
         "mode": mode,
-        "alpha_psi_power": [1, 1] if stages else [2, 2],
         "theta": list(theta),
         "theta_box": [list(edge) for edge in theta_box],
         "sign": sign,

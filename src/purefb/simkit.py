@@ -11,7 +11,7 @@ stage times t, t + h/2, t + h.  The RK4 formula is written once, in
 
 Divergence is handled as data, not as a crash: a non-finite stage
 evaluation or a component exceeding the abort threshold ends the run early
-with the partial trajectory and a failure flag, which the Monte-Carlo
+with the partial trajectory and its failure point, which the Monte-Carlo
 harness aggregates.
 """
 
@@ -105,7 +105,6 @@ class Trajectory:
     data: np.ndarray
     h: float
     seed: Optional[int] = None
-    diverged: bool = False
     failure: Optional[StatePoint] = None
     meta: dict = field(default_factory=dict)
 
@@ -113,7 +112,7 @@ class Trajectory:
         if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
             raise ValueError("data shape does not match column names")
         t = self.data[:, 0]
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("sample times must be strictly increasing")
 
     def col(self, name):
@@ -127,6 +126,11 @@ class Trajectory:
     @property
     def t(self):
         return self.data[:, 0]
+
+    @property
+    def diverged(self):
+        """True when the run stopped early; ``failure`` says where."""
+        return self.failure is not None
 
     def write_csv(self, path):
         """Write the table, streamed in blocks of ``CSV_BLOCK_ROWS`` rows.
@@ -142,27 +146,13 @@ class Trajectory:
                 fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
     def summary(self):
-        """Terminal values, per-column extrema and flags as plain data."""
-        out = {
-            "scenario": self.sid,
-            "h": self.h,
-            "seed": self.seed,
-            "samples": int(self.data.shape[0]),
-            "diverged": self.diverged,
+        """Final time, and per column the last value and the largest |value|."""
+        names, values = self.columns[1:], self.data[:, 1:]
+        return {
             "t_final": float(self.data[-1, 0]),
-            "terminal": {},
-            "max_abs": {},
+            "terminal": dict(zip(names, values[-1].tolist())),
+            "max_abs": dict(zip(names, np.max(np.abs(values), axis=0).tolist())),
         }
-        for j, name in enumerate(self.columns):
-            if name == "t":
-                continue
-            colv = self.data[:, j]
-            out["terminal"][name] = float(colv[-1])
-            out["max_abs"][name] = float(np.max(np.abs(colv)))
-        if self.failure is not None:
-            out["failure_t"] = self.failure.t
-        out.update(self.meta)
-        return out
 
 
 def read_csv(path, sid="", h=0.0, seed=None):
@@ -175,8 +165,13 @@ def read_csv(path, sid="", h=0.0, seed=None):
         first = next((line for line in fh if line.strip()), None)
         if first is None:
             raise ValueError("trajectory file %s has a header but no rows" % path)
-        data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
-    return Trajectory(sid=sid, columns=columns, data=data, h=h, seed=seed)
+        try:
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
+            return Trajectory(sid=sid, columns=columns, data=data, h=h, seed=seed)
+        except ValueError as exc:
+            # numpy appends advice on its own arguments after a ';'
+            reason = str(exc).split(";")[0]
+            raise ValueError("trajectory file %s: %s" % (path, reason)) from None
 
 
 def integrate(
@@ -199,15 +194,16 @@ def integrate(
     default the raw state is recorded under names y1..ym.  The step count
     T/h must be an integer and divisible by decimation, giving
     floor(T/h/decimation) + 1 retained samples.  A non-finite step or a
-    component beyond ``ABORT_LIMIT`` stops the run with the partial trajectory
-    flagged instead of raising.
+    component beyond ``ABORT_LIMIT`` stops the run instead of raising: the
+    partial trajectory's ``failure`` holds the point where it stopped, and
+    that alone makes it ``diverged``.
 
     step, when given, is a compiled form of ``rk4_step(rhs, ., ., h)``:
     step(t, y) returns the next state, or None where it cannot vouch for
     it (a guard missed, or a component is NaN or beyond ``ABORT_LIMIT``).  A
     None, or an arithmetic error raised by step, sends that one step
-    through ``rk4_step`` and its checks, so flags and failure points are
-    those of the plain path.
+    through ``rk4_step`` and its checks, so failure points are those of
+    the plain path.
     """
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
@@ -234,7 +230,6 @@ def integrate(
     def record(t, yv):
         rows.append([t] + [float(v) for v in build(t, yv)])
 
-    diverged = False
     failure = None
     record(0.0, y)
     for s in range(steps):
@@ -247,11 +242,9 @@ def integrate(
             try:
                 y_next = rk4_step(rhs, y, t, h)
             except DivergenceError as exc:
-                diverged = True
                 failure = exc.point
                 break
             if max(abs(v) for v in y_next) > ABORT_LIMIT:
-                diverged = True
                 failure = StatePoint(t + h, tuple(y_next))
                 break
         y = y_next
@@ -263,7 +256,6 @@ def integrate(
         data=np.array(rows, dtype=float),
         h=h,
         seed=seed,
-        diverged=diverged,
         failure=failure,
         meta=dict(meta or {}),
     )

@@ -115,14 +115,13 @@ def check_theorem1(traj, tol=None):
     """
     tol = tol or VerifyTolerances()
     if traj.diverged:
-        t_fail = traj.failure.t if traj.failure is not None else None
         return InvariantReport(
             scenario=traj.sid,
             applicable=False,
             diverged=True,
             checks=[
                 CheckResult(
-                    "complete", False, float("-inf"), t_fail,
+                    "complete", False, float("-inf"), traj.failure.t,
                     "run aborted before the horizon; invariants not evaluable",
                 )
             ],

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from purefb.cli import main
+from purefb.config import load_file
 
 SHORT = (
     "scenario.id = numeric-2d\n"
@@ -194,12 +195,26 @@ def test_stored_run_missing_file_exits_2(short_cfg, tmp_path, capsys, name):
         assert name in err and "internal error" not in err
 
 
-def test_stored_header_only_csv_exits_2(short_cfg, tmp_path, capsys):
+def _header_only(lines):
+    return lines[:1]
+
+
+def _short_row(lines):
+    return lines[:3] + [",".join(lines[3].split(",")[:3])] + lines[4:]
+
+
+def _cut_columns(lines):
+    return [",".join(line.split(",")[:3]) for line in lines]
+
+
+@pytest.mark.parametrize("damage", [_header_only, _short_row, _cut_columns],
+                         ids=["header-only", "short-row", "cut-columns"])
+def test_stored_header_only_csv_exits_2(short_cfg, tmp_path, capsys, damage):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
     rid = only_run_id(out)
     path = Path(out, rid, "trajectory.csv")
-    path.write_text(path.read_text().splitlines()[0] + "\n")
+    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
     capsys.readouterr()
     for command in ("verify", "plot"):
         assert main([command, rid, "--out", out]) == 2
@@ -231,6 +246,57 @@ def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys, edit):
         assert main([command, rid, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "summary.json" in err and "internal error" not in err
+
+
+def write_earlier_summary_layout(root):
+    """Rewrite summary.json in the earlier layout.
+
+    That layout repeated sid, h, seed, the divergence flag, the columns and
+    the sample count beside failure and meta, and again, merged with meta,
+    under stats.  The result is byte for byte the file the earlier writer
+    left for the same run.
+    """
+    cfg = load_file(os.path.join(root, "config.cfg"))
+    path = Path(root, "summary.json")
+    summary = json.loads(path.read_text())
+    lines = Path(root, "trajectory.csv").read_text().splitlines()
+    meta = dict(summary["meta"], scenario=cfg.sid)
+    if cfg.sid == "numeric-2d":
+        meta["alpha_psi_power"] = [1, 1] if meta["mode"] == "paper" else [2, 2]
+    common = {"h": cfg["integrator.h"], "seed": cfg.seed,
+              "samples": len(lines) - 1,
+              "diverged": summary["failure"] is not None}
+    stats = {**common, "t_final": summary["t_final"],
+             "terminal": summary["terminal"], "max_abs": summary["max_abs"], **meta}
+    if summary["failure"] is not None:
+        stats["failure_t"] = summary["failure"][0]
+    earlier = dict(common, sid=cfg.sid, columns=lines[0].split(","),
+                   failure=summary["failure"], meta=meta, stats=stats)
+    path.write_text(json.dumps(earlier, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("extra,code", [("", 1), ("design.sign_flip = true\n", 3)],
+                         ids=["clean", "sign-flip"])
+def test_earlier_summary_layout_verifies_and_plots_the_same(tmp_path, capsys,
+                                                            extra, code):
+    cfg = write_cfg(tmp_path, SHORT + extra)
+    out = registry(tmp_path)
+    main(["run", "--config", cfg, "--out", out])
+    rid = only_run_id(out)
+    root = os.path.join(out, rid)
+
+    def replay():
+        codes = (main(["verify", rid, "--out", out]),
+                 main(["plot", rid, "--out", out]))
+        written = sorted(Path(root, "plots").iterdir())
+        return (codes, Path(root, "report.json").read_bytes(),
+                [p.read_bytes() for p in written])
+
+    want = replay()
+    assert want[0] == (code, 0)
+    write_earlier_summary_layout(root)
+    assert replay() == want
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_montecarlo_aggregate(tmp_path, capsys):

@@ -88,10 +88,12 @@ def test_summary_holds_run_statistics(tmp_path):
     paths = runstore.save_run(cfg, run_once(cfg))
     with open(paths.summary) as fh:
         summary = json.load(fh)
-    assert summary["sid"] == "numeric-2d"
-    assert summary["samples"] == 21
-    assert "x1" in summary["stats"]["terminal"]
+    assert set(summary) == {"failure", "meta", "t_final", "terminal", "max_abs"}
+    assert summary["failure"] is None
+    assert summary["t_final"] == 2.0
+    assert "x1" in summary["terminal"]
     assert summary["meta"]["mode"] == "paper"
+    assert "scenario" not in summary["meta"]
 
 
 def test_diverged_run_round_trips_and_verifies(tmp_path, capsys):

@@ -53,7 +53,7 @@ def test_meta_carries_verifier_grouping():
     for sid, kwargs in (("numeric-2d", {}), ("stt-missile", {})):
         scn = scenarios.build(sid, **kwargs)
         for key in ("x_cols", "z_cols", "k_cols", "intz_cols", "gamma",
-                    "adaptive", "n", "mode", "scenario"):
+                    "adaptive", "n", "mode"):
             assert key in scn.meta, (sid, key)
         assert len(scn.meta["gamma"]) == len(scn.meta["k_cols"])
         assert len(scn.meta["intz_cols"]) == len(scn.meta["k_cols"])
