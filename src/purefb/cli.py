@@ -127,7 +127,7 @@ def _cmd_run(args):
 def _monitor_report(cfg, traj, scn):
     """All monitors applicable to the scenario; returns (payload, ok).
 
-    scn is the scenario that produced traj, or None to build it from cfg.
+    scn is the scenario that produced traj.
     """
     tol = cfg.tolerances()
     invariants = verify.check_theorem1(traj, tol=tol)
@@ -140,8 +140,6 @@ def _monitor_report(cfg, traj, scn):
                  "  [%s]" % check.detail if not check.passed else ""))
     if traj.diverged:
         return payload, ok
-    if scn is None:
-        scn = scenarios.build(cfg.sid, **cfg.scenario_overrides())
     if scn.oracle is not None:
         budget = verify.lyapunov_budget(
             traj, scn.oracle, slack=cfg["verify.budget_slack"])
@@ -171,10 +169,13 @@ def _monitor_report(cfg, traj, scn):
 
 def _cmd_verify(args):
     if args.run_id is not None:
+        given = [f for f in ("config", "seed", "mode") if getattr(args, f) is not None]
+        if given:
+            raise _CliError("a stored run is verified as it ran; --%s cannot "
+                            "change it" % ", --".join(given))
         out_dir = args.out or "runs"
-        cfg, traj = runstore.load_run(out_dir, args.run_id)
+        cfg, scn, traj = runstore.load_run(out_dir, args.run_id)
         paths = runstore.paths_for(out_dir, args.run_id)
-        scn = None
     else:
         cfg = _load_config(args)
         scn, traj = _execute(cfg)
@@ -218,7 +219,7 @@ def _cmd_montecarlo(args):
 
 def _cmd_plot(args):
     out_dir = args.out or "runs"
-    _, traj = runstore.load_run(out_dir, args.run_id)
+    _, _, traj = runstore.load_run(out_dir, args.run_id)
     paths = runstore.paths_for(out_dir, args.run_id)
     os.makedirs(paths.plots, exist_ok=True)
     written = svgplot.plot_trajectory(traj, paths.plots)

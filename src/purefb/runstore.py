@@ -7,12 +7,17 @@ rewrites byte-identical data files.  Layout:
 
     config.cfg       canonical config text (hash input, exact)
     trajectory.csv   recorded samples
-    summary.json     what config and CSV cannot say: failure point, run
-                     metadata, final time, terminal values and extrema
+    summary.json     the failure point, which neither file above holds,
+                     and for a human reader the final time, terminal
+                     values and extrema
     record.json      registry bookkeeping (id, timestamp, file list)
     report.json      verification report (written by the verify command)
     aggregate-*.json sweep aggregates
     plots/*.svg      rendered charts
+
+A stored run is its config and its trajectory: ``load_run`` rebuilds the
+scenario from config.cfg, and that scenario alone gives the trajectory
+its column groups and design values (``meta``).
 """
 
 from __future__ import annotations
@@ -23,12 +28,10 @@ import os
 from dataclasses import dataclass
 
 from . import config as configmod
+from . import scenarios
 from .simkit import StatePoint, read_csv
 
 __all__ = ["RunPaths", "RunStoreError", "save_run", "load_run", "list_runs"]
-
-
-_COLUMN_GROUPS = ("x_cols", "z_cols", "k_cols", "intz_cols")
 
 
 class RunStoreError(ValueError):
@@ -82,9 +85,8 @@ def save_run(cfg, traj):
     with open(paths.config, "w") as fh:
         fh.write(cfg.canonical)
     traj.write_csv(paths.trajectory)
-    # sid, h and seed are in config.cfg, the columns in trajectory.csv
-    _write_json(paths.summary,
-                {"failure": traj.failure, "meta": traj.meta, **traj.summary()})
+    # sid, h, seed and meta follow from config.cfg, the columns from the CSV
+    _write_json(paths.summary, {"failure": traj.failure, **traj.summary()})
     record = {
         "run_id": cfg.run_id,
         "config_sha256": cfg.sha256,
@@ -121,11 +123,12 @@ def _failure_point(value, where):
 
 
 def load_run(out_dir, run_id):
-    """Load (RunConfig, Trajectory) back from the registry.
+    """Load (RunConfig, Scenario, Trajectory) back from the registry.
 
-    sid, h and seed come from the hash-checked config; only ``failure`` and
-    ``meta`` are read from summary.json.  Every column that a ``*_cols``
-    group of meta names must be in trajectory.csv.
+    The scenario is rebuilt from the hash-checked config.cfg.  It gives the
+    trajectory its sid, h and ``meta``, and trajectory.csv must hold
+    exactly its recorder's columns.  Only ``failure`` is read from
+    summary.json, so the summaries of earlier layouts load too.
     """
     paths = paths_for(out_dir, run_id)
     if not os.path.isdir(paths.root):
@@ -133,32 +136,32 @@ def load_run(out_dir, run_id):
         raise RunStoreError(
             "no run %r under %s (known: %s)" % (run_id, out_dir, known)
         )
-    cfg = configmod.load_file(paths.config)
+    try:
+        cfg = configmod.load_file(paths.config)
+    except configmod.ConfigError as exc:
+        raise RunStoreError("%s: %s" % (paths.config, exc)) from None
     if cfg.run_id != run_id:
         raise RunStoreError(
             "registry dir %s holds config hashing to %s" % (run_id, cfg.run_id)
         )
+    scn = scenarios.build(cfg.sid, **cfg.scenario_overrides())
     try:
         with open(paths.summary) as fh:
             summary = json.load(fh)
         if not isinstance(summary, dict):
             raise RunStoreError("%s does not hold a JSON object" % paths.summary)
-        if not isinstance(summary["meta"], dict):
-            raise RunStoreError("%s: meta must be a JSON object" % paths.summary)
-        traj = read_csv(paths.trajectory, sid=cfg.sid, h=cfg["integrator.h"],
-                        seed=cfg.seed)
+        traj = read_csv(paths.trajectory, sid=scn.sid, h=scn.h, seed=cfg.seed)
         traj.failure = _failure_point(summary["failure"], paths.summary)
-        traj.meta = summary["meta"]
     except OSError as exc:
         raise RunStoreError("cannot read run %s: %s" % (run_id, exc)) from None
     except KeyError as exc:
         raise RunStoreError("%s lacks the key %s" % (paths.summary, exc)) from None
-    missing = [c for key in _COLUMN_GROUPS for c in traj.meta.get(key, ())
-               if c not in traj.columns]
-    if missing:
-        raise RunStoreError("%s lacks the columns %s that %s names"
-                            % (paths.trajectory, ", ".join(missing), paths.summary))
-    return cfg, traj
+    columns = ("t", *scn.recorder[0])
+    if traj.columns != columns:
+        raise RunStoreError("%s has the columns %s, not %s" % (
+            paths.trajectory, ",".join(traj.columns), ",".join(columns)))
+    traj.meta = dict(scn.meta)
+    return cfg, scn, traj
 
 
 def list_runs(out_dir):

@@ -82,7 +82,7 @@ class Scenario:
     T: float
     h: float
     decimation: int
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)  # mu and gamma of the adaptive stages
     bounds: Optional[BoundSpec] = None
     oracle: Optional[OracleConstants] = None
     stack: Optional[ControllerStack] = None
@@ -253,15 +253,6 @@ def numeric2d(
         shapes = ev.psi if mode == "paper" else (*ev.psi, ev.eta[1])
         return ev.z, u, shapes
 
-    meta = {
-        "mode": mode,
-        "theta": list(theta),
-        "theta_box": [list(edge) for edge in theta_box],
-        "sign": sign,
-        "deadzone": params.deadzone,
-        "mu": list(mu),
-        "gamma": list(gamma),
-    }
     return Scenario(
         sid="numeric-2d",
         x0=tuple(float(v) for v in x0),
@@ -277,7 +268,7 @@ def numeric2d(
         T=float(T),
         h=float(h),
         decimation=int(decimation),
-        meta=meta,
+        meta={"mu": list(mu), "gamma": list(gamma)},
     )
 
 
@@ -363,14 +354,6 @@ def stt_missile(
         cmd, _, _, diag = control(y)
         return (diag.z1, diag.z2, diag.z3), cmd, (diag.psi3, math.degrees(y[0]))
 
-    meta = {
-        "mode": "threestep",
-        "roll0_deg": float(roll_deg),
-        "sign": sign,
-        "mu": [mu2, mu3],
-        "gamma": [gamma2, gamma3],
-        "angles": "radians (roll_deg column is the degrees copy)",
-    }
     return Scenario(
         sid="stt-missile",
         x0=(math.radians(roll_deg), float(rate), float(defl)),
@@ -383,7 +366,7 @@ def stt_missile(
         T=float(T),
         h=float(h),
         decimation=int(decimation),
-        meta=meta,
+        meta={"mu": [mu2, mu3], "gamma": [gamma2, gamma3]},
     )
 
 

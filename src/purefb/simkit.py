@@ -228,7 +228,7 @@ def integrate(
     rows = []
 
     def record(t, yv):
-        rows.append([t] + [float(v) for v in build(t, yv)])
+        rows.append([t, *build(t, yv)])  # np.array below converts once
 
     failure = None
     record(0.0, y)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from purefb import scenarios
 from purefb.cli import main
 from purefb.config import load_file
 
@@ -207,8 +208,14 @@ def _cut_columns(lines):
     return [",".join(line.split(",")[:3]) for line in lines]
 
 
-@pytest.mark.parametrize("damage", [_header_only, _short_row, _cut_columns],
-                         ids=["header-only", "short-row", "cut-columns"])
+def _renamed_column(lines):
+    return [lines[0].replace("psi1", "foo")] + lines[1:]
+
+
+@pytest.mark.parametrize("damage", [_header_only, _short_row, _cut_columns,
+                                    _renamed_column],
+                         ids=["header-only", "short-row", "cut-columns",
+                              "renamed-column"])
 def test_stored_header_only_csv_exits_2(short_cfg, tmp_path, capsys, damage):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
@@ -222,20 +229,16 @@ def test_stored_header_only_csv_exits_2(short_cfg, tmp_path, capsys, damage):
         assert len(err) == 1 and "trajectory.csv" in err[0], err
 
 
-@pytest.mark.parametrize("edit", ["missing-key", "not-an-object", "bad-failure",
-                                  "meta-not-an-object"])
+@pytest.mark.parametrize("edit", ["missing-key", "not-an-object", "bad-failure"])
 def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys, edit):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
     rid = only_run_id(out)
     path = os.path.join(out, rid, "summary.json")
-    if edit in ("bad-failure", "meta-not-an-object"):
+    if edit == "bad-failure":
         with open(path) as fh:
             summary = json.load(fh)
-        if edit == "bad-failure":
-            summary["failure"] = [1.0]
-        else:
-            summary["meta"] = []
+        summary["failure"] = [1.0]
         text = json.dumps(summary)
     else:
         text = "{}" if edit == "missing-key" else "[]"
@@ -248,30 +251,84 @@ def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys, edit):
         assert "summary.json" in err and "internal error" not in err
 
 
-def write_earlier_summary_layout(root):
-    """Rewrite summary.json in the earlier layout.
+def test_stored_config_that_does_not_parse_exits_2(short_cfg, tmp_path, capsys):
+    out = registry(tmp_path)
+    assert main(["run", "--config", short_cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    with open(os.path.join(out, rid, "config.cfg"), "a") as fh:
+        fh.write("bogus\n")
+    capsys.readouterr()
+    for command in ("verify", "plot"):
+        assert main([command, rid, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "config.cfg" in err[0] and "line 26" in err[0], err
 
-    That layout repeated sid, h, seed, the divergence flag, the columns and
-    the sample count beside failure and meta, and again, merged with meta,
-    under stats.  The result is byte for byte the file the earlier writer
-    left for the same run.
+
+@pytest.mark.parametrize("flag", [["--config", "/nonexistent.cfg"], ["--seed", "9"],
+                                  ["--mode", "auto"]],
+                         ids=["config", "seed", "mode"])
+def test_verify_stored_run_rejects_run_flags(short_cfg, tmp_path, capsys, flag):
+    out = registry(tmp_path)
+    assert main(["run", "--config", short_cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    capsys.readouterr()
+    assert main(["verify", rid, "--out", out, *flag]) == 2
+    captured = capsys.readouterr()
+    assert flag[0] in captured.err and "verdict" not in captured.out
+    assert not os.path.exists(os.path.join(out, rid, "report.json"))
+
+
+def replay(out, rid):
+    """Exit codes of verify and plot on a stored run, its report and SVG bytes."""
+    root = os.path.join(out, rid)
+    codes = (main(["verify", rid, "--out", out]), main(["plot", rid, "--out", out]))
+    written = sorted(Path(root, "plots").iterdir())
+    return (codes, Path(root, "report.json").read_bytes(),
+            [p.read_bytes() for p in written])
+
+
+def earlier_meta(cfg):
+    """The meta block that earlier writers stored for a numeric-2d run.
+
+    It held the scenario's meta and the mode, theta, box, sign and dead
+    zone, which config.cfg also fixes.
+    """
+    over = cfg.scenario_overrides()
+    return dict(scenarios.build(cfg.sid, **over).meta,
+                mode=over["mode"], theta=list(over["theta"]),
+                theta_box=[list(edge) for edge in over["theta_box"]],
+                sign=over["sign"], deadzone=over["deadzone"])
+
+
+def write_earlier_summary_layout(root, layout):
+    """Rewrite summary.json in an earlier layout.
+
+    "five-key" held failure, meta, t_final, terminal and max_abs.  Before
+    it, "repeated" repeated sid, h, seed, the divergence flag, the columns
+    and the sample count beside failure and meta, and again, merged with
+    meta, under stats.  The result is byte for byte the file the earlier
+    writer left for the same run.
     """
     cfg = load_file(os.path.join(root, "config.cfg"))
     path = Path(root, "summary.json")
     summary = json.loads(path.read_text())
-    lines = Path(root, "trajectory.csv").read_text().splitlines()
-    meta = dict(summary["meta"], scenario=cfg.sid)
-    if cfg.sid == "numeric-2d":
-        meta["alpha_psi_power"] = [1, 1] if meta["mode"] == "paper" else [2, 2]
-    common = {"h": cfg["integrator.h"], "seed": cfg.seed,
-              "samples": len(lines) - 1,
-              "diverged": summary["failure"] is not None}
-    stats = {**common, "t_final": summary["t_final"],
-             "terminal": summary["terminal"], "max_abs": summary["max_abs"], **meta}
-    if summary["failure"] is not None:
-        stats["failure_t"] = summary["failure"][0]
-    earlier = dict(common, sid=cfg.sid, columns=lines[0].split(","),
-                   failure=summary["failure"], meta=meta, stats=stats)
+    meta = earlier_meta(cfg)
+    if layout == "five-key":
+        earlier = dict(summary, meta=meta)
+    else:
+        lines = Path(root, "trajectory.csv").read_text().splitlines()
+        meta.update(scenario=cfg.sid,
+                    alpha_psi_power=[1, 1] if meta["mode"] == "paper" else [2, 2])
+        common = {"h": cfg["integrator.h"], "seed": cfg.seed,
+                  "samples": len(lines) - 1,
+                  "diverged": summary["failure"] is not None}
+        stats = {**common, "t_final": summary["t_final"],
+                 "terminal": summary["terminal"], "max_abs": summary["max_abs"],
+                 **meta}
+        if summary["failure"] is not None:
+            stats["failure_t"] = summary["failure"][0]
+        earlier = dict(common, sid=cfg.sid, columns=lines[0].split(","),
+                       failure=summary["failure"], meta=meta, stats=stats)
     path.write_text(json.dumps(earlier, indent=2, sort_keys=True) + "\n")
 
 
@@ -283,20 +340,29 @@ def test_earlier_summary_layout_verifies_and_plots_the_same(tmp_path, capsys,
     out = registry(tmp_path)
     main(["run", "--config", cfg, "--out", out])
     rid = only_run_id(out)
-    root = os.path.join(out, rid)
-
-    def replay():
-        codes = (main(["verify", rid, "--out", out]),
-                 main(["plot", rid, "--out", out]))
-        written = sorted(Path(root, "plots").iterdir())
-        return (codes, Path(root, "report.json").read_bytes(),
-                [p.read_bytes() for p in written])
-
-    want = replay()
+    want = replay(out, rid)
     assert want[0] == (code, 0)
-    write_earlier_summary_layout(root)
-    assert replay() == want
+    for layout in ("five-key", "repeated"):
+        write_earlier_summary_layout(os.path.join(out, rid), layout)
+        assert replay(out, rid) == want, layout
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_stored_meta_does_not_change_the_verdict(tmp_path):
+    # a config.cfg that is not touched fixes gamma and the column groups;
+    # a summary.json that states others is not read
+    cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\nintegrator.T = 20.0\n")
+    out = registry(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    want = replay(out, rid)
+    assert want[0] == (0, 0)
+    path = Path(out, rid, "summary.json")
+    summary = json.loads(path.read_text())
+    summary["meta"] = dict(earlier_meta(load_file(cfg)), gamma=[50.0, 50.0],
+                           x_cols=["x1"])
+    path.write_text(json.dumps(summary))
+    assert replay(out, rid) == want
 
 
 def test_montecarlo_aggregate(tmp_path, capsys):

@@ -3,7 +3,10 @@
 import os
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from purefb import config, scenarios
 from purefb.config import (
     SCHEMA,
     ConfigError,
@@ -158,3 +161,69 @@ def test_schema_doc_covers_every_key():
         assert key.doc  # every entry carries a description
     with open(os.path.join(REPO, "docs", "config-schema.md")) as fh:
         assert fh.read() == doc
+
+
+# (lo, hi, open at lo, open at hi) of the floats drawn for each check; every
+# value in the range passes the check
+FLOAT_RANGES = {
+    None: (-1e3, 1e3, False, False),
+    config._positive: (0.0, 1e3, True, False),
+    config._nonneg: (0.0, 1e3, False, False),
+    config._each_positive: (0.0, 1e3, True, False),
+    config._fraction: (0.0, 0.5, True, False),
+    config._amplitude: (0.0, 1.0, False, True),
+}
+BOOL_SPELLINGS = ("true", "yes", "on", "1", "True", "false", "no", "off", "0", "OFF")
+
+
+def value_text(key):
+    """Strategy for the text of one value of key that passes its check."""
+    if key.choices:
+        return st.sampled_from(key.choices)
+    if key.typ == "bool":
+        return st.sampled_from(BOOL_SPELLINGS)
+    if key.typ == "str":
+        return st.text(alphabet="abxyz_/", min_size=1, max_size=8)
+    if key.typ == "int":
+        low = 1 if key.check is config._positive else 0
+        return st.integers(min_value=low, max_value=10**6).map(str)
+    lo, hi, open_lo, open_hi = FLOAT_RANGES[key.check]
+    number = st.floats(lo, hi, exclude_min=open_lo, exclude_max=open_hi)
+    spelled = number.map(lambda v: "%.17g" % v)
+    if key.typ == "float":
+        return spelled
+    return st.lists(spelled, min_size=key.count, max_size=key.count).map(",".join)
+
+
+@st.composite
+def config_texts(draw):
+    """A config of either scenario: a random subset of its keys, any order."""
+    sid = draw(st.sampled_from(scenarios.SCENARIO_IDS))
+    keys = [k for k in SCHEMA if k.name != "scenario.id" and k.scen in (None, sid)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique_by=lambda k: k.name))
+    lines = ["scenario.id = %s" % sid]
+    lines += ["%s = %s" % (k.name, draw(value_text(k))) for k in chosen]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+def built(cfg):
+    """What a stored run's loader takes from the scenario of cfg."""
+    try:
+        scn = scenarios.build(cfg.sid, **cfg.scenario_overrides())
+    except ValueError as exc:  # e.g. theta outside its declared box
+        return type(exc), str(exc)
+    return scn.meta, scn.recorder[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=config_texts())
+def test_canonical_text_reparses_to_the_same_run(text):
+    try:
+        cfg = load_text(text)
+    except ConfigError as exc:
+        # T / h is the one check that spans two keys
+        assert "budget" in str(exc), exc
+        reject()
+    again = load_text(cfg.canonical)
+    assert (again.canonical, again.sha256) == (cfg.canonical, cfg.sha256)
+    assert built(again) == built(cfg)

@@ -33,8 +33,9 @@ def test_save_and_load_round_trip(tmp_path):
     assert os.path.isfile(paths.trajectory)
     assert os.path.isfile(paths.summary)
     assert os.path.isfile(paths.record)
-    cfg2, traj2 = runstore.load_run(str(tmp_path), cfg.run_id)
+    cfg2, scn2, traj2 = runstore.load_run(str(tmp_path), cfg.run_id)
     assert cfg2.sha256 == cfg.sha256
+    assert traj2.meta == scn2.meta == traj.meta
     assert traj2.columns == traj.columns
     assert np.array_equal(traj2.data, traj.data)
     assert traj2.meta["adaptive"] == [1, 2]
@@ -88,12 +89,10 @@ def test_summary_holds_run_statistics(tmp_path):
     paths = runstore.save_run(cfg, run_once(cfg))
     with open(paths.summary) as fh:
         summary = json.load(fh)
-    assert set(summary) == {"failure", "meta", "t_final", "terminal", "max_abs"}
+    assert set(summary) == {"failure", "t_final", "terminal", "max_abs"}
     assert summary["failure"] is None
     assert summary["t_final"] == 2.0
     assert "x1" in summary["terminal"]
-    assert summary["meta"]["mode"] == "paper"
-    assert "scenario" not in summary["meta"]
 
 
 def test_diverged_run_round_trips_and_verifies(tmp_path, capsys):
@@ -106,7 +105,7 @@ def test_diverged_run_round_trips_and_verifies(tmp_path, capsys):
     traj = run_once(cfg)
     assert traj.diverged
     runstore.save_run(cfg, traj)
-    _, back = runstore.load_run(str(tmp_path), cfg.run_id)
+    _, _, back = runstore.load_run(str(tmp_path), cfg.run_id)
     assert back.diverged
     assert isinstance(back.failure, StatePoint)
     assert back.failure == traj.failure

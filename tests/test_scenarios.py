@@ -52,8 +52,8 @@ def test_auto_mode_records_eta():
 def test_meta_carries_verifier_grouping():
     for sid, kwargs in (("numeric-2d", {}), ("stt-missile", {})):
         scn = scenarios.build(sid, **kwargs)
-        for key in ("x_cols", "z_cols", "k_cols", "intz_cols", "gamma",
-                    "adaptive", "n", "mode"):
+        for key in ("x_cols", "z_cols", "k_cols", "intz_cols", "mu", "gamma",
+                    "adaptive", "n"):
             assert key in scn.meta, (sid, key)
         assert len(scn.meta["gamma"]) == len(scn.meta["k_cols"])
         assert len(scn.meta["intz_cols"]) == len(scn.meta["k_cols"])
