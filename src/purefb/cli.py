@@ -177,6 +177,9 @@ def _cmd_verify(args):
         cfg, scn, traj = runstore.load_run(out_dir, args.run_id)
         paths = runstore.paths_for(out_dir, args.run_id)
     else:
+        if args.out is not None:
+            raise _CliError("a fresh verify stores nothing; --out names the "
+                            "registry of a stored run id")
         cfg = _load_config(args)
         scn, traj = _execute(cfg)
         paths = None

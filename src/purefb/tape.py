@@ -1,4 +1,4 @@
-"""Straight-line tapes of RK4 steps, compiled to Python functions.
+"""Straight-line tapes of RK4 steps and audit samples, compiled to Python functions.
 
 A ``Var`` is a tracing scalar: it carries the concrete value of one
 evaluation point and the SSA name of the tape line that computes it.
@@ -29,6 +29,18 @@ None where it cannot vouch for them:
 * a line read exactly once that cannot raise is written into its reader
   as a nested expression (up to ``_MAX_DEPTH`` deep) instead of a
   temporary; raising lines and guards stay statements, in order.
+
+One walk of the tape (``_Tape.walk``: the dead-line drop and the nesting
+above) has a second backend.  ``compile_lanes`` traces a generic
+function once and emits the same expression text over numpy float64
+columns, one lane per evaluation point, as in the ensemble pattern of
+DifferentialEquations.jl (Rackauckas & Nie, JORS 5(1), 2017).  Elementwise
+``+ - * /``, ``abs`` and ``sqrt`` round in numpy exactly as on Python
+floats, so each lane holds the serial bits; a tape with ``**``, cos or
+sin has no lanes form.  A conditional expression becomes ``np.where``,
+and a guard, a division by a ``Var`` and a sqrt mark the lanes where the
+float code would branch otherwise or raise in a ``miss`` mask instead of
+returning.
 """
 
 from __future__ import annotations
@@ -37,18 +49,29 @@ import collections
 import math
 import operator
 
+import numpy as np
+
 from .simkit import ABORT_LIMIT, rk4_combine
 
-__all__ = ["Var", "compile_step", "select_lt"]
+__all__ = ["Var", "compile_lanes", "compile_step", "select_lt"]
 
 
 # inlined expressions nest at most this deep, far below the parser's limit
 _MAX_DEPTH = 40
 
+# lines that may raise and that numpy rounds as Python does: the format, the
+# condition under which the float form raises and the operand it tests
+# (division by a Var, sqrt); powers, cos and sin have no lanes form
+_LANE_RAISES = {"%s / %s": ("%s == 0.0", 1), "_sqrt(%s)": ("%s < 0.0", 0)}
+
+# lines the lanes form writes differently: format -> (format, operand order)
+_LANE_FORMS = {"(%s if %s < %s else %s)": ("_where(%s < %s, %s, %s)", (1, 2, 0, 3))}
+
 
 class _Tape:
-    """Lines of one trace: (name or None for a guard, format, operands,
-    names of the traced operands, may raise)."""
+    """Lines of one trace: (name, format, operands, names of the traced
+    operands, may raise); a guard is (None, condition format, operands,
+    names, the traced outcome)."""
 
     def __init__(self):
         self.lines = []
@@ -78,37 +101,51 @@ class _Tape:
         return Var(self, name, value)
 
     def guard(self, cond, args, outcome):
-        fmt = ("if %s:" if not outcome else "if not %s:") % cond
         ops = tuple(self.operand(a) for a in args)
-        text = fmt % ops
+        text = ("if %s:" if not outcome else "if not %s:") % (cond % ops)
         if text not in self.seen:
             self.seen[text] = None
             deps = tuple(a.name for a in args if a.__class__ is Var)
-            self.lines.append((None, fmt, ops, deps, True))
+            self.lines.append((None, cond, ops, deps, outcome))
 
-    def source(self, out):
-        """Source of ``def step(t, y)`` returning the list ``out``.
+    def inputs(self, values):
+        """Vars y0, y1, ... read from the argument ``y`` of the emitted function."""
+        ys = []
+        for i, v in enumerate(values):
+            name = "y%d" % i
+            self.lines.append((name, "y[%d]" % i, (), (), False))
+            ys.append(Var(self, name, v))
+        return ys
 
-        A guard that misses returns None, and so does the function unless
-        every component lies in [-ABORT_LIMIT, ABORT_LIMIT] (so not NaN).
-        Dead lines are dropped; a line read exactly once that cannot raise
-        is written into its reader as a nested expression, up to
-        _MAX_DEPTH deep.
+    def walk(self, out, reads, forms):
+        """The live tape as statements: ``(line, text)`` pairs, and the outputs' text.
+
+        One walk serves both backends.  Lines that no output or guard reads
+        are dropped unless they may raise; each name in ``reads`` is read
+        once more besides the lines (by the return, a range test, a domain
+        check), and a line read exactly once that cannot raise is written
+        into its reader as a nested expression, up to _MAX_DEPTH deep.
+        ``text`` is the expression of a line, or the condition of a guard
+        (a line named None, whose last field is the traced outcome).
+        ``forms`` maps a line format to the backend's (format, operand
+        order).
         """
         ops = tuple(self.operand(v) for v in out)
-        outs = [v.name for v in out if v.__class__ is Var]
-        live = set(outs)
+        live = {v.name for v in out if v.__class__ is Var}
         kept = []
         for line in reversed(self.lines):
-            if line[4] or line[0] in live:
+            if line[0] is None or line[4] or line[0] in live:
                 live.update(line[3])
                 kept.append(line)
         kept.reverse()
         uses = collections.Counter(d for line in kept for d in line[3])
-        uses.update(outs * 2)  # the return and the range test read them
+        uses.update(reads)
         nested = {}  # name -> (expression, depth) awaiting its one reader
 
         def render(fmt, ops):
+            if fmt in forms:
+                fmt, order = forms[fmt]
+                ops = [ops[k] for k in order]
             parts, depth = [], 0
             for op in ops:
                 sub = nested.pop(op, None)
@@ -120,19 +157,67 @@ class _Tape:
             return fmt % tuple(parts), depth + 1
 
         body = []
-        for line_name, fmt, line_ops, _, may_raise in kept:
-            text, depth = render(fmt, line_ops)
-            if line_name is None:
-                body.append(text + " return None")
-            elif not may_raise and uses[line_name] == 1 and depth < _MAX_DEPTH:
-                nested[line_name] = (text, depth)
+        for line in kept:
+            text, depth = render(line[1], line[2])
+            if line[0] is not None and not line[4] and uses[line[0]] == 1 and depth < _MAX_DEPTH:
+                nested[line[0]] = (text, depth)
             else:
-                body.append("%s = %s" % (line_name, text))
-        items = render(", ".join(["%s"] * len(ops)), ops)[0]
+                body.append((line, text))
+        return body, render(", ".join(["%s"] * len(ops)), ops)[0]
+
+    def source(self, out):
+        """Source of ``def step(t, y)`` returning the list ``out``.
+
+        A guard that misses returns None, and so does the function unless
+        every component lies in [-ABORT_LIMIT, ABORT_LIMIT] (so not NaN).
+        """
+        ops = tuple(self.operand(v) for v in out)
+        outs = [v.name for v in out if v.__class__ is Var]
+        # the return and the range test read the outputs
+        statements, items = self.walk(out, outs * 2, {})
+        body = []
+        for line, text in statements:
+            if line[0] is None:
+                body.append(("if %s:" if not line[4] else "if not %s:") % text + " return None")
+            else:
+                body.append("%s = %s" % (line[0], text))
         bound = repr(float(ABORT_LIMIT))
         inside = " and ".join("-%s <= %s <= %s" % (bound, op, bound) for op in ops)
         body += ["if %s:" % inside, "    return [%s]" % items, "return None"]
         return "def step(t, y):\n%s" % "".join("    %s\n" % text for text in body)
+
+    def lanes_source(self, out):
+        """Source of ``def lanes(y, miss)`` returning the list ``out`` over
+        numpy columns, or None where the tape holds a line numpy does not
+        round as Python does.
+
+        Every guard ORs the lanes where it comes out differently into the
+        bool array ``miss``, and so does every line that may raise, where
+        its float form raises.
+        """
+        checks = {}  # name of a raising line -> its raise condition
+        reads = [v.name for v in out if v.__class__ is Var]  # by the return
+        for name, fmt, ops, _, may_raise in self.lines:
+            if name is not None and may_raise:
+                if fmt not in _LANE_RAISES:
+                    return None
+                cond, k = _LANE_RAISES[fmt]
+                checks[name] = cond % ops[k]
+                reads.append(ops[k])
+        statements, items = self.walk(out, reads, _LANE_FORMS)
+        body = []
+        tested = set()  # a sqrt's check repeats the domain guard before it
+        for line, text in statements:
+            if line[0] is None:
+                cond = text if not line[4] else "~(%s)" % text
+            else:
+                body.append("%s = %s" % (line[0], text))
+                cond = checks.get(line[0])
+            if cond is not None and cond not in tested:
+                tested.add(cond)
+                body.append("miss |= " + cond)
+        body.append("return [%s]" % items)
+        return "def lanes(y, miss):\n%s" % "".join("    %s\n" % text for text in body)
 
 
 def _value(x):
@@ -211,9 +296,7 @@ class Var:
         return self.tape.emit("abs(%s)", (self,), abs(self.value))
 
     def __bool__(self):
-        outcome = bool(self.value)
-        self.tape.guard("%s", (self,), outcome)
-        return outcome
+        return self != 0.0
 
     def sqrt(self):
         """math.sqrt of this value, for ``autodiff.sqrt`` past its domain check."""
@@ -252,19 +335,54 @@ def compile_step(fn, t, y, h):
     ``Var`` cannot record.
     """
     tape = _Tape()
-    ys = []
-    for i, v in enumerate(y):
-        var_name = "y%d" % i
-        tape.lines.append((var_name, "y[%d]" % i, (), (), False))
-        ys.append(Var(tape, var_name, v))
+    ys = tape.inputs(y)
     try:
         source = tape.source(rk4_combine(fn, ys, Var(tape, "t", t), h))
     except Exception:
         # fn fails at this point (rk4_step meets the same error) or does
         # what a Var cannot record; either way the plain step answers
         return None
-    ns ={"_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin, **tape.consts}
+    ns = {"_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin, **tape.consts}
     exec(compile(source, "<tape>", "exec"), ns)
     step = ns["step"]
     step.source = source
     return step
+
+
+def compile_lanes(fn, point):
+    """``fn`` of a list of scalars, compiled over numpy columns from a trace at point.
+
+    Returns ``lanes(cols)``: cols holds one float64 column per entry of
+    point, and lanes returns ``(outputs, miss)``.  outputs is a list of
+    float64 columns, one per output of ``fn`` (a constant output broadcast
+    to the lane count), and each lane of it holds the bits ``fn`` returns
+    on that lane's floats, wherever the bool column ``miss`` is False.
+    miss marks exactly the lanes where ``fn`` on floats takes another
+    branch at a guard or raises, and those lanes hold no answer.  Call it
+    under ``np.errstate(all="ignore")``: masked lanes may overflow or
+    divide by zero.  ``lanes.source`` is the emitted source.
+
+    Returns None where the trace fails, as ``compile_step`` does, or where
+    the tape holds an operation numpy does not round as Python does
+    (``**``, cos, sin); elementwise + - * /, abs and sqrt round alike.
+    """
+    tape = _Tape()
+    try:
+        source = tape.lanes_source(list(fn(tape.inputs(point))))
+    except Exception:
+        return None
+    if source is None:
+        return None
+    ns = {"_sqrt": np.sqrt, "_where": np.where, **tape.consts}
+    exec(compile(source, "<lanes>", "exec"), ns)
+    body = ns["lanes"]
+
+    def lanes(cols):
+        n = len(cols[0])
+        miss = np.zeros(n, dtype=bool)
+        outs = body(cols, miss)
+        return [np.full(n, v, dtype=float) if v.__class__ is not np.ndarray else v
+                for v in outs], miss
+
+    lanes.source = source
+    return lanes

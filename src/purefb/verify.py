@@ -11,6 +11,8 @@ still letting the test harness check the quantitative claims:
   squared-error integrals carried inside the trajectory.
 * ``dominance_audit``  pointwise sampling of the synthesized stage
   inequality (error-derivative bracket vs. vartheta * eta * sum |z_j|).
+  One sample is traced and the rest run as numpy lanes of its tape
+  (``tape.compile_lanes``), each bit-equal to the sample run on floats.
 * ``lyapunov_budget``  the integrated energy bound, affine in the gains,
   with the constant epsilon computed from the oracle and the offset
   anchored at the first sample.
@@ -34,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .simkit import ABORT_LIMIT
+from .tape import compile_lanes, select_lt
 
 __all__ = [
     "AuditReport",
@@ -274,12 +277,46 @@ class AuditReport(_Fields):
 
 def _fd_partial(fn, args, j, rel=1e-6):
     base = args[j]
-    h = rel * max(1.0, abs(base))
+    a = abs(base)
+    h = rel * select_lt(1.0, a, a, 1.0)  # max(1.0, a), NaN included
     hi = list(args)
     lo = list(args)
     hi[j] = base + h
     lo[j] = base - h
     return (fn(hi) - fn(lo)) / (2.0 * h)
+
+
+def _audit_sample(stack, bounds, vt, rel_tol, zb, kb):
+    """(lhs, rhs, slack) of the dominance inequality at one draw (zb, kb).
+
+    Generic over the scalar: floats, or the tracing ``tape.Var`` that
+    ``dominance_audit`` compiles to numpy lanes.
+    """
+    st = len(kb)
+    gamma = stack.params.gamma
+    x, psi, eta, _ = stack.reconstruct(zb, kb)
+
+    def alpha_of_x(xs):
+        return stack.alpha_value(st, xs, kb)
+
+    def alpha_of_k(ks):
+        return stack.alpha_value(st, x[:st], ks)
+
+    lhs = bounds.rho[st](x) * sum(abs(v) for v in x)
+    for j in range(st):
+        dax = abs(_fd_partial(alpha_of_x, x[:st], j))
+        dak = abs(_fd_partial(alpha_of_k, kb, j))
+        part = bounds.rho[j](x[: j + 1]) * sum(abs(v) for v in x[: j + 1])
+        part += bounds.phi[j](x[: j + 2]) * abs(x[j + 1])
+        pj = psi[j]
+        lhs += dax * part + gamma[j] * dak * pj * pj * zb[j] * zb[j]
+    rhs = vt * eta[st] * sum(abs(v) for v in zb)
+    return lhs, rhs, rhs + rel_tol * (1.0 + abs(rhs)) - lhs
+
+
+# lanes per numpy block of the audit: each live tape line holds one column
+# of this length, so the block bounds the audit's memory
+_AUDIT_BLOCK = 512
 
 
 def dominance_audit(
@@ -309,51 +346,57 @@ def dominance_audit(
     uncertainty enters the stage derivative only through the oracle factor
     vartheta_i.  Pass vartheta=0.0 as a negative control: every sample with
     nonzero z must then violate.
+
+    The sample body is traced once, at the first draw, and the draws are
+    evaluated as lanes of ``tape.compile_lanes``, ``_AUDIT_BLOCK`` at a
+    time; a lane that the lanes form masks runs the body on floats, in
+    sample order.  Each lane holds the bits the body returns on floats, so
+    the report is the one a loop over the draws gives.
     """
     if stage < 2:
         raise ValueError("the dominance construction starts at stage 2")
     if stack.params.mode != "auto":
         raise ValueError("the audit targets the constructive (auto) synthesis")
+    if samples < 1:
+        raise ValueError("the audit needs at least one sample")
     i = stage
     st = stage - 1
-    gamma = stack.params.gamma
-    rng = np.random.default_rng(seed)
     vt = oracle.vartheta(st) if vartheta is None else float(vartheta)
+    rng = np.random.default_rng(seed)
+    # a sample's draws, in the order of the per-sample uniform draws they
+    # replace: z, k, then theta, drawn for sampling-policy uniformity (see
+    # above) and unused; blocks of rows continue one stream of draws
+    lo = np.array([float(z_box[0])] * i + [float(k_box[0])] * st)
+    span = np.array([float(z_box[1])] * i + [float(k_box[1])] * st) - lo
+    width = i + st + len(theta_box or ())
+
+    def body(v):
+        return _audit_sample(stack, bounds, vt, rel_tol, v[:i], v[i:])
+
     violations = 0
     min_slack = float("inf")
     worst = None
-    for sidx in range(samples):
-        zb = [float(v) for v in rng.uniform(z_box[0], z_box[1], size=i)]
-        kb = [float(v) for v in rng.uniform(k_box[0], k_box[1], size=st)]
-        if theta_box is not None:
-            # drawn for sampling-policy uniformity; see docstring
-            [float(rng.uniform(lo, hi)) for lo, hi in theta_box]
-        x, psi, eta, _ = stack.reconstruct(zb, kb)
-        xf = [float(v) for v in x]
-
-        def alpha_of_x(xs):
-            return float(stack.alpha_value(st, xs, kb))
-
-        def alpha_of_k(ks):
-            return float(stack.alpha_value(st, xf[:st], ks))
-
-        lhs = float(bounds.rho[st](xf)) * sum(abs(v) for v in xf)
-        for j in range(st):
-            dax = abs(_fd_partial(alpha_of_x, xf[:st], j))
-            dak = abs(_fd_partial(alpha_of_k, kb, j))
-            rho_j = float(bounds.rho[j](xf[: j + 1]))
-            phi_j = float(bounds.phi[j](xf[: j + 2]))
-            part = rho_j * sum(abs(v) for v in xf[: j + 1])
-            part += phi_j * abs(xf[j + 1])
-            pj = float(psi[j])
-            lhs += dax * part + gamma[j] * dak * pj * pj * zb[j] * zb[j]
-        rhs = vt * float(eta[st]) * sum(abs(v) for v in zb)
-        slack = rhs + rel_tol * (1.0 + abs(rhs)) - lhs
-        if slack < min_slack:
-            min_slack = slack
-            worst = {"z": zb, "k": kb, "lhs": lhs, "rhs": rhs, "sample": sidx}
-        if slack < 0.0:
-            violations += 1
+    for start in range(0, samples, _AUDIT_BLOCK):
+        draws = lo + span * rng.random((min(_AUDIT_BLOCK, samples - start), width))[:, :i + st]
+        if start == 0:
+            lanes = compile_lanes(body, draws[0].tolist())
+        if lanes is None:
+            out = np.empty((3, len(draws)))
+            miss = np.ones(len(draws), dtype=bool)
+        else:
+            with np.errstate(all="ignore"):
+                values, miss = lanes(list(draws.T))
+            out = np.array(values)
+        for s in np.flatnonzero(miss).tolist():
+            out[:, s] = body(draws[s].tolist())
+        for s, slack in enumerate(out[2].tolist()):
+            if slack < min_slack:
+                min_slack = slack
+                row = draws[s].tolist()
+                worst = {"z": row[:i], "k": row[i:], "lhs": float(out[0, s]),
+                         "rhs": float(out[1, s]), "sample": start + s}
+            if slack < 0.0:
+                violations += 1
     return AuditReport(
         stage=stage,
         samples=samples,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purefb.autodiff import (
     Dual,
@@ -190,3 +192,40 @@ def test_seed_set_mismatch_detected():
 def test_real_value_unwraps_nesting():
     d = Dual(2, Dual(1, 4.0, (1.0,)), (Dual(1, 1.0, (0.0,)),))
     assert real_value(d) == 4.0
+
+
+# -- algebraic identities (properties) ----------------------------------------
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+divisor = finite.filter(lambda v: abs(v) >= 1e-3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=finite, b=finite, c=divisor)
+def test_dual_values_are_the_float_operations(a, b, c):
+    """A pass carries the bits of the float operations, and exact partials."""
+    (da, db), tag = seed([a, b])
+    assert real_value(da + db).hex() == (a + b).hex()
+    assert real_value(da - db).hex() == (a - b).hex()
+    assert real_value(da * db).hex() == (a * b).hex()
+    # a dual quotient is a times the reciprocal, the float ops it performs
+    (dn, dc), _tag = seed([a, c])
+    assert real_value(dn / dc).hex() == (a * (1.0 / c)).hex()
+    assert real_value(dn / c).hex() == (a * (1.0 / c)).hex()
+    # exact in IEEE arithmetic: 1 +- 0, 0 +- 1 and x*0 + 1*y = y (zeros
+    # compare equal whatever their sign)
+    assert [partial(da + db, j, tag) for j in (0, 1)] == [1.0, 1.0]
+    assert [partial(da - db, j, tag) for j in (0, 1)] == [1.0, -1.0]
+    assert [partial(da * db, j, tag) for j in (0, 1)] == [b, a]
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=finite, b=finite)
+def test_nested_pass_treats_the_outer_dual_as_a_constant(a, b):
+    (x,), outer = seed([a])
+    (y,), inner = seed([b])
+    assert partial(x * x, 0, inner) == 0.0
+    assert partial(x + y, 0, inner) == 1.0
+    assert partial((x + y).value, 0, outer) == 1.0  # the carried x + b
+    d = partial(x * y, 0, inner)  # d/dy (x y) = x, a dual of the outer pass
+    assert real_value(d) == a and partial(d, 0, outer) == 1.0

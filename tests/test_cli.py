@@ -84,6 +84,18 @@ def test_verify_fresh_config(short_cfg, capsys):
     assert "verdict: FAIL" in capsys.readouterr().out
 
 
+def test_fresh_verify_rejects_out(short_cfg, tmp_path, capsys):
+    out = registry(tmp_path)
+    assert main(["verify", "--config", short_cfg, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and "--out" in captured.err
+    assert "verdict" not in captured.out and not os.path.exists(out)
+    # run.out set in the file is allowed
+    cfg = write_cfg(tmp_path, SHORT + "run.out = %s\n" % out)
+    assert main(["verify", "--config", cfg]) == 1
+    assert "verdict: FAIL" in capsys.readouterr().out
+
+
 def test_verify_full_horizon_passes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\n")
     assert main(["verify", "--config", cfg]) == 0

@@ -1,14 +1,16 @@
-"""Compiled RK4 steps: guards, declined steps, bit-exact rewrites, inlining."""
+"""Compiled RK4 steps and numpy lanes: guards, declined steps, bit-exact
+rewrites, inlining."""
 
 import math
 import re
 
+import numpy as np
 import pytest
 
-from purefb import autodiff
+from purefb import autodiff, scenarios
 from purefb.autodiff import partial, real_value, seed
 from purefb.simkit import ABORT_LIMIT, DivergenceError, integrate, rk4_combine, rk4_step
-from purefb.tape import compile_step, select_lt
+from purefb.tape import Var, compile_lanes, compile_step, select_lt
 
 
 def guarded(t, y):
@@ -210,3 +212,69 @@ def test_step_declines_states_the_integrator_stops_at(y):
     plain = integrate(grow, y, 1.0, 0.5)
     assert fused.diverged and plain.diverged
     assert repr(fused.failure) == repr(plain.failure)
+
+
+# -- numpy lanes --------------------------------------------------------------
+
+
+def root(x):
+    """sqrt with no domain guard: math.sqrt on floats, the tape's own on a Var."""
+    return x.sqrt() if x.__class__ is Var else math.sqrt(x)
+
+
+def lanes_fn(v):
+    """guarded's dual division and sqrt, bare raising lines, a branch and a constant."""
+    t, y0, y1, w, r, b = v
+    return (*guarded(t, [y0, y1]), t / w, root(r),
+            b * 3.0 if b > 1.0 else b - 3.0, 0.5)
+
+
+def test_lanes_mask_exactly_the_lanes_the_float_code_branches_or_raises_on():
+    point = [2.0, 4.0, 9.0, 0.5, 2.0, 2.0]
+    lanes = compile_lanes(lanes_fn, point)
+    assert "_where" not in lanes.source and "_sqrt(" in lanes.source
+    nan, inf = math.nan, math.inf
+    rows = [  # (lane, what the float code does other than at the trace point)
+        (point, None),
+        ([-1.5, -0.25, 0.0, -3.0, 0.0, 7.0], None),
+        ([2.0, 0.0, 9.0, 0.5, 2.0, 2.0], "raises"),  # dual division guard and 1/0
+        ([2.0, 4.0, -1.0, 0.5, 2.0, 2.0], "raises"),  # sqrt domain guard
+        ([2.0, 4.0, 9.0, -0.0, 2.0, 2.0], "raises"),  # t / -0.0
+        ([2.0, 4.0, 9.0, 0.5, -2.0, 2.0], "raises"),  # math.sqrt(-2.0)
+        ([2.0, 4.0, 9.0, 0.5, 2.0, 0.5], "branches"),
+        ([nan, nan, nan, nan, nan, 2.0], None),  # NaN neither raises nor branches
+        ([inf, inf, inf, inf, inf, inf], None),
+    ]
+    cols = [np.array(col) for col in zip(*(row for row, _ in rows))]
+    with np.errstate(all="ignore"):
+        outs, miss = lanes(cols)
+    assert miss.tolist() == [other is not None for _, other in rows]
+    assert all(out.shape == (len(rows),) and out.dtype == np.float64 for out in outs)
+    for lane, (row, other) in enumerate(rows):
+        if other == "raises":
+            with pytest.raises((ArithmeticError, ValueError)):
+                lanes_fn(row)
+        elif other is None:
+            want = [float(v).hex() for v in lanes_fn(row)]
+            assert [float(out[lane]).hex() for out in outs] == want
+
+
+def test_lanes_select_is_where_and_bit_equal():
+    def dead_zone(v):
+        return (select_lt(abs(v[0]), 0.5, 0.0, v[0] * v[1]),)
+
+    lanes = compile_lanes(dead_zone, [2.0, 3.0])
+    assert "_where(" in lanes.source and "miss |=" not in lanes.source
+    xs = [0.1, -2.0, 0.5, -0.5, math.nan, -0.0]
+    outs, miss = lanes([np.array(xs), np.full(len(xs), 3.0)])
+    assert not miss.any()
+    assert [v.hex() for v in outs[0].tolist()] == [dead_zone([x, 3.0])[0].hex() for x in xs]
+
+
+def test_lanes_decline_operations_numpy_rounds_differently():
+    scn = scenarios.build("stt-missile")
+    y0 = [float(v) for v in scn.y0()]
+    assert compile_lanes(lambda v: scn.rhs_reference(v[0], v[1:]), [0.0, *y0]) is None
+    assert compile_lanes(lambda v: [v[0] ** 2], [3.0]) is None
+    assert compile_lanes(lambda v: [math.cos(v[0])], [3.0]) is None  # untraceable
+    assert compile_lanes(lanes_fn, [2.0, 0.0, 9.0, 0.5, 2.0, 2.0]) is None  # raises

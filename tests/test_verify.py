@@ -1,17 +1,24 @@
 """Stability monitors: invariant checks, energy budget, dominance audit."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 
-from purefb import scenarios
+from purefb import scenarios, verify
+from purefb.config import load_file
+from purefb.tape import compile_lanes
 from purefb.verify import (
     VerifyTolerances,
+    _audit_sample,
     check_theorem1,
     dominance_audit,
     lyapunov_budget,
     monte_carlo,
 )
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHECK_NAMES = (
     "bounded",
@@ -150,6 +157,118 @@ def test_dominance_audit_guards(auto_scenario, paper_scenario):
             paper_scenario.stack, auto_scenario.bounds, auto_scenario.oracle,
             stage=2,
         )
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_dominance_audit_needs_a_sample(auto_scenario, samples):
+    with pytest.raises(ValueError, match="sample"):
+        dominance_audit(
+            auto_scenario.stack, auto_scenario.bounds, auto_scenario.oracle,
+            stage=2, samples=samples,
+        )
+
+
+def test_audit_lanes_equal_the_sample_on_floats(auto_scenario):
+    """Every lane of the traced sample body holds the float body's bits."""
+    scn = auto_scenario
+    vt = scn.oracle.vartheta(1)
+    u = np.random.default_rng(5).random((2000, 3))
+    cols = [-5.0 + 10.0 * u[:, 0], -5.0 + 10.0 * u[:, 1], 0.01 + 9.99 * u[:, 2]]
+    draws = np.column_stack(cols).tolist()
+
+    def body(v):
+        return _audit_sample(scn.stack, scn.bounds, vt, 1e-7, v[:2], v[2:])
+
+    lanes = compile_lanes(body, draws[0])
+    with np.errstate(all="ignore"):
+        outs, miss = lanes(cols)
+    assert not miss.any()
+    got = [[v.hex() for v in out] for out in zip(*(out.tolist() for out in outs))]
+    assert got == [[v.hex() for v in body(row)] for row in draws]
+
+
+@pytest.mark.parametrize("masked", ["every-other", "untraceable"])
+def test_masked_lanes_run_the_sample_on_floats(auto_scenario, monkeypatch, masked):
+    """Lanes the lanes form masks, or every lane when it declines, give the same report."""
+    scn = auto_scenario
+    kwargs = dict(stage=2, samples=1200, seed=5)
+    want = dominance_audit(scn.stack, scn.bounds, scn.oracle, **kwargs).to_dict()
+
+    def every_other(fn, point):
+        lanes = compile_lanes(fn, point)
+
+        def masked_lanes(cols):
+            outs, miss = lanes(cols)
+            extra = np.arange(len(miss)) % 2 == 0
+            return [np.where(extra, np.nan, out) for out in outs], miss | extra
+
+        return masked_lanes
+
+    patch = every_other if masked == "every-other" else (lambda fn, point: None)
+    monkeypatch.setattr(verify, "compile_lanes", patch)
+    assert dominance_audit(scn.stack, scn.bounds, scn.oracle, **kwargs).to_dict() == want
+    report = dominance_audit(scn.stack, scn.bounds, scn.oracle, vartheta=0.0, **kwargs)
+    assert report.violations == 1200
+
+
+def _n2_auto_from_config():
+    cfg = load_file(os.path.join(REPO, "configs", "numeric-2d.cfg"),
+                    overrides={"design.mode": "auto"})
+    return scenarios.build(cfg.sid, **cfg.scenario_overrides())
+
+
+THETA_BOX = ((0.8, 1.2), (1.6, 2.4))
+
+# AuditReport.to_dict() of the sample loop the lanes replaced
+AUDIT_CASES = {
+    "acceptance": (
+        lambda: scenarios.build("numeric-2d", mode="auto", theta_box=THETA_BOX),
+        dict(samples=10000, seed=0, z_box=(-5.0, 5.0), k_box=(0.01, 10.0),
+             theta_box=THETA_BOX),
+        {"stage": 2, "samples": 10000, "violations": 0,
+         "min_slack": 0.2393450575891881,
+         "worst": {"z": [0.1821398522761033, 0.008138087108603642],
+                   "k": [0.06451726164496663], "lhs": 0.06070513656072105,
+                   "rhs": 0.3000500641449027, "sample": 2657},
+         "vartheta": 2.4, "passed": True},
+    ),
+    "auto-verify": (
+        _n2_auto_from_config,
+        dict(samples=10000, seed=11, theta_box=THETA_BOX),
+        {"stage": 2, "samples": 10000, "violations": 0,
+         "min_slack": 0.3916472159737175,
+         "worst": {"z": [0.15032282056960167, -0.09404127825251507],
+                   "k": [0.16464780537100207], "lhs": 0.10539740994486807,
+                   "rhs": 0.49704447621413794, "sample": 405},
+         "vartheta": 2.4, "passed": True},
+    ),
+    "negative-control": (
+        lambda: scenarios.build("numeric-2d", mode="auto"),
+        dict(samples=200, seed=0, vartheta=0.0),
+        {"stage": 2, "samples": 200, "violations": 200,
+         "min_slack": -99593.32635521672,
+         "worst": {"z": [-4.834723644714709, 3.1327023920027237],
+                   "k": [9.12842821700444], "lhs": 99593.32635531672,
+                   "rhs": 0.0, "sample": 1},
+         "vartheta": 0.0, "passed": False},
+    ),
+    "zero-error": (
+        lambda: scenarios.build("numeric-2d", mode="auto"),
+        dict(samples=50, seed=5, z_box=(0.0, 0.0)),
+        {"stage": 2, "samples": 50, "violations": 0, "min_slack": 1e-07,
+         "worst": {"z": [0.0, 0.0], "k": [5.158102354810999], "lhs": 0.0,
+                   "rhs": 0.0, "sample": 0},
+         "vartheta": 2.0, "passed": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", AUDIT_CASES)
+def test_dominance_audit_report_is_pinned(case):
+    build, kwargs, want = AUDIT_CASES[case]
+    scn = build()
+    report = dominance_audit(scn.stack, scn.bounds, scn.oracle, stage=2, **kwargs)
+    assert report.to_dict() == want
 
 
 # ------------------------------------------------------------- monte carlo
