@@ -9,9 +9,13 @@ pass, whose value and partials may themselves be ``Dual`` values of an
 enclosing pass.
 
 Every call to ``seed`` opens a fresh pass identified by a strictly
-increasing tag.  Arithmetic between duals of different passes treats the
-older (outer) value as a constant of the newer (inner) pass, which is what
-makes nested passes compose without perturbation confusion.  Partials are
+increasing tag.  Each of ``+ - * /`` has two rules: both operands belong to
+one pass, or one operand is a constant of the other's pass.  A dual of an
+older (outer) pass is such a constant of a newer (inner) pass, so the newer
+operand always applies the rule; that is what makes nested passes compose
+without perturbation confusion (Siskind & Pearlmutter, "Nesting
+forward-mode AD in a functional framework", HOSC 21(4), 2008).  A
+quotient divides once, so its value is the float quotient.  Partials are
 extracted with ``partial(y, j, tag)`` so that a function which degenerates
 to a constant of the queried pass correctly reports a zero derivative.
 
@@ -82,6 +86,14 @@ class Dual:
     ``value`` and each entry of ``partials`` are themselves generic scalars
     (floats, or duals of an enclosing pass).  Instances are immutable in
     practice; build them through ``seed`` rather than by hand.
+
+    Each of ``+ - * /`` has two rules.  Both operands belong to this pass:
+    values and partials combine elementwise.  The other operand is a
+    constant of this pass (a float, a ``tape.Var`` or a dual of an older
+    pass): it meets the value and each partial.  A dual of a newer pass
+    takes the operation over through its reflected method, where this dual
+    is the constant.  A quotient divides once, ``value / b`` and
+    ``(p - q r) / b``, so its value is the float quotient.
     """
 
     __slots__ = ("tag", "value", "partials")
@@ -103,36 +115,30 @@ class Dual:
 
     def __add__(self, other):
         if other.__class__ is Dual:
-            st = self.tag
-            ot = other.tag
-            if st == ot:
+            if other.tag == self.tag:
                 self._check(other)
                 return Dual(
-                    st,
+                    self.tag,
                     self.value + other.value,
                     tuple([a + b for a, b in zip(self.partials, other.partials)]),
                 )
-            if st > ot:
-                return Dual(st, self.value + other, self.partials)
-            return Dual(ot, self + other.value, other.partials)
+            if other.tag > self.tag:
+                return other.__radd__(self)
         return Dual(self.tag, self.value + other, self.partials)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is Dual:
-            st = self.tag
-            ot = other.tag
-            if st == ot:
+            if other.tag == self.tag:
                 self._check(other)
                 return Dual(
-                    st,
+                    self.tag,
                     self.value - other.value,
                     tuple([a - b for a, b in zip(self.partials, other.partials)]),
                 )
-            if st > ot:
-                return Dual(st, self.value - other, self.partials)
-            return Dual(ot, self - other.value, tuple([-p for p in other.partials]))
+            if other.tag > self.tag:
+                return other.__rsub__(self)
         return Dual(self.tag, self.value - other, self.partials)
 
     def __rsub__(self, other):
@@ -146,57 +152,43 @@ class Dual:
 
     def __mul__(self, other):
         if other.__class__ is Dual:
-            st = self.tag
-            ot = other.tag
-            if st == ot:
+            if other.tag == self.tag:
                 self._check(other)
                 sv = self.value
                 ov = other.value
                 return Dual(
-                    st,
+                    self.tag,
                     sv * ov,
                     tuple([sv * q + p * ov for p, q in zip(self.partials, other.partials)]),
                 )
-            if st > ot:
-                return Dual(st, self.value * other, tuple([p * other for p in self.partials]))
-            return Dual(ot, self * other.value, tuple([self * q for q in other.partials]))
+            if other.tag > self.tag:
+                return other.__rmul__(self)
         return Dual(self.tag, self.value * other, tuple([p * other for p in self.partials]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if other.__class__ is Dual:
-            if real_value(other.value) == 0.0:
-                raise EvaluationError("division by zero")
-            st = self.tag
-            ot = other.tag
-            if st == ot:
-                self._check(other)
-                inv = 1.0 / other.value
-                q = self.value * inv
-                return Dual(
-                    st,
-                    q,
-                    tuple([(p - q * r) * inv for p, r in zip(self.partials, other.partials)]),
-                )
-            if st > ot:
-                return Dual(st, self.value / other, tuple([p / other for p in self.partials]))
-            inv = 1.0 / other.value
-            q = self * inv
-            coef = -(q * inv)
-            return Dual(ot, q, tuple([coef * r for r in other.partials]))
-        if other == 0.0:
+        if other.__class__ is Dual and other.tag > self.tag:
+            return other.__rtruediv__(self)
+        if real_value(other) == 0.0:
             raise EvaluationError("division by zero")
-        inv = 1.0 / other
-        return Dual(self.tag, self.value * inv, tuple([p * inv for p in self.partials]))
+        if other.__class__ is Dual and other.tag == self.tag:
+            self._check(other)
+            b = other.value
+            q = self.value / b
+            return Dual(
+                self.tag,
+                q,
+                tuple([(p - q * r) / b for p, r in zip(self.partials, other.partials)]),
+            )
+        return Dual(self.tag, self.value / other, tuple([p / other for p in self.partials]))
 
     def __rtruediv__(self, other):
-        if real_value(self.value) == 0.0:
+        b = self.value
+        if real_value(b) == 0.0:
             raise EvaluationError("division by zero")
-        inv = 1.0 / self.value
-        q = other * inv
-        coef = -(q * inv)
-        return Dual(self.tag, q, tuple([coef * p for p in self.partials]))
+        q = other / b
+        return Dual(self.tag, q, tuple([-(q * r) / b for r in self.partials]))
 
     def __pow__(self, n):
         if not isinstance(n, int) or isinstance(n, bool):

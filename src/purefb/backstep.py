@@ -71,16 +71,15 @@ class DesignParams:
 
     mu: tuple
     gamma: tuple
-    k0: tuple
     deadzone: float = 0.0
     smoothing: float = 1e-6
     paper_stages: Optional[tuple] = None
 
     def __post_init__(self):
         n = len(self.mu)
-        if len(self.gamma) != n or len(self.k0) != n:
-            raise SynthesisError("mu, gamma and k0 must share one length")
-        for name, vals in (("mu", self.mu), ("gamma", self.gamma), ("k0", self.k0)):
+        if len(self.gamma) != n:
+            raise SynthesisError("mu and gamma must share one length")
+        for name, vals in (("mu", self.mu), ("gamma", self.gamma)):
             for i, v in enumerate(vals):
                 if not v > 0.0:
                     raise SynthesisError(
@@ -134,24 +133,19 @@ class ControllerStack:
                 )
         self.n = n
         self.params = params
-        self._mu = params.mu
-        self._gamma = params.gamma
-        self._eps = params.smoothing
-        self._deadzone = params.deadzone
-        self._paper = params.paper_stages
-        self._rho = bounds.rho if bounds is not None else None
-        self._phi = bounds.phi if bounds is not None else None
+        self.bounds = bounds
 
     # -- forward sweeps ----------------------------------------------------
 
     def _stage_psi_eta(self, st, z, k, x, psi):
         """Gain shape (and dominance coefficient, auto mode) of stage st."""
-        if self._paper is not None:
-            return self._paper[st](z, k, x), None
+        paper = self.params.paper_stages
+        if paper is not None:
+            return paper[st](z, k, x), None
         if st == 0:
-            return self._rho[0](x[:1]) + 1.0, None
+            return self.bounds.rho[0](x[:1]) + 1.0, None
         et = self._eta_core(st, z, k, x, psi)
-        return et + self._phi[st - 1](x[: st + 1]) + 1.0, et
+        return et + self.bounds.phi[st - 1](x[: st + 1]) + 1.0, et
 
     def _sweep(self, v, k, m, from_z):
         """The one forward sweep over stages 0..m-1, from x or from z.
@@ -160,8 +154,8 @@ class ControllerStack:
         the gains.  Returns (x, StageEval).  From x, alpha covers every
         stage; from z, every stage but the last, which x-bar does not need.
         """
-        mu = self._mu
-        paper = self._paper is not None
+        mu = self.params.mu
+        paper = self.params.paper_stages is not None
         x = [v[0]] if from_z else v
         z = []
         psi = []
@@ -209,9 +203,11 @@ class ControllerStack:
         of alpha_{st-1} with respect to (x_1..x_st, k_1..k_st) runs inside.
         """
         i = st
-        eps = self._eps
-        mu = self._mu
-        gamma = self._gamma
+        eps = self.params.smoothing
+        mu = self.params.mu
+        gamma = self.params.gamma
+        rho = self.bounds.rho
+        phi = self.bounds.phi
         duals, tag = seed([x[j] for j in range(i)] + [k[j] for j in range(i)])
         xs = duals[:i]
         ks = duals[i:]
@@ -221,18 +217,18 @@ class ControllerStack:
         # weight of |z_{r}| contributed by the majorant of |x_{r+1}|
         w1 = [mu[r] * k[r] * psi[r] * psi[r] for r in range(i)]
         c = []
-        t0 = self._rho[i](x[: i + 1])
+        t0 = rho[i](x[: i + 1])
         for r in range(i + 1):
             c.append(t0)
         for r in range(i):
             c[r] = c[r] + t0 * w1[r]
         for j in range(i):
-            arv = dax[j] * self._rho[j](x[: j + 1])
+            arv = dax[j] * rho[j](x[: j + 1])
             for r in range(j + 1):
                 c[r] = c[r] + arv
             for r in range(j):
                 c[r] = c[r] + arv * w1[r]
-            apv = dax[j] * self._phi[j](x[: j + 2])
+            apv = dax[j] * phi[j](x[: j + 2])
             c[j + 1] = c[j + 1] + apv
             c[j] = c[j] + apv * w1[j]
             c[j] = c[j] + gamma[j] * dak[j] * psi[j] * psi[j] * smooth_abs(z[j], eps)
@@ -253,9 +249,9 @@ class ControllerStack:
         The dead zone is written with ``select_lt``, so a traced sweep
         compiles it to a conditional expression rather than a guard.
         """
-        dz = self._deadzone
+        dz = self.params.deadzone
         rates = []
-        for g, ps, zi in zip(self._gamma, ev.psi, ev.z):
+        for g, ps, zi in zip(self.params.gamma, ev.psi, ev.z):
             rate = g * ps * ps * zi * zi
             rates.append(select_lt(abs(zi), dz, 0.0, rate) if dz > 0.0 else rate)
         return rates

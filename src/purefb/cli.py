@@ -141,8 +141,7 @@ def _monitor_report(cfg, traj, scn):
     if traj.diverged:
         return payload, ok
     if scn.oracle is not None:
-        budget = verify.lyapunov_budget(
-            traj, scn.oracle, slack=cfg["verify.budget_slack"])
+        budget = verify.lyapunov_budget(traj, scn.oracle, slack=tol.budget_slack)
         payload["budget"] = budget.to_dict()
         if budget.applicable:
             ok = ok and budget.passed

@@ -352,8 +352,6 @@ def load_text(text, overrides=None):
         default = key.default
         if isinstance(default, dict):
             default = default[sid]
-        if default is None and key.required:
-            raise ConfigError("%s: required key is missing" % key.name)
         values[key.name] = default
     for name, value in values.items():
         key = _BY_NAME[name]

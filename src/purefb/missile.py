@@ -72,14 +72,11 @@ class MissileDesign:
     mu3: float
     gamma2: float
     gamma3: float
-    k20: float
-    k30: float
     epsilon: float
     xi: float = 1.0
 
     def __post_init__(self):
-        for name in ("k1", "mu2", "mu3", "gamma2", "gamma3", "k20", "k30",
-                     "epsilon", "xi"):
+        for name in ("k1", "mu2", "mu3", "gamma2", "gamma3", "epsilon", "xi"):
             if not getattr(self, name) > 0.0:
                 raise ValueError("%s must be positive" % name)
         if not self.k1 - 0.75 * self.epsilon > 0.0:

@@ -37,17 +37,20 @@ class PlantSpec:
     0-based; both tuples have length n.
     """
 
-    n: int
     drift: tuple
     gain: tuple
 
     def __post_init__(self):
         if self.n < 1:
             raise PlantConfigError("state dimension must be >= 1")
-        if len(self.drift) != self.n or len(self.gain) != self.n:
+        if len(self.gain) != self.n:
             raise PlantConfigError(
                 "drift/gain must each supply one function per stage"
             )
+
+    @property
+    def n(self):
+        return len(self.drift)
 
     def stage_rate(self, i, x, next_val, theta):
         """dx_{i+1}/dt at 0-based stage i given the downstream value."""
@@ -68,15 +71,16 @@ class BoundSpec:
     so they can be differentiated.
     """
 
-    n: int
     rho: tuple
     phi: tuple
 
     def __post_init__(self):
-        if len(self.rho) != self.n:
-            raise PlantConfigError("rho must supply one function per stage")
         if len(self.phi) != self.n - 1:
             raise PlantConfigError("phi must cover stages 1..n-1")
+
+    @property
+    def n(self):
+        return len(self.rho)
 
 
 @dataclass(frozen=True)

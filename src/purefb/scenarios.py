@@ -90,6 +90,11 @@ class Scenario:
     n: int = field(init=False)
 
     def __post_init__(self):
+        if len(self.k0) != len(self.adaptive):
+            raise ValueError("need one initial gain per adaptive stage")
+        for i, v in zip(self.adaptive, self.k0):
+            if not v > 0.0:
+                raise ValueError("initial gain k%d must be positive, got %r" % (i, v))
         self.rhs = self.rhs_reference
         self.n = len(self.x0)
         n, m, probe = self.n, len(self.adaptive), self.probe
@@ -202,10 +207,8 @@ def numeric2d(
         B=(theta_box[0][1], theta_box[1][1]),
         c=(theta_box[0][1], theta_box[1][1]),
     )
-    plant = PlantSpec(
-        n=2, drift=(_n2_drift1, _n2_drift2), gain=(_n2_gain1, _n2_gain2)
-    )
-    bounds = BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
+    plant = PlantSpec(drift=(_n2_drift1, _n2_drift2), gain=(_n2_gain1, _n2_gain2))
+    bounds = BoundSpec(rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
     mu = tuple(float(v) for v in mu)
     gamma = tuple(float(v) for v in gamma)
     k0 = tuple(float(v) for v in k0)
@@ -222,7 +225,6 @@ def numeric2d(
     params = DesignParams(
         mu=mu,
         gamma=gamma,
-        k0=k0,
         deadzone=float(deadzone),
         smoothing=float(smoothing),
         paper_stages=stages,
@@ -328,8 +330,6 @@ def stt_missile(
         mu3=mu3,
         gamma2=gamma2,
         gamma3=gamma3,
-        k20=k20,
-        k30=k30,
         epsilon=epsilon,
         xi=xi_const,
     )

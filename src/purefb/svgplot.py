@@ -29,6 +29,8 @@ MARGIN_R = 16
 MARGIN_T = 34
 MARGIN_B = 46
 PLOT_W = WIDTH - MARGIN_L - MARGIN_R  # pixel columns under the polylines
+TICKS = 6  # ticks aimed at on each axis
+XLABEL = "t [s]"
 
 PALETTE = (
     "#1f6fb2", "#d2542c", "#2e8540", "#8251a1",
@@ -36,14 +38,14 @@ PALETTE = (
 )
 
 
-def _nice_ticks(lo, hi, target=6):
+def _nice_ticks(lo, hi):
     """Tick positions at a 1/2/5 x 10^k step covering [lo, hi]."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         lo, hi = 0.0, 1.0
     if hi <= lo:
         pad = 1.0 if lo == 0.0 else abs(lo) * 0.5
         lo, hi = lo - pad, hi + pad
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi - lo) / TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -99,7 +101,7 @@ def _m4(py, starts):
     return np.unique(np.concatenate(keep))
 
 
-def line_plot(path, t, series, title="", xlabel="t [s]", ylabel=""):
+def line_plot(path, t, series, title="", ylabel=""):
     """Write one SVG chart.
 
     t: 1-D sample times; series: iterable of (label, values) with values
@@ -112,8 +114,12 @@ def line_plot(path, t, series, title="", xlabel="t [s]", ylabel=""):
     for label, vals in named:
         if len(vals) != len(t):
             raise ValueError("series %r length %d != %d" % (label, len(vals), len(t)))
-    ylo = min(float(vals.min()) for _, vals in named)
-    yhi = max(float(vals.max()) for _, vals in named)
+    # a diverged run may record inf or NaN: the axis spans the finite
+    # samples, and only finite points are drawn
+    ylo = min(float(v.min(where=np.isfinite(v), initial=math.inf)) for _, v in named)
+    yhi = max(float(v.max(where=np.isfinite(v), initial=-math.inf)) for _, v in named)
+    if ylo > yhi:  # no finite sample
+        ylo, yhi = 0.0, 1.0
     xaxis = _Axis(float(t.min()), float(t.max()), MARGIN_L, WIDTH - MARGIN_R)
     yaxis = _Axis(ylo, yhi, HEIGHT - MARGIN_B, MARGIN_T)
 
@@ -153,11 +159,10 @@ def line_plot(path, t, series, title="", xlabel="t [s]", ylabel=""):
         % (MARGIN_L, MARGIN_T, WIDTH - MARGIN_L - MARGIN_R,
            HEIGHT - MARGIN_T - MARGIN_B)
     )
-    if xlabel:
-        parts.append(
-            '<text x="%d" y="%d" text-anchor="middle">%s</text>'
-            % ((MARGIN_L + WIDTH - MARGIN_R) // 2, HEIGHT - 10, xlabel)
-        )
+    parts.append(
+        '<text x="%d" y="%d" text-anchor="middle">%s</text>'
+        % ((MARGIN_L + WIDTH - MARGIN_R) // 2, HEIGHT - 10, XLABEL)
+    )
     if ylabel:
         parts.append(
             '<text x="16" y="%d" text-anchor="middle" '
@@ -170,6 +175,7 @@ def line_plot(path, t, series, title="", xlabel="t [s]", ylabel=""):
         color = PALETTE[idx % len(PALETTE)]
         py = yaxis.pix(vals)
         keep = _m4(py, starts)
+        keep = keep[np.isfinite(py[keep])]
         points = " ".join(
             "%.2f,%.2f" % xy for xy in zip(px[keep].tolist(), py[keep].tolist())
         )

@@ -275,10 +275,16 @@ class AuditReport(_Fields):
         self.passed = self.violations == 0
 
 
-def _fd_partial(fn, args, j, rel=1e-6):
+# relative step of the audit's central differences, and the relative
+# tolerance of its inequality
+_FD_REL = 1e-6
+_AUDIT_REL_TOL = 1e-7
+
+
+def _fd_partial(fn, args, j):
     base = args[j]
     a = abs(base)
-    h = rel * select_lt(1.0, a, a, 1.0)  # max(1.0, a), NaN included
+    h = _FD_REL * select_lt(1.0, a, a, 1.0)  # max(1.0, a), NaN included
     hi = list(args)
     lo = list(args)
     hi[j] = base + h
@@ -286,7 +292,7 @@ def _fd_partial(fn, args, j, rel=1e-6):
     return (fn(hi) - fn(lo)) / (2.0 * h)
 
 
-def _audit_sample(stack, bounds, vt, rel_tol, zb, kb):
+def _audit_sample(stack, bounds, vt, zb, kb):
     """(lhs, rhs, slack) of the dominance inequality at one draw (zb, kb).
 
     Generic over the scalar: floats, or the tracing ``tape.Var`` that
@@ -311,7 +317,7 @@ def _audit_sample(stack, bounds, vt, rel_tol, zb, kb):
         pj = psi[j]
         lhs += dax * part + gamma[j] * dak * pj * pj * zb[j] * zb[j]
     rhs = vt * eta[st] * sum(abs(v) for v in zb)
-    return lhs, rhs, rhs + rel_tol * (1.0 + abs(rhs)) - lhs
+    return lhs, rhs, rhs + _AUDIT_REL_TOL * (1.0 + abs(rhs)) - lhs
 
 
 # lanes per numpy block of the audit: each live tape line holds one column
@@ -330,7 +336,6 @@ def dominance_audit(
     k_box=(0.01, 10.0),
     theta_box=None,
     vartheta=None,
-    rel_tol=1e-7,
 ):
     """Sample the stage dominance inequality of the constructive synthesis.
 
@@ -371,7 +376,7 @@ def dominance_audit(
     width = i + st + len(theta_box or ())
 
     def body(v):
-        return _audit_sample(stack, bounds, vt, rel_tol, v[:i], v[i:])
+        return _audit_sample(stack, bounds, vt, v[:i], v[i:])
 
     violations = 0
     min_slack = float("inf")
@@ -421,7 +426,7 @@ class BudgetReport(_Fields):
         self.passed = self.applicable and self.min_slack >= 0.0
 
 
-def lyapunov_budget(traj, oracle, mu=None, gamma=None, slack=1e-6):
+def lyapunov_budget(traj, oracle, slack=1e-6):
     """Check the integrated energy bound along a recorded trajectory.
 
     The proof integrates the error-energy derivative into
@@ -429,13 +434,9 @@ def lyapunov_budget(traj, oracle, mu=None, gamma=None, slack=1e-6):
         V(t) <= -1/2 sum_i (b_i mu_i / gamma_i) k_i(t)^2
                 + 2 epsilon sum_i k_i(t) / gamma_i + C0,
 
-    with V = 1/2 sum z_i^2 and epsilon computed from the oracle constants.
-    The offset C0 is anchored at the first sample using the design
-    constants the run recorded; the per-sample affine form uses the
-    constants under test (mu, gamma - defaulting to the recorded ones).
-    Supplying constants that differ from the run's therefore breaks the
-    anchor and fails the check, which is exactly the sensitivity the
-    negative control asserts.
+    with V = 1/2 sum z_i^2, epsilon computed from the oracle constants and
+    mu, gamma the design constants the run recorded.  The offset C0 is
+    anchored at the first sample.
 
     Applicable only when every stage adapts its gain (the budget sums over
     all stages); otherwise reports not-applicable without judging.
@@ -454,30 +455,28 @@ def lyapunov_budget(traj, oracle, mu=None, gamma=None, slack=1e-6):
         )
     z_cols = _meta_cols(traj, "z_cols")
     k_cols = _meta_cols(traj, "k_cols")
-    rec_mu = [float(v) for v in _meta_cols(traj, "mu")]
-    rec_gamma = [float(v) for v in _meta_cols(traj, "gamma")]
-    mu = rec_mu if mu is None else [float(v) for v in mu]
-    gamma = rec_gamma if gamma is None else [float(v) for v in gamma]
+    mu = [float(v) for v in _meta_cols(traj, "mu")]
+    gamma = [float(v) for v in _meta_cols(traj, "gamma")]
     eps = oracle.epsilon()
     V = np.zeros(traj.data.shape[0])
     for name in z_cols:
         zv = traj.col(name)
         V += 0.5 * zv * zv
 
-    def affine(mu_v, gamma_v, krow):
+    def affine(krow):
         out = 0.0
-        for bi, mi, gi, kv in zip(oracle.b, mu_v, gamma_v, krow):
+        for bi, mi, gi, kv in zip(oracle.b, mu, gamma, krow):
             out += -0.5 * (bi * mi / gi) * kv * kv + 2.0 * eps * kv / gi
         return out
 
     kcols = [traj.col(name) for name in k_cols]
     k0 = [float(c[0]) for c in kcols]
-    c0 = float(V[0]) - affine(rec_mu, rec_gamma, k0)
+    c0 = float(V[0]) - affine(k0)
     min_slack = float("inf")
     where = None
     for idx in range(len(V)):
         krow = [float(c[idx]) for c in kcols]
-        s = affine(mu, gamma, krow) + c0 + slack - float(V[idx])
+        s = affine(krow) + c0 + slack - float(V[idx])
         if s < min_slack:
             min_slack = s
             where = float(traj.t[idx])

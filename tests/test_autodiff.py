@@ -169,6 +169,13 @@ def test_division_by_zero_names_primitive():
         x / 0.0
     with pytest.raises(EvaluationError, match="division"):
         1.0 / (x - 1.0)
+    # across passes, in both orders
+    (zero,), _outer = seed([0.0])
+    (y,), _inner = seed([2.0])
+    with pytest.raises(EvaluationError, match="division"):
+        y / zero
+    with pytest.raises(EvaluationError, match="division"):
+        zero / (y - 2.0)
 
 
 def test_sqrt_domain_error_names_primitive():
@@ -208,10 +215,11 @@ def test_dual_values_are_the_float_operations(a, b, c):
     assert real_value(da + db).hex() == (a + b).hex()
     assert real_value(da - db).hex() == (a - b).hex()
     assert real_value(da * db).hex() == (a * b).hex()
-    # a dual quotient is a times the reciprocal, the float ops it performs
+    # a quotient divides once: every form carries the float quotient
     (dn, dc), _tag = seed([a, c])
-    assert real_value(dn / dc).hex() == (a * (1.0 / c)).hex()
-    assert real_value(dn / c).hex() == (a * (1.0 / c)).hex()
+    assert real_value(dn / dc).hex() == (a / c).hex()
+    assert real_value(dn / c).hex() == (a / c).hex()
+    assert real_value(b / dc).hex() == (b / c).hex()
     # exact in IEEE arithmetic: 1 +- 0, 0 +- 1 and x*0 + 1*y = y (zeros
     # compare equal whatever their sign)
     assert [partial(da + db, j, tag) for j in (0, 1)] == [1.0, 1.0]
@@ -229,3 +237,26 @@ def test_nested_pass_treats_the_outer_dual_as_a_constant(a, b):
     assert partial((x + y).value, 0, outer) == 1.0  # the carried x + b
     d = partial(x * y, 0, inner)  # d/dy (x y) = x, a dual of the outer pass
     assert real_value(d) == a and partial(d, 0, outer) == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=divisor, b=divisor)
+def test_nested_difference_and_quotient_in_both_orders(a, b):
+    """Older op newer and newer op older: the newer pass applies the rule."""
+    (x,), outer = seed([a])
+    (y,), inner = seed([b])
+    for d in (x - y, y - x, x / y, y / x):
+        assert d.tag == inner
+    assert real_value(x - y) == a - b and real_value(y - x) == b - a
+    assert partial(x - y, 0, inner) == -1.0 and partial(y - x, 0, inner) == 1.0
+    # the difference carries x -+ b, whose outer partial is +-1
+    assert partial((x - y).value, 0, outer) == 1.0
+    assert partial((y - x).value, 0, outer) == -1.0
+    assert real_value(x / y) == a / b and real_value(y / x) == b / a
+    # d/dy (x / y) = -x / y^2 and d/dy (y / x) = 1 / x, duals of the outer pass
+    dq = partial(x / y, 0, inner)
+    assert real_value(dq) == pytest.approx(-a / (b * b), rel=1e-14)
+    assert partial(dq, 0, outer) == pytest.approx(-1.0 / (b * b), rel=1e-14)
+    dr = partial(y / x, 0, inner)
+    assert real_value(dr) == 1.0 / a
+    assert partial(dr, 0, outer) == pytest.approx(-1.0 / (a * a), rel=1e-14)

@@ -17,19 +17,18 @@ rng = np.random.default_rng(77103)
 
 
 def two_state_bounds():
-    return BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
+    return BoundSpec(rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
 
 
 def auto_params(n=2, deadzone=0.0):
     return DesignParams(
-        mu=(0.2,) * n, gamma=(0.2,) * n, k0=(0.01,) * n, deadzone=deadzone
+        mu=(0.2,) * n, gamma=(0.2,) * n, deadzone=deadzone
     )
 
 
 def three_stage_stack():
     """Mildly nonlinear synthetic cascade exercising the nested tower."""
     bounds = BoundSpec(
-        n=3,
         rho=(
             lambda xb: 1.0,
             lambda xb: 0.5 + 0.1 * xb[0] * xb[0],
@@ -40,8 +39,7 @@ def three_stage_stack():
             lambda xb: 1.0 + 0.1 * xb[2] * xb[2],
         ),
     )
-    params = DesignParams(mu=(0.3, 0.3, 0.3), gamma=(0.1, 0.1, 0.1),
-                          k0=(0.05, 0.05, 0.05))
+    params = DesignParams(mu=(0.3, 0.3, 0.3), gamma=(0.1, 0.1, 0.1))
     return ControllerStack(bounds, params)
 
 
@@ -81,7 +79,6 @@ def test_eta_closed_form_degenerate_cascade():
     """
     phi_const = 3.0
     bounds = BoundSpec(
-        n=2,
         rho=(lambda xb: 0.0, lambda xb: 0.0),
         phi=(lambda xb: phi_const,),
     )
@@ -184,7 +181,7 @@ def test_gain_rate_dominates_raw_error_energy():
 
 
 def test_gain_rate_dead_zone():
-    params = DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,),
+    params = DesignParams(mu=(0.2,), gamma=(0.2,),
                           deadzone=0.1, paper_stages=(lambda z, k, x: 2.0,))
     stack = ControllerStack(None, params)
     assert stack.gain_rates(stack.evaluate((0.05,), (1.0,))) == [0.0]
@@ -197,15 +194,15 @@ def test_gain_rate_dead_zone():
 
 def test_design_params_validation():
     with pytest.raises(SynthesisError):
-        DesignParams(mu=(0.2,), gamma=(0.2, 0.2), k0=(0.01,))
+        DesignParams(mu=(0.2,), gamma=(0.2, 0.2))
     with pytest.raises(SynthesisError, match=r"mu\[1\]"):
-        DesignParams(mu=(-1.0,), gamma=(0.2,), k0=(0.01,))
+        DesignParams(mu=(-1.0,), gamma=(0.2,))
     with pytest.raises(SynthesisError, match="one gain shape per stage"):
-        DesignParams(mu=(0.2, 0.2), gamma=(0.2, 0.2), k0=(0.01, 0.01),
+        DesignParams(mu=(0.2, 0.2), gamma=(0.2, 0.2),
                      paper_stages=(lambda z, k, x: 2.0,))
     # the mode follows from whether gain shapes are supplied
-    assert DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,)).mode == "auto"
-    assert DesignParams(mu=(0.2,), gamma=(0.2,), k0=(0.01,),
+    assert DesignParams(mu=(0.2,), gamma=(0.2,)).mode == "auto"
+    assert DesignParams(mu=(0.2,), gamma=(0.2,),
                         paper_stages=(lambda z, k, x: 2.0,)).mode == "paper"
     with pytest.raises(ValueError, match="mode"):
         numeric2d(mode="other")
@@ -214,11 +211,10 @@ def test_design_params_validation():
 def test_auto_mode_stage_limit():
     n = MAX_AUTO_STAGES + 1
     bounds = BoundSpec(
-        n=n,
         rho=tuple(lambda xb: 1.0 for _ in range(n)),
         phi=tuple(lambda xb: 1.0 for _ in range(n - 1)),
     )
-    params = DesignParams(mu=(0.2,) * n, gamma=(0.2,) * n, k0=(0.01,) * n)
+    params = DesignParams(mu=(0.2,) * n, gamma=(0.2,) * n)
     with pytest.raises(SynthesisError, match="stages"):
         ControllerStack(bounds, params)
 

@@ -1,12 +1,15 @@
 """Config parsing, schema validation, canonical hashing."""
 
+import contextlib
+import io
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from purefb import config, scenarios
+from purefb import cli, config, scenarios
 from purefb.config import (
     SCHEMA,
     ConfigError,
@@ -195,14 +198,32 @@ def value_text(key):
     return st.lists(spelled, min_size=key.count, max_size=key.count).map(",".join)
 
 
+# values of the keys that set what a run costs, each small enough for a
+# run of a few steps and a short audit
+SHORT_RUN = {
+    "integrator.T": st.sampled_from(["0.01", "0.02", "0.05"]),
+    "integrator.h": st.sampled_from(["0.001", "0.002", "0.005", "0.01", "0.03"]),
+    "integrator.decimation": st.integers(1, 6).map(str),
+    "verify.audit_samples": st.integers(1, 64).map(str),
+}
+
+
 @st.composite
-def config_texts(draw):
-    """A config of either scenario: a random subset of its keys, any order."""
+def config_texts(draw, short=False):
+    """A config of either scenario: a random subset of its keys, any order.
+
+    When short, every key of SHORT_RUN is set, to one of its values.
+    """
     sid = draw(st.sampled_from(scenarios.SCENARIO_IDS))
     keys = [k for k in SCHEMA if k.name != "scenario.id" and k.scen in (None, sid)]
     chosen = draw(st.lists(st.sampled_from(keys), unique_by=lambda k: k.name))
+    if short:
+        chosen = [k for k in chosen if k.name not in SHORT_RUN]
+        chosen += [k for k in keys if k.name in SHORT_RUN]
     lines = ["scenario.id = %s" % sid]
-    lines += ["%s = %s" % (k.name, draw(value_text(k))) for k in chosen]
+    lines += ["%s = %s" % (k.name, draw(SHORT_RUN[k.name] if short and k.name in SHORT_RUN
+                                        else value_text(k)))
+              for k in chosen]
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
@@ -227,3 +248,19 @@ def test_canonical_text_reparses_to_the_same_run(text):
     again = load_text(cfg.canonical)
     assert (again.canonical, again.sha256) == (cfg.canonical, cfg.sha256)
     assert built(again) == built(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=config_texts(short=True))
+def test_a_valid_config_runs_or_exits_2(text):
+    """A config the schema accepts runs (0, 1, 3) or exits 2, never 4."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in (["run", "--config", path, "--out", os.path.join(tmp, "runs")],
+                     ["verify", "--config", path]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2, 3), (argv[0], code, err.getvalue())

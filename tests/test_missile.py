@@ -24,7 +24,7 @@ def nominal_parts():
         mx_slope=lambda t: 2.12 * (1.0 + 0.2 * math.sin(1.0 * t)),
     )
     design = MissileDesign(k1=5.0, mu2=0.5, mu3=0.5, gamma2=0.1, gamma3=0.1,
-                           k20=0.1, k30=0.1, epsilon=0.1)
+                           epsilon=0.1)
     return params, design
 
 
@@ -113,13 +113,13 @@ def test_params_validation():
 def test_design_validation():
     with pytest.raises(ValueError, match="k1 - 3"):
         MissileDesign(k1=0.07, mu2=0.5, mu3=0.5, gamma2=0.1, gamma3=0.1,
-                      k20=0.1, k30=0.1, epsilon=0.1)
+                      epsilon=0.1)
     with pytest.raises(ValueError, match="gamma2"):
         MissileDesign(k1=5.0, mu2=0.5, mu3=0.5, gamma2=0.0, gamma3=0.1,
-                      k20=0.1, k30=0.1, epsilon=0.1)
+                      epsilon=0.1)
     with pytest.raises(ValueError, match="xi"):
         MissileDesign(k1=5.0, mu2=0.5, mu3=0.5, gamma2=0.1, gamma3=0.1,
-                      k20=0.1, k30=0.1, epsilon=0.1, xi=0.0)
+                      epsilon=0.1, xi=0.0)
 
 
 def test_profile_positivity_guard():

@@ -19,9 +19,7 @@ rng = np.random.default_rng(415)
 
 
 def two_state_plant():
-    return PlantSpec(
-        n=2, drift=(_n2_drift1, _n2_drift2), gain=(_n2_gain1, _n2_gain2)
-    )
+    return PlantSpec(drift=(_n2_drift1, _n2_drift2), gain=(_n2_gain1, _n2_gain2))
 
 
 # ------------------------------------------------------------- stage rates
@@ -40,19 +38,20 @@ def test_stage_rate_hand_values():
 
 def test_plant_spec_validation():
     with pytest.raises(PlantConfigError):
-        PlantSpec(n=0, drift=(), gain=())
+        PlantSpec(drift=(), gain=())
     with pytest.raises(PlantConfigError):
-        PlantSpec(n=2, drift=(_n2_drift1,), gain=(_n2_gain1, _n2_gain2))
+        PlantSpec(drift=(_n2_drift1,), gain=(_n2_gain1, _n2_gain2))
+    assert two_state_plant().n == 2
 
 
 def test_bound_spec_validation():
     with pytest.raises(PlantConfigError):
-        BoundSpec(n=2, rho=(_n2_rho1,), phi=(_n2_phi1,))
+        BoundSpec(rho=(_n2_rho1,), phi=(_n2_phi1,))
     # phi covers the inner stages only
     with pytest.raises(PlantConfigError, match="1..n-1"):
-        BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1, _n2_phi1))
-    b = BoundSpec(n=2, rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
-    assert b.phi == (_n2_phi1,)
+        BoundSpec(rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1, _n2_phi1))
+    b = BoundSpec(rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
+    assert b.phi == (_n2_phi1,) and b.n == 2
 
 
 # --------------------------------------------------------- oracle constants

@@ -85,6 +85,16 @@ def test_theta_outside_declared_box_rejected():
         )
 
 
+@pytest.mark.parametrize("sid, kwargs, stage", [
+    ("numeric-2d", {"k0": (0.01, 0.0)}, "k2"),
+    ("stt-missile", {"k20": -0.1}, "k2"),
+    ("stt-missile", {"k30": 0.0}, "k3"),
+])
+def test_initial_gains_must_be_positive(sid, kwargs, stage):
+    with pytest.raises(ValueError, match="initial gain %s" % stage):
+        scenarios.build(sid, **kwargs)
+
+
 def bits(values):
     return [float(v).hex() for v in values]
 

@@ -74,6 +74,20 @@ def test_constant_series_renders(tmp_path):
     assert "<polyline" in path.read_text()
 
 
+def test_non_finite_samples_are_left_out(tmp_path):
+    """A diverged run's last row may hold inf or NaN; the axis and the
+    points cover the finite samples (a numpy warning would be an error)."""
+    path = tmp_path / "diverged.svg"
+    line_plot(path, [0.0, 1.0, 2.0, 3.0],
+              [("u", [1.0, -2.0, float("nan"), float("-inf")]),
+               ("v", [float("inf")] * 4)])
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    u, v = polyline_points(path)
+    assert len(u) == 2 and v == [""]  # v has no finite point
+    assert ">-2<" in text and ">1<" in text  # y ticks of the finite range
+
+
 def test_render_is_deterministic(tmp_path):
     t = [0.1 * j for j in range(50)]
     series = [("d", [v * v for v in t])]
