@@ -59,6 +59,10 @@ class PlantSpec:
             tuple(xbar) + (next_val,), theta
         ) * next_val
 
+    def rates(self, x, u, theta):
+        """dx/dt of the cascade: x_{i+1} drives inner stage i, u the last."""
+        return [self.stage_rate(i, x, v, theta) for i, v in enumerate((*x[1:], u))]
+
 
 @dataclass(frozen=True)
 class BoundSpec:

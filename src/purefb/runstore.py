@@ -15,6 +15,9 @@ rewrites byte-identical data files.  Layout:
     aggregate-*.json sweep aggregates
     plots/*.svg      rendered charts
 
+Every JSON file is RFC 8259 JSON: an infinite or NaN float, such as an
+extremum or a check margin of a diverged run, is written as null.
+
 A stored run is its config and its trajectory: ``load_run`` rebuilds the
 scenario from config.cfg, and that scenario alone gives the trajectory
 its column groups and design values (``meta``).
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -72,9 +76,20 @@ def paths_for(out_dir, run_id):
     return RunPaths(run_id=run_id, root=os.path.join(out_dir, run_id))
 
 
+def _finite(value):
+    """value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

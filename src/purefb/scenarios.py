@@ -21,25 +21,22 @@ Two benchmarks are registered:
 
 A scenario bundles the plant truth, the bound declarations the controller
 is allowed to see, the oracle constants only the verifier may read, and the
-closed-loop right-hand side over the augmented state y = (plant state x,
-adaptive gains k, integrals of z_i^2).  Every recorded row is laid out as
-t, x1..xn, z1..zn, k_i, u, <scenario extras>, intz_i, with k_i and intz_i
-for each adaptive stage i: a factory supplies only the names of its extras
-and a probe (t, y) -> (z, u, extra values), and ``Scenario`` derives the
-columns, the row builder and the verifier's column groups.  A factory's
+closed loop as three pieces: the plant ``plant(t, x, u) -> dx/dt``, the
+law ``law(x, k) -> (z, u, dk/dt, extra values)`` and the input ``sign``.
+``Scenario`` alone lays out the augmented state y = (plant state x,
+adaptive gains k, integrals of z_i^2) and applies the sign: it derives
+``rhs_reference`` (plant rates at sign * u, gain rates, z_i^2 of each
+adaptive stage) and the recorded row t, x1..xn, z1..zn, k_i, u, <extras>,
+intz_i, with k_i and intz_i for each adaptive stage i.  A factory's
 keywords are the run-config keys by name: ``section.key`` arrives as
 ``key`` (see ``RunConfig.scenario_overrides``).
 
-A factory hands ``Scenario`` one generic right-hand side,
-``rhs_reference``.  numeric-2d assembles it from one source for each
-piece of its loop: the plant rates from ``PlantSpec.stage_rate``, the
-control and the gain update law from ``ControllerStack``.  stt-missile
-assembles it from ``missile_control`` and ``stt_dynamics``, with the
-flight condition written through ``autodiff.cos``/``sin``.
-``Scenario.run`` compiles one whole RK4 step of it at the run's h
-(``tape.compile_step``, traced at the first evaluation point of the run,
-(0, y0)) and hands that step to ``integrate``; building a scenario does
-not trace.
+numeric-2d's plant is ``PlantSpec.rates``; its law is
+``ControllerStack.evaluate`` and ``gain_rates``.  stt-missile's plant is
+``stt_dynamics`` (flight condition through ``autodiff.cos``/``sin``) and
+its law is ``missile_control``.  ``Scenario.run`` compiles one whole RK4
+step of ``rhs_reference`` at the run's h (``tape.compile_step``, traced at
+(0, y0)) and hands it to ``integrate``; building a scenario does not trace.
 
 The exact squared-error integrals ride along as ODE components so the
 update-law energy identity gamma_i * int z_i^2 = k_i(T) - k_i(0) can be
@@ -66,9 +63,10 @@ __all__ = ["Scenario", "build", "SCENARIO_IDS"]
 class Scenario:
     """One runnable closed loop plus everything the verifier needs.
 
-    Derives ``n`` (from x0), ``rhs``, ``recorder`` (column names, row
-    builder) and the meta entries x_cols, z_cols, k_cols, intz_cols, n
-    and adaptive from its fields.
+    Derives from ``plant``, ``law`` and ``sign`` the one layout of y:
+    ``rhs_reference``, ``rhs`` (what ``run`` integrates) and ``recorder``
+    (column names, row builder); also ``n`` (from x0) and the meta entries
+    x_cols, z_cols, k_cols, intz_cols, n and adaptive.
     """
 
     sid: str
@@ -76,16 +74,18 @@ class Scenario:
     adaptive: tuple  # 1-based stages with gain adaptation
     k0: tuple  # initial gains, aligned with adaptive
     theta: UncertaintyProfile
-    rhs_reference: Callable  # the generic evaluation path
-    probe: Callable  # (t, y) -> (z, u, extra values)
-    extra: tuple  # names of the scenario's own columns, after u
+    plant: Callable  # (t, x, u) -> dx/dt
+    law: Callable  # (x, k) -> (z, u, dk/dt, extra values)
+    extra: tuple  # names of the law's extra values, recorded after u
     T: float
     h: float
     decimation: int
+    sign: float  # the plant receives sign * u
     meta: dict = field(default_factory=dict)  # mu and gamma of the adaptive stages
     bounds: Optional[BoundSpec] = None
     oracle: Optional[OracleConstants] = None
     stack: Optional[ControllerStack] = None
+    rhs_reference: Callable = field(init=False)  # the generic evaluation path
     rhs: Callable = field(init=False)  # what run() integrates
     n: int = field(init=False)
 
@@ -95,9 +95,22 @@ class Scenario:
         for i, v in zip(self.adaptive, self.k0):
             if not v > 0.0:
                 raise ValueError("initial gain k%d must be positive, got %r" % (i, v))
-        self.rhs = self.rhs_reference
+        self.sign = float(self.sign)
         self.n = len(self.x0)
-        n, m, probe = self.n, len(self.adaptive), self.probe
+        n, m = self.n, len(self.adaptive)
+        plant, law, sign = self.plant, self.law, self.sign
+        squared = [i - 1 for i in self.adaptive]  # 0-based stages whose z_i^2 is integrated
+
+        def rhs_reference(t, y):
+            x = y[:n]
+            z, u, kdot, _ = law(x, y[n:n + m])
+            return (*plant(t, x, sign * u), *kdot, *[z[i] * z[i] for i in squared])
+
+        def build_row(t, y):
+            z, u, _, extra = law(y[:n], y[n:n + m])
+            return [*y[:n], *z, *y[n:n + m], sign * u, *extra, *y[n + m:]]
+
+        self.rhs_reference = self.rhs = rhs_reference
         groups = {
             "x_cols": ["x%d" % i for i in range(1, n + 1)],
             "z_cols": ["z%d" % i for i in range(1, n + 1)],
@@ -107,11 +120,6 @@ class Scenario:
         self.meta.update(groups, n=n, adaptive=list(self.adaptive))
         names = (*groups["x_cols"], *groups["z_cols"], *groups["k_cols"], "u",
                  *self.extra, *groups["intz_cols"])
-
-        def build_row(t, y):
-            z, u, extra = probe(t, y)
-            return [*y[:n], *z, *y[n:n + m], u, *extra, *y[n + m:]]
-
         self.recorder = (names, build_row)
 
     def y0(self):
@@ -207,7 +215,7 @@ def numeric2d(
         B=(theta_box[0][1], theta_box[1][1]),
         c=(theta_box[0][1], theta_box[1][1]),
     )
-    plant = PlantSpec(drift=(_n2_drift1, _n2_drift2), gain=(_n2_gain1, _n2_gain2))
+    spec = PlantSpec(drift=(_n2_drift1, _n2_drift2), gain=(_n2_gain1, _n2_gain2))
     bounds = BoundSpec(rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
     mu = tuple(float(v) for v in mu)
     gamma = tuple(float(v) for v in gamma)
@@ -231,29 +239,10 @@ def numeric2d(
     )
     stack = ControllerStack(bounds, params)
 
-    sign = float(sign)
-
-    def control(y):
-        """The controller sweep at y and the plant input it applies."""
-        ev = stack.evaluate((y[0], y[1]), (y[2], y[3]))
-        return ev, sign * ev.alpha[1]
-
-    def rhs_reference(t, y):
-        x = (y[0], y[1])
-        ev, u = control(y)
-        z1, z2 = ev.z
-        return (
-            plant.stage_rate(0, x, y[1], theta),
-            plant.stage_rate(1, x, u, theta),
-            *stack.gain_rates(ev),
-            z1 * z1,
-            z2 * z2,
-        )
-
-    def probe(t, y):
-        ev, u = control(y)
+    def law(x, k):
+        ev = stack.evaluate(x, k)
         shapes = ev.psi if mode == "paper" else (*ev.psi, ev.eta[1])
-        return ev.z, u, shapes
+        return ev.z, ev.alpha[-1], stack.gain_rates(ev), shapes
 
     return Scenario(
         sid="numeric-2d",
@@ -264,12 +253,13 @@ def numeric2d(
         bounds=bounds,
         oracle=oracle,
         stack=stack,
-        rhs_reference=rhs_reference,
-        probe=probe,
+        plant=lambda t, x, u: spec.rates(x, u, theta),
+        law=law,
         extra=("psi1", "psi2", "eta2") if mode == "auto" else ("psi1", "psi2"),
         T=float(T),
         h=float(h),
         decimation=int(decimation),
+        sign=sign,
         meta={"mu": list(mu), "gamma": list(gamma)},
     )
 
@@ -333,26 +323,11 @@ def stt_missile(
         epsilon=epsilon,
         xi=xi_const,
     )
-    sign = float(sign)
 
-    def control(y):
-        """missile_control at y, with the applied (signed) command."""
-        cmd, kd2, kd3, diag = missile_control(y[:3], (y[3], y[4]), design)
-        return sign * cmd, kd2, kd3, diag
-
-    def rhs_reference(t, y):
-        cmd, kd2, kd3, diag = control(y)
-        return (
-            *stt_dynamics(y[:3], t, cmd, mparams),
-            kd2,
-            kd3,
-            diag.z2 * diag.z2,
-            diag.z3 * diag.z3,
-        )
-
-    def probe(t, y):
-        cmd, _, _, diag = control(y)
-        return (diag.z1, diag.z2, diag.z3), cmd, (diag.psi3, math.degrees(y[0]))
+    def law(x, k):
+        cmd, kd2, kd3, diag = missile_control(x, k, design)
+        roll_deg = x[0] * (180.0 / math.pi)  # the bits of math.degrees, on a Var too
+        return (diag.z1, diag.z2, diag.z3), cmd, (kd2, kd3), (diag.psi3, roll_deg)
 
     return Scenario(
         sid="stt-missile",
@@ -360,12 +335,13 @@ def stt_missile(
         adaptive=(2, 3),
         k0=(float(k20), float(k30)),
         theta=UncertaintyProfile(box=box),
-        rhs_reference=rhs_reference,
-        probe=probe,
+        plant=lambda t, x, u: stt_dynamics(x, t, u, mparams),
+        law=law,
         extra=("psi3", "roll_deg"),
         T=float(T),
         h=float(h),
         decimation=int(decimation),
+        sign=sign,
         meta={"mu": [mu2, mu3], "gamma": [gamma2, gamma3]},
     )
 

@@ -39,12 +39,7 @@ PALETTE = (
 
 
 def _nice_ticks(lo, hi):
-    """Tick positions at a 1/2/5 x 10^k step covering [lo, hi]."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        lo, hi = 0.0, 1.0
-    if hi <= lo:
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.5
-        lo, hi = lo - pad, hi + pad
+    """Tick positions at a 1/2/5 x 10^k step covering an ``_Axis``'s [lo, hi]."""
     raw = (hi - lo) / TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, persisted artifacts."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -111,6 +112,31 @@ def test_sabotaged_run_diverges(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", out]) == 3
     assert "DIVERGED" in capsys.readouterr().out
     assert main(["verify", "--config", cfg]) == 3
+
+
+def strict_json(path):
+    """The JSON in path, read by a parser that rejects Infinity and NaN."""
+    def refuse(token):
+        raise ValueError("non-standard JSON token %s in %s" % (token, path))
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_diverged_run_writes_strict_json(tmp_path):
+    """An infinite input or margin is stored as null, not as Infinity."""
+    cfg = write_cfg(tmp_path, "scenario.id = stt-missile\n"
+                              "integrator.T = 0.5\n"
+                              "design.epsilon = 5e-324\n")
+    out = registry(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == 3
+    rid = only_run_id(out)
+    assert main(["verify", rid, "--out", out]) == 3
+    root = Path(out, rid)
+    summary = strict_json(root / "summary.json")
+    assert summary["terminal"]["u"] is None and summary["max_abs"]["u"] is None
+    complete = strict_json(root / "report.json")["invariants"]["checks"][0]
+    assert complete["name"] == "complete" and complete["margin"] is None
+    strict_json(root / "record.json")
 
 
 def test_config_schema_error_exits_2(tmp_path, capsys):
@@ -414,3 +440,43 @@ def test_plot_rerenders_identically(short_cfg, tmp_path):
 
 def test_usage_error_without_subcommand(capsys):
     assert main([]) == 2
+
+
+# SHA-256 of the files `run` and `verify <id>` write for numeric-2d at
+# T = 5 s, recorded at the commit before Scenario assembled the closed loop.
+# numeric-2d's arithmetic is + - * / and sqrt, which IEEE 754 rounds the
+# same way on every machine.  The sign-flipped run's report.json is not
+# pinned: its -Infinity margin is now written as null.
+GOLDEN = {
+    "paper": ("", (0, 1), {
+        "trajectory.csv": "174790d398c80a76749a2c608bfed8603e4171e4d4e45c79f2d3fcf6e2c4d3e2",
+        "summary.json": "15af3c2f7a4eec67cad6c0c181b22cc8f2760c01dedda8e2f95a7c28a467ce2a",
+        "report.json": "9fc4a3ab736384de9f73097ec2318284449fcb24e367ee50eca8cad2efc8812a",
+    }),
+    "auto": ("design.mode = auto\nverify.audit_samples = 500\n", (0, 1), {
+        "trajectory.csv": "763502e88dae9174f1c0b2496f7705bb7e29bb32c80d46c18495e047672605d4",
+        "summary.json": "7d77d94dfbbb272c405bdcf0b315dc00f6aec26b7e1a5841f9e5c9ac7c5c31d4",
+        "report.json": "6a9cb52bff0a5a13c9635bcafc9a765cbe7282ab4b5c2bed6e23afca80355e47",
+    }),
+    "deadzone": ("design.deadzone = 0.01\n", (0, 1), {
+        "trajectory.csv": "5ed13146e145876147f0f3a5c20bc93755da2e16e86773a78d10289dcc0d6b87",
+        "summary.json": "0637a499fbd1b2e74b035d98af0de95958a95eb2c5d8085781f7f965b09747c8",
+        "report.json": "ec0719def77e7900c18aeb6362250a3fb95a470032fad828c76c01eb31214b0c",
+    }),
+    "sign-flip": ("design.sign_flip = true\n", (3, 3), {
+        "trajectory.csv": "8643167030a5a7f5785291e4ad562813c97b9213c000d1588e1fdd7b592b030b",
+        "summary.json": "6466de659240b5f6ec74484a439fc8935185e02b913e8ad5739d1ba80aa54ea7",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_run_and_verify_write_the_recorded_bytes(tmp_path, case):
+    extra, codes, digests = GOLDEN[case]
+    cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\nintegrator.T = 5.0\n" + extra)
+    out = registry(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == codes[0]
+    rid = only_run_id(out)
+    assert main(["verify", rid, "--out", out]) == codes[1]
+    for name, digest in digests.items():
+        assert hashlib.sha256(Path(out, rid, name).read_bytes()).hexdigest() == digest, name

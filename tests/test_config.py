@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from purefb import cli, config, scenarios
+from purefb import cli, config, runstore, scenarios
 from purefb.config import (
     SCHEMA,
     ConfigError,
@@ -250,17 +251,36 @@ def test_canonical_text_reparses_to_the_same_run(text):
     assert built(again) == built(cfg)
 
 
+def refuse(token):
+    raise ValueError("non-standard JSON token %s" % token)
+
+
+def exits_without_internal_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv[0], code, err.getvalue())
+
+
 @settings(max_examples=40, deadline=None)
 @given(text=config_texts(short=True))
 def test_a_valid_config_runs_or_exits_2(text):
-    """A config the schema accepts runs (0, 1, 3) or exits 2, never 4."""
+    """A config the schema accepts runs (0, 1, 3) or exits 2, never 4.
+
+    A stored run verifies the same way, and every JSON file the commands
+    write is RFC 8259 JSON: a strict parser reads it.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "case.cfg")
         with open(path, "w") as fh:
             fh.write(text)
-        for argv in (["run", "--config", path, "--out", os.path.join(tmp, "runs")],
-                     ["verify", "--config", path]):
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-            assert code in (0, 1, 2, 3), (argv[0], code, err.getvalue())
+        runs = os.path.join(tmp, "runs")
+        exits_without_internal_error(["run", "--config", path, "--out", runs])
+        exits_without_internal_error(["verify", "--config", path])
+        for rid in runstore.list_runs(runs):
+            exits_without_internal_error(["verify", rid, "--out", runs])
+        for root, _, files in os.walk(tmp):
+            for name in files:
+                if name.endswith(".json"):
+                    with open(os.path.join(root, name)) as fh:
+                        json.load(fh, parse_constant=refuse)

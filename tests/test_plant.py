@@ -36,6 +36,28 @@ def test_stage_rate_hand_values():
     )
 
 
+def unit_cascade(n):
+    """n stages with no drift and unit gain: each stage's rate is its next value.
+
+    The gain also checks that stage i sees x_1..x_{i+1} and then the next value.
+    """
+    def gain(i):
+        def g(xb, th):
+            assert len(xb) == i + 2
+            return th[0]
+        return g
+
+    return PlantSpec(drift=tuple(lambda xb, th: 0.0 for _ in range(n)),
+                     gain=tuple(gain(i) for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_rates_drive_inner_stages_by_the_next_state_and_the_last_by_u(n):
+    x = (2.0, 3.0, 5.0)[:n]
+    assert unit_cascade(n).rates(x, 7.0, (1.0,)) == [*x[1:], 7.0]
+    assert unit_cascade(n).rates(x, 7.0, (-1.0,)) == [-v for v in (*x[1:], 7.0)]
+
+
 def test_plant_spec_validation():
     with pytest.raises(PlantConfigError):
         PlantSpec(drift=(), gain=())

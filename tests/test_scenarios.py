@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from purefb import scenarios, simkit
 from purefb.config import load_text
+from purefb.missile import MissileDesign, MissileParams, missile_control, stt_dynamics
+from purefb.plant import PlantSpec
 from purefb.simkit import ABORT_LIMIT, DivergenceError, StatePoint, integrate, rk4_step
 from purefb.tape import compile_step
 
@@ -340,3 +342,98 @@ def test_factory_defaults_match_schema_defaults(sid):
     assert plain.meta == configured.meta
     y0 = list(plain.y0())
     assert bits(plain.rhs(0.0, y0)) == bits(configured.rhs(0.0, y0))
+
+
+# -- the closed loop as each factory once assembled it by hand ------------
+
+
+def handwritten_numeric2d(scn, mode, sign, theta=(1.0, 2.0)):
+    """numeric-2d's (rhs_reference, probe), written out as its factory once did."""
+    stack = scn.stack
+    plant = PlantSpec(drift=(scenarios._n2_drift1, scenarios._n2_drift2),
+                      gain=(scenarios._n2_gain1, scenarios._n2_gain2))
+
+    def control(y):
+        ev = stack.evaluate((y[0], y[1]), (y[2], y[3]))
+        return ev, sign * ev.alpha[1]
+
+    def rhs_reference(t, y):
+        x = (y[0], y[1])
+        ev, u = control(y)
+        z1, z2 = ev.z
+        return (
+            plant.stage_rate(0, x, y[1], theta),
+            plant.stage_rate(1, x, u, theta),
+            *stack.gain_rates(ev),
+            z1 * z1,
+            z2 * z2,
+        )
+
+    def probe(t, y):
+        ev, u = control(y)
+        shapes = ev.psi if mode == "paper" else (*ev.psi, ev.eta[1])
+        return ev.z, u, shapes
+
+    return rhs_reference, probe
+
+
+def handwritten_missile(sign):
+    """stt-missile's (rhs_reference, probe) at its defaults, written out as its factory once did."""
+    design = MissileDesign(k1=5.0, mu2=0.5, mu3=0.5, gamma2=0.1, gamma3=0.1,
+                           epsilon=0.1, xi=1.0)
+    mparams = MissileParams(
+        s=0.42, l=0.68, jx=100.0, tau_a=0.01, rho_air=0.7361,
+        speed=lambda t: 200.0 * (1.0 + 0.1 * math.cos(2.0 * t)),
+        mx_slope=lambda t: 2.12 * (1.0 + 0.2 * math.sin(1.0 * t)),
+    )
+
+    def control(y):
+        cmd, kd2, kd3, diag = missile_control(y[:3], (y[3], y[4]), design)
+        return sign * cmd, kd2, kd3, diag
+
+    def rhs_reference(t, y):
+        cmd, kd2, kd3, diag = control(y)
+        return (
+            *stt_dynamics(y[:3], t, cmd, mparams),
+            kd2,
+            kd3,
+            diag.z2 * diag.z2,
+            diag.z3 * diag.z3,
+        )
+
+    def probe(t, y):
+        cmd, _, _, diag = control(y)
+        return (diag.z1, diag.z2, diag.z3), cmd, (diag.psi3, math.degrees(y[0]))
+
+    return rhs_reference, probe
+
+
+def handwritten_row(probe, n, m):
+    def build_row(t, y):
+        z, u, extra = probe(t, y)
+        return [*y[:n], *z, *y[n:n + m], u, *extra, *y[n + m:]]
+
+    return build_row
+
+
+ASSEMBLED = [("numeric-2d", {"mode": "paper"}), ("numeric-2d", {"mode": "auto"}),
+             ("numeric-2d", {"deadzone": 0.05}), ("numeric-2d", {"sign": -1.0}),
+             ("stt-missile", {"sign": 1.0}), ("stt-missile", {"sign": -1.0})]
+
+
+@pytest.mark.parametrize("sid,kwargs", ASSEMBLED,
+                         ids=["%s-%s" % (sid, "-".join("%s=%s" % kv for kv in kw.items()))
+                              for sid, kw in ASSEMBLED])
+def test_assembled_loop_is_the_handwritten_one(sid, kwargs):
+    """Scenario's rhs and recorded row from plant + law + sign, bit for bit."""
+    scn = scenarios.build(sid, **kwargs)
+    sign = kwargs.get("sign", 1.0)
+    if sid == "numeric-2d":
+        rhs, probe = handwritten_numeric2d(scn, kwargs.get("mode", "paper"), sign)
+    else:
+        rhs, probe = handwritten_missile(sign)
+    row = handwritten_row(probe, scn.n, len(scn.adaptive))
+    for i in range(200):
+        y, t, _ = SAMPLERS[sid](scn, i)
+        assert bits(scn.rhs_reference(t, y)) == bits(rhs(t, y))
+        assert bits(scn.recorder[1](t, y)) == bits(row(t, y))

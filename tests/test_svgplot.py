@@ -38,8 +38,9 @@ def test_nice_ticks_use_125_steps():
     ticks = _nice_ticks(0.0, 0.07)
     step = ticks[1] - ticks[0]
     assert step == pytest.approx(0.02, rel=1e-12)
-    # degenerate range still yields something usable
-    assert len(_nice_ticks(5.0, 5.0)) >= 2
+    # a flat range is padded by its axis, and still yields something usable
+    flat = _Axis(5.0, 5.0, 0, 100)
+    assert len(_nice_ticks(flat.lo, flat.hi)) >= 2
 
 
 def test_line_plot_contents(tmp_path):
