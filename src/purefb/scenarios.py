@@ -34,9 +34,11 @@ keywords are the run-config keys by name: ``section.key`` arrives as
 numeric-2d's plant is ``PlantSpec.rates``; its law is
 ``ControllerStack.evaluate`` and ``gain_rates``.  stt-missile's plant is
 ``stt_dynamics`` (flight condition through ``autodiff.cos``/``sin``) and
-its law is ``missile_control``.  ``Scenario.run`` compiles one whole RK4
-step of ``rhs_reference`` at the run's h (``tape.compile_step``, traced at
-(0, y0)) and hands it to ``integrate``; building a scenario does not trace.
+its law is ``missile_control``.  ``Scenario.run`` compiles
+``simkit.rk4_step`` of ``rhs_reference`` at the run's h, abort rule
+included (``tape.compile_step``, traced at (0, y0)), and hands it to
+``integrate``; where that first step already fails, no step is compiled.
+Building a scenario does not trace.
 
 The exact squared-error integrals ride along as ODE components so the
 update-law energy identity gamma_i * int z_i^2 = k_i(T) - k_i(0) can be
@@ -53,7 +55,7 @@ from .autodiff import cos, sin
 from .backstep import ControllerStack, DesignParams
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
-from .simkit import integrate
+from .simkit import integrate, rk4_step
 from .tape import compile_step
 
 __all__ = ["Scenario", "build", "SCENARIO_IDS"]
@@ -131,7 +133,8 @@ class Scenario:
         # compiled step is a step of rhs only while rhs is rhs_reference
         step = None
         if self.rhs is self.rhs_reference:
-            step = compile_step(self.rhs_reference, 0.0, [float(v) for v in y0], self.h)
+            step = compile_step(lambda t, y: rk4_step(self.rhs_reference, y, t, self.h),
+                                0.0, [float(v) for v in y0])
         return integrate(
             self.rhs, y0, self.T, self.h, self.decimation,
             recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,

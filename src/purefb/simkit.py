@@ -4,15 +4,14 @@ The augmented state (plant state, adaptive gains, squared-error integrals)
 is advanced by classical fourth-order Runge-Kutta with a constant step, so
 a run is a pure function of its configuration: identical settings produce
 bit-identical trajectories.  Time-varying inputs are sampled exactly at the
-stage times t, t + h/2, t + h.  The RK4 formula is written once, in
-``rk4_combine``; ``rk4_step`` runs it on floats, and
-``tape.compile_step`` traces it to compile a whole step, which
-``integrate`` accepts as ``step``.
+stage times t, t + h/2, t + h.  The step is written once, in ``rk4_step``,
+abort rule included; ``tape.compile_step`` traces it to compile a whole
+step, which ``integrate`` accepts as ``step``.
 
-Divergence is handled as data, not as a crash: a non-finite stage
-evaluation or a component exceeding the abort threshold ends the run early
-with the partial trajectory and its failure point, which the Monte-Carlo
-harness aggregates.
+Divergence is handled as data, not as a crash: a non-finite step or a
+component exceeding ``ABORT_LIMIT`` ends the run early with the partial
+trajectory and its failure point, which the Monte-Carlo harness
+aggregates.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "measure_order",
-    "rk4_combine",
     "rk4_step",
 ]
 
@@ -46,48 +44,41 @@ class StatePoint(NamedTuple):
 
 
 class DivergenceError(RuntimeError):
-    """An integration step produced a non-finite evaluation."""
+    """A step diverged.  ``rk4_step`` raises it by two rules: at the
+    pre-step point (t, y) where a stage fails or the new state is not
+    finite, and at the new point (t + h, out) where a finite component
+    lies beyond +-``ABORT_LIMIT``."""
 
     def __init__(self, t, y, detail="non-finite stage evaluation"):
         self.point = StatePoint(float(t), tuple(float(v) for v in y))
         super().__init__("%s at t=%.6g" % (detail, t))
 
 
-def rk4_combine(rhs, y, t, h):
-    """The classical Runge-Kutta formula for one step from t to t+h.
-
-    Generic over the scalar type of t and y: ``rk4_step`` runs it on
-    floats, and ``tape.compile_step`` runs it on tracing scalars to
-    compile a whole step.  Returns a list.
-    """
-    k1 = rhs(t, y)
-    h2 = 0.5 * h
-    t2 = t + h2
-    y2 = [yi + h2 * ki for yi, ki in zip(y, k1)]
-    k2 = rhs(t2, y2)
-    y3 = [yi + h2 * ki for yi, ki in zip(y, k2)]
-    k3 = rhs(t2, y3)
-    y4 = [yi + h * ki for yi, ki in zip(y, k3)]
-    k4 = rhs(t + h, y4)
-    return [
-        yi + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    ]
-
-
 def rk4_step(rhs, y, t, h):
-    """One classical Runge-Kutta step from t to t+h.
+    """One classical Runge-Kutta step from t to t+h, then the abort rule.
 
-    y is a sequence of floats; returns a list.  Any arithmetic failure or
-    non-finite result inside the four stage evaluations raises
-    DivergenceError carrying the pre-step state.
+    Returns a list, or raises DivergenceError by either of its two rules.
+    Generic over the scalar type of t and y: ``tape.compile_step`` traces
+    it, the rule's comparisons as guards, to compile a whole step.
     """
     try:
-        out = rk4_combine(rhs, y, t, h)
+        k1 = rhs(t, y)
+        h2 = 0.5 * h
+        t2 = t + h2
+        y2 = [yi + h2 * ki for yi, ki in zip(y, k1)]
+        k2 = rhs(t2, y2)
+        y3 = [yi + h2 * ki for yi, ki in zip(y, k2)]
+        k3 = rhs(t2, y3)
+        y4 = [yi + h * ki for yi, ki in zip(y, k3)]
+        k4 = rhs(t + h, y4)
+        out = [yi + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
+               for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
     except (ArithmeticError, ValueError) as exc:
         raise DivergenceError(t, y, detail=str(exc) or "arithmetic failure") from exc
-    if not math.isfinite(sum(out)):
-        raise DivergenceError(t, y)
+    if not all(-ABORT_LIMIT <= v <= ABORT_LIMIT for v in out):
+        if not math.isfinite(sum(out)):
+            raise DivergenceError(t, y)
+        raise DivergenceError(t + h, out, detail="component beyond the abort limit")
     return out
 
 
@@ -193,17 +184,16 @@ def integrate(
     with derived values such as the control input and gain shapes).  By
     default the raw state is recorded under names y1..ym.  The step count
     T/h must be an integer and divisible by decimation, giving
-    floor(T/h/decimation) + 1 retained samples.  A non-finite step or a
-    component beyond ``ABORT_LIMIT`` stops the run instead of raising: the
-    partial trajectory's ``failure`` holds the point where it stopped, and
+    floor(T/h/decimation) + 1 retained samples.  A step that
+    ``rk4_step`` rejects stops the run instead of raising: the partial
+    trajectory's ``failure`` holds the point of its DivergenceError, and
     that alone makes it ``diverged``.
 
     step, when given, is a compiled form of ``rk4_step(rhs, ., ., h)``:
     step(t, y) returns the next state, or None where it cannot vouch for
-    it (a guard missed, or a component is NaN or beyond ``ABORT_LIMIT``).  A
-    None, or an arithmetic error raised by step, sends that one step
-    through ``rk4_step`` and its checks, so failure points are those of
-    the plain path.
+    it (a guard missed, the abort rule's among them).  A None, or an
+    arithmetic error raised by step, sends that one step through
+    ``rk4_step``, so failure points are those of the plain path.
     """
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
@@ -243,9 +233,6 @@ def integrate(
                 y_next = rk4_step(rhs, y, t, h)
             except DivergenceError as exc:
                 failure = exc.point
-                break
-            if max(abs(v) for v in y_next) > ABORT_LIMIT:
-                failure = StatePoint(t + h, tuple(y_next))
                 break
         y = y_next
         if (s + 1) % decimation == 0:

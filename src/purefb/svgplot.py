@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -38,9 +39,15 @@ PALETTE = (
 )
 
 
+def _scale(lo, hi):
+    """1.0, or 0.5 where hi - lo overflows: spans are measured in halves there."""
+    return 1.0 if math.isfinite(hi - lo) else 0.5
+
+
 def _nice_ticks(lo, hi):
     """Tick positions at a 1/2/5 x 10^k step covering an ``_Axis``'s [lo, hi]."""
-    raw = (hi - lo) / TICKS
+    s = _scale(lo, hi)
+    raw = (hi * s - lo * s) / TICKS / s
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -49,7 +56,9 @@ def _nice_ticks(lo, hi):
     first = math.ceil(lo / step) * step
     ticks = []
     value = first
-    while value <= hi + step * 1e-9:
+    # past the largest float the next tick is inf, and inf + step is inf
+    end = min(hi + step * 1e-9, sys.float_info.max)
+    while value <= end:
         ticks.append(0.0 if abs(value) < step * 1e-9 else value)
         value += step
     return ticks
@@ -63,12 +72,14 @@ class _Axis:
     def __init__(self, lo, hi, pix_lo, pix_hi):
         if hi <= lo:
             pad = 1.0 if lo == 0.0 else abs(lo) * 0.5
-            lo, hi = lo - pad, hi + pad
+            lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
         self.lo, self.hi = lo, hi
+        self.scale = _scale(lo, hi)
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
     def pix(self, v):
-        frac = (v - self.lo) / (self.hi - self.lo)
+        s = self.scale
+        frac = (v * s - self.lo * s) / (self.hi * s - self.lo * s)
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 

@@ -1,34 +1,36 @@
-"""Straight-line tapes of RK4 steps and audit samples, compiled to Python functions.
+"""Straight-line tapes of traced functions, compiled to Python functions.
 
 A ``Var`` is a tracing scalar: it carries the concrete value of one
 evaluation point and the SSA name of the tape line that computes it.
-Running ``simkit.rk4_combine`` of a generic right-hand side ``f(t, y)``
-once on ``Var`` inputs -- through the plant, the controller stack and the
-dual-number tower of ``autodiff``, which are all generic over their
-scalar -- records every float operation of one whole RK4 step (``+ - * /
-**``, ``abs`` and the ``sqrt``, ``cos`` and ``sin`` of ``autodiff``), in
-order (tape-based AD as in Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., 2008).  ``compile_step`` emits the tape as the source of one
-flat function and compiles it with ``compile()``.
+Running a generic function once on ``Var`` inputs -- such as
+``simkit.rk4_step`` of a scenario's right-hand side, through the plant,
+the controller stack and the dual-number tower of ``autodiff``, which are
+all generic over their scalar -- records every float operation it makes
+(``+ - * / **``, ``abs`` and the ``sqrt``, ``cos`` and ``sin`` of
+``autodiff``), in order, and its control flow at the traced point as
+guards (tape-based AD as in Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., 2008).  ``compile_step`` emits the tape as the source of one flat
+function and compiles it with ``compile()``.
 
-The compiled step returns the same bits as ``rk4_step(f, y, t, h)``, or
-None where it cannot vouch for them:
+The compiled function returns the same bits as the traced one, or None
+where it cannot vouch for them:
 
 * operations are recorded with their operands in evaluation order; the
   only rewrites are x*1.0, 1.0*x, x/1.0 and x-0.0 -> x, exact in IEEE
   arithmetic.  Operations between constants never reach the tape;
 * a repeated operation on the same operands reuses the first line;
-* a comparison on a ``Var`` (the sqrt domain and division-by-zero checks,
-  any data-dependent branch) becomes a guard: where it comes out
-  differently than at the traced point, the step returns None;
+* a comparison on a ``Var`` (a domain or range check, any data-dependent
+  branch) becomes a guard: where it comes out differently than at the
+  traced point, a NaN operand included, the function returns None;
 * ``select_lt`` records a conditional expression instead of a guard;
-* the step returns None unless every component lies in
-  +-``simkit.ABORT_LIMIT`` (so not NaN);
 * lines that no output or guard reads are dropped unless they may raise
   (division by a ``Var``, powers, sqrt, cos, sin);
 * a line read exactly once that cannot raise is written into its reader
   as a nested expression (up to ``_MAX_DEPTH`` deep) instead of a
   temporary; raising lines and guards stay statements, in order.
+
+A ``try`` in the traced function is not on the tape: the compiled function
+raises the error of the operation that raises.
 
 One walk of the tape (``_Tape.walk``: the dead-line drop and the nesting
 above) has a second backend.  ``compile_lanes`` traces a generic
@@ -50,8 +52,6 @@ import math
 import operator
 
 import numpy as np
-
-from .simkit import ABORT_LIMIT, rk4_combine
 
 __all__ = ["Var", "compile_lanes", "compile_step", "select_lt"]
 
@@ -122,9 +122,9 @@ class _Tape:
 
         One walk serves both backends.  Lines that no output or guard reads
         are dropped unless they may raise; each name in ``reads`` is read
-        once more besides the lines (by the return, a range test, a domain
-        check), and a line read exactly once that cannot raise is written
-        into its reader as a nested expression, up to _MAX_DEPTH deep.
+        once more besides the lines (by the return, a domain check), and
+        a line read exactly once that cannot raise is written into its
+        reader as a nested expression, up to _MAX_DEPTH deep.
         ``text`` is the expression of a line, or the condition of a guard
         (a line named None, whose last field is the traced outcome).
         ``forms`` maps a line format to the backend's (format, operand
@@ -166,24 +166,17 @@ class _Tape:
         return body, render(", ".join(["%s"] * len(ops)), ops)[0]
 
     def source(self, out):
-        """Source of ``def step(t, y)`` returning the list ``out``.
-
-        A guard that misses returns None, and so does the function unless
-        every component lies in [-ABORT_LIMIT, ABORT_LIMIT] (so not NaN).
-        """
-        ops = tuple(self.operand(v) for v in out)
-        outs = [v.name for v in out if v.__class__ is Var]
-        # the return and the range test read the outputs
-        statements, items = self.walk(out, outs * 2, {})
+        """Source of ``def step(t, y)`` returning the list ``out``; a guard
+        that misses returns None."""
+        # the return reads the outputs
+        statements, items = self.walk(out, [v.name for v in out if v.__class__ is Var], {})
         body = []
         for line, text in statements:
             if line[0] is None:
                 body.append(("if %s:" if not line[4] else "if not %s:") % text + " return None")
             else:
                 body.append("%s = %s" % (line[0], text))
-        bound = repr(float(ABORT_LIMIT))
-        inside = " and ".join("-%s <= %s <= %s" % (bound, op, bound) for op in ops)
-        body += ["if %s:" % inside, "    return [%s]" % items, "return None"]
+        body.append("return [%s]" % items)
         return "def step(t, y):\n%s" % "".join("    %s\n" % text for text in body)
 
     def lanes_source(self, out):
@@ -324,23 +317,22 @@ def select_lt(a, b, then, other):
     return tape.emit("(%s if %s < %s else %s)", (then, a, b, other), value)
 
 
-def compile_step(fn, t, y, h):
-    """One whole RK4 step of ``fn`` at step h, compiled from a trace at (t, y).
+def compile_step(fn, t, y):
+    """``fn(t, y)`` compiled from a trace at (t, y), y a list of floats.
 
-    Returns ``step(t, y)``, which returns the list ``rk4_step(fn, y, t, h)``
-    returns, bit for bit, or None where a guard misses or a component is
-    NaN or beyond +-``simkit.ABORT_LIMIT``; it may raise the arithmetic
-    error ``fn`` raises.  ``step.source`` is the emitted source.  Returns
+    Returns ``step(t, y)``, which returns the list ``fn`` returns, bit for
+    bit, or None where a guard misses; where an operation raises, it raises
+    that operation's error.  ``step.source`` is the emitted source.  Returns
     None where the trace fails: ``fn`` raises at this point or does what a
     ``Var`` cannot record.
     """
     tape = _Tape()
     ys = tape.inputs(y)
     try:
-        source = tape.source(rk4_combine(fn, ys, Var(tape, "t", t), h))
+        source = tape.source(fn(Var(tape, "t", t), ys))
     except Exception:
-        # fn fails at this point (rk4_step meets the same error) or does
-        # what a Var cannot record; either way the plain step answers
+        # fn fails at this point or does what a Var cannot record; either
+        # way the plain function answers
         return None
     ns = {"_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin, **tape.consts}
     exec(compile(source, "<tape>", "exec"), ns)

@@ -467,6 +467,16 @@ GOLDEN = {
         "trajectory.csv": "8643167030a5a7f5785291e4ad562813c97b9213c000d1588e1fdd7b592b030b",
         "summary.json": "6466de659240b5f6ec74484a439fc8935185e02b913e8ad5739d1ba80aa54ea7",
     }),
+    # the first step fails, so no step is compiled: beyond the abort limit
+    # at t = 0.001, and not finite at t = 0
+    "auto-sign-flip": ("design.mode = auto\ndesign.sign_flip = true\n", (3, 3), {
+        "trajectory.csv": "8567e6013713d71feb9957ad7ca866ed7863208cfeb327167bc68b15caf7b8b7",
+        "summary.json": "370d5eda908ded62b659c4d97d1ddd0c920b89498fb9c3aca5e523e5d334ee6a",
+    }),
+    "far-x0": ("init.x0 = 10.0, -10.0\n", (3, 3), {
+        "trajectory.csv": "f6f357e27a0782633c2b1db5db8e45a46624a46b582047ebce3ed1e71789c47b",
+        "summary.json": "56a7e090a15ede3b11eb747318a2b6c6f382872f7c33672806d69834bca7beb5",
+    }),
 }
 
 

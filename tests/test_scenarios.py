@@ -144,10 +144,9 @@ SAMPLERS = {"numeric-2d": numeric_point, "stt-missile": missile_point}
 def plain_step(scn, t, y):
     """Bits of rk4_step of the generic rhs, or None where integrate stops there."""
     try:
-        out = rk4_step(scn.rhs_reference, y, t, scn.h)
+        return bits(rk4_step(scn.rhs_reference, y, t, scn.h))
     except DivergenceError:
         return None
-    return bits(out) if max(abs(v) for v in out) <= ABORT_LIMIT else None
 
 
 def fused_step(step, t, y):
@@ -155,9 +154,10 @@ def fused_step(step, t, y):
     return None if out is None else bits(out)
 
 
-def compiled(scn):
-    """The RK4 step a run of scn compiles, traced at (0, y0)."""
-    step = compile_step(scn.rhs_reference, 0.0, list(scn.y0()), scn.h)
+def compiled(scn, t=0.0, y=None):
+    """The RK4 step a run of scn compiles, traced at (0, y0), or at (t, y)."""
+    y = list(scn.y0()) if y is None else y
+    step = compile_step(lambda t, y: rk4_step(scn.rhs_reference, y, t, scn.h), t, y)
     assert step is not None and "return None" in step.source
     return step
 
@@ -166,13 +166,19 @@ def compiled(scn):
 def test_compiled_step_matches_rk4_step(sid, kwargs):
     """One compiled RK4 step is rk4_step of the generic rhs, bit for bit."""
     scn = scenarios.build(sid, **kwargs)
-    step = compiled(scn)
+    points = [SAMPLERS[sid](scn, i) for i in range(200)]
+    if plain_step(scn, 0.0, list(scn.y0())) is None:
+        # the auto-*-sign-1 loops leave the limit in their first step: trace
+        # at the first sample that stays inside it
+        y, t, _ = next(p for p in points if plain_step(scn, p[1], p[0]) is not None)
+        step = compiled(scn, t, y)
+    else:
+        step = compiled(scn)
     if kwargs.get("deadzone"):
         assert "(0.0 if" in step.source
     sides = set()
     taken = 0
-    for i in range(200):
-        y, t, side = SAMPLERS[sid](scn, i)
+    for y, t, side in points:
         sides |= side
         want = plain_step(scn, t, y)
         assert fused_step(step, t, y) == want

@@ -11,6 +11,7 @@ from purefb.simkit import (
     ABORT_LIMIT,
     CSV_BLOCK_ROWS,
     DivergenceError,
+    StatePoint,
     Trajectory,
     integrate,
     measure_order,
@@ -72,6 +73,30 @@ def test_abort_limit_stops_growth():
     traj = integrate(lambda t, y: (1.0,), (ABORT_LIMIT - 0.5,), T=2.0, h=1e-2)
     assert traj.diverged
     assert traj.failure.t <= 0.6
+
+
+def test_rk4_step_returns_a_state_inside_the_limit():
+    out = rk4_step(lambda t, y: (1.0, 0.0), (ABORT_LIMIT - 1.0, -ABORT_LIMIT), 0.0, 0.5)
+    assert out == [ABORT_LIMIT - 0.5, -ABORT_LIMIT]
+    assert isinstance(out, list)
+
+
+def test_rk4_step_stops_past_the_limit_at_the_new_point():
+    rhs = lambda t, y: (1.0, -4.0)
+    y = (ABORT_LIMIT - 0.25, -ABORT_LIMIT + 1.0)
+    with pytest.raises(DivergenceError, match="abort limit") as info:
+        rk4_step(rhs, y, 2.0, 0.5)
+    assert info.value.point == (2.5, (ABORT_LIMIT + 0.25, -ABORT_LIMIT - 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rk4_step_stops_a_non_finite_state_at_the_pre_step_point(bad):
+    # a finite component past the limit does not move the point when another
+    # is not finite
+    y = (bad, 2.0 * ABORT_LIMIT)
+    with pytest.raises(DivergenceError, match="non-finite") as info:
+        rk4_step(lambda t, y: (0.0, 0.0), y, 1.0, 0.5)
+    assert repr(info.value.point) == repr(StatePoint(1.0, y))
 
 
 def test_rk4_step_wraps_arithmetic_failure():

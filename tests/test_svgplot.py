@@ -75,6 +75,23 @@ def test_constant_series_renders(tmp_path):
     assert "<polyline" in path.read_text()
 
 
+@pytest.mark.parametrize("values", [[-1e308, 1e308], [1.7e308, 1.7e308]],
+                         ids=["span-overflows", "padding-overflows"])
+def test_series_near_the_largest_float_renders(tmp_path, values):
+    """hi - lo past the largest float is measured in halves; a constant
+    series pads up to the largest float at most."""
+    path = tmp_path / "huge.svg"
+    line_plot(path, [0.0, 1.0], [("u", values)])
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    (u,) = polyline_points(path)
+    ys = [float(point.split(",")[1]) for point in u]
+    assert all(MARGIN_T <= y <= HEIGHT - MARGIN_B for y in ys)
+    if values[0] < values[1]:
+        assert ys == [HEIGHT - MARGIN_B, MARGIN_T]
+        assert ">-1e+308<" in text and ">1e+308<" in text
+
+
 def test_non_finite_samples_are_left_out(tmp_path):
     """A diverged run's last row may hold inf or NaN; the axis and the
     points cover the finite samples (a numpy warning would be an error)."""

@@ -9,7 +9,7 @@ import pytest
 
 from purefb import autodiff, scenarios
 from purefb.autodiff import partial, real_value, seed
-from purefb.simkit import ABORT_LIMIT, DivergenceError, integrate, rk4_combine, rk4_step
+from purefb.simkit import ABORT_LIMIT, DivergenceError, integrate, rk4_step
 from purefb.tape import Var, compile_lanes, compile_step, select_lt
 
 
@@ -30,6 +30,17 @@ def raised(fn, *args):
     return type(info.value), str(info.value)
 
 
+def wrapped(fn, *args):
+    """Type and text of the error that fn's DivergenceError wraps."""
+    with pytest.raises(DivergenceError) as info:
+        fn(*args)
+    return type(info.value.__cause__), str(info.value.__cause__)
+
+
+# a range guard of the abort rule on one component of the new state
+RANGE_GUARD = r"if not v\d+ (>= \(-1000000000\.0\)|<= 1000000000\.0): return None"
+
+
 def step_bits(out):
     return None if out is None else [v.hex() for v in out]
 
@@ -44,7 +55,7 @@ def same_run(fused, plain):
 @pytest.mark.parametrize("y", [[0.0, 9.0, 1.0], [4.0, -1.0, 1.0]], ids=["div-zero", "sqrt-domain"])
 def test_guard_miss_raises_like_the_generic_path(y):
     h = 0.125
-    step = compile_step(guarded, 2.0, [4.0, 9.0, 1.0], h)
+    step = compile_step(lambda t, y: rk4_step(guarded, y, t, h), 2.0, [4.0, 9.0, 1.0])
     assert "_sqrt(" in step.source
     assert step_bits(step(2.0, [4.0, 9.0, 1.0])) == step_bits(
         rk4_step(guarded, [4.0, 9.0, 1.0], 2.0, h))
@@ -55,12 +66,12 @@ def test_guard_miss_raises_like_the_generic_path(y):
 
 def test_guard_miss_takes_the_other_branch():
     h = 0.125
-    step = compile_step(branchy, 0.0, [2.0], h)
+    step = compile_step(lambda t, y: rk4_step(branchy, y, t, h), 0.0, [2.0])
     for v in (0.5, 1.0, 7.0, -0.0):
         # a first stage on the other branch declines; rk4_step then takes it
         want = step_bits(rk4_step(branchy, [v], 0.0, h)) if v > 1.0 else None
         assert step_bits(step(0.0, [v])) == want
-    other = compile_step(branchy, 0.0, [0.5], h)
+    other = compile_step(lambda t, y: rk4_step(branchy, y, t, h), 0.0, [0.5])
     assert other(0.0, [2.0]) is None
     assert step_bits(other(0.0, [-0.0])) == step_bits(rk4_step(branchy, [-0.0], 0.0, h))
 
@@ -70,9 +81,10 @@ def test_select_compiles_to_a_conditional_expression():
         return (select_lt(abs(y[0]), 0.5, 0.0, y[0] * y[1]), -y[1])
 
     h = 0.25
-    step = compile_step(dead_zone, 0.0, [2.0, 3.0], h)
-    tests = [line for line in step.source.splitlines() if line.lstrip().startswith("if ")]
-    assert len(tests) == 1 and tests[0].count("<=") == 4  # only the range test
+    step = compile_step(lambda t, y: rk4_step(dead_zone, y, t, h), 0.0, [2.0, 3.0])
+    tests = [line.strip() for line in step.source.splitlines() if line.lstrip().startswith("if ")]
+    # only the range guards, two per component
+    assert len(tests) == 4 and all(re.fullmatch(RANGE_GUARD, line) for line in tests)
     assert "(0.0 if" in step.source
     for y in ([0.1, 3.0], [-2.0, 3.0], [0.5, 1.0]):
         assert step_bits(step(0.0, y)) == step_bits(rk4_step(dead_zone, y, 0.0, h))
@@ -84,7 +96,7 @@ def test_only_exact_rewrites():
         return (a * 1.0, 1.0 * a, a / 1.0, a - 0.0, a + 0.0, a * 0.0, -(-a))
 
     h = 0.5
-    step = compile_step(ops, 0.0, [1.5] * 7, h)
+    step = compile_step(lambda t, y: rk4_step(ops, y, t, h), 0.0, [1.5] * 7)
     assert "* 1.0" not in step.source and "/ 1.0" not in step.source
     for v in (-0.0, 0.0, -2.5):
         assert step_bits(step(0.0, [v] * 7)) == step_bits(rk4_step(ops, [v] * 7, 0.0, h))
@@ -94,9 +106,10 @@ def test_only_exact_rewrites():
 
 def test_failing_trace_point_runs_the_reference_until_traced():
     h = 0.125
-    assert compile_step(guarded, 0.0, [0.0, 1.0, 1.0], h) is None  # 1/0 at the trace point
+    # 1/0 at the trace point
+    assert compile_step(lambda t, y: rk4_step(guarded, y, t, h), 0.0, [0.0, 1.0, 1.0]) is None
     y = [2.0, 4.0, 1.0]
-    step = compile_step(guarded, 1.0, y, h)
+    step = compile_step(lambda t, y: rk4_step(guarded, y, t, h), 1.0, y)
     assert step_bits(step(1.0, y)) == step_bits(rk4_step(guarded, y, 1.0, h))
     same_run(integrate(guarded, y, 1.0, h, step=step), integrate(guarded, y, 1.0, h, step=None))
 
@@ -105,7 +118,7 @@ def test_untraceable_function_runs_the_reference():
     def uses_math(t, y):
         return (math.cos(t) * y[0],)
 
-    assert compile_step(uses_math, 0.5, [2.0], 0.25) is None
+    assert compile_step(lambda t, y: rk4_step(uses_math, y, t, 0.25), 0.5, [2.0]) is None
     traj = integrate(uses_math, [2.0], 1.0, 0.25, step=None)
     assert not traj.diverged and traj.data.shape == (5, 2)
 
@@ -120,7 +133,7 @@ def test_long_single_use_chain_compiles_nested_and_exact():
             v = v * 1.0001 + 0.5
         return (v, y[1] - v)
 
-    step = compile_step(chain, 0.0, [1.0, 2.0], 0.01)
+    step = compile_step(lambda t, y: rk4_step(chain, y, t, 0.01), 0.0, [1.0, 2.0])
     assert step is not None
     # nesting is capped, so the four 2000-line stages are cut into a few
     # hundred statements
@@ -135,20 +148,23 @@ def test_single_use_lines_are_inlined_and_raising_lines_are_not():
         return (y[1] / a + 1.0, a * 0.5, autodiff.sqrt(y[0] * 3.0) - 1.0)
 
     h = 0.125
-    step = compile_step(f, 0.0, [1.5, 2.0, 0.5], h)
+    step = compile_step(lambda t, y: rk4_step(f, y, t, h), 0.0, [1.5, 2.0, 0.5])
     body = [line.strip() for line in step.source.splitlines()[1:]]
     assigned = [line.split(" = ")[1] for line in body if " = " in line]
     # a is read twice in each stage; the product is read once and nested
     assert "(y0 * y1) + 2.0" in assigned
     # the four stage divisions and square roots may raise, so they stay
-    # statements, after the guards of the sqrt domain
+    # statements, after the guards of the sqrt domain; the range guards of
+    # the three components come last
     assert sum(re.fullmatch(r"v\d+ / v\d+|y1 / v\d+", text) is not None for text in assigned) == 4
     assert sum(text.startswith("_sqrt(") for text in assigned) == 4
-    assert sum(line.endswith(": return None") for line in body) == 4
+    guards = [line for line in body if line.endswith(": return None")]
+    assert len(guards) == 4 + 6
+    assert all(re.fullmatch(RANGE_GUARD, line) for line in body[-7:-1])
     # a * 0.5 of the first three stages is read twice; the last stage's is
     # read once, by the combination of the stages, and nested there
     assert sum(text.endswith(" * 0.5") for text in assigned) == 3
-    assert re.fullmatch(r"return \[v\d+, v\d+, v\d+\]", body[-2]) and body[-1] == "return None"
+    assert re.fullmatch(r"return \[v\d+, v\d+, v\d+\]", body[-1])
     for y in ([1.5, 2.0, 0.5], [0.5, 7.0, -1.0], [4.0, -1.25, 3.0]):
         assert step_bits(step(0.0, y)) == step_bits(rk4_step(f, y, 0.0, h))
 
@@ -161,9 +177,9 @@ def test_division_by_zero_in_a_later_stage_raises_like_the_generic_step():
         return (1.0, 1.0 / y[0])
 
     h = 0.5
-    step = compile_step(inverse, 0.0, [1.0, 0.0], h)
+    step = compile_step(lambda t, y: rk4_step(inverse, y, t, h), 0.0, [1.0, 0.0])
     y = [-0.25, 0.0]  # the second stage evaluates at y[0] = -0.25 + 0.25 = 0
-    assert raised(step, 0.0, y) == raised(rk4_combine, inverse, y, 0.0, h)
+    assert raised(step, 0.0, y) == wrapped(rk4_step, inverse, y, 0.0, h)
     assert raised(step, 0.0, y)[0] is ZeroDivisionError
     fused = integrate(inverse, y, 1.0, h, step=step)
     plain = integrate(inverse, y, 1.0, h)
@@ -172,7 +188,7 @@ def test_division_by_zero_in_a_later_stage_raises_like_the_generic_step():
 
 
 def test_guard_miss_declines_the_step_and_the_run_is_unchanged():
-    step = compile_step(branchy, 0.0, [2.0], 0.125)
+    step = compile_step(lambda t, y: rk4_step(branchy, y, t, 0.125), 0.0, [2.0])
     assert step(0.0, [0.5]) is None  # the first stage takes the other branch
     assert step_bits(step(0.0, [2.0])) == step_bits(rk4_step(branchy, [2.0], 0.0, 0.125))
     # the state crosses the branch point y = 1 during the run
@@ -187,12 +203,12 @@ def test_cos_of_infinity_declines_the_step_with_the_plain_error():
         return (autodiff.cos(y[0]) * y[1], autodiff.sin(t) - y[1])
 
     h = 0.25
-    step = compile_step(ripple, 0.0, [0.5, 1.0], h)
+    step = compile_step(lambda t, y: rk4_step(ripple, y, t, h), 0.0, [0.5, 1.0])
     assert "_cos(" in step.source and "_sin(" in step.source
     for y in ([0.5, 1.0], [-3.0, 2.5]):
         assert step_bits(step(0.3, y)) == step_bits(rk4_step(ripple, y, 0.3, h))
     y = [math.inf, 1.0]
-    assert raised(step, 0.0, y) == raised(rk4_combine, ripple, y, 0.0, h)
+    assert raised(step, 0.0, y) == wrapped(rk4_step, ripple, y, 0.0, h)
     assert raised(step, 0.0, y)[0] is ValueError
     fused = integrate(ripple, y, 1.0, h, step=step)
     plain = integrate(ripple, y, 1.0, h)
@@ -206,7 +222,7 @@ def test_step_declines_states_the_integrator_stops_at(y):
     def grow(t, y):
         return (y[0] * 1e-3 + 10.0,)
 
-    step = compile_step(grow, 0.0, [1.0], 0.5)
+    step = compile_step(lambda t, y: rk4_step(grow, y, t, 0.5), 0.0, [1.0])
     assert step(0.0, y) is None
     fused = integrate(grow, y, 1.0, 0.5, step=step)
     plain = integrate(grow, y, 1.0, 0.5)
