@@ -31,6 +31,10 @@ EXIT_DIVERGED = 3
 EXIT_INTERNAL = 4
 
 
+# where a stored run id is looked up without --out
+_REGISTRY = configmod._BY_NAME["run.out"].default
+
+
 class _CliError(Exception):
     """Usage-level failure; message printed to stderr, exit 2."""
 
@@ -49,7 +53,8 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed")
         p.add_argument("--out", default=None, help="override run.out")
-        p.add_argument("--mode", choices=("paper", "auto"), default=None,
+        p.add_argument("--mode", choices=configmod._BY_NAME["design.mode"].choices,
+                       default=None,
                        help="override design.mode (two-state scenario only)")
 
     p_run = sub.add_parser("run", help="simulate and persist one run")
@@ -70,7 +75,7 @@ def _build_parser():
     p_plot = sub.add_parser("plot", help="re-render charts of a stored run")
     p_plot.add_argument("run_id", help="stored run id")
     p_plot.add_argument("--out", default=None,
-                        help="registry root (default runs)")
+                        help="registry root (default %s)" % _REGISTRY)
     return parser
 
 
@@ -172,7 +177,7 @@ def _cmd_verify(args):
         if given:
             raise _CliError("a stored run is verified as it ran; --%s cannot "
                             "change it" % ", --".join(given))
-        out_dir = args.out or "runs"
+        out_dir = args.out or _REGISTRY
         cfg, scn, traj = runstore.load_run(out_dir, args.run_id)
         paths = runstore.paths_for(out_dir, args.run_id)
     else:
@@ -220,7 +225,7 @@ def _cmd_montecarlo(args):
 
 
 def _cmd_plot(args):
-    out_dir = args.out or "runs"
+    out_dir = args.out or _REGISTRY
     _, _, traj = runstore.load_run(out_dir, args.run_id)
     paths = runstore.paths_for(out_dir, args.run_id)
     os.makedirs(paths.plots, exist_ok=True)

@@ -12,16 +12,23 @@ order or float spelling.
 Schema keys are either common or scoped to one scenario; the scenario is
 picked by the required ``scenario.id`` key.  ``schema_markdown`` renders
 the documented schema shipped under docs/.
+
+A key that sets a library keyword takes that keyword's default, read once
+at import: a scenario section's key the factory keyword of its name,
+``verify.<field>`` the ``VerifyTolerances`` field and ``verify.audit_*``
+the ``dominance_audit`` keyword.  Only the other keys state their own.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-from .verify import VerifyTolerances
+from . import scenarios
+from .verify import VerifyTolerances, dominance_audit
 
 __all__ = [
     "ConfigError",
@@ -63,9 +70,10 @@ class Key:
 
     name: str
     typ: str  # float | int | bool | str | floats
-    default: object  # None (with required=True) or value or {scenario: value}
     doc: str
     scen: Optional[str] = None
+    # own default (None: unset); a key that sets a library keyword has none
+    default: object = None
     required: bool = False
     count: Optional[int] = None  # arity for typ == "floats"
     choices: Optional[tuple] = None
@@ -79,117 +87,113 @@ MS = "stt-missile"
 STEP_BUDGET = 10_000_000
 
 SCHEMA = (
-    Key("scenario.id", "str", None, "registered scenario to run",
-        required=True, choices=(N2, MS)),
-    Key("run.seed", "int", 0, "seed recorded with the run and used by sweeps",
-        check=_nonneg),
-    Key("run.out", "str", "runs", "run-registry root directory"),
-    Key("integrator.T", "float", {N2: 100.0, MS: 20.0}, "horizon, seconds",
+    Key("scenario.id", "str", "registered scenario to run", required=True,
+        choices=(N2, MS)),
+    Key("run.seed", "int", "seed recorded with the run and used by sweeps",
+        default=0, check=_nonneg),
+    Key("run.out", "str", "run-registry root directory", default="runs"),
+    Key("integrator.T", "float", "horizon, seconds", check=_positive),
+    Key("integrator.h", "float", "fixed integration step, seconds",
         check=_positive),
-    Key("integrator.h", "float", 1e-3, "fixed integration step, seconds",
-        check=_positive),
-    Key("integrator.decimation", "int", {N2: 100, MS: 20},
+    Key("integrator.decimation", "int",
         "record every this many steps (must divide T/h)", check=_positive),
-    Key("design.sign_flip", "bool", False,
+    Key("design.sign_flip", "bool",
         "sabotage toggle: flip the sign of the applied input (negative "
-        "controls only)"),
-    Key("verify.tol_x", "float", 1e-2, "tail sup-norm threshold on the state",
+        "controls only)", default=False),
+    Key("verify.tol_x", "float", "tail sup-norm threshold on the state",
         check=_positive),
-    Key("verify.tol_k", "float", 1e-3, "gain settling threshold over the tail",
+    Key("verify.tol_k", "float", "gain settling threshold over the tail",
         check=_positive),
-    Key("verify.tail_frac", "float", 0.1,
+    Key("verify.tail_frac", "float",
         "fraction of the horizon treated as the tail window", check=_fraction),
-    Key("verify.z_tail", "float", 1e-2,
+    Key("verify.z_tail", "float",
         "allowed tail increment of each squared-error integral",
         check=_positive),
-    Key("verify.energy_slack", "float", 1e-6,
+    Key("verify.energy_slack", "float",
         "slack in gamma_i * int z_i^2 <= k_i(T) - k_i(0)", check=_positive),
-    Key("verify.budget_slack", "float", 1e-6,
+    Key("verify.budget_slack", "float",
         "absolute slack of the energy-budget monitor", check=_positive),
-    Key("verify.k_monotone", "float", 1e-12,
-        "tolerated per-sample gain decrease", check=_nonneg),
-    Key("verify.audit_samples", "int", 10000,
+    Key("verify.k_monotone", "float", "tolerated per-sample gain decrease",
+        check=_nonneg),
+    Key("verify.audit_samples", "int",
         "sample count for the stage-dominance audit", check=_positive),
-    Key("verify.audit_seed", "int", 0, "seed of the dominance audit",
+    Key("verify.audit_seed", "int", "seed of the dominance audit",
         check=_nonneg),
     # two-state numeric benchmark
-    Key("design.mode", "str", "paper",
+    Key("design.mode", "str",
         "gain-shape source: the benchmark's closed forms or constructive "
         "synthesis", scen=N2, choices=("paper", "auto")),
-    Key("design.mu", "floats", (0.2, 0.2), "per-stage control weights mu_i",
-        scen=N2, count=2, check=_each_positive),
-    Key("design.gamma", "floats", (0.2, 0.2), "per-stage adaptation rates",
-        scen=N2, count=2, check=_each_positive),
-    Key("design.k0", "floats", (0.01, 0.01), "initial adaptive gains",
-        scen=N2, count=2, check=_each_positive),
-    Key("design.deadzone", "float", 0.0,
+    Key("design.mu", "floats", "per-stage control weights mu_i", scen=N2,
+        count=2, check=_each_positive),
+    Key("design.gamma", "floats", "per-stage adaptation rates", scen=N2,
+        count=2, check=_each_positive),
+    Key("design.k0", "floats", "initial adaptive gains", scen=N2, count=2,
+        check=_each_positive),
+    Key("design.deadzone", "float",
         "freeze adaptation while |z_i| is below this", scen=N2, check=_nonneg),
-    Key("design.smoothing", "float", 1e-6,
+    Key("design.smoothing", "float",
         "smooth-absolute-value width used inside synthesized shapes",
         scen=N2, check=_positive),
-    Key("init.x0", "floats", (-2.0, 3.0), "initial plant state", scen=N2,
-        count=2),
-    Key("uncertainty.theta", "floats", (1.0, 2.0),
+    Key("init.x0", "floats", "initial plant state", scen=N2, count=2),
+    Key("uncertainty.theta", "floats",
         "constant uncertainty vector of the run", scen=N2, count=2),
-    Key("uncertainty.box_lo", "floats", None,
+    Key("uncertainty.box_lo", "floats",
         "lower edge of the declared uncertainty box (defaults to theta)",
         scen=N2, count=2),
-    Key("uncertainty.box_hi", "floats", None,
+    Key("uncertainty.box_hi", "floats",
         "upper edge of the declared uncertainty box (defaults to theta)",
         scen=N2, count=2),
-    Key("sweep.x0_lo", "floats", (-3.0, -3.0),
+    Key("sweep.x0_lo", "floats",
         "lower corner of the initial-state box sampled by the sweep",
-        scen=N2, count=2),
-    Key("sweep.x0_hi", "floats", (3.0, 3.0),
+        default=(-3.0, -3.0), scen=N2, count=2),
+    Key("sweep.x0_hi", "floats",
         "upper corner of the initial-state box sampled by the sweep",
-        scen=N2, count=2),
+        default=(3.0, 3.0), scen=N2, count=2),
     # missile roll channel
-    Key("init.roll_deg", "float", 10.0, "initial roll angle, degrees",
-        scen=MS),
-    Key("init.rate", "float", 0.0, "initial roll rate, rad/s", scen=MS),
-    Key("init.defl", "float", 0.0, "initial aileron deflection, rad",
-        scen=MS),
-    Key("design.k1", "float", 5.0, "fixed first-stage gain", scen=MS,
+    Key("init.roll_deg", "float", "initial roll angle, degrees", scen=MS),
+    Key("init.rate", "float", "initial roll rate, rad/s", scen=MS),
+    Key("init.defl", "float", "initial aileron deflection, rad", scen=MS),
+    Key("design.k1", "float", "fixed first-stage gain", scen=MS,
         check=_positive),
-    Key("design.mu2", "float", 0.5, "second-stage control weight", scen=MS,
+    Key("design.mu2", "float", "second-stage control weight", scen=MS,
         check=_positive),
-    Key("design.mu3", "float", 0.5, "third-stage control weight", scen=MS,
+    Key("design.mu3", "float", "third-stage control weight", scen=MS,
         check=_positive),
-    Key("design.gamma2", "float", 0.1, "second-stage adaptation rate",
-        scen=MS, check=_positive),
-    Key("design.gamma3", "float", 0.1, "third-stage adaptation rate",
-        scen=MS, check=_positive),
-    Key("design.k20", "float", 0.1, "initial second-stage gain", scen=MS,
+    Key("design.gamma2", "float", "second-stage adaptation rate", scen=MS,
         check=_positive),
-    Key("design.k30", "float", 0.1, "initial third-stage gain", scen=MS,
+    Key("design.gamma3", "float", "third-stage adaptation rate", scen=MS,
         check=_positive),
-    Key("design.epsilon", "float", 0.1,
+    Key("design.k20", "float", "initial second-stage gain", scen=MS,
+        check=_positive),
+    Key("design.k30", "float", "initial third-stage gain", scen=MS,
+        check=_positive),
+    Key("design.epsilon", "float",
         "completion-of-squares constant (needs k1 - 3 epsilon / 4 > 0)",
         scen=MS, check=_positive),
-    Key("missile.s", "float", 0.42, "reference area, m^2", scen=MS,
+    Key("missile.s", "float", "reference area, m^2", scen=MS,
         check=_positive),
-    Key("missile.l", "float", 0.68, "reference length, m", scen=MS,
+    Key("missile.l", "float", "reference length, m", scen=MS,
         check=_positive),
-    Key("missile.jx", "float", 100.0, "roll inertia, kg m^2", scen=MS,
+    Key("missile.jx", "float", "roll inertia, kg m^2", scen=MS,
         check=_positive),
-    Key("missile.tau_a", "float", 0.01, "actuator time constant, s",
-        scen=MS, check=_positive),
-    Key("missile.rho_air", "float", 0.7361, "air density, kg/m^3", scen=MS,
+    Key("missile.tau_a", "float", "actuator time constant, s", scen=MS,
         check=_positive),
-    Key("missile.v_mean", "float", 200.0, "mean airspeed, m/s", scen=MS,
+    Key("missile.rho_air", "float", "air density, kg/m^3", scen=MS,
         check=_positive),
-    Key("missile.v_amp", "float", 0.1, "relative airspeed ripple amplitude",
+    Key("missile.v_mean", "float", "mean airspeed, m/s", scen=MS,
+        check=_positive),
+    Key("missile.v_amp", "float", "relative airspeed ripple amplitude",
         scen=MS, check=_amplitude),
-    Key("missile.v_freq", "float", 2.0, "airspeed ripple frequency, rad/s",
+    Key("missile.v_freq", "float", "airspeed ripple frequency, rad/s",
         scen=MS, check=_nonneg),
-    Key("missile.mx_mean", "float", 2.12, "mean roll-moment slope, 1/rad",
+    Key("missile.mx_mean", "float", "mean roll-moment slope, 1/rad",
         scen=MS, check=_positive),
-    Key("missile.mx_amp", "float", 0.2,
+    Key("missile.mx_amp", "float",
         "relative roll-moment-slope ripple amplitude", scen=MS,
         check=_amplitude),
-    Key("missile.mx_freq", "float", 1.0,
+    Key("missile.mx_freq", "float",
         "roll-moment-slope ripple frequency, rad/s", scen=MS, check=_nonneg),
-    Key("missile.xi_const", "float", 1.0,
+    Key("missile.xi_const", "float",
         "constant deflection weight xi used inside psi3", scen=MS,
         check=_positive),
 )
@@ -203,6 +207,25 @@ _KEYWORDS = tuple(
     (k.name, k.name.partition(".")[2])
     for k in SCHEMA if k.name.partition(".")[0] in SCENARIO_SECTIONS
 )
+
+
+def _defaults(sid):
+    """Scenario sid's optional keys and their defaults; a key whose path is
+    a prefix below plus a keyword's name takes that keyword's default."""
+    sources = [(section + ".", scenarios.SCENARIOS[sid])
+               for section in SCENARIO_SECTIONS]
+    sources += [("verify.", VerifyTolerances), ("verify.audit_", dominance_audit)]
+    library = {
+        prefix + p.name: p.default
+        for prefix, source in sources
+        for p in inspect.signature(source).parameters.values()
+        if p.default is not p.empty
+    }
+    return {k.name: library.get(k.name, k.default) for k in SCHEMA
+            if k.scen in (None, sid) and not k.required}
+
+
+_DEFAULTS = {sid: _defaults(sid) for sid in _BY_NAME["scenario.id"].choices}
 
 
 def _finite(text):
@@ -346,13 +369,8 @@ def load_text(text, overrides=None):
                 % (name, sid, key.scen)
             )
         values[name] = _coerce(key, text_value)
-    for key in SCHEMA:
-        if key.name in values or (key.scen is not None and key.scen != sid):
-            continue
-        default = key.default
-        if isinstance(default, dict):
-            default = default[sid]
-        values[key.name] = default
+    for name, default in _DEFAULTS[sid].items():
+        values.setdefault(name, default)
     for name, value in values.items():
         key = _BY_NAME[name]
         if key.choices is not None and value not in key.choices:
@@ -405,17 +423,14 @@ def schema_markdown():
         "|---|---|---|---|---|",
     ]
     for key in SCHEMA:
+        shown = {sid: "(unset)" if d[key.name] is None else _render(key, d[key.name])
+                 for sid, d in sorted(_DEFAULTS.items()) if key.name in d}
         if key.required:
             default = "(required)"
-        elif isinstance(key.default, dict):
-            default = "; ".join(
-                "%s: %s" % (sid, _render(key, val))
-                for sid, val in sorted(key.default.items())
-            )
-        elif key.default is None:
-            default = "(unset)"
+        elif len(set(shown.values())) > 1:
+            default = "; ".join("%s: %s" % item for item in shown.items())
         else:
-            default = _render(key, key.default)
+            (default,) = set(shown.values())
         typ = key.typ
         if key.choices:
             typ = " \\| ".join(key.choices)

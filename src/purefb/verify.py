@@ -35,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import scenarios
 from .simkit import ABORT_LIMIT
 from .tape import compile_lanes, select_lt
 
@@ -360,6 +361,8 @@ def dominance_audit(
     """
     if stage < 2:
         raise ValueError("the dominance construction starts at stage 2")
+    if stage > stack.n:
+        raise ValueError("stage %d is beyond the stack's %d stages" % (stage, stack.n))
     if stack.params.mode != "auto":
         raise ValueError("the audit targets the constructive (auto) synthesis")
     if samples < 1:
@@ -426,7 +429,7 @@ class BudgetReport(_Fields):
         self.passed = self.applicable and self.min_slack >= 0.0
 
 
-def lyapunov_budget(traj, oracle, slack=1e-6):
+def lyapunov_budget(traj, oracle, slack=VerifyTolerances.budget_slack):
     """Check the integrated energy bound along a recorded trajectory.
 
     The proof integrates the error-energy derivative into
@@ -504,8 +507,6 @@ class MonteCarloReport(_Fields):
 
 
 def _mc_run(sid, overrides, tol):
-    from . import scenarios
-
     scn = scenarios.build(sid, **overrides)
     traj = scn.run()
     report = check_theorem1(traj, tol)

@@ -442,48 +442,65 @@ def test_usage_error_without_subcommand(capsys):
     assert main([]) == 2
 
 
-# SHA-256 of the files `run` and `verify <id>` write for numeric-2d at
-# T = 5 s, recorded at the commit before Scenario assembled the closed loop.
-# numeric-2d's arithmetic is + - * / and sqrt, which IEEE 754 rounds the
-# same way on every machine.  The sign-flipped run's report.json is not
-# pinned: its -Infinity margin is now written as null.
+N2_5S = "scenario.id = numeric-2d\nintegrator.T = 5.0\n"
+MS_2S = "scenario.id = stt-missile\nintegrator.T = 2.0\n"
+
+# SHA-256 of the files `run` and `verify <id>` write.  The numeric-2d
+# digests, at T = 5 s, were recorded at the commit before Scenario assembled
+# the closed loop.  numeric-2d's arithmetic is + - * / and sqrt, which IEEE
+# 754 rounds the same way on every machine.  The sign-flipped run's
+# report.json is not pinned: its -Infinity margin is now written as null.
+# The stt-missile digests, at T = 2 s, were recorded at the commit before
+# the config schema read its defaults from the library keywords; its flight
+# condition also goes through the platform's cos and sin.
 GOLDEN = {
-    "paper": ("", (0, 1), {
+    "paper": (N2_5S, (0, 1), {
         "trajectory.csv": "174790d398c80a76749a2c608bfed8603e4171e4d4e45c79f2d3fcf6e2c4d3e2",
         "summary.json": "15af3c2f7a4eec67cad6c0c181b22cc8f2760c01dedda8e2f95a7c28a467ce2a",
         "report.json": "9fc4a3ab736384de9f73097ec2318284449fcb24e367ee50eca8cad2efc8812a",
     }),
-    "auto": ("design.mode = auto\nverify.audit_samples = 500\n", (0, 1), {
+    "auto": (N2_5S + "design.mode = auto\nverify.audit_samples = 500\n", (0, 1), {
         "trajectory.csv": "763502e88dae9174f1c0b2496f7705bb7e29bb32c80d46c18495e047672605d4",
         "summary.json": "7d77d94dfbbb272c405bdcf0b315dc00f6aec26b7e1a5841f9e5c9ac7c5c31d4",
         "report.json": "6a9cb52bff0a5a13c9635bcafc9a765cbe7282ab4b5c2bed6e23afca80355e47",
     }),
-    "deadzone": ("design.deadzone = 0.01\n", (0, 1), {
+    "deadzone": (N2_5S + "design.deadzone = 0.01\n", (0, 1), {
         "trajectory.csv": "5ed13146e145876147f0f3a5c20bc93755da2e16e86773a78d10289dcc0d6b87",
         "summary.json": "0637a499fbd1b2e74b035d98af0de95958a95eb2c5d8085781f7f965b09747c8",
         "report.json": "ec0719def77e7900c18aeb6362250a3fb95a470032fad828c76c01eb31214b0c",
     }),
-    "sign-flip": ("design.sign_flip = true\n", (3, 3), {
+    "sign-flip": (N2_5S + "design.sign_flip = true\n", (3, 3), {
         "trajectory.csv": "8643167030a5a7f5785291e4ad562813c97b9213c000d1588e1fdd7b592b030b",
         "summary.json": "6466de659240b5f6ec74484a439fc8935185e02b913e8ad5739d1ba80aa54ea7",
     }),
     # the first step fails, so no step is compiled: beyond the abort limit
     # at t = 0.001, and not finite at t = 0
-    "auto-sign-flip": ("design.mode = auto\ndesign.sign_flip = true\n", (3, 3), {
+    "auto-sign-flip": (N2_5S + "design.mode = auto\ndesign.sign_flip = true\n", (3, 3), {
         "trajectory.csv": "8567e6013713d71feb9957ad7ca866ed7863208cfeb327167bc68b15caf7b8b7",
         "summary.json": "370d5eda908ded62b659c4d97d1ddd0c920b89498fb9c3aca5e523e5d334ee6a",
     }),
-    "far-x0": ("init.x0 = 10.0, -10.0\n", (3, 3), {
+    "far-x0": (N2_5S + "init.x0 = 10.0, -10.0\n", (3, 3), {
         "trajectory.csv": "f6f357e27a0782633c2b1db5db8e45a46624a46b582047ebce3ed1e71789c47b",
         "summary.json": "56a7e090a15ede3b11eb747318a2b6c6f382872f7c33672806d69834bca7beb5",
+    }),
+    "missile": (MS_2S, (0, 1), {
+        "trajectory.csv": "9840602c195daeae31f41e4a0f995c3c44c50483434215359d23bf4870475117",
+        "summary.json": "affe997d76e0a519363374a7a33f0f59e01678ad91501615a955f7dadf9041c0",
+        "report.json": "c1bed7855db43274b4f6ee21dec03e1ea9178c37a2cf1d85b77c5d0a7c1882e2",
+    }),
+    "missile-sign-flip": (MS_2S + "design.sign_flip = true\n"
+                          "integrator.decimation = 1\n", (3, 3), {
+        "trajectory.csv": "826cb7a036fc58c2d2c636c9265ec2cec7a4a915612ecf6083480bf659c3fd2c",
+        "summary.json": "adb14dd5e08eb07f99fb3e77ca6d24f98c232f72eee50cd5eb21a04f2760fc06",
+        "report.json": "907488e64aaf549237afa98008a131d2bf326649beadf8f3ea54611e2452de48",
     }),
 }
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_run_and_verify_write_the_recorded_bytes(tmp_path, case):
-    extra, codes, digests = GOLDEN[case]
-    cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\nintegrator.T = 5.0\n" + extra)
+    text, codes, digests = GOLDEN[case]
+    cfg = write_cfg(tmp_path, text)
     out = registry(tmp_path)
     assert main(["run", "--config", cfg, "--out", out]) == codes[0]
     rid = only_run_id(out)

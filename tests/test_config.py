@@ -34,6 +34,37 @@ def test_defaults_fill_in_per_scenario():
     assert missile["integrator.decimation"] == 20
 
 
+# run ids of the all-default and the bundled configs, recorded before the
+# schema read its defaults from the library keywords they set
+RUN_IDS = {
+    "numeric-2d": "900d61dc4049",
+    "stt-missile": "d972a2aeea81",
+    "configs/numeric-2d.cfg": "3bbeeed406d0",
+    "configs/stt-missile.cfg": "a805d1d88d7b",
+}
+
+
+@pytest.mark.parametrize("name", list(RUN_IDS))
+def test_run_ids_are_pinned(name):
+    if name.startswith("configs/"):
+        cfg = load_file(os.path.join(REPO, name))
+    else:
+        cfg = load_text("scenario.id = %s\n" % name)
+    assert cfg.run_id == RUN_IDS[name]
+
+
+def test_only_keys_that_set_no_library_keyword_state_a_default():
+    own = {k.name for k in SCHEMA if k.default is not None}
+    assert own == {"run.seed", "run.out", "design.sign_flip",
+                   "sweep.x0_lo", "sweep.x0_hi"}
+    # every other optional key but the uncertainty box edges is filled in
+    # from the library
+    for sid, defaults in config._DEFAULTS.items():
+        unset = {name for name, value in defaults.items() if value is None}
+        assert unset == ({"uncertainty.box_lo", "uncertainty.box_hi"}
+                         if sid == "numeric-2d" else set()), sid
+
+
 def test_hash_ignores_key_order_and_float_spelling():
     a = load_text("scenario.id = numeric-2d\ndesign.mu = 0.2, 0.2\nrun.seed = 3\n")
     b = load_text("run.seed = 3\nscenario.id = numeric-2d\ndesign.mu = 2e-1,0.20\n")

@@ -43,5 +43,18 @@ def test_plain_layers_import_no_purefb_module(name):
     assert purefb_imports(name) == set()
 
 
+LIBRARY = ["autodiff", "backstep", "missile", "plant", "scenarios", "simkit",
+           "svgplot", "tape", "verify"]
+
+
+@pytest.mark.parametrize("name", ["purefb." + m for m in LIBRARY])
+def test_library_imports_no_front_end_module(name):
+    """The front end (config, runstore, cli) reads the library, never the
+    reverse: the config schema takes its defaults from library keywords."""
+    front = {prefix + m for prefix in (".", "purefb.")
+             for m in ("config", "runstore", "cli")}
+    assert purefb_imports(name) & front == set()
+
+
 def test_purefb_imports_sees_relative_imports():
     assert {".simkit", ".tape"} <= purefb_imports("purefb.scenarios")

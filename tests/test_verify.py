@@ -165,6 +165,15 @@ def test_dominance_audit_guards(auto_scenario, paper_scenario):
         )
 
 
+@pytest.mark.parametrize("stage", [3, 7])
+def test_dominance_audit_stage_lies_in_the_stack(auto_scenario, stage):
+    with pytest.raises(ValueError, match="stack's 2 stages"):
+        dominance_audit(
+            auto_scenario.stack, auto_scenario.bounds, auto_scenario.oracle,
+            stage=stage, samples=10,
+        )
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_dominance_audit_needs_a_sample(auto_scenario, samples):
     with pytest.raises(ValueError, match="sample"):
