@@ -88,7 +88,7 @@ STEP_BUDGET = 10_000_000
 
 SCHEMA = (
     Key("scenario.id", "str", "registered scenario to run", required=True,
-        choices=(N2, MS)),
+        choices=scenarios.SCENARIO_IDS),
     Key("run.seed", "int", "seed recorded with the run and used by sweeps",
         default=0, check=_nonneg),
     Key("run.out", "str", "run-registry root directory", default="runs"),
@@ -122,7 +122,7 @@ SCHEMA = (
     # two-state numeric benchmark
     Key("design.mode", "str",
         "gain-shape source: the benchmark's closed forms or constructive "
-        "synthesis", scen=N2, choices=("paper", "auto")),
+        "synthesis", scen=N2, choices=scenarios.MODES),
     Key("design.mu", "floats", "per-stage control weights mu_i", scen=N2,
         count=2, check=_each_positive),
     Key("design.gamma", "floats", "per-stage adaptation rates", scen=N2,

@@ -38,7 +38,9 @@ its law is ``missile_control``.  ``Scenario.run`` compiles
 ``simkit.rk4_step`` of ``rhs_reference`` at the run's h, abort rule
 included (``tape.compile_step``, traced at (0, y0)), and hands it to
 ``integrate``; where that first step already fails, no step is compiled.
-Building a scenario does not trace.
+It compiles the row builder ``recorder`` holds the same way, and a row the
+compiled builder returns None for, or raises on, is built by the plain
+one.  Building a scenario does not trace.
 
 The exact squared-error integrals ride along as ODE components so the
 update-law energy identity gamma_i * int z_i^2 = k_i(T) - k_i(0) can be
@@ -58,7 +60,11 @@ from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
 from .simkit import integrate, rk4_step
 from .tape import compile_step
 
-__all__ = ["Scenario", "build", "SCENARIO_IDS"]
+__all__ = ["Scenario", "build", "MODES", "SCENARIO_IDS"]
+
+# numeric-2d's controller modes: the benchmark's closed-form gain shapes, or
+# constructive synthesis
+MODES = ("paper", "auto")
 
 
 @dataclass
@@ -129,15 +135,29 @@ class Scenario:
 
     def run(self, seed=None):
         y0 = self.y0()
-        # the one place that traces: its first evaluation is at (0, y0); the
+        point = [float(v) for v in y0]
+        # the one place that traces, step and row, both at (0, y0); the
         # compiled step is a step of rhs only while rhs is rhs_reference
         step = None
         if self.rhs is self.rhs_reference:
             step = compile_step(lambda t, y: rk4_step(self.rhs_reference, y, t, self.h),
-                                0.0, [float(v) for v in y0])
+                                0.0, point)
+        recorder = names, build = self.recorder
+        fast = compile_step(build, 0.0, point)
+        if fast is not None:
+            # the step's rule: a row the compiled builder cannot vouch for
+            # (None, or an arithmetic error) is built by the plain builder
+            def row(t, y):
+                try:
+                    out = fast(t, y)
+                except (ArithmeticError, ValueError):
+                    out = None
+                return build(t, y) if out is None else out
+
+            recorder = (names, row)
         return integrate(
             self.rhs, y0, self.T, self.h, self.decimation,
-            recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,
+            recorder=recorder, sid=self.sid, seed=seed, meta=self.meta,
             step=step,
         )
 
@@ -223,16 +243,15 @@ def numeric2d(
     mu = tuple(float(v) for v in mu)
     gamma = tuple(float(v) for v in gamma)
     k0 = tuple(float(v) for v in k0)
+    if mode not in MODES:
+        raise ValueError("mode must be %s, got %r" % (" or ".join(map(repr, MODES)), mode))
+    stages = None
     if mode == "paper":
         mu1, gamma1 = mu[0], gamma[0]
         stages = (
             lambda z, k, x: 2.0,
             lambda z, k, x: _n2_psi2_closed_form(z[0], k[0], x[0], x[1], mu1, gamma1),
         )
-    elif mode == "auto":
-        stages = None
-    else:
-        raise ValueError("mode must be 'paper' or 'auto', got %r" % (mode,))
     params = DesignParams(
         mu=mu,
         gamma=gamma,

@@ -1,4 +1,4 @@
-"""Scenario registry: wiring, recorders, compiled-step equivalence."""
+"""Scenario registry: wiring, recorders, compiled-step and compiled-row equivalence."""
 
 import inspect
 import math
@@ -271,6 +271,82 @@ def test_every_scenario_runs_compiled(sid, monkeypatch):
     traj = scenarios.build(sid, T=0.1).run()
     assert not traj.diverged
     assert plain == []  # every step ran compiled
+
+
+@pytest.mark.parametrize("sid,kwargs", CASES, ids=CASE_IDS)
+def test_compiled_row_matches_the_plain_row(sid, kwargs):
+    """The row a run compiles, traced at (0, y0), is the plain row bit for bit."""
+    scn = scenarios.build(sid, **kwargs)
+    build = scn.recorder[1]
+    row = compile_step(build, 0.0, list(scn.y0()))
+    for i in range(200):
+        y, t, _ = SAMPLERS[sid](scn, i)
+        out = row(t, y)
+        assert out is not None and bits(out) == bits(build(t, y))
+
+
+def counting_floats(build, calls):
+    """build, appending t to calls on each call on floats (not on a trace's Vars)."""
+    def counted(t, y):
+        if y[0].__class__ is float:
+            calls.append(t)
+        return build(t, y)
+
+    return counted
+
+
+RECORDED = [("numeric-2d", {"mode": "paper"}), ("numeric-2d", {"mode": "auto"}),
+            ("stt-missile", {})]
+
+
+@pytest.mark.parametrize("sid,kwargs", RECORDED,
+                         ids=["numeric-2d-paper", "numeric-2d-auto", "stt-missile"])
+def test_every_scenario_records_compiled(sid, kwargs):
+    scn = scenarios.build(sid, T=0.1, decimation=1, **kwargs)
+    names, build = scn.recorder
+    plain = []
+    scn.recorder = (names, counting_floats(build, plain))
+    traj = scn.run()
+    assert not traj.diverged and len(traj.data) == 101
+    assert plain == []  # every row was built compiled
+
+
+def test_missed_row_guard_records_the_plain_row():
+    """Where the compiled row's guard misses, the plain builder builds that row.
+
+    The auto-mode row's own guards are sqrt domain checks of a^2 + eps^2,
+    which no float state misses; this builder adds the sign of z2 as a
+    column, a guard once traced, and z2 changes sign within 0.1 s.
+    """
+    scn = scenarios.build("numeric-2d", mode="auto", T=0.1, decimation=1)
+    names, build = scn.recorder
+
+    def sided(t, y):
+        row = build(t, y)
+        return [*row, 1.0 if row[3] > 0.0 else -1.0]
+
+    recorder = ((*names, "side"), sided)
+    plain = []
+    scn.recorder = (recorder[0], counting_floats(sided, plain))
+    traj = scn.run()
+    ref = integrate(scn.rhs, scn.y0(), scn.T, scn.h, 1, recorder=recorder,
+                    sid=scn.sid, meta=scn.meta)
+    assert np.array_equal(traj.data, ref.data)
+    missed = traj.t[traj.col("side") < 0.0]
+    assert len(missed) > 0 and plain == missed.tolist()
+    j = int(np.argmax(traj.col("side") < 0.0))
+    y = [float(traj.col(c)[j]) for c in ("x1", "x2", "k1", "k2", "intz1", "intz2")]
+    assert compile_step(sided, 0.0, list(scn.y0()))(float(traj.t[j]), y) is None
+
+
+def test_untraceable_recorder_records_as_given():
+    scn = scenarios.build("stt-missile", T=0.1, decimation=1)
+    names, build = scn.recorder
+    scn.recorder = (names, lambda t, y: build(t, [float(v) for v in y]))
+    assert compile_step(scn.recorder[1], 0.0, list(scn.y0())) is None
+    traj = scn.run()
+    assert np.array_equal(traj.data,
+                          scenarios.build("stt-missile", T=0.1, decimation=1).run().data)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
