@@ -162,7 +162,10 @@ def load_run(out_dir, run_id):
     scn = scenarios.build(cfg.sid, **cfg.scenario_overrides())
     try:
         with open(paths.summary) as fh:
-            summary = json.load(fh)
+            try:
+                summary = json.load(fh)
+            except ValueError as exc:
+                raise RunStoreError("%s: %s" % (paths.summary, exc)) from None
         if not isinstance(summary, dict):
             raise RunStoreError("%s does not hold a JSON object" % paths.summary)
         traj = read_csv(paths.trajectory, sid=scn.sid, h=scn.h, seed=cfg.seed)

@@ -16,6 +16,7 @@ aggregates.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 ABORT_LIMIT = 1e9
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 256
 
 
 class StatePoint(NamedTuple):
@@ -127,8 +128,9 @@ class Trajectory:
         """Write the table, streamed in blocks of ``CSV_BLOCK_ROWS`` rows.
 
         Each float64 cell is written as ``repr`` of its Python float, the
-        same bytes as ``repr(float(v))`` per cell; only one block of text
-        is held at a time.
+        same bytes as ``repr(float(v))`` per cell.  Only one block of text
+        is held at a time, so writing takes memory in proportion to the
+        block, not to the table.
         """
         with open(path, "w") as fh:
             fh.write(",".join(self.columns) + "\n")
@@ -182,7 +184,10 @@ def integrate(
     recorder, when given, is a (column_names, build) pair; build maps
     (t, y) to the full sample row after "t" (state components interleaved
     with derived values such as the control input and gain shapes).  By
-    default the raw state is recorded under names y1..ym.  The step count
+    default the raw state is recorded under names y1..ym.  Each row goes
+    straight into one flat float64 buffer, and the trajectory's ``data``
+    is a zero-copy (rows, columns) view of it; a row whose length does not
+    match the columns raises ValueError.  The step count
     T/h must be an integer and divisible by decimation, giving
     floor(T/h/decimation) + 1 retained samples.  A step that
     ``rk4_step`` rejects stops the run instead of raising: the partial
@@ -215,10 +220,14 @@ def integrate(
     else:
         names, build = recorder
     columns = ("t",) + tuple(names)
-    rows = []
+    cells = array.array("d")
 
     def record(t, yv):
-        rows.append([t, *build(t, yv)])  # np.array below converts once
+        row = [t, *build(t, yv)]
+        if len(row) != len(columns):
+            raise ValueError("recorded row has %d cells for the %d columns %s"
+                             % (len(row), len(columns), ",".join(columns)))
+        cells.fromlist(row)  # one call per row; extend would append per cell
 
     failure = None
     record(0.0, y)
@@ -240,7 +249,7 @@ def integrate(
     return Trajectory(
         sid=sid,
         columns=columns,
-        data=np.array(rows, dtype=float),
+        data=np.frombuffer(cells, dtype=float).reshape(-1, len(columns)),
         h=h,
         seed=seed,
         failure=failure,

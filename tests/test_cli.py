@@ -289,6 +289,20 @@ def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys, edit):
         assert "summary.json" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("text", [b"{bad\n", b"\xff\xfe{}\n"], ids=["json", "utf-8"])
+def test_stored_summary_that_does_not_parse_exits_2(short_cfg, tmp_path, capsys, text):
+    out = registry(tmp_path)
+    assert main(["run", "--config", short_cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    path = Path(out, rid, "summary.json")
+    path.write_bytes(text)
+    capsys.readouterr()
+    for command in ("verify", "plot"):
+        assert main([command, rid, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0], err
+
+
 def test_stored_config_that_does_not_parse_exits_2(short_cfg, tmp_path, capsys):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0

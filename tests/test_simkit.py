@@ -1,6 +1,7 @@
 """Fixed-step integration: accuracy, determinism, divergence handling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,72 @@ def test_custom_recorder_columns():
                      recorder=recorder)
     assert traj.columns == ("t", "y1", "twice")
     np.testing.assert_allclose(traj.col("twice"), 2.0 * traj.col("y1"))
+
+
+# cells whose float64 bits a conversion could lose: infinities, NaN, the
+# sign of zero, the smallest subnormal, and an int
+SPECIAL_CELLS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 7)
+
+
+@pytest.mark.parametrize("rhs, T, diverged", [
+    (lambda t, y: (-y[0],), 0.5, False),
+    (lambda t, y: (y[0] * y[0],), 2.0, True),  # y = 1 / (1 - t) escapes at t = 1
+], ids=["clean", "diverged"])
+def test_flat_table_holds_the_bits_of_the_recorded_rows(rhs, T, diverged):
+    built = []
+
+    def build(t, y):
+        row = [y[0], *SPECIAL_CELLS, -t]
+        built.append([t, *row])
+        return row
+
+    names = ("y1", "inf", "ninf", "nan", "nzero", "tiny", "int", "negt")
+    traj = integrate(rhs, (1.0,), T=T, h=0.01, recorder=(names, build))
+    assert traj.diverged == diverged
+    want = np.array(built, dtype=float)
+    assert traj.data.shape == want.shape == (len(built), 1 + len(names))
+    assert traj.data.dtype == np.float64 and traj.data.flags.c_contiguous
+    assert np.array_equal(traj.data.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("build", [
+    lambda t, y: (y[0], 1.0, 2.0),
+    lambda t, y: (),
+    lambda t, y: (y[0], 1.0) if t < 0.35 else (y[0],),
+    lambda t, y: (y[0],) if t < 0.05 else (y[0], 1.0, 2.0),  # cell count fits
+], ids=["too-wide", "too-narrow", "ragged", "short-then-long"])
+def test_recorded_row_of_the_wrong_length_raises(build):
+    with pytest.raises(ValueError, match="columns"):
+        integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.1,
+                  recorder=(("y1", "c"), build))
+
+
+def _wide_table(steps, width=13):
+    """A cheap decimation-1 run whose recorded table is steps+1 x width+1."""
+    recorder = (tuple("c%d" % j for j in range(width)),
+                lambda t, y: [t * j for j in range(width)])
+    return integrate(lambda t, y: (0.0,), (1.0,), T=steps * 1e-3, h=1e-3,
+                     recorder=recorder, step=lambda t, y: y)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recording_and_writing_take_memory_in_proportion(tmp_path):
+    traj, peak = _traced_peak(lambda: _wide_table(20_000))
+    assert traj.data.shape == (20_001, 14)
+    assert peak < 1.5 * traj.data.nbytes + 256 * 1024, (peak, traj.data.nbytes)
+    path = tmp_path / "w.csv"
+    _, small = _traced_peak(lambda: _wide_table(2_000).write_csv(path))
+    _, large = _traced_peak(lambda: traj.write_csv(path))
+    assert large < 1024 * 1024, large
+    assert large < 1.1 * small + 16 * 1024, (small, large)
 
 
 def test_trajectory_validation():
