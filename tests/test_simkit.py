@@ -244,7 +244,11 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.data, traj.data)
 
 
-@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 3])
+# block edges of the writer, plus the 4096 and 8195 row tables that span
+# many blocks
+@pytest.mark.parametrize(
+    "rows", sorted({1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 3, 4096, 8195})
+)
 def test_csv_bytes_match_per_cell_repr(tmp_path, rows):
     specials = [-0.0, 5e-324, 0.1, 1.5e-7, 1e16, 1e22, 123456789.125]
     rng = np.random.default_rng(7)
