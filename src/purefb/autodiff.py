@@ -239,10 +239,12 @@ def sqrt(x):
             raise EvaluationError("sqrt is not differentiable at zero")
         half_inv = 0.5 / r
         return Dual(x.tag, r, tuple([half_inv * p for p in x.partials]))
+    if x.__class__ is Var:
+        # no domain guard on the tape: the compiled sqrt raises where this
+        # one would, and a raise already sends the step or row to the plain path
+        return x.sqrt()
     if x < 0.0:
         raise EvaluationError("sqrt of negative value %r" % (x,))
-    if x.__class__ is Var:
-        return x.sqrt()
     return math.sqrt(x)
 
 

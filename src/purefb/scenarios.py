@@ -34,13 +34,14 @@ keywords are the run-config keys by name: ``section.key`` arrives as
 numeric-2d's plant is ``PlantSpec.rates``; its law is
 ``ControllerStack.evaluate`` and ``gain_rates``.  stt-missile's plant is
 ``stt_dynamics`` (flight condition through ``autodiff.cos``/``sin``) and
-its law is ``missile_control``.  ``Scenario.run`` compiles
+its law is ``missile_control``.  ``Scenario.run`` traces
 ``simkit.rk4_step`` of ``rhs_reference`` at the run's h, abort rule
-included (``tape.compile_step``, traced at (0, y0)), and hands it to
-``integrate``; where that first step already fails, no step is compiled.
-It compiles the row builder ``recorder`` holds the same way, and a row the
-compiled builder returns None for, or raises on, is built by the plain
-one.  Building a scenario does not trace.
+included, and the row builder ``recorder`` holds, both at (0, y0), into
+one compiled run loop (``tape.compile_loop``) and hands it to
+``integrate``.  A step or row the loop cannot vouch for runs on the plain
+path, one at a time, and the loop goes on after it; where the first step
+already fails, every step is a plain one.  Building a scenario does not
+trace.
 
 The exact squared-error integrals ride along as ODE components so the
 update-law energy identity gamma_i * int z_i^2 = k_i(T) - k_i(0) can be
@@ -57,8 +58,8 @@ from .autodiff import cos, sin
 from .backstep import ControllerStack, DesignParams
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
-from .simkit import integrate, rk4_step
-from .tape import compile_step
+from .simkit import decimation_count, integrate, rk4_step
+from .tape import compile_loop
 
 __all__ = ["Scenario", "build", "MODES", "SCENARIO_IDS"]
 
@@ -135,30 +136,16 @@ class Scenario:
 
     def run(self, seed=None):
         y0 = self.y0()
-        point = [float(v) for v in y0]
         # the one place that traces, step and row, both at (0, y0); the
-        # compiled step is a step of rhs only while rhs is rhs_reference
+        # traced step is a step of rhs only while rhs is rhs_reference
         step = None
         if self.rhs is self.rhs_reference:
-            step = compile_step(lambda t, y: rk4_step(self.rhs_reference, y, t, self.h),
-                                0.0, point)
-        recorder = names, build = self.recorder
-        fast = compile_step(build, 0.0, point)
-        if fast is not None:
-            # the step's rule: a row the compiled builder cannot vouch for
-            # (None, or an arithmetic error) is built by the plain builder
-            def row(t, y):
-                try:
-                    out = fast(t, y)
-                except (ArithmeticError, ValueError):
-                    out = None
-                return build(t, y) if out is None else out
-
-            recorder = (names, row)
+            step = lambda t, y: rk4_step(self.rhs_reference, y, t, self.h)
+        loop = compile_loop(step, self.recorder[1], 0.0, [float(v) for v in y0])
         return integrate(
             self.rhs, y0, self.T, self.h, self.decimation,
-            recorder=recorder, sid=self.sid, seed=seed, meta=self.meta,
-            step=step,
+            recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,
+            loop=loop,
         )
 
 
@@ -280,7 +267,7 @@ def numeric2d(
         extra=("psi1", "psi2", "eta2") if mode == "auto" else ("psi1", "psi2"),
         T=float(T),
         h=float(h),
-        decimation=int(decimation),
+        decimation=decimation_count(decimation),
         sign=sign,
         meta={"mu": list(mu), "gamma": list(gamma)},
     )
@@ -362,7 +349,7 @@ def stt_missile(
         extra=("psi3", "roll_deg"),
         T=float(T),
         h=float(h),
-        decimation=int(decimation),
+        decimation=decimation_count(decimation),
         sign=sign,
         meta={"mu": [mu2, mu3], "gamma": [gamma2, gamma3]},
     )

@@ -5,8 +5,9 @@ is advanced by classical fourth-order Runge-Kutta with a constant step, so
 a run is a pure function of its configuration: identical settings produce
 bit-identical trajectories.  Time-varying inputs are sampled exactly at the
 stage times t, t + h/2, t + h.  The step is written once, in ``rk4_step``,
-abort rule included; ``tape.compile_step`` traces it to compile a whole
-step, which ``integrate`` accepts as ``step``.
+abort rule included; ``tape.compile_loop`` traces it, next to the row
+builder, to compile a whole run loop, which ``integrate`` accepts as
+``loop``.
 
 Divergence is handled as data, not as a crash: a non-finite step or a
 component exceeding ``ABORT_LIMIT`` ends the run early with the partial
@@ -28,6 +29,7 @@ __all__ = [
     "DivergenceError",
     "StatePoint",
     "Trajectory",
+    "decimation_count",
     "integrate",
     "measure_order",
     "rk4_step",
@@ -59,7 +61,7 @@ def rk4_step(rhs, y, t, h):
     """One classical Runge-Kutta step from t to t+h, then the abort rule.
 
     Returns a list, or raises DivergenceError by either of its two rules.
-    Generic over the scalar type of t and y: ``tape.compile_step`` traces
+    Generic over the scalar type of t and y: ``tape.compile_loop`` traces
     it, the rule's comparisons as guards, to compile a whole step.
     """
     try:
@@ -167,6 +169,17 @@ def read_csv(path, sid="", h=0.0, seed=None):
             raise ValueError("trajectory file %s: %s" % (path, reason)) from None
 
 
+def decimation_count(decimation):
+    """decimation as an int; ValueError naming it where it is not a whole number."""
+    try:
+        whole = float(decimation).is_integer()
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ValueError("decimation must be a whole number, got %r" % (decimation,))
+    return int(decimation)
+
+
 def integrate(
     rhs,
     y0,
@@ -177,7 +190,7 @@ def integrate(
     sid="",
     seed=None,
     meta=None,
-    step=None,
+    loop=None,
 ):
     """Integrate dy/dt = rhs(t, y) on [0, T] and record every decimation-th step.
 
@@ -187,18 +200,19 @@ def integrate(
     default the raw state is recorded under names y1..ym.  Each row goes
     straight into one flat float64 buffer, and the trajectory's ``data``
     is a zero-copy (rows, columns) view of it; a row whose length does not
-    match the columns raises ValueError.  The step count
-    T/h must be an integer and divisible by decimation, giving
+    match the columns raises ValueError.  The step count T/h must be an
+    integer and divisible by decimation, a whole number, giving
     floor(T/h/decimation) + 1 retained samples.  A step that
     ``rk4_step`` rejects stops the run instead of raising: the partial
     trajectory's ``failure`` holds the point of its DivergenceError, and
     that alone makes it ``diverged``.
 
-    step, when given, is a compiled form of ``rk4_step(rhs, ., ., h)``:
-    step(t, y) returns the next state, or None where it cannot vouch for
-    it (a guard missed, the abort rule's among them).  A None, or an
-    arithmetic error raised by step, sends that one step through
-    ``rk4_step``, so failure points are those of the plain path.
+    loop, when given, is a run loop of ``tape.compile_loop`` whose step is
+    ``rk4_step(rhs, ., ., h)`` and whose row is the recorder's build.  It
+    runs the steps and rows it can vouch for and returns at the first it
+    cannot; that one step goes through ``rk4_step``, or that one row
+    through build, and the loop is entered again.  So every row, flag and
+    failure point is that of the plain path.
     """
     if not T > 0.0:
         raise ValueError("horizon T must be positive")
@@ -207,7 +221,7 @@ def integrate(
     steps = int(round(T / h))
     if steps < 1 or abs(steps * h - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("T must be an integer multiple of h")
-    decimation = int(decimation)
+    decimation = decimation_count(decimation)
     if decimation < 1 or steps % decimation:
         raise ValueError(
             "decimation must divide the %d integration steps, got %d"
@@ -222,30 +236,32 @@ def integrate(
     columns = ("t",) + tuple(names)
     cells = array.array("d")
 
-    def record(t, yv):
-        row = [t, *build(t, yv)]
-        if len(row) != len(columns):
+    def fits(width):
+        if width != len(columns):
             raise ValueError("recorded row has %d cells for the %d columns %s"
-                             % (len(row), len(columns), ",".join(columns)))
-        cells.fromlist(row)  # one call per row; extend would append per cell
+                             % (width, len(columns), ",".join(columns)))
 
+    if loop is not None and loop.width is not None:
+        fits(1 + loop.width)  # every row the loop records has this width
     failure = None
-    record(0.0, y)
-    for s in range(steps):
-        t = s * h
-        try:
-            y_next = step(t, y) if step else None
-        except (ArithmeticError, ValueError):
-            y_next = None  # rk4_step meets the same error
-        if y_next is None:
+    s, left = 0, 0  # left: steps to the next row; 0 while the row at s is due
+    while s < steps or not left:
+        if loop is not None:
+            s, y, left = loop(s, y, left, steps, h, decimation, cells.fromlist)
+        if not left:
+            t = s * h
+            row = [t, *build(t, y)]
+            fits(len(row))
+            cells.fromlist(row)  # one call per row; extend would append per cell
+            left = decimation
+        elif s < steps:
             try:
-                y_next = rk4_step(rhs, y, t, h)
+                y = rk4_step(rhs, y, s * h, h)
             except DivergenceError as exc:
                 failure = exc.point
                 break
-        y = y_next
-        if (s + 1) % decimation == 0:
-            record((s + 1) * h, y)
+            s += 1
+            left -= 1
     return Trajectory(
         sid=sid,
         columns=columns,

@@ -19,9 +19,9 @@ where it cannot vouch for them:
   only rewrites are x*1.0, 1.0*x, x/1.0 and x-0.0 -> x, exact in IEEE
   arithmetic.  Operations between constants never reach the tape;
 * a repeated operation on the same operands reuses the first line;
-* a comparison on a ``Var`` (a domain or range check, any data-dependent
-  branch) becomes a guard: where it comes out differently than at the
-  traced point, a NaN operand included, the function returns None;
+* a comparison on a ``Var`` (a range check, any data-dependent branch)
+  becomes a guard: where it comes out differently than at the traced
+  point, a NaN operand included, the function returns None;
 * ``select_lt`` records a conditional expression instead of a guard;
 * lines that no output or guard reads are dropped unless they may raise
   (division by a ``Var``, powers, sqrt, cos, sin);
@@ -33,7 +33,13 @@ A ``try`` in the traced function is not on the tape: the compiled function
 raises the error of the operation that raises.
 
 One walk of the tape (``_Tape.walk``: the dead-line drop and the nesting
-above) has a second backend.  ``compile_lanes`` traces a generic
+above) has two more backends.  ``compile_loop`` traces a recorded row
+and a step on one tape, so what they share is computed once, and emits
+a run loop that keeps the state in locals: it steps, and on every
+decimation-th step records a row, until a guard misses or an operation
+raises, and then returns where it stopped, so that the caller takes that
+one step or row on the plain path and enters the loop again.
+``compile_lanes`` traces a generic
 function once and emits the same expression text over numpy float64
 columns, one lane per evaluation point, as in the ensemble pattern of
 DifferentialEquations.jl (Rackauckas & Nie, JORS 5(1), 2017).  Elementwise
@@ -53,7 +59,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["Var", "compile_lanes", "compile_step", "select_lt"]
+__all__ = ["Var", "compile_lanes", "compile_loop", "compile_step", "select_lt"]
 
 
 # inlined expressions nest at most this deep, far below the parser's limit
@@ -108,19 +114,24 @@ class _Tape:
             deps = tuple(a.name for a in args if a.__class__ is Var)
             self.lines.append((None, cond, ops, deps, outcome))
 
+    def record(self, cells):
+        """A line named "record" that hands ``[t, *cells]`` to ``record``;
+        it is kept, in order, like a raising line."""
+        ops = tuple(self.operand(c) for c in cells)
+        fmt = "record([t, %s])" % ", ".join(["%s"] * len(ops))
+        deps = tuple(c.name for c in cells if c.__class__ is Var)
+        self.lines.append(("record", fmt, ops, deps, True))
+
     def inputs(self, values):
-        """Vars y0, y1, ... read from the argument ``y`` of the emitted function."""
-        ys = []
-        for i, v in enumerate(values):
-            name = "y%d" % i
-            self.lines.append((name, "y[%d]" % i, (), (), False))
-            ys.append(Var(self, name, v))
+        """Vars y0, y1, ...: locals that each backend unpacks from its argument ``y``."""
+        ys = [Var(self, "y%d" % i, v) for i, v in enumerate(values)]
+        self.state = "".join(v.name + ", " for v in ys)  # "y0, y1, ": targets or items
         return ys
 
     def walk(self, out, reads, forms):
         """The live tape as statements: ``(line, text)`` pairs, and the outputs' text.
 
-        One walk serves both backends.  Lines that no output or guard reads
+        One walk serves every backend.  Lines that no output or guard reads
         are dropped unless they may raise; each name in ``reads`` is read
         once more besides the lines (by the return, a domain check), and
         a line read exactly once that cannot raise is written into its
@@ -165,19 +176,21 @@ class _Tape:
                 body.append((line, text))
         return body, render(", ".join(["%s"] * len(ops)), ops)[0]
 
-    def source(self, out):
-        """Source of ``def step(t, y)`` returning the list ``out``; a guard
-        that misses returns None."""
-        # the return reads the outputs
+    def statements(self, out, miss):
+        """The float backend: the live tape as statements, a guard that
+        misses running ``miss``, and the outputs' text.  A ``record`` line's
+        statement is its call alone."""
+        # the outputs are read once more, by whatever takes them
         statements, items = self.walk(out, [v.name for v in out if v.__class__ is Var], {})
         body = []
         for line, text in statements:
             if line[0] is None:
-                body.append(("if %s:" if not line[4] else "if not %s:") % text + " return None")
+                body.append(("if %s: " if not line[4] else "if not %s: ") % text + miss)
+            elif line[0] == "record":
+                body.append(text)
             else:
                 body.append("%s = %s" % (line[0], text))
-        body.append("return [%s]" % items)
-        return "def step(t, y):\n%s" % "".join("    %s\n" % text for text in body)
+        return body, items
 
     def lanes_source(self, out):
         """Source of ``def lanes(y, miss)`` returning the list ``out`` over
@@ -198,8 +211,8 @@ class _Tape:
                 checks[name] = cond % ops[k]
                 reads.append(ops[k])
         statements, items = self.walk(out, reads, _LANE_FORMS)
-        body = []
-        tested = set()  # a sqrt's check repeats the domain guard before it
+        body = ["%s= y" % self.state]
+        tested = set()  # one check per condition, e.g. two divisions by one Var
         for line, text in statements:
             if line[0] is None:
                 cond = text if not line[4] else "~(%s)" % text
@@ -292,7 +305,7 @@ class Var:
         return self != 0.0
 
     def sqrt(self):
-        """math.sqrt of this value, for ``autodiff.sqrt`` past its domain check."""
+        """math.sqrt of this value, for ``autodiff.sqrt``; raises below zero."""
         return self.tape.emit("_sqrt(%s)", (self,), math.sqrt(self.value), True)
 
     def cos(self):
@@ -317,6 +330,24 @@ def select_lt(a, b, then, other):
     return tape.emit("(%s if %s < %s else %s)", (then, a, b, other), value)
 
 
+def _start(t, y):
+    """A new tape, and its Vars of t and of each entry of y."""
+    tape = _Tape()
+    return tape, Var(tape, "t", t), tape.inputs(y)
+
+
+def _compiled(source, name, tape):
+    ns = {"_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin, **tape.consts}
+    exec(compile(source, "<tape>", "exec"), ns)
+    fn = ns[name]
+    fn.source = source
+    return fn
+
+
+def _indented(lines, depth):
+    return "".join("    " * depth + text + "\n" for text in lines)
+
+
 def compile_step(fn, t, y):
     """``fn(t, y)`` compiled from a trace at (t, y), y a list of floats.
 
@@ -326,19 +357,80 @@ def compile_step(fn, t, y):
     None where the trace fails: ``fn`` raises at this point or does what a
     ``Var`` cannot record.
     """
-    tape = _Tape()
-    ys = tape.inputs(y)
+    tape, tv, ys = _start(t, y)
     try:
-        source = tape.source(fn(Var(tape, "t", t), ys))
+        body, items = tape.statements(list(fn(tv, ys)), "return None")
     except Exception:
         # fn fails at this point or does what a Var cannot record; either
         # way the plain function answers
         return None
-    ns = {"_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin, **tape.consts}
-    exec(compile(source, "<tape>", "exec"), ns)
-    step = ns["step"]
-    step.source = source
-    return step
+    body = ["%s= y" % tape.state, *body, "return [%s]" % items]
+    return _compiled("def step(t, y):\n" + _indented(body, 1), "step", tape)
+
+
+def compile_loop(step, row, t, y):
+    """A run loop compiled from the traces of ``row(t, y)`` and ``step(t, y)`` at (t, y).
+
+    row maps (t, y) to a recorded row after t, step maps it to the next
+    state; either may be None.  Both are traced on one tape, the row
+    first, so what they share runs once.  Returns ``loop(s, y, left,
+    steps, h, decimation, record)``, which keeps the state y in locals and
+    from step index s on runs the traced step at t = s * h, counting
+    ``left`` down by one per step; where ``left`` is 0, it first calls
+    ``record([t, *row(t, y)])`` at the same t and y and sets ``left`` to
+    decimation.  It returns ``(s, y, left)`` where it cannot vouch for what
+    is due (a guard missed, or ArithmeticError or ValueError was raised):
+    the row at s where left == 0, else step s; or s == steps, left > 0
+    where the run is done.  A row or step whose trace fails never vouches.
+    Whatever the row alone computes beyond its ``record`` call runs at
+    every step, and where it misses or raises, that step is not vouched
+    for.  ``loop.source`` is the emitted source, ``loop.width`` the traced
+    row's length or None.
+    """
+    tape, tv, ys = _start(t, y)
+    width = None
+    if row is not None:
+        try:
+            cells = list(row(tv, ys))
+            tape.record(cells)
+            width = len(cells)
+        except Exception:
+            tape, tv, ys = _start(t, y)  # no row is traced: each row is plain
+    traced = len(tape.lines)
+    body = None
+    if step is not None:
+        try:
+            body, items = tape.statements(list(step(tv, ys)), "break")
+            body.append("%s= %s," % (tape.state, items))
+        except Exception:
+            pass  # no step is traced: each step is plain
+    if body is None:
+        # only a due row is computed; every step is plain
+        del tape.lines[traced:]
+        body, _ = tape.statements([], "break")
+        body = ["if left: break", *body, "break"]
+    if width is None:
+        body.insert(0, "if not left: break")
+    else:
+        i = next(k for k, text in enumerate(body) if text.startswith("record("))
+        body[i:i + 1] = ["if not left:", "    " + body[i], "    left = decimation",
+                         "    if s == steps: break"]
+    # every way out of the loop returns where it stopped
+    source = (
+        "def loop(s, y, left, steps, h, decimation, record):\n"
+        "    %s= y\n"
+        "    while True:\n"
+        "        t = s * h\n"
+        "        try:\n%s"
+        "        except (ArithmeticError, ValueError):\n"
+        "            break\n"
+        "        s += 1\n"
+        "        left -= 1\n"
+        "    return s, [%s], left\n"
+        % (tape.state, _indented(body, 3), tape.state))
+    loop = _compiled(source, "loop", tape)
+    loop.width = width
+    return loop
 
 
 def compile_lanes(fn, point):

@@ -1,4 +1,5 @@
-"""Scenario registry: wiring, recorders, compiled-step and compiled-row equivalence."""
+"""Scenario registry: wiring, recorders, and the compiled step, row and run loop
+against the plain path."""
 
 import inspect
 import math
@@ -13,7 +14,7 @@ from purefb.config import load_text
 from purefb.missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from purefb.plant import PlantSpec
 from purefb.simkit import ABORT_LIMIT, DivergenceError, StatePoint, integrate, rk4_step
-from purefb.tape import compile_step
+from purefb.tape import compile_loop, compile_step
 
 rng = np.random.default_rng(6021023)
 
@@ -95,6 +96,13 @@ def test_theta_outside_declared_box_rejected():
 def test_initial_gains_must_be_positive(sid, kwargs, stage):
     with pytest.raises(ValueError, match="initial gain %s" % stage):
         scenarios.build(sid, **kwargs)
+
+
+@pytest.mark.parametrize("sid", scenarios.SCENARIO_IDS)
+def test_non_integral_decimation_is_rejected(sid):
+    with pytest.raises(ValueError, match="decimation must be a whole number, got 2.5"):
+        scenarios.build(sid, decimation=2.5)
+    assert scenarios.build(sid, decimation=100.0).decimation == 100
 
 
 def bits(values):
@@ -213,9 +221,22 @@ def test_compiled_step_matches_rk4_step_everywhere(mode, z, k, intz, t):
     assert fused_step(step, t, y) == plain_step(scn, t, y)
 
 
-def run_from(scn, y0, step=None, rhs=None):
+def looped(scn):
+    """The run loop scn.run compiles: step and row traced at (0, y0)."""
+    return compile_loop(lambda t, y: rk4_step(scn.rhs_reference, y, t, scn.h),
+                        scn.recorder[1], 0.0, list(scn.y0()))
+
+
+def run_from(scn, y0, loop=None, rhs=None):
     return integrate(rhs or scn.rhs, y0, 0.01, scn.h, 1, recorder=scn.recorder,
-                     sid=scn.sid, meta=scn.meta, step=step)
+                     sid=scn.sid, meta=scn.meta, loop=loop)
+
+
+def same_run(fused, plain):
+    """Two trajectories with the same samples, flags and failure point, bit for bit."""
+    assert fused.diverged == plain.diverged
+    assert repr(fused.failure) == repr(plain.failure)
+    assert bits(fused.data.ravel()) == bits(plain.data.ravel())
 
 
 @pytest.mark.parametrize("mode", ["paper", "auto"])
@@ -228,7 +249,7 @@ def test_compiled_step_declines_and_the_plain_step_fails_as_before(mode, bad):
     else:
         y[-1] = ABORT_LIMIT * (1.0 - 1e-15)  # grows past the limit in one step
     assert step(0.0, y) is None
-    fused = run_from(scn, y, step=step)
+    fused = run_from(scn, y, loop=looped(scn))
     plain = run_from(scn, y, rhs=scn.rhs_reference)
     assert fused.diverged and plain.diverged
     assert fused.failure.t == plain.failure.t
@@ -264,13 +285,54 @@ def test_sign_flipped_run_diverges_like_the_reference():
     assert bits(traj.failure.y) == bits(ref.failure.y)
 
 
+@pytest.mark.parametrize("sid,kwargs", CASES, ids=CASE_IDS)
+def test_run_loop_matches_the_plain_run(sid, kwargs):
+    """A run through the compiled loop is the plain run, bit for bit: rows,
+    flags and failure point.  The sign-flipped loops diverge: auto mode in
+    its first step, paper mode and the missile tens of steps in."""
+    scn = scenarios.build(sid, T=1.0 if sid == "numeric-2d" else 2.0, decimation=8, **kwargs)
+    traj = scn.run()
+    plain = integrate(scn.rhs_reference, scn.y0(), scn.T, scn.h, scn.decimation,
+                      recorder=scn.recorder, sid=scn.sid, meta=scn.meta, loop=None)
+    same_run(traj, plain)
+    assert traj.diverged == (kwargs["sign"] < 0)
+    if traj.diverged:
+        first = kwargs.get("mode") == "auto"
+        assert (traj.failure.t == scn.h) == first and (len(traj.data) == 1) == first
+
+
+RECORDED = [("numeric-2d", {"mode": "paper"}), ("numeric-2d", {"mode": "auto"}),
+            ("stt-missile", {})]
+RECORDED_IDS = ["numeric-2d-paper", "numeric-2d-auto", "stt-missile"]
+
+
+def counting_floats(build, calls):
+    """build, appending t to calls on each call on floats (not on a trace's Vars)."""
+    def counted(t, y):
+        if y[0].__class__ is float:
+            calls.append(t)
+        return build(t, y)
+
+    return counted
+
+
+def plain_calls(scn, monkeypatch):
+    """Lists of the plain steps and plain rows a run of scn takes."""
+    steps, rows = [], []
+    step = simkit.rk4_step
+    monkeypatch.setattr(simkit, "rk4_step", lambda *args: steps.append(args) or step(*args))
+    names, build = scn.recorder
+    scn.recorder = (names, counting_floats(build, rows))
+    return steps, rows
+
+
 @pytest.mark.parametrize("sid", scenarios.SCENARIO_IDS)
 def test_every_scenario_runs_compiled(sid, monkeypatch):
-    plain = []
-    monkeypatch.setattr(simkit, "rk4_step", lambda *args: plain.append(args))
-    traj = scenarios.build(sid, T=0.1).run()
-    assert not traj.diverged
-    assert plain == []  # every step ran compiled
+    scn = scenarios.build(sid, T=0.1)  # the default decimation
+    steps, rows = plain_calls(scn, monkeypatch)
+    traj = scn.run()
+    assert not traj.diverged and len(traj.data) == 1 + 100 // scn.decimation
+    assert steps == [] and rows == []  # every step and row ran compiled
 
 
 @pytest.mark.parametrize("sid,kwargs", CASES, ids=CASE_IDS)
@@ -285,30 +347,13 @@ def test_compiled_row_matches_the_plain_row(sid, kwargs):
         assert out is not None and bits(out) == bits(build(t, y))
 
 
-def counting_floats(build, calls):
-    """build, appending t to calls on each call on floats (not on a trace's Vars)."""
-    def counted(t, y):
-        if y[0].__class__ is float:
-            calls.append(t)
-        return build(t, y)
-
-    return counted
-
-
-RECORDED = [("numeric-2d", {"mode": "paper"}), ("numeric-2d", {"mode": "auto"}),
-            ("stt-missile", {})]
-
-
-@pytest.mark.parametrize("sid,kwargs", RECORDED,
-                         ids=["numeric-2d-paper", "numeric-2d-auto", "stt-missile"])
-def test_every_scenario_records_compiled(sid, kwargs):
+@pytest.mark.parametrize("sid,kwargs", RECORDED, ids=RECORDED_IDS)
+def test_every_scenario_records_compiled(sid, kwargs, monkeypatch):
     scn = scenarios.build(sid, T=0.1, decimation=1, **kwargs)
-    names, build = scn.recorder
-    plain = []
-    scn.recorder = (names, counting_floats(build, plain))
+    steps, rows = plain_calls(scn, monkeypatch)
     traj = scn.run()
     assert not traj.diverged and len(traj.data) == 101
-    assert plain == []  # every row was built compiled
+    assert steps == [] and rows == []  # every step and row ran compiled
 
 
 def test_missed_row_guard_records_the_plain_row():
@@ -330,8 +375,8 @@ def test_missed_row_guard_records_the_plain_row():
     scn.recorder = (recorder[0], counting_floats(sided, plain))
     traj = scn.run()
     ref = integrate(scn.rhs, scn.y0(), scn.T, scn.h, 1, recorder=recorder,
-                    sid=scn.sid, meta=scn.meta)
-    assert np.array_equal(traj.data, ref.data)
+                    sid=scn.sid, meta=scn.meta, loop=None)
+    same_run(traj, ref)
     missed = traj.t[traj.col("side") < 0.0]
     assert len(missed) > 0 and plain == missed.tolist()
     j = int(np.argmax(traj.col("side") < 0.0))

@@ -19,6 +19,7 @@ from purefb.simkit import (
     read_csv,
     rk4_step,
 )
+from purefb.tape import compile_loop, compile_step
 
 
 def test_single_step_exponential_decay():
@@ -106,17 +107,17 @@ def test_rk4_step_wraps_arithmetic_failure():
 
 
 def test_declined_or_failing_step_runs_rk4_step():
-    rhs = lambda t, y: (y[0] ** 2,)
-    plain = integrate(rhs, (1.0,), T=2.0, h=1e-2)
-
-    def declines(t, y):
-        return None
-
-    def fails(t, y):
-        raise OverflowError("from the step")
-
-    for step in (declines, fails):
-        traj = integrate(rhs, (1.0,), T=2.0, h=1e-2, step=step)
+    rhs = lambda t, y: (y[0] ** 4,)
+    h = 1e-2
+    plain = integrate(rhs, (1.0,), T=2.0, h=h)
+    traced = compile_loop(lambda t, y: rk4_step(rhs, y, t, h), None, 0.0, [1.0])
+    # the last step's stages overflow in ** inside the loop; rk4_step meets
+    # the same error there
+    step = compile_step(lambda t, y: rk4_step(rhs, y, t, h), 0.0, [1.0])
+    with pytest.raises(OverflowError):
+        step(plain.failure.t, list(plain.failure.y))
+    for loop in (compile_loop(None, None, 0.0, [1.0]), traced):  # declines, fails
+        traj = integrate(rhs, (1.0,), T=2.0, h=h, loop=loop)
         assert np.array_equal(traj.data, plain.data)
         assert traj.diverged and traj.failure == plain.failure
 
@@ -128,12 +129,20 @@ def test_accepted_step_replaces_rk4_step():
         calls.append(t)
         return (-y[0],)
 
-    def step(t, y):
+    def early(t, y):
+        # vouches for the steps that start before 0.45: a guard on t
         return rk4_step(lambda s, v: (-v[0],), y, t, 0.1) if t < 0.45 else None
 
-    traj = integrate(rhs, (1.0,), T=1.0, h=0.1, step=step)
+    traj = integrate(rhs, (1.0,), T=1.0, h=0.1, loop=compile_loop(early, None, 0.0, [1.0]))
     assert np.array_equal(traj.data, integrate(rhs, (1.0,), T=1.0, h=0.1).data)
     assert len(calls) == 4 * 5 + 4 * 10  # the five declined steps, then the plain run
+
+
+def test_non_integral_decimation_is_rejected():
+    with pytest.raises(ValueError, match="decimation must be a whole number, got 2.5"):
+        integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.1, decimation=2.5)
+    traj = integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.1, decimation=5.0)
+    assert traj.data.shape == (3, 2)
 
 
 def test_step_consistency_errors():
@@ -198,10 +207,11 @@ def test_recorded_row_of_the_wrong_length_raises(build):
 
 def _wide_table(steps, width=13):
     """A cheap decimation-1 run whose recorded table is steps+1 x width+1."""
-    recorder = (tuple("c%d" % j for j in range(width)),
-                lambda t, y: [t * j for j in range(width)])
-    return integrate(lambda t, y: (0.0,), (1.0,), T=steps * 1e-3, h=1e-3,
-                     recorder=recorder, step=lambda t, y: y)
+    names, build = (tuple("c%d" % j for j in range(width)),
+                    lambda t, y: [t * j for j in range(width)])
+    rhs = lambda t, y: (0.0,)
+    loop = compile_loop(lambda t, y: rk4_step(rhs, y, t, 1e-3), build, 0.0, [1.0])
+    return integrate(rhs, (1.0,), T=steps * 1e-3, h=1e-3, recorder=(names, build), loop=loop)
 
 
 def _traced_peak(fn):

@@ -1,5 +1,5 @@
-"""Compiled RK4 steps and numpy lanes: guards, declined steps, bit-exact
-rewrites, inlining."""
+"""Compiled RK4 steps, run loops and numpy lanes: guards, declined steps,
+bit-exact rewrites, inlining."""
 
 import math
 import re
@@ -10,7 +10,7 @@ import pytest
 from purefb import autodiff, scenarios
 from purefb.autodiff import partial, real_value, seed
 from purefb.simkit import ABORT_LIMIT, DivergenceError, integrate, rk4_step
-from purefb.tape import Var, compile_lanes, compile_step, select_lt
+from purefb.tape import Var, compile_lanes, compile_loop, compile_step, select_lt
 
 
 def guarded(t, y):
@@ -45,6 +45,11 @@ def step_bits(out):
     return None if out is None else [v.hex() for v in out]
 
 
+def looped(fn, h, t, y, row=None):
+    """The run loop of rk4_step(fn, ., ., h) and row, both traced at (t, y)."""
+    return compile_loop(lambda t, y: rk4_step(fn, y, t, h), row, t, y)
+
+
 def same_run(fused, plain):
     """Two trajectories with the same samples, flags and failure point, bit for bit."""
     assert fused.diverged == plain.diverged
@@ -52,16 +57,21 @@ def same_run(fused, plain):
     assert [v.hex() for v in fused.data.ravel()] == [v.hex() for v in plain.data.ravel()]
 
 
-@pytest.mark.parametrize("y", [[0.0, 9.0, 1.0], [4.0, -1.0, 1.0]], ids=["div-zero", "sqrt-domain"])
-def test_guard_miss_raises_like_the_generic_path(y):
+@pytest.mark.parametrize("y,compiled_error", [([0.0, 9.0, 1.0], None), ([4.0, -1.0, 1.0], ValueError)],
+                         ids=["div-zero", "sqrt-domain"])
+def test_guard_miss_raises_like_the_generic_path(y, compiled_error):
     h = 0.125
     step = compile_step(lambda t, y: rk4_step(guarded, y, t, h), 2.0, [4.0, 9.0, 1.0])
     assert "_sqrt(" in step.source
     assert step_bits(step(2.0, [4.0, 9.0, 1.0])) == step_bits(
         rk4_step(guarded, [4.0, 9.0, 1.0], 2.0, h))
-    assert step(2.0, y) is None
+    if compiled_error is None:
+        assert step(2.0, y) is None  # the dual division's zero guard
+    else:
+        assert raised(step, 2.0, y)[0] is compiled_error  # sqrt has no guard: it raises
     assert raised(rk4_step, guarded, y, 2.0, h)[0] is DivergenceError
-    same_run(integrate(guarded, y, 1.0, h, step=step), integrate(guarded, y, 1.0, h))
+    loop = looped(guarded, h, 2.0, [4.0, 9.0, 1.0])
+    same_run(integrate(guarded, y, 1.0, h, loop=loop), integrate(guarded, y, 1.0, h))
 
 
 def test_guard_miss_takes_the_other_branch():
@@ -111,7 +121,11 @@ def test_failing_trace_point_runs_the_reference_until_traced():
     y = [2.0, 4.0, 1.0]
     step = compile_step(lambda t, y: rk4_step(guarded, y, t, h), 1.0, y)
     assert step_bits(step(1.0, y)) == step_bits(rk4_step(guarded, y, 1.0, h))
-    same_run(integrate(guarded, y, 1.0, h, step=step), integrate(guarded, y, 1.0, h, step=None))
+    # a loop traced where the trace fails vouches for no step
+    loop = looped(guarded, h, 0.0, [0.0, 1.0, 1.0])
+    same_run(integrate(guarded, y, 1.0, h, loop=loop), integrate(guarded, y, 1.0, h, loop=None))
+    loop = looped(guarded, h, 1.0, y)
+    same_run(integrate(guarded, y, 1.0, h, loop=loop), integrate(guarded, y, 1.0, h, loop=None))
 
 
 def test_untraceable_function_runs_the_reference():
@@ -119,8 +133,9 @@ def test_untraceable_function_runs_the_reference():
         return (math.cos(t) * y[0],)
 
     assert compile_step(lambda t, y: rk4_step(uses_math, y, t, 0.25), 0.5, [2.0]) is None
-    traj = integrate(uses_math, [2.0], 1.0, 0.25, step=None)
+    traj = integrate(uses_math, [2.0], 1.0, 0.25, loop=looped(uses_math, 0.25, 0.5, [2.0]))
     assert not traj.diverged and traj.data.shape == (5, 2)
+    same_run(traj, integrate(uses_math, [2.0], 1.0, 0.25, loop=None))
 
 
 # -- nesting ------------------------------------------------------------------
@@ -154,12 +169,13 @@ def test_single_use_lines_are_inlined_and_raising_lines_are_not():
     # a is read twice in each stage; the product is read once and nested
     assert "(y0 * y1) + 2.0" in assigned
     # the four stage divisions and square roots may raise, so they stay
-    # statements, after the guards of the sqrt domain; the range guards of
-    # the three components come last
+    # statements; a square root has no domain guard, since it raises where
+    # one would miss.  The only guards are the range guards of the three
+    # components, last
     assert sum(re.fullmatch(r"v\d+ / v\d+|y1 / v\d+", text) is not None for text in assigned) == 4
     assert sum(text.startswith("_sqrt(") for text in assigned) == 4
     guards = [line for line in body if line.endswith(": return None")]
-    assert len(guards) == 4 + 6
+    assert len(guards) == 6
     assert all(re.fullmatch(RANGE_GUARD, line) for line in body[-7:-1])
     # a * 0.5 of the first three stages is read twice; the last stage's is
     # read once, by the combination of the stages, and nested there
@@ -181,7 +197,7 @@ def test_division_by_zero_in_a_later_stage_raises_like_the_generic_step():
     y = [-0.25, 0.0]  # the second stage evaluates at y[0] = -0.25 + 0.25 = 0
     assert raised(step, 0.0, y) == wrapped(rk4_step, inverse, y, 0.0, h)
     assert raised(step, 0.0, y)[0] is ZeroDivisionError
-    fused = integrate(inverse, y, 1.0, h, step=step)
+    fused = integrate(inverse, y, 1.0, h, loop=looped(inverse, h, 0.0, [1.0, 0.0]))
     plain = integrate(inverse, y, 1.0, h)
     assert fused.diverged and plain.diverged
     assert fused.failure == plain.failure
@@ -192,7 +208,7 @@ def test_guard_miss_declines_the_step_and_the_run_is_unchanged():
     assert step(0.0, [0.5]) is None  # the first stage takes the other branch
     assert step_bits(step(0.0, [2.0])) == step_bits(rk4_step(branchy, [2.0], 0.0, 0.125))
     # the state crosses the branch point y = 1 during the run
-    fused = integrate(branchy, [1.5], 2.0, 0.125, step=step)
+    fused = integrate(branchy, [1.5], 2.0, 0.125, loop=looped(branchy, 0.125, 0.0, [2.0]))
     plain = integrate(branchy, [1.5], 2.0, 0.125)
     assert not fused.diverged
     same_run(fused, plain)
@@ -210,7 +226,7 @@ def test_cos_of_infinity_declines_the_step_with_the_plain_error():
     y = [math.inf, 1.0]
     assert raised(step, 0.0, y) == wrapped(rk4_step, ripple, y, 0.0, h)
     assert raised(step, 0.0, y)[0] is ValueError
-    fused = integrate(ripple, y, 1.0, h, step=step)
+    fused = integrate(ripple, y, 1.0, h, loop=looped(ripple, h, 0.0, [0.5, 1.0]))
     plain = integrate(ripple, y, 1.0, h)
     assert fused.diverged and plain.diverged
     assert repr(fused.failure) == repr(plain.failure)
@@ -224,10 +240,55 @@ def test_step_declines_states_the_integrator_stops_at(y):
 
     step = compile_step(lambda t, y: rk4_step(grow, y, t, 0.5), 0.0, [1.0])
     assert step(0.0, y) is None
-    fused = integrate(grow, y, 1.0, 0.5, step=step)
+    fused = integrate(grow, y, 1.0, 0.5, loop=looped(grow, 0.5, 0.0, [1.0]))
     plain = integrate(grow, y, 1.0, 0.5)
     assert fused.diverged and plain.diverged
     assert repr(fused.failure) == repr(plain.failure)
+
+
+# -- run loops -----------------------------------------------------------------
+
+
+def kicked(t, y):
+    """A decay whose rate differs at the one stage time t == 1.75: the end of
+    step 13 and the start of step 14 at h = 0.125."""
+    return (-y[0] if t != 1.75 else 3.0 * y[0], y[0] - y[1])
+
+
+def kicked_row(t, y):
+    return [y[0] * y[1], t - y[1]]
+
+
+@pytest.mark.parametrize("decimation", [1, 7])
+def test_loop_step_guard_misses_run_the_plain_step_and_reenter(decimation):
+    """At decimation 7, step 13 ends on a recorded row and step 14 does not;
+    the loop is entered again at step 15, not a multiple of 7."""
+    h, y = 0.125, [1.0, 0.5]
+    stages = []
+
+    def plain(t, y):
+        stages.append(t)
+        return kicked(t, y)
+
+    loop = looped(kicked, h, 0.0, y, row=kicked_row)
+    fused = integrate(plain, y, 3.5, h, decimation, recorder=(("a", "b"), kicked_row), loop=loop)
+    assert sorted(set(stages)) == [1.625, 1.6875, 1.75, 1.8125, 1.875]  # steps 13 and 14
+    calls = []  # (s, left) as the loop is entered, then as it returns
+
+    def counted(s, y, left, *args):
+        out = loop(s, y, left, *args)
+        calls.append(((s, left), (out[0], out[2])))
+        return out
+
+    counted.width = loop.width
+    integrate(kicked, y, 3.5, h, decimation, recorder=(("a", "b"), kicked_row), loop=counted)
+    # the row at step 14 is recorded before step 14 misses, so that return
+    # carries a full countdown
+    assert calls == [((0, 0), (13, 1)), ((14, 0), (14, decimation)),
+                     ((15, decimation - 1), (28, decimation))]
+    plain_run = integrate(kicked, y, 3.5, h, decimation, recorder=(("a", "b"), kicked_row))
+    same_run(fused, plain_run)
+    assert len(fused.data) == 1 + 28 // decimation
 
 
 # -- numpy lanes --------------------------------------------------------------
