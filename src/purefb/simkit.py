@@ -171,6 +171,8 @@ def read_csv(path, sid="", h=0.0, seed=None):
 
 def decimation_count(decimation):
     """decimation as an int; ValueError naming it where it is not a whole number."""
+    if isinstance(decimation, int):
+        return int(decimation)  # any size: integrate then checks that it divides the steps
     try:
         whole = float(decimation).is_integer()
     except (TypeError, ValueError):

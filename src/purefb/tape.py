@@ -9,11 +9,13 @@ all generic over their scalar -- records every float operation it makes
 (``+ - * / **``, ``abs`` and the ``sqrt``, ``cos`` and ``sin`` of
 ``autodiff``), in order, and its control flow at the traced point as
 guards (tape-based AD as in Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., 2008).  ``compile_step`` emits the tape as the source of one flat
-function and compiles it with ``compile()``.
+2nd ed., 2008).  ``compile_loop`` traces a recorded row and a step on one
+tape, so what they share is computed once, and emits a run loop that
+keeps the state in locals, compiled with ``compile()``: it steps, and on
+every decimation-th step records a row.
 
-The compiled function returns the same bits as the traced one, or None
-where it cannot vouch for them:
+The loop computes the same bits as the traced functions, or stops where
+it cannot vouch for them:
 
 * operations are recorded with their operands in evaluation order; the
   only rewrites are x*1.0, 1.0*x, x/1.0 and x-0.0 -> x, exact in IEEE
@@ -21,7 +23,7 @@ where it cannot vouch for them:
 * a repeated operation on the same operands reuses the first line;
 * a comparison on a ``Var`` (a range check, any data-dependent branch)
   becomes a guard: where it comes out differently than at the traced
-  point, a NaN operand included, the function returns None;
+  point, a NaN operand included, the loop stops;
 * ``select_lt`` records a conditional expression instead of a guard;
 * lines that no output or guard reads are dropped unless they may raise
   (division by a ``Var``, powers, sqrt, cos, sin);
@@ -29,17 +31,13 @@ where it cannot vouch for them:
   as a nested expression (up to ``_MAX_DEPTH`` deep) instead of a
   temporary; raising lines and guards stay statements, in order.
 
-A ``try`` in the traced function is not on the tape: the compiled function
-raises the error of the operation that raises.
+A ``try`` in the traced function is not on the tape: where an operation
+raises ArithmeticError or ValueError, the loop stops too.  It returns
+where it stopped, so that the caller takes that one step or row on the
+plain path and enters the loop again.
 
 One walk of the tape (``_Tape.walk``: the dead-line drop and the nesting
-above) has two more backends.  ``compile_loop`` traces a recorded row
-and a step on one tape, so what they share is computed once, and emits
-a run loop that keeps the state in locals: it steps, and on every
-decimation-th step records a row, until a guard misses or an operation
-raises, and then returns where it stopped, so that the caller takes that
-one step or row on the plain path and enters the loop again.
-``compile_lanes`` traces a generic
+above) has a second backend.  ``compile_lanes`` traces a generic
 function once and emits the same expression text over numpy float64
 columns, one lane per evaluation point, as in the ensemble pattern of
 DifferentialEquations.jl (Rackauckas & Nie, JORS 5(1), 2017).  Elementwise
@@ -59,7 +57,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["Var", "compile_lanes", "compile_loop", "compile_step", "select_lt"]
+__all__ = ["Var", "compile_lanes", "compile_loop", "select_lt"]
 
 
 # inlined expressions nest at most this deep, far below the parser's limit
@@ -176,16 +174,16 @@ class _Tape:
                 body.append((line, text))
         return body, render(", ".join(["%s"] * len(ops)), ops)[0]
 
-    def statements(self, out, miss):
-        """The float backend: the live tape as statements, a guard that
-        misses running ``miss``, and the outputs' text.  A ``record`` line's
+    def statements(self, out):
+        """The loop backend: the live tape as statements, a guard that
+        misses breaking out, and the outputs' text.  A ``record`` line's
         statement is its call alone."""
         # the outputs are read once more, by whatever takes them
         statements, items = self.walk(out, [v.name for v in out if v.__class__ is Var], {})
         body = []
         for line, text in statements:
             if line[0] is None:
-                body.append(("if %s: " if not line[4] else "if not %s: ") % text + miss)
+                body.append(("if %s: break" if not line[4] else "if not %s: break") % text)
             elif line[0] == "record":
                 body.append(text)
             else:
@@ -348,26 +346,6 @@ def _indented(lines, depth):
     return "".join("    " * depth + text + "\n" for text in lines)
 
 
-def compile_step(fn, t, y):
-    """``fn(t, y)`` compiled from a trace at (t, y), y a list of floats.
-
-    Returns ``step(t, y)``, which returns the list ``fn`` returns, bit for
-    bit, or None where a guard misses; where an operation raises, it raises
-    that operation's error.  ``step.source`` is the emitted source.  Returns
-    None where the trace fails: ``fn`` raises at this point or does what a
-    ``Var`` cannot record.
-    """
-    tape, tv, ys = _start(t, y)
-    try:
-        body, items = tape.statements(list(fn(tv, ys)), "return None")
-    except Exception:
-        # fn fails at this point or does what a Var cannot record; either
-        # way the plain function answers
-        return None
-    body = ["%s= y" % tape.state, *body, "return [%s]" % items]
-    return _compiled("def step(t, y):\n" + _indented(body, 1), "step", tape)
-
-
 def compile_loop(step, row, t, y):
     """A run loop compiled from the traces of ``row(t, y)`` and ``step(t, y)`` at (t, y).
 
@@ -400,14 +378,14 @@ def compile_loop(step, row, t, y):
     body = None
     if step is not None:
         try:
-            body, items = tape.statements(list(step(tv, ys)), "break")
+            body, items = tape.statements(list(step(tv, ys)))
             body.append("%s= %s," % (tape.state, items))
         except Exception:
             pass  # no step is traced: each step is plain
     if body is None:
         # only a due row is computed; every step is plain
         del tape.lines[traced:]
-        body, _ = tape.statements([], "break")
+        body, _ = tape.statements([])
         body = ["if left: break", *body, "break"]
     if width is None:
         body.insert(0, "if not left: break")
@@ -446,8 +424,8 @@ def compile_lanes(fn, point):
     under ``np.errstate(all="ignore")``: masked lanes may overflow or
     divide by zero.  ``lanes.source`` is the emitted source.
 
-    Returns None where the trace fails, as ``compile_step`` does, or where
-    the tape holds an operation numpy does not round as Python does
+    Returns None where the trace fails (``fn`` raises at this point or does
+    what a ``Var`` cannot record), or where the tape holds an operation numpy does not round as Python does
     (``**``, cos, sin); elementwise + - * /, abs and sqrt round alike.
     """
     tape = _Tape()

@@ -180,6 +180,14 @@ def test_step_budget_exits_2_before_running(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_decimation_too_large_for_a_float_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\n"
+                              "integrator.decimation = 1%s\n" % ("0" * 400))
+    out = registry(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "decimation must divide" in capsys.readouterr().err
+
+
 def test_internal_error_exits_4_with_one_line(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "scenario.id = stt-missile\nintegrator.T = 0.1\n")
     blocker = tmp_path / "blocker"

@@ -14,7 +14,7 @@ from purefb.config import load_text
 from purefb.missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from purefb.plant import PlantSpec
 from purefb.simkit import ABORT_LIMIT, DivergenceError, StatePoint, integrate, rk4_step
-from purefb.tape import compile_loop, compile_step
+from purefb.tape import compile_loop
 
 rng = np.random.default_rng(6021023)
 
@@ -103,6 +103,10 @@ def test_non_integral_decimation_is_rejected(sid):
     with pytest.raises(ValueError, match="decimation must be a whole number, got 2.5"):
         scenarios.build(sid, decimation=2.5)
     assert scenarios.build(sid, decimation=100.0).decimation == 100
+    # a whole number too large for a float is kept and fails to divide the steps
+    huge = scenarios.build(sid, decimation=10 ** 400)
+    with pytest.raises(ValueError, match="decimation must divide"):
+        huge.run()
 
 
 def bits(values):
@@ -157,39 +161,67 @@ def plain_step(scn, t, y):
         return None
 
 
-def fused_step(step, t, y):
-    out = step(t, y)
-    return None if out is None else bits(out)
+def looped(scn, t=0.0, y=None, row=None):
+    """The run loop scn.run compiles: step and row traced at (0, y0), or at (t, y)."""
+    return compile_loop(lambda t, y: rk4_step(scn.rhs_reference, y, t, scn.h),
+                        row or scn.recorder[1], t, list(scn.y0()) if y is None else y)
 
 
-def compiled(scn, t=0.0, y=None):
-    """The RK4 step a run of scn compiles, traced at (0, y0), or at (t, y)."""
-    y = list(scn.y0()) if y is None else y
-    step = compile_step(lambda t, y: rk4_step(scn.rhs_reference, y, t, scn.h), t, y)
-    assert step is not None and "return None" in step.source
-    return step
+def on_grid(scn, t):
+    """The step index s nearest t / h, and its time s * h, as the loop computes it."""
+    s = round(t / scn.h)
+    return s, s * scn.h
+
+
+def loop_at(loop, scn, s, y):
+    """One pass of loop from step s at decimation 1, with the row at s due:
+    the rows it records, and the bits of the state after step s or None
+    where it does not vouch for that step.  Where it takes step s, the
+    row at s + 1 is due next, and it records that one too where it can."""
+    rows = []
+    end, out, _ = loop(s, list(y), 0, s + 1, scn.h, 1, rows.append)
+    return rows, (bits(out) if end == s + 1 else None)
+
+
+def check_rows(scn, rows, s, y, after):
+    """rows are build's rows at step s from y and, where after holds the
+    bits of the state after step s, at step s + 1 from that state."""
+    build = scn.recorder[1]
+    points = [(s, y)]
+    if after is not None:
+        points.append((s + 1, [float.fromhex(v) for v in after]))
+    assert rows and len(rows) <= len(points)
+    for row, (k, yk) in zip(rows, points):
+        assert bits(row) == bits([k * scn.h, *build(k * scn.h, yk)])
 
 
 @pytest.mark.parametrize("sid,kwargs", CASES, ids=CASE_IDS)
 def test_compiled_step_matches_rk4_step(sid, kwargs):
-    """One compiled RK4 step is rk4_step of the generic rhs, bit for bit."""
+    """The run loop's step is rk4_step of the generic rhs, bit for bit, at
+    step indices s with s * h nearest each sampled t, and it records the
+    plain rows on the way."""
     scn = scenarios.build(sid, **kwargs)
-    points = [SAMPLERS[sid](scn, i) for i in range(200)]
+    points = []
+    for i in range(200):
+        y, t, side = SAMPLERS[sid](scn, i)
+        points.append((y, on_grid(scn, t), side))
     if plain_step(scn, 0.0, list(scn.y0())) is None:
         # the auto-*-sign-1 loops leave the limit in their first step: trace
         # at the first sample that stays inside it
-        y, t, _ = next(p for p in points if plain_step(scn, p[1], p[0]) is not None)
-        step = compiled(scn, t, y)
+        y, (_, t), _ = next(p for p in points if plain_step(scn, p[1][1], p[0]) is not None)
+        loop = looped(scn, t, y)
     else:
-        step = compiled(scn)
+        loop = looped(scn)
     if kwargs.get("deadzone"):
-        assert "(0.0 if" in step.source
+        assert "(0.0 if" in loop.source
     sides = set()
     taken = 0
-    for y, t, side in points:
+    for y, (s, t), side in points:
         sides |= side
         want = plain_step(scn, t, y)
-        assert fused_step(step, t, y) == want
+        rows, got = loop_at(loop, scn, s, y)
+        assert got == want
+        check_rows(scn, rows, s, y, got)
         taken += want is not None
     assert sides == ({True, False} if sid == "numeric-2d" else set())
     assert taken >= 100  # most of these steps stay within the abort limit
@@ -199,10 +231,10 @@ _STEPPED = {}
 
 
 def stepped(mode):
-    """A numeric-2d loop of this mode and its compiled step, built once."""
+    """A numeric-2d loop of this mode and its run loop, built once."""
     if mode not in _STEPPED:
         scn = scenarios.build("numeric-2d", mode=mode, deadzone=0.05)
-        _STEPPED[mode] = scn, compiled(scn)
+        _STEPPED[mode] = scn, looped(scn)
     return _STEPPED[mode]
 
 
@@ -214,17 +246,14 @@ coordinate = st.floats(-2.0, 2.0)
        z=st.tuples(coordinate, coordinate),
        k=st.tuples(st.floats(0.01, 3.0), st.floats(0.01, 3.0)),
        intz=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
-       t=st.floats(0.0, 100.0))
-def test_compiled_step_matches_rk4_step_everywhere(mode, z, k, intz, t):
-    scn, step = stepped(mode)
+       s=st.integers(0, 10_000))
+def test_compiled_step_matches_rk4_step_everywhere(mode, z, k, intz, s):
+    scn, loop = stepped(mode)
     y = loop_state(scn, z, k, intz)
-    assert fused_step(step, t, y) == plain_step(scn, t, y)
-
-
-def looped(scn):
-    """The run loop scn.run compiles: step and row traced at (0, y0)."""
-    return compile_loop(lambda t, y: rk4_step(scn.rhs_reference, y, t, scn.h),
-                        scn.recorder[1], 0.0, list(scn.y0()))
+    t = s * scn.h
+    rows, got = loop_at(loop, scn, s, y)
+    assert got == plain_step(scn, t, y)
+    check_rows(scn, rows, s, y, got)
 
 
 def run_from(scn, y0, loop=None, rhs=None):
@@ -242,13 +271,13 @@ def same_run(fused, plain):
 @pytest.mark.parametrize("mode", ["paper", "auto"])
 @pytest.mark.parametrize("bad", ["nan", "out-of-range"])
 def test_compiled_step_declines_and_the_plain_step_fails_as_before(mode, bad):
-    scn, step = stepped(mode)
+    scn, loop = stepped(mode)
     y = list(scn.y0())
     if bad == "nan":
         y[-1] = math.nan
     else:
         y[-1] = ABORT_LIMIT * (1.0 - 1e-15)  # grows past the limit in one step
-    assert step(0.0, y) is None
+    assert loop_at(loop, scn, 0, y)[1] is None
     fused = run_from(scn, y, loop=looped(scn))
     plain = run_from(scn, y, rhs=scn.rhs_reference)
     assert fused.diverged and plain.diverged
@@ -337,14 +366,18 @@ def test_every_scenario_runs_compiled(sid, monkeypatch):
 
 @pytest.mark.parametrize("sid,kwargs", CASES, ids=CASE_IDS)
 def test_compiled_row_matches_the_plain_row(sid, kwargs):
-    """The row a run compiles, traced at (0, y0), is the plain row bit for bit."""
+    """The row a run compiles, traced at (0, y0), is the plain row bit for
+    bit: in the run loop, and in the loop of rows alone that a run whose
+    rhs is replaced compiles."""
     scn = scenarios.build(sid, **kwargs)
     build = scn.recorder[1]
-    row = compile_step(build, 0.0, list(scn.y0()))
+    loops = [looped(scn), compile_loop(None, build, 0.0, list(scn.y0()))]
     for i in range(200):
         y, t, _ = SAMPLERS[sid](scn, i)
-        out = row(t, y)
-        assert out is not None and bits(out) == bits(build(t, y))
+        s, t = on_grid(scn, t)
+        for loop in loops:
+            rows = loop_at(loop, scn, s, y)[0]
+            assert rows and bits(rows[0]) == bits([t, *build(t, y)])
 
 
 @pytest.mark.parametrize("sid,kwargs", RECORDED, ids=RECORDED_IDS)
@@ -381,14 +414,16 @@ def test_missed_row_guard_records_the_plain_row():
     assert len(missed) > 0 and plain == missed.tolist()
     j = int(np.argmax(traj.col("side") < 0.0))
     y = [float(traj.col(c)[j]) for c in ("x1", "x2", "k1", "k2", "intz1", "intz2")]
-    assert compile_step(sided, 0.0, list(scn.y0()))(float(traj.t[j]), y) is None
+    # the loop stops before the row at that point, so before its step too
+    s = on_grid(scn, float(traj.t[j]))[0]
+    assert loop_at(looped(scn, row=sided), scn, s, y) == ([], None)
 
 
 def test_untraceable_recorder_records_as_given():
     scn = scenarios.build("stt-missile", T=0.1, decimation=1)
     names, build = scn.recorder
     scn.recorder = (names, lambda t, y: build(t, [float(v) for v in y]))
-    assert compile_step(scn.recorder[1], 0.0, list(scn.y0())) is None
+    assert looped(scn).width is None  # the row's trace fails: every row is plain
     traj = scn.run()
     assert np.array_equal(traj.data,
                           scenarios.build("stt-missile", T=0.1, decimation=1).run().data)

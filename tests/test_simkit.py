@@ -19,7 +19,7 @@ from purefb.simkit import (
     read_csv,
     rk4_step,
 )
-from purefb.tape import compile_loop, compile_step
+from purefb.tape import compile_loop
 
 
 def test_single_step_exponential_decay():
@@ -111,11 +111,14 @@ def test_declined_or_failing_step_runs_rk4_step():
     h = 1e-2
     plain = integrate(rhs, (1.0,), T=2.0, h=h)
     traced = compile_loop(lambda t, y: rk4_step(rhs, y, t, h), None, 0.0, [1.0])
-    # the last step's stages overflow in ** inside the loop; rk4_step meets
-    # the same error there
-    step = compile_step(lambda t, y: rk4_step(rhs, y, t, h), 0.0, [1.0])
-    with pytest.raises(OverflowError):
-        step(plain.failure.t, list(plain.failure.y))
+    # the last step's stages overflow in ** inside the loop, which declines
+    # that step; rk4_step meets the same error there
+    s = round(plain.failure.t / h)
+    assert s * h == plain.failure.t
+    assert traced(s, list(plain.failure.y), 1, s + 1, h, 1, None)[0] == s
+    with pytest.raises(DivergenceError) as info:
+        rk4_step(rhs, plain.failure.y, plain.failure.t, h)
+    assert isinstance(info.value.__cause__, OverflowError)
     for loop in (compile_loop(None, None, 0.0, [1.0]), traced):  # declines, fails
         traj = integrate(rhs, (1.0,), T=2.0, h=h, loop=loop)
         assert np.array_equal(traj.data, plain.data)
@@ -143,6 +146,8 @@ def test_non_integral_decimation_is_rejected():
         integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.1, decimation=2.5)
     traj = integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.1, decimation=5.0)
     assert traj.data.shape == (3, 2)
+    with pytest.raises(ValueError, match="decimation must divide the 10 integration steps"):
+        integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.1, decimation=10 ** 400)
 
 
 def test_step_consistency_errors():

@@ -1,5 +1,5 @@
-"""Compiled RK4 steps, run loops and numpy lanes: guards, declined steps,
-bit-exact rewrites, inlining."""
+"""Compiled run loops and numpy lanes: guards, declined steps, bit-exact
+rewrites, inlining."""
 
 import math
 import re
@@ -10,7 +10,7 @@ import pytest
 from purefb import autodiff, scenarios
 from purefb.autodiff import partial, real_value, seed
 from purefb.simkit import ABORT_LIMIT, DivergenceError, integrate, rk4_step
-from purefb.tape import Var, compile_lanes, compile_loop, compile_step, select_lt
+from purefb.tape import Var, compile_lanes, compile_loop, select_lt
 
 
 def guarded(t, y):
@@ -31,14 +31,21 @@ def raised(fn, *args):
 
 
 def wrapped(fn, *args):
-    """Type and text of the error that fn's DivergenceError wraps."""
+    """Type of the error that fn's DivergenceError wraps."""
     with pytest.raises(DivergenceError) as info:
         fn(*args)
-    return type(info.value.__cause__), str(info.value.__cause__)
+    return type(info.value.__cause__)
 
 
 # a range guard of the abort rule on one component of the new state
-RANGE_GUARD = r"if not v\d+ (>= \(-1000000000\.0\)|<= 1000000000\.0): return None"
+RANGE_GUARD = r"if not v\d+ (>= \(-1000000000\.0\)|<= 1000000000\.0): break"
+
+
+def guards(source):
+    """The guard lines of a loop's source: each test that breaks out but the countdown's."""
+    lines = [line.strip() for line in source.splitlines()]
+    return [line for line in lines
+            if line.startswith("if ") and line.endswith(": break") and line != "if not left: break"]
 
 
 def step_bits(out):
@@ -50,6 +57,22 @@ def looped(fn, h, t, y, row=None):
     return compile_loop(lambda t, y: rk4_step(fn, y, t, h), row, t, y)
 
 
+def stepper(fn, h, t, y):
+    """One step of the run loop of rk4_step(fn, ., ., h), traced at (t, y),
+    as ``step(t, y)``: the new state where the loop vouches for the step
+    from t = s * h, else None.  ``step.source`` is the loop's source."""
+    loop = looped(fn, h, t, y)
+
+    def step(t, y):
+        s = round(t / h)
+        assert s * h == t  # the loop steps from t = s * h
+        end, out, _ = loop(s, list(y), 1, s + 1, h, 1, None)
+        return out if end == s + 1 else None
+
+    step.source = loop.source
+    return step
+
+
 def same_run(fused, plain):
     """Two trajectories with the same samples, flags and failure point, bit for bit."""
     assert fused.diverged == plain.diverged
@@ -57,18 +80,16 @@ def same_run(fused, plain):
     assert [v.hex() for v in fused.data.ravel()] == [v.hex() for v in plain.data.ravel()]
 
 
-@pytest.mark.parametrize("y,compiled_error", [([0.0, 9.0, 1.0], None), ([4.0, -1.0, 1.0], ValueError)],
-                         ids=["div-zero", "sqrt-domain"])
-def test_guard_miss_raises_like_the_generic_path(y, compiled_error):
+@pytest.mark.parametrize("y", [[0.0, 9.0, 1.0], [4.0, -1.0, 1.0]], ids=["div-zero", "sqrt-domain"])
+def test_guard_miss_raises_like_the_generic_path(y):
+    """The loop declines the step, at the dual division's zero guard or
+    where sqrt, which has no guard, raises ValueError; rk4_step raises."""
     h = 0.125
-    step = compile_step(lambda t, y: rk4_step(guarded, y, t, h), 2.0, [4.0, 9.0, 1.0])
+    step = stepper(guarded, h, 2.0, [4.0, 9.0, 1.0])
     assert "_sqrt(" in step.source
     assert step_bits(step(2.0, [4.0, 9.0, 1.0])) == step_bits(
         rk4_step(guarded, [4.0, 9.0, 1.0], 2.0, h))
-    if compiled_error is None:
-        assert step(2.0, y) is None  # the dual division's zero guard
-    else:
-        assert raised(step, 2.0, y)[0] is compiled_error  # sqrt has no guard: it raises
+    assert step(2.0, y) is None
     assert raised(rk4_step, guarded, y, 2.0, h)[0] is DivergenceError
     loop = looped(guarded, h, 2.0, [4.0, 9.0, 1.0])
     same_run(integrate(guarded, y, 1.0, h, loop=loop), integrate(guarded, y, 1.0, h))
@@ -76,12 +97,12 @@ def test_guard_miss_raises_like_the_generic_path(y, compiled_error):
 
 def test_guard_miss_takes_the_other_branch():
     h = 0.125
-    step = compile_step(lambda t, y: rk4_step(branchy, y, t, h), 0.0, [2.0])
+    step = stepper(branchy, h, 0.0, [2.0])
     for v in (0.5, 1.0, 7.0, -0.0):
         # a first stage on the other branch declines; rk4_step then takes it
         want = step_bits(rk4_step(branchy, [v], 0.0, h)) if v > 1.0 else None
         assert step_bits(step(0.0, [v])) == want
-    other = compile_step(lambda t, y: rk4_step(branchy, y, t, h), 0.0, [0.5])
+    other = stepper(branchy, h, 0.0, [0.5])
     assert other(0.0, [2.0]) is None
     assert step_bits(other(0.0, [-0.0])) == step_bits(rk4_step(branchy, [-0.0], 0.0, h))
 
@@ -91,8 +112,8 @@ def test_select_compiles_to_a_conditional_expression():
         return (select_lt(abs(y[0]), 0.5, 0.0, y[0] * y[1]), -y[1])
 
     h = 0.25
-    step = compile_step(lambda t, y: rk4_step(dead_zone, y, t, h), 0.0, [2.0, 3.0])
-    tests = [line.strip() for line in step.source.splitlines() if line.lstrip().startswith("if ")]
+    step = stepper(dead_zone, h, 0.0, [2.0, 3.0])
+    tests = guards(step.source)
     # only the range guards, two per component
     assert len(tests) == 4 and all(re.fullmatch(RANGE_GUARD, line) for line in tests)
     assert "(0.0 if" in step.source
@@ -106,7 +127,7 @@ def test_only_exact_rewrites():
         return (a * 1.0, 1.0 * a, a / 1.0, a - 0.0, a + 0.0, a * 0.0, -(-a))
 
     h = 0.5
-    step = compile_step(lambda t, y: rk4_step(ops, y, t, h), 0.0, [1.5] * 7)
+    step = stepper(ops, h, 0.0, [1.5] * 7)
     assert "* 1.0" not in step.source and "/ 1.0" not in step.source
     for v in (-0.0, 0.0, -2.5):
         assert step_bits(step(0.0, [v] * 7)) == step_bits(rk4_step(ops, [v] * 7, 0.0, h))
@@ -116,10 +137,11 @@ def test_only_exact_rewrites():
 
 def test_failing_trace_point_runs_the_reference_until_traced():
     h = 0.125
-    # 1/0 at the trace point
-    assert compile_step(lambda t, y: rk4_step(guarded, y, t, h), 0.0, [0.0, 1.0, 1.0]) is None
     y = [2.0, 4.0, 1.0]
-    step = compile_step(lambda t, y: rk4_step(guarded, y, t, h), 1.0, y)
+    # 1/0 at the trace point: the loop vouches for no step
+    failed = stepper(guarded, h, 0.0, [0.0, 1.0, 1.0])
+    assert failed(0.0, [0.0, 1.0, 1.0]) is None and failed(1.0, y) is None
+    step = stepper(guarded, h, 1.0, y)
     assert step_bits(step(1.0, y)) == step_bits(rk4_step(guarded, y, 1.0, h))
     # a loop traced where the trace fails vouches for no step
     loop = looped(guarded, h, 0.0, [0.0, 1.0, 1.0])
@@ -132,7 +154,7 @@ def test_untraceable_function_runs_the_reference():
     def uses_math(t, y):
         return (math.cos(t) * y[0],)
 
-    assert compile_step(lambda t, y: rk4_step(uses_math, y, t, 0.25), 0.5, [2.0]) is None
+    assert stepper(uses_math, 0.25, 0.5, [2.0])(0.5, [2.0]) is None
     traj = integrate(uses_math, [2.0], 1.0, 0.25, loop=looped(uses_math, 0.25, 0.5, [2.0]))
     assert not traj.diverged and traj.data.shape == (5, 2)
     same_run(traj, integrate(uses_math, [2.0], 1.0, 0.25, loop=None))
@@ -148,8 +170,7 @@ def test_long_single_use_chain_compiles_nested_and_exact():
             v = v * 1.0001 + 0.5
         return (v, y[1] - v)
 
-    step = compile_step(lambda t, y: rk4_step(chain, y, t, 0.01), 0.0, [1.0, 2.0])
-    assert step is not None
+    step = stepper(chain, 0.01, 0.0, [1.0, 2.0])
     # nesting is capped, so the four 2000-line stages are cut into a few
     # hundred statements
     assert 40 < step.source.count("\n") < 1000
@@ -163,7 +184,7 @@ def test_single_use_lines_are_inlined_and_raising_lines_are_not():
         return (y[1] / a + 1.0, a * 0.5, autodiff.sqrt(y[0] * 3.0) - 1.0)
 
     h = 0.125
-    step = compile_step(lambda t, y: rk4_step(f, y, t, h), 0.0, [1.5, 2.0, 0.5])
+    step = stepper(f, h, 0.0, [1.5, 2.0, 0.5])
     body = [line.strip() for line in step.source.splitlines()[1:]]
     assigned = [line.split(" = ")[1] for line in body if " = " in line]
     # a is read twice in each stage; the product is read once and nested
@@ -171,16 +192,16 @@ def test_single_use_lines_are_inlined_and_raising_lines_are_not():
     # the four stage divisions and square roots may raise, so they stay
     # statements; a square root has no domain guard, since it raises where
     # one would miss.  The only guards are the range guards of the three
-    # components, last
+    # components, last before the new state is taken
     assert sum(re.fullmatch(r"v\d+ / v\d+|y1 / v\d+", text) is not None for text in assigned) == 4
     assert sum(text.startswith("_sqrt(") for text in assigned) == 4
-    guards = [line for line in body if line.endswith(": return None")]
-    assert len(guards) == 6
-    assert all(re.fullmatch(RANGE_GUARD, line) for line in body[-7:-1])
+    assert len(guards(step.source)) == 6
+    last = next(i for i, line in enumerate(body) if line.startswith("y0, y1, y2, = v"))
+    assert all(re.fullmatch(RANGE_GUARD, line) for line in body[last - 6:last])
     # a * 0.5 of the first three stages is read twice; the last stage's is
     # read once, by the combination of the stages, and nested there
     assert sum(text.endswith(" * 0.5") for text in assigned) == 3
-    assert re.fullmatch(r"return \[v\d+, v\d+, v\d+\]", body[-1])
+    assert re.fullmatch(r"y0, y1, y2, = v\d+, v\d+, v\d+,", body[last])
     for y in ([1.5, 2.0, 0.5], [0.5, 7.0, -1.0], [4.0, -1.25, 3.0]):
         assert step_bits(step(0.0, y)) == step_bits(rk4_step(f, y, 0.0, h))
 
@@ -193,10 +214,11 @@ def test_division_by_zero_in_a_later_stage_raises_like_the_generic_step():
         return (1.0, 1.0 / y[0])
 
     h = 0.5
-    step = compile_step(lambda t, y: rk4_step(inverse, y, t, h), 0.0, [1.0, 0.0])
+    step = stepper(inverse, h, 0.0, [1.0, 0.0])
     y = [-0.25, 0.0]  # the second stage evaluates at y[0] = -0.25 + 0.25 = 0
-    assert raised(step, 0.0, y) == wrapped(rk4_step, inverse, y, 0.0, h)
-    assert raised(step, 0.0, y)[0] is ZeroDivisionError
+    # the loop declines the step where it raises; rk4_step meets the same error
+    assert step(0.0, y) is None
+    assert wrapped(rk4_step, inverse, y, 0.0, h) is ZeroDivisionError
     fused = integrate(inverse, y, 1.0, h, loop=looped(inverse, h, 0.0, [1.0, 0.0]))
     plain = integrate(inverse, y, 1.0, h)
     assert fused.diverged and plain.diverged
@@ -204,7 +226,7 @@ def test_division_by_zero_in_a_later_stage_raises_like_the_generic_step():
 
 
 def test_guard_miss_declines_the_step_and_the_run_is_unchanged():
-    step = compile_step(lambda t, y: rk4_step(branchy, y, t, 0.125), 0.0, [2.0])
+    step = stepper(branchy, 0.125, 0.0, [2.0])
     assert step(0.0, [0.5]) is None  # the first stage takes the other branch
     assert step_bits(step(0.0, [2.0])) == step_bits(rk4_step(branchy, [2.0], 0.0, 0.125))
     # the state crosses the branch point y = 1 during the run
@@ -219,13 +241,14 @@ def test_cos_of_infinity_declines_the_step_with_the_plain_error():
         return (autodiff.cos(y[0]) * y[1], autodiff.sin(t) - y[1])
 
     h = 0.25
-    step = compile_step(lambda t, y: rk4_step(ripple, y, t, h), 0.0, [0.5, 1.0])
+    step = stepper(ripple, h, 0.0, [0.5, 1.0])
     assert "_cos(" in step.source and "_sin(" in step.source
     for y in ([0.5, 1.0], [-3.0, 2.5]):
-        assert step_bits(step(0.3, y)) == step_bits(rk4_step(ripple, y, 0.3, h))
+        assert step_bits(step(0.5, y)) == step_bits(rk4_step(ripple, y, 0.5, h))
     y = [math.inf, 1.0]
-    assert raised(step, 0.0, y) == wrapped(rk4_step, ripple, y, 0.0, h)
-    assert raised(step, 0.0, y)[0] is ValueError
+    # cos(inf) raises ValueError: the loop declines the step, rk4_step fails on it
+    assert step(0.0, y) is None
+    assert wrapped(rk4_step, ripple, y, 0.0, h) is ValueError
     fused = integrate(ripple, y, 1.0, h, loop=looped(ripple, h, 0.0, [0.5, 1.0]))
     plain = integrate(ripple, y, 1.0, h)
     assert fused.diverged and plain.diverged
@@ -238,7 +261,7 @@ def test_step_declines_states_the_integrator_stops_at(y):
     def grow(t, y):
         return (y[0] * 1e-3 + 10.0,)
 
-    step = compile_step(lambda t, y: rk4_step(grow, y, t, 0.5), 0.0, [1.0])
+    step = stepper(grow, 0.5, 0.0, [1.0])
     assert step(0.0, y) is None
     fused = integrate(grow, y, 1.0, 0.5, loop=looped(grow, 0.5, 0.0, [1.0]))
     plain = integrate(grow, y, 1.0, 0.5)
