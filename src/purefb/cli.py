@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import config as configmod
-from . import runstore, scenarios, svgplot, verify
+from . import runstore, svgplot, verify
 
 __all__ = ["main"]
 
@@ -97,7 +97,7 @@ def _load_config(args):
 
 
 def _execute(cfg):
-    scn = scenarios.build(cfg.sid, **cfg.scenario_overrides())
+    scn = configmod.build(cfg)
     traj = scn.run(seed=cfg.seed)
     return scn, traj
 
@@ -206,6 +206,7 @@ def _cmd_montecarlo(args):
             "the sweep is defined for scenario %r" % configmod.N2)
     if args.runs < 1:
         raise _CliError("--runs must be at least 1")
+    configmod.build(cfg)  # the base config's values, checked before the sweep
     x0_box = tuple(zip(cfg["sweep.x0_lo"], cfg["sweep.x0_hi"]))
     overrides = cfg.scenario_overrides()
     start = time.perf_counter()

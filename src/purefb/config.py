@@ -16,7 +16,11 @@ the documented schema shipped under docs/.
 A key that sets a library keyword takes that keyword's default, read once
 at import: a scenario section's key the factory keyword of its name,
 ``verify.<field>`` the ``VerifyTolerances`` field and ``verify.audit_*``
-the ``dominance_audit`` keyword.  Only the other keys state their own.
+the ``dominance_audit`` keyword.  Only the other keys state their own.  A
+key's type is its default's in each scenario: a float, an int, a bool, a
+str or n floats.  ``load_text`` checks types, choices and the rules of the
+keys that set no scenario keyword; ``build`` leaves every other value rule
+to the library and names the key of the keyword a ValueError starts with.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -34,6 +39,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "SCHEMA",
+    "build",
     "load_file",
     "load_text",
     "schema_markdown",
@@ -52,16 +58,12 @@ def _nonneg(v):
     return None if v >= 0 else "must be >= 0"
 
 
-def _each_positive(v):
-    return None if all(x > 0 for x in v) else "every component must be positive"
-
-
 def _fraction(v):
     return None if 0.0 < v <= 0.5 else "must lie in (0, 0.5]"
 
 
-def _amplitude(v):
-    return None if 0.0 <= v < 1.0 else "must lie in [0, 1)"
+def _nonempty(v):
+    return None if v else "must not be empty"
 
 
 @dataclass(frozen=True)
@@ -69,133 +71,88 @@ class Key:
     """One schema entry; scen=None means common to all scenarios."""
 
     name: str
-    typ: str  # float | int | bool | str | floats
     doc: str
     scen: Optional[str] = None
     # own default (None: unset); a key that sets a library keyword has none
     default: object = None
     required: bool = False
-    count: Optional[int] = None  # arity for typ == "floats"
     choices: Optional[tuple] = None
-    check: Optional[Callable] = None
+    check: Optional[Callable] = None  # value rule of a key that sets no scenario keyword
+    like: Optional[str] = None  # the key whose default gives this key's type
 
 
 N2 = "numeric-2d"
 MS = "stt-missile"
 
-# most integration steps (integrator.T / integrator.h) one run may ask for
-STEP_BUDGET = 10_000_000
-
 SCHEMA = (
-    Key("scenario.id", "str", "registered scenario to run", required=True,
+    Key("scenario.id", "registered scenario to run", required=True,
         choices=scenarios.SCENARIO_IDS),
-    Key("run.seed", "int", "seed recorded with the run and used by sweeps",
-        default=0, check=_nonneg),
-    Key("run.out", "str", "run-registry root directory", default="runs"),
-    Key("integrator.T", "float", "horizon, seconds", check=_positive),
-    Key("integrator.h", "float", "fixed integration step, seconds",
-        check=_positive),
-    Key("integrator.decimation", "int",
-        "record every this many steps (must divide T/h)", check=_positive),
-    Key("design.sign_flip", "bool",
-        "sabotage toggle: flip the sign of the applied input (negative "
-        "controls only)", default=False),
-    Key("verify.tol_x", "float", "tail sup-norm threshold on the state",
-        check=_positive),
-    Key("verify.tol_k", "float", "gain settling threshold over the tail",
-        check=_positive),
-    Key("verify.tail_frac", "float",
-        "fraction of the horizon treated as the tail window", check=_fraction),
-    Key("verify.z_tail", "float",
-        "allowed tail increment of each squared-error integral",
-        check=_positive),
-    Key("verify.energy_slack", "float",
-        "slack in gamma_i * int z_i^2 <= k_i(T) - k_i(0)", check=_positive),
-    Key("verify.budget_slack", "float",
-        "absolute slack of the energy-budget monitor", check=_positive),
-    Key("verify.k_monotone", "float", "tolerated per-sample gain decrease",
+    Key("run.seed", "seed recorded with the run and used by sweeps", default=0,
         check=_nonneg),
-    Key("verify.audit_samples", "int",
-        "sample count for the stage-dominance audit", check=_positive),
-    Key("verify.audit_seed", "int", "seed of the dominance audit",
-        check=_nonneg),
+    Key("run.out", "run-registry root directory", default="runs", check=_nonempty),
+    Key("integrator.T", "horizon, seconds"),
+    Key("integrator.h", "fixed integration step, seconds"),
+    Key("integrator.decimation", "record every this many steps (must divide T/h)"),
+    Key("design.sign_flip", "sabotage toggle: flip the sign of the applied input "
+        "(negative controls only)", default=False),
+    Key("verify.tol_x", "tail sup-norm threshold on the state", check=_positive),
+    Key("verify.tol_k", "gain settling threshold over the tail", check=_positive),
+    Key("verify.tail_frac", "fraction of the horizon treated as the tail window",
+        check=_fraction),
+    Key("verify.z_tail", "allowed tail increment of each squared-error integral",
+        check=_positive),
+    Key("verify.energy_slack", "slack in gamma_i * int z_i^2 <= k_i(T) - k_i(0)",
+        check=_positive),
+    Key("verify.budget_slack", "absolute slack of the energy-budget monitor",
+        check=_positive),
+    Key("verify.k_monotone", "tolerated per-sample gain decrease", check=_nonneg),
+    Key("verify.audit_samples", "sample count for the stage-dominance audit",
+        check=_positive),
+    Key("verify.audit_seed", "seed of the dominance audit", check=_nonneg),
     # two-state numeric benchmark
-    Key("design.mode", "str",
-        "gain-shape source: the benchmark's closed forms or constructive "
-        "synthesis", scen=N2, choices=scenarios.MODES),
-    Key("design.mu", "floats", "per-stage control weights mu_i", scen=N2,
-        count=2, check=_each_positive),
-    Key("design.gamma", "floats", "per-stage adaptation rates", scen=N2,
-        count=2, check=_each_positive),
-    Key("design.k0", "floats", "initial adaptive gains", scen=N2, count=2,
-        check=_each_positive),
-    Key("design.deadzone", "float",
-        "freeze adaptation while |z_i| is below this", scen=N2, check=_nonneg),
-    Key("design.smoothing", "float",
-        "smooth-absolute-value width used inside synthesized shapes",
-        scen=N2, check=_positive),
-    Key("init.x0", "floats", "initial plant state", scen=N2, count=2),
-    Key("uncertainty.theta", "floats",
-        "constant uncertainty vector of the run", scen=N2, count=2),
-    Key("uncertainty.box_lo", "floats",
-        "lower edge of the declared uncertainty box (defaults to theta)",
-        scen=N2, count=2),
-    Key("uncertainty.box_hi", "floats",
-        "upper edge of the declared uncertainty box (defaults to theta)",
-        scen=N2, count=2),
-    Key("sweep.x0_lo", "floats",
-        "lower corner of the initial-state box sampled by the sweep",
-        default=(-3.0, -3.0), scen=N2, count=2),
-    Key("sweep.x0_hi", "floats",
-        "upper corner of the initial-state box sampled by the sweep",
-        default=(3.0, 3.0), scen=N2, count=2),
+    Key("design.mode", "gain-shape source: the benchmark's closed forms or "
+        "constructive synthesis", scen=N2, choices=scenarios.MODES),
+    Key("design.mu", "per-stage control weights mu_i", scen=N2),
+    Key("design.gamma", "per-stage adaptation rates", scen=N2),
+    Key("design.k0", "initial adaptive gains", scen=N2),
+    Key("design.deadzone", "freeze adaptation while |z_i| is below this", scen=N2),
+    Key("design.smoothing",
+        "smooth-absolute-value width used inside synthesized shapes", scen=N2),
+    Key("init.x0", "initial plant state", scen=N2),
+    Key("uncertainty.theta", "constant uncertainty vector of the run", scen=N2),
+    Key("uncertainty.box_lo", "lower edge of the declared uncertainty box (defaults "
+        "to theta)", scen=N2, like="uncertainty.theta"),
+    Key("uncertainty.box_hi", "upper edge of the declared uncertainty box (defaults "
+        "to theta)", scen=N2, like="uncertainty.theta"),
+    Key("sweep.x0_lo", "lower corner of the initial-state box sampled by the sweep",
+        default=(-3.0, -3.0), scen=N2),
+    Key("sweep.x0_hi", "upper corner of the initial-state box sampled by the sweep",
+        default=(3.0, 3.0), scen=N2),
     # missile roll channel
-    Key("init.roll_deg", "float", "initial roll angle, degrees", scen=MS),
-    Key("init.rate", "float", "initial roll rate, rad/s", scen=MS),
-    Key("init.defl", "float", "initial aileron deflection, rad", scen=MS),
-    Key("design.k1", "float", "fixed first-stage gain", scen=MS,
-        check=_positive),
-    Key("design.mu2", "float", "second-stage control weight", scen=MS,
-        check=_positive),
-    Key("design.mu3", "float", "third-stage control weight", scen=MS,
-        check=_positive),
-    Key("design.gamma2", "float", "second-stage adaptation rate", scen=MS,
-        check=_positive),
-    Key("design.gamma3", "float", "third-stage adaptation rate", scen=MS,
-        check=_positive),
-    Key("design.k20", "float", "initial second-stage gain", scen=MS,
-        check=_positive),
-    Key("design.k30", "float", "initial third-stage gain", scen=MS,
-        check=_positive),
-    Key("design.epsilon", "float",
-        "completion-of-squares constant (needs k1 - 3 epsilon / 4 > 0)",
-        scen=MS, check=_positive),
-    Key("missile.s", "float", "reference area, m^2", scen=MS,
-        check=_positive),
-    Key("missile.l", "float", "reference length, m", scen=MS,
-        check=_positive),
-    Key("missile.jx", "float", "roll inertia, kg m^2", scen=MS,
-        check=_positive),
-    Key("missile.tau_a", "float", "actuator time constant, s", scen=MS,
-        check=_positive),
-    Key("missile.rho_air", "float", "air density, kg/m^3", scen=MS,
-        check=_positive),
-    Key("missile.v_mean", "float", "mean airspeed, m/s", scen=MS,
-        check=_positive),
-    Key("missile.v_amp", "float", "relative airspeed ripple amplitude",
-        scen=MS, check=_amplitude),
-    Key("missile.v_freq", "float", "airspeed ripple frequency, rad/s",
-        scen=MS, check=_nonneg),
-    Key("missile.mx_mean", "float", "mean roll-moment slope, 1/rad",
-        scen=MS, check=_positive),
-    Key("missile.mx_amp", "float",
-        "relative roll-moment-slope ripple amplitude", scen=MS,
-        check=_amplitude),
-    Key("missile.mx_freq", "float",
-        "roll-moment-slope ripple frequency, rad/s", scen=MS, check=_nonneg),
-    Key("missile.xi_const", "float",
-        "constant deflection weight xi used inside psi3", scen=MS,
-        check=_positive),
+    Key("init.roll_deg", "initial roll angle, degrees", scen=MS),
+    Key("init.rate", "initial roll rate, rad/s", scen=MS),
+    Key("init.defl", "initial aileron deflection, rad", scen=MS),
+    Key("design.k1", "fixed first-stage gain", scen=MS),
+    Key("design.mu2", "second-stage control weight", scen=MS),
+    Key("design.mu3", "third-stage control weight", scen=MS),
+    Key("design.gamma2", "second-stage adaptation rate", scen=MS),
+    Key("design.gamma3", "third-stage adaptation rate", scen=MS),
+    Key("design.k20", "initial second-stage gain", scen=MS),
+    Key("design.k30", "initial third-stage gain", scen=MS),
+    Key("design.epsilon",
+        "completion-of-squares constant (needs k1 - 3 epsilon / 4 > 0)", scen=MS),
+    Key("missile.s", "reference area, m^2", scen=MS),
+    Key("missile.l", "reference length, m", scen=MS),
+    Key("missile.jx", "roll inertia, kg m^2", scen=MS),
+    Key("missile.tau_a", "actuator time constant, s", scen=MS),
+    Key("missile.rho_air", "air density, kg/m^3", scen=MS),
+    Key("missile.v_mean", "mean airspeed, m/s", scen=MS),
+    Key("missile.v_amp", "relative airspeed ripple amplitude", scen=MS),
+    Key("missile.v_freq", "airspeed ripple frequency, rad/s", scen=MS),
+    Key("missile.mx_mean", "mean roll-moment slope, 1/rad", scen=MS),
+    Key("missile.mx_amp", "relative roll-moment-slope ripple amplitude", scen=MS),
+    Key("missile.mx_freq", "roll-moment-slope ripple frequency, rad/s", scen=MS),
+    Key("missile.xi_const", "constant deflection weight xi used inside psi3", scen=MS),
 )
 
 _BY_NAME = {k.name: k for k in SCHEMA}
@@ -225,7 +182,11 @@ def _defaults(sid):
             if k.scen in (None, sid) and not k.required}
 
 
-_DEFAULTS = {sid: _defaults(sid) for sid in _BY_NAME["scenario.id"].choices}
+_DEFAULTS = {sid: _defaults(sid) for sid in scenarios.SCENARIO_IDS}
+# per scenario, a value of each key's type: its default, or the default of
+# the key it is like
+_TYPES = {sid: {name: d[_BY_NAME[name].like or name] for name in d}
+          for sid, d in _DEFAULTS.items()}
 
 
 def _finite(text):
@@ -235,40 +196,40 @@ def _finite(text):
     return v
 
 
-def _coerce(key, text):
+def _coerce(name, like, text):
+    """text as a value of the type of like."""
     text = text.strip()
     try:
-        if key.typ == "float":
+        if isinstance(like, float):
             return _finite(text)
-        if key.typ == "int":
-            return int(text)
-        if key.typ == "bool":
+        if isinstance(like, bool):  # before int: a bool is an int
             low = text.lower()
             if low in ("true", "yes", "on", "1"):
                 return True
             if low in ("false", "no", "off", "0"):
                 return False
             raise ValueError("not a boolean")
-        if key.typ == "floats":
+        if isinstance(like, int):
+            return int(text)
+        if isinstance(like, tuple):
             vals = tuple(_finite(p) for p in text.split(","))
-            if key.count is not None and len(vals) != key.count:
-                raise ValueError("expected %d comma-separated values" % key.count)
+            if len(vals) != len(like):
+                raise ValueError("expected %d comma-separated values" % len(like))
             return vals
         return text
     except ValueError as exc:
-        raise ConfigError("%s: %s (got %r)" % (key.name, exc, text)) from None
+        raise ConfigError("%s: %s (got %r)" % (name, exc, text)) from None
 
 
-def _render(key, value):
-    if key.typ == "float":
-        return repr(float(value))
-    if key.typ == "int":
-        return str(int(value))
-    if key.typ == "bool":
+def _render(value):
+    """The canonical text of a value of its key's type."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if key.typ == "floats":
-        return ", ".join(repr(float(v)) for v in value)
-    return str(value)
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
 
 
 @dataclass(frozen=True)
@@ -339,10 +300,11 @@ def parse_text(text):
 
 
 def load_text(text, overrides=None):
-    """Parse and validate config text into a RunConfig.
+    """Parse config text into a RunConfig, checking each value's type.
 
     overrides maps key paths to raw string values applied on top of the
-    file (CLI flags); they go through the same validation.
+    file (CLI flags); they go through the same checks.  The value rules of
+    the scenario keywords are the library's: ``build`` checks them.
     """
     raw = parse_text(text)
     for name, value in (overrides or {}).items():
@@ -356,6 +318,7 @@ def load_text(text, overrides=None):
             "scenario.id: unknown scenario %r (choose from %s)"
             % (sid, ", ".join(id_key.choices))
         )
+    types = _TYPES[sid]
     values = {"scenario.id": sid}
     for name, text_value in raw.items():
         if name == "scenario.id":
@@ -368,7 +331,7 @@ def load_text(text, overrides=None):
                 "%s: not a setting of scenario %r (it belongs to %r)"
                 % (name, sid, key.scen)
             )
-        values[name] = _coerce(key, text_value)
+        values[name] = _coerce(name, types[name], text_value)
     for name, default in _DEFAULTS[sid].items():
         values.setdefault(name, default)
     for name, value in values.items():
@@ -377,26 +340,34 @@ def load_text(text, overrides=None):
             raise ConfigError(
                 "%s: %r is not one of %s" % (name, value, ", ".join(key.choices))
             )
-        if key.check is not None and value is not None:
+        if key.check is not None:
             problem = key.check(value)
             if problem:
-                raise ConfigError("%s: %s (got %s)" % (name, problem, value))
-    steps = values["integrator.T"] / values["integrator.h"]
-    if steps > STEP_BUDGET:
-        raise ConfigError(
-            "integrator.h: %r asks for %.3g steps over integrator.T = %r, "
-            "more than the budget of %d" % (values["integrator.h"], steps,
-                                            values["integrator.T"], STEP_BUDGET)
-        )
+                raise ConfigError("%s: %s (got %r)" % (name, problem, value))
     lines = []
     for name in sorted(values):
         if values[name] is None or name == "run.out":
             # the registry location does not change what ran
             continue
-        lines.append("%s = %s" % (name, _render(_BY_NAME[name], values[name])))
+        lines.append("%s = %s" % (name, _render(values[name])))
     canonical = "\n".join(lines) + "\n"
     sha = hashlib.sha256(canonical.encode()).hexdigest()
     return RunConfig(sid=sid, values=values, canonical=canonical, sha256=sha)
+
+
+def build(cfg):
+    """The scenario of cfg, from ``scenarios.build``.
+
+    Every value rule of a scenario keyword is checked here, by the library:
+    its ValueError, which starts with the keyword it rejects, becomes a
+    ConfigError that names the keyword's key.
+    """
+    try:
+        return scenarios.build(cfg.sid, **cfg.scenario_overrides())
+    except ValueError as exc:
+        keyword = re.match(r"\w*", str(exc)).group()
+        names = [name for name, kw in _KEYWORDS if kw == keyword and name in cfg.values]
+        raise ConfigError("%s: %s" % (names[0], exc) if names else str(exc)) from None
 
 
 def load_file(path, overrides=None):
@@ -408,6 +379,14 @@ def load_file(path, overrides=None):
     return load_text(text, overrides=overrides)
 
 
+def _per_scenario(texts):
+    """The one text of every scenario, or each scenario's where they differ."""
+    if len(set(texts.values())) > 1:
+        return "; ".join("%s: %s" % item for item in texts.items())
+    (text,) = set(texts.values())
+    return text
+
+
 def schema_markdown():
     """Render the documented schema (shipped under docs/)."""
     out = [
@@ -416,26 +395,29 @@ def schema_markdown():
         "Format: one `section.key = value` per line; `#` starts a comment",
         "line; blank lines are ignored.  Float lists are comma separated.",
         "Unknown keys are rejected.  Keys marked with a scenario apply only",
-        "when `scenario.id` selects it.  A run may take at most %d" % STEP_BUDGET,
-        "integration steps (`integrator.T / integrator.h`).",
+        "when `scenario.id` selects it.  Types are checked when a config is",
+        "loaded (a key's type is that of its default), value rules when its",
+        "scenario is built, both before anything runs.  A run may take at",
+        "most %d integration steps (`integrator.T / integrator.h`)."
+        % scenarios.STEP_BUDGET,
         "",
         "| key | type | default | applies to | description |",
         "|---|---|---|---|---|",
     ]
     for key in SCHEMA:
-        shown = {sid: "(unset)" if d[key.name] is None else _render(key, d[key.name])
-                 for sid, d in sorted(_DEFAULTS.items()) if key.name in d}
+        scens = [sid for sid in sorted(_TYPES) if key.scen in (None, sid)]
         if key.required:
             default = "(required)"
-        elif len(set(shown.values())) > 1:
-            default = "; ".join("%s: %s" % item for item in shown.items())
         else:
-            (default,) = set(shown.values())
-        typ = key.typ
+            default = _per_scenario({
+                sid: "(unset)" if _DEFAULTS[sid][key.name] is None
+                else _render(_DEFAULTS[sid][key.name]) for sid in scens})
         if key.choices:
             typ = " \\| ".join(key.choices)
-        elif key.typ == "floats":
-            typ = "%d floats" % key.count if key.count else "floats"
+        else:
+            likes = {sid: _TYPES[sid][key.name] for sid in scens}
+            typ = _per_scenario({sid: "%d floats" % len(t) if isinstance(t, tuple)
+                                 else type(t).__name__ for sid, t in likes.items()})
         out.append(
             "| `%s` | %s | %s | %s | %s |"
             % (key.name, typ, default, key.scen or "all", key.doc)

@@ -20,7 +20,7 @@ explicit gain shape on the last stage:
     dk3/dt = gamma3 psi3^2 z3^2,
     cmd = -mu3 k3 psi3^2 z3,
 
-with phi2 = constant xi, a positive weight (1 by default).  The
+with phi2 = constant xi_const, a positive weight (1 by default).  The
 completion-of-squares constant epsilon must satisfy k1 - 3 epsilon / 4 > 0,
 which keeps the first error term negative definite.
 """
@@ -55,7 +55,7 @@ class MissileParams:
     def __post_init__(self):
         for name in ("s", "l", "jx", "tau_a", "rho_air"):
             if not getattr(self, name) > 0.0:
-                raise ValueError("%s must be positive" % name)
+                raise ValueError("%s must be positive, got %r" % (name, getattr(self, name)))
 
     def moment_gain(self, t):
         """Deflection-to-roll-acceleration gain at time t, 1/s^2."""
@@ -73,15 +73,15 @@ class MissileDesign:
     gamma2: float
     gamma3: float
     epsilon: float
-    xi: float = 1.0
+    xi_const: float = 1.0
 
     def __post_init__(self):
-        for name in ("k1", "mu2", "mu3", "gamma2", "gamma3", "epsilon", "xi"):
+        for name in ("k1", "mu2", "mu3", "gamma2", "gamma3", "epsilon", "xi_const"):
             if not getattr(self, name) > 0.0:
-                raise ValueError("%s must be positive" % name)
+                raise ValueError("%s must be positive, got %r" % (name, getattr(self, name)))
         if not self.k1 - 0.75 * self.epsilon > 0.0:
             raise ValueError(
-                "need k1 - 3*epsilon/4 > 0 (got k1=%g, epsilon=%g)"
+                "k1 - 3*epsilon/4 must be positive, got k1=%g, epsilon=%g"
                 % (self.k1, self.epsilon)
             )
 
@@ -119,7 +119,7 @@ def missile_control(state, gains, design):
     z2 = rate + d.k1 * z1
     z3 = defl + d.mu2 * k2 * z2
     dk2 = d.gamma2 * z2 * z2
-    phi2 = d.xi
+    phi2 = d.xi_const
     m2 = d.mu2
     psi3 = (
         m2 * k2

@@ -32,7 +32,6 @@ import os
 from dataclasses import dataclass
 
 from . import config as configmod
-from . import scenarios
 from .simkit import StatePoint, read_csv
 
 __all__ = ["RunPaths", "RunStoreError", "save_run", "load_run", "list_runs"]
@@ -153,13 +152,13 @@ def load_run(out_dir, run_id):
         )
     try:
         cfg = configmod.load_file(paths.config)
+        if cfg.run_id != run_id:
+            raise RunStoreError(
+                "registry dir %s holds config hashing to %s" % (run_id, cfg.run_id)
+            )
+        scn = configmod.build(cfg)
     except configmod.ConfigError as exc:
         raise RunStoreError("%s: %s" % (paths.config, exc)) from None
-    if cfg.run_id != run_id:
-        raise RunStoreError(
-            "registry dir %s holds config hashing to %s" % (run_id, cfg.run_id)
-        )
-    scn = scenarios.build(cfg.sid, **cfg.scenario_overrides())
     try:
         with open(paths.summary) as fh:
             try:

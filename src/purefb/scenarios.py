@@ -29,7 +29,8 @@ adaptive gains k, integrals of z_i^2) and applies the sign: it derives
 adaptive stage) and the recorded row t, x1..xn, z1..zn, k_i, u, <extras>,
 intz_i, with k_i and intz_i for each adaptive stage i.  A factory's
 keywords are the run-config keys by name: ``section.key`` arrives as
-``key`` (see ``RunConfig.scenario_overrides``).
+``key`` (see ``RunConfig.scenario_overrides``).  Building checks every
+rule on a keyword's value, and each ValueError starts with its keyword.
 
 numeric-2d's plant is ``PlantSpec.rates``; its law is
 ``ControllerStack.evaluate`` and ``gain_rates``.  stt-missile's plant is
@@ -58,14 +59,23 @@ from .autodiff import cos, sin
 from .backstep import ControllerStack, DesignParams
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
-from .simkit import decimation_count, integrate, rk4_step
+from .simkit import integrate, rk4_step
 from .tape import compile_loop
 
-__all__ = ["Scenario", "build", "MODES", "SCENARIO_IDS"]
+__all__ = ["Scenario", "build", "MODES", "SCENARIO_IDS", "STEP_BUDGET"]
 
 # numeric-2d's controller modes: the benchmark's closed-form gain shapes, or
 # constructive synthesis
 MODES = ("paper", "auto")
+
+# most integration steps (T / h) one run may ask for
+STEP_BUDGET = 10_000_000
+
+
+def _check(ok, message, *args):
+    """ValueError(message % args) unless ok; each message starts with its keyword."""
+    if not ok:
+        raise ValueError(message % args)
 
 
 @dataclass
@@ -75,7 +85,8 @@ class Scenario:
     Derives from ``plant``, ``law`` and ``sign`` the one layout of y:
     ``rhs_reference``, ``rhs`` (what ``run`` integrates) and ``recorder``
     (column names, row builder); also ``n`` (from x0) and the meta entries
-    x_cols, z_cols, k_cols, intz_cols, n and adaptive.
+    x_cols, z_cols, k_cols, intz_cols, n and adaptive.  Checks T and h > 0,
+    at most ``STEP_BUDGET`` steps, T/h whole and divided by decimation.
     """
 
     sid: str
@@ -99,11 +110,25 @@ class Scenario:
     n: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.k0) != len(self.adaptive):
-            raise ValueError("need one initial gain per adaptive stage")
-        for i, v in zip(self.adaptive, self.k0):
-            if not v > 0.0:
-                raise ValueError("initial gain k%d must be positive, got %r" % (i, v))
+        T, h = self.T, self.h = float(self.T), float(self.h)
+        _check(T > 0.0, "T must be positive, got %r", T)
+        _check(h > 0.0, "h must be positive, got %r", h)
+        _check(T / h <= STEP_BUDGET, "h = %r asks for %.3g steps over T = %r, more than "
+               "the budget of %d", h, T / h, T, STEP_BUDGET)
+        steps = round(T / h)
+        _check(steps >= 1 and abs(steps * h - T) <= 1e-9 * max(1.0, T),
+               "T must be an integer multiple of h, got T = %r, h = %r", T, h)
+        d = self.decimation
+        if not isinstance(d, int):  # an int of any size is kept as it is
+            try:
+                whole = float(d).is_integer()
+            except (TypeError, ValueError):
+                whole = False
+            _check(whole, "decimation must be a whole number, got %r", d)
+        d = self.decimation = int(d)
+        _check(d >= 1 and steps % d == 0,
+               "decimation must divide the %d integration steps, got %d", steps, d)
+        _check(len(self.k0) == len(self.adaptive), "need one initial gain per adaptive stage")
         self.sign = float(self.sign)
         self.n = len(self.x0)
         n, m = self.n, len(self.adaptive)
@@ -147,6 +172,12 @@ class Scenario:
             recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,
             loop=loop,
         )
+
+
+def _initial_gain(keyword, stage, value):
+    """value as a float, once checked positive."""
+    _check(value > 0.0, "%s: initial gain k%d must be positive, got %r", keyword, stage, value)
+    return float(value)
 
 
 # -- two-state numeric benchmark ------------------------------------------
@@ -214,8 +245,7 @@ def numeric2d(
         theta_box = tuple((v, v) for v in theta)
     theta_box = tuple((float(lo), float(hi)) for lo, hi in theta_box)
     for v, (lo, hi) in zip(theta, theta_box):
-        if not lo <= v <= hi:
-            raise ValueError("theta %r leaves its declared box" % (theta,))
+        _check(lo <= v <= hi, "theta %r leaves its declared box", theta)
 
     # envelope constants follow the box: |th1 x1| <= th1_hi * 1 * |x1|,
     # |th2 x1 x2| <= th2_hi * rho2 * (|x1|+|x2|), gains bracketed by the box
@@ -229,9 +259,8 @@ def numeric2d(
     bounds = BoundSpec(rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
     mu = tuple(float(v) for v in mu)
     gamma = tuple(float(v) for v in gamma)
-    k0 = tuple(float(v) for v in k0)
-    if mode not in MODES:
-        raise ValueError("mode must be %s, got %r" % (" or ".join(map(repr, MODES)), mode))
+    k0 = tuple(_initial_gain("k0", i, v) for i, v in enumerate(k0, 1))
+    _check(mode in MODES, "mode must be %s, got %r", " or ".join(map(repr, MODES)), mode)
     stages = None
     if mode == "paper":
         mu1, gamma1 = mu[0], gamma[0]
@@ -265,9 +294,9 @@ def numeric2d(
         plant=lambda t, x, u: spec.rates(x, u, theta),
         law=law,
         extra=("psi1", "psi2", "eta2") if mode == "auto" else ("psi1", "psi2"),
-        T=float(T),
-        h=float(h),
-        decimation=decimation_count(decimation),
+        T=T,
+        h=h,
+        decimation=decimation,
         sign=sign,
         meta={"mu": list(mu), "gamma": list(gamma)},
     )
@@ -311,18 +340,21 @@ def stt_missile(
     def mx_slope(t):
         return mx_mean * (1.0 + mx_amp * sin(mx_freq * t))
 
+    # cos and sin reach -1 and 1: a profile mean * (1 + amp * wave), amp >= 0,
+    # is positive at every t exactly when mean > 0 and amp < 1
+    for what, p, mean, amp, freq in (("speed", "v", v_mean, v_amp, v_freq),
+                                     ("moment-slope", "mx", mx_mean, mx_amp, mx_freq)):
+        _check(mean > 0.0, "%s_mean must be positive, got %r", p, mean)
+        _check(0.0 <= amp < 1.0, "%s_amp must lie in [0, 1), or the %s profile is not "
+               "positive; got %r", p, what, amp)
+        _check(freq >= 0.0, "%s_freq must be >= 0, got %r", p, freq)
     mparams = MissileParams(
         s=s, l=l, jx=jx, tau_a=tau_a, rho_air=rho_air, speed=speed, mx_slope=mx_slope
     )
     box = (
-        (v_mean * (1.0 - abs(v_amp)), v_mean * (1.0 + abs(v_amp))),
-        (mx_mean * (1.0 - abs(mx_amp)), mx_mean * (1.0 + abs(mx_amp))),
+        (v_mean * (1.0 - v_amp), v_mean * (1.0 + v_amp)),
+        (mx_mean * (1.0 - mx_amp), mx_mean * (1.0 + mx_amp)),
     )
-    # |cos|, |sin| <= 1: each profile lies between its two box edges at every
-    # t, so it is positive for all t exactly when both edges are
-    for what, (lo, hi) in zip(("speed", "moment-slope"), box):
-        if not (lo > 0.0 and hi > 0.0):
-            raise ValueError("%s profile not positive: it reaches %r" % (what, min(lo, hi)))
     design = MissileDesign(
         k1=k1,
         mu2=mu2,
@@ -330,7 +362,7 @@ def stt_missile(
         gamma2=gamma2,
         gamma3=gamma3,
         epsilon=epsilon,
-        xi=xi_const,
+        xi_const=xi_const,
     )
 
     def law(x, k):
@@ -342,14 +374,14 @@ def stt_missile(
         sid="stt-missile",
         x0=(math.radians(roll_deg), float(rate), float(defl)),
         adaptive=(2, 3),
-        k0=(float(k20), float(k30)),
+        k0=(_initial_gain("k20", 2, k20), _initial_gain("k30", 3, k30)),
         theta=UncertaintyProfile(box=box),
         plant=lambda t, x, u: stt_dynamics(x, t, u, mparams),
         law=law,
         extra=("psi3", "roll_deg"),
-        T=float(T),
-        h=float(h),
-        decimation=decimation_count(decimation),
+        T=T,
+        h=h,
+        decimation=decimation,
         sign=sign,
         meta={"mu": [mu2, mu3], "gamma": [gamma2, gamma3]},
     )

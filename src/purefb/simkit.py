@@ -29,7 +29,6 @@ __all__ = [
     "DivergenceError",
     "StatePoint",
     "Trajectory",
-    "decimation_count",
     "integrate",
     "measure_order",
     "rk4_step",
@@ -169,19 +168,6 @@ def read_csv(path, sid="", h=0.0, seed=None):
             raise ValueError("trajectory file %s: %s" % (path, reason)) from None
 
 
-def decimation_count(decimation):
-    """decimation as an int; ValueError naming it where it is not a whole number."""
-    if isinstance(decimation, int):
-        return int(decimation)  # any size: integrate then checks that it divides the steps
-    try:
-        whole = float(decimation).is_integer()
-    except (TypeError, ValueError):
-        whole = False
-    if not whole:
-        raise ValueError("decimation must be a whole number, got %r" % (decimation,))
-    return int(decimation)
-
-
 def integrate(
     rhs,
     y0,
@@ -202,12 +188,12 @@ def integrate(
     default the raw state is recorded under names y1..ym.  Each row goes
     straight into one flat float64 buffer, and the trajectory's ``data``
     is a zero-copy (rows, columns) view of it; a row whose length does not
-    match the columns raises ValueError.  The step count T/h must be an
-    integer and divisible by decimation, a whole number, giving
-    floor(T/h/decimation) + 1 retained samples.  A step that
-    ``rk4_step`` rejects stops the run instead of raising: the partial
-    trajectory's ``failure`` holds the point of its DivergenceError, and
-    that alone makes it ``diverged``.
+    match the columns raises ValueError.  T must be a positive whole
+    multiple of h and the int decimation must divide the step count T/h,
+    as ``Scenario`` checks, giving T/h/decimation + 1 retained samples.
+    A step that ``rk4_step`` rejects stops the run instead of raising: the
+    partial trajectory's ``failure`` holds the point of its
+    DivergenceError, and that alone makes it ``diverged``.
 
     loop, when given, is a run loop of ``tape.compile_loop`` whose step is
     ``rk4_step(rhs, ., ., h)`` and whose row is the recorder's build.  It
@@ -216,19 +202,7 @@ def integrate(
     through build, and the loop is entered again.  So every row, flag and
     failure point is that of the plain path.
     """
-    if not T > 0.0:
-        raise ValueError("horizon T must be positive")
-    if not h > 0.0:
-        raise ValueError("step h must be positive")
-    steps = int(round(T / h))
-    if steps < 1 or abs(steps * h - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError("T must be an integer multiple of h")
-    decimation = decimation_count(decimation)
-    if decimation < 1 or steps % decimation:
-        raise ValueError(
-            "decimation must divide the %d integration steps, got %d"
-            % (steps, decimation)
-        )
+    steps = round(T / h)
     y = [float(v) for v in y0]
     if recorder is None:
         names = tuple("y%d" % (i + 1) for i in range(len(y)))

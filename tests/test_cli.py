@@ -9,7 +9,7 @@ import pytest
 
 from purefb import scenarios
 from purefb.cli import main
-from purefb.config import load_file
+from purefb.config import load_file, load_text
 
 SHORT = (
     "scenario.id = numeric-2d\n"
@@ -186,6 +186,123 @@ def test_decimation_too_large_for_a_float_exits_2(tmp_path, capsys):
     out = registry(tmp_path)
     assert main(["run", "--config", cfg, "--out", out]) == 2
     assert "decimation must divide" in capsys.readouterr().err
+
+
+# (scenario, config lines, the key the error names): every value the config
+# rejects at least once, before anything runs; a scenario keyword's rule is
+# the library's, the rules of run.seed, run.out and verify.* the config's
+N2, MS = "numeric-2d", "stt-missile"
+REJECTED = [
+    (N2, "integrator.T = 0.0", "integrator.T"),
+    (N2, "integrator.T = -1.0", "integrator.T"),
+    (N2, "integrator.h = 0.0", "integrator.h"),
+    (MS, "integrator.h = -0.001", "integrator.h"),
+    (N2, "integrator.decimation = 0", "integrator.decimation"),
+    (MS, "integrator.decimation = -5", "integrator.decimation"),
+    (N2, "integrator.T = 1e300", "integrator.h"),
+    (N2, "design.mu = -1.0, 0.2", "design.mu"),
+    (N2, "design.mu = 0.2, 0.0", "design.mu"),
+    (N2, "design.gamma = 0.0, 0.2", "design.gamma"),
+    (N2, "design.gamma = 0.2, -1.0", "design.gamma"),
+    (N2, "design.k0 = 0.0, 0.01", "design.k0"),
+    (N2, "design.k0 = 0.01, -0.01", "design.k0"),
+    (N2, "design.deadzone = -0.1", "design.deadzone"),
+    (N2, "design.deadzone = -1e-9", "design.deadzone"),
+    (N2, "design.smoothing = 0.0", "design.smoothing"),
+    (N2, "design.smoothing = -1e-6", "design.smoothing"),
+    (N2, "uncertainty.box_hi = 0.5, 2.0", "uncertainty.theta"),
+    (MS, "design.k1 = 0.0", "design.k1"),
+    (MS, "design.k1 = -5.0", "design.k1"),
+    (MS, "design.mu2 = 0.0", "design.mu2"),
+    (MS, "design.mu3 = -0.5", "design.mu3"),
+    (MS, "design.gamma2 = 0.0", "design.gamma2"),
+    (MS, "design.gamma3 = -0.1", "design.gamma3"),
+    (MS, "design.k20 = 0.0", "design.k20"),
+    (MS, "design.k20 = -0.1", "design.k20"),
+    (MS, "design.k30 = 0.0", "design.k30"),
+    (MS, "design.k30 = -0.1", "design.k30"),
+    (MS, "design.epsilon = 0.0", "design.epsilon"),
+    (MS, "design.epsilon = -0.1", "design.epsilon"),
+    (MS, "design.epsilon = 10.0", "design.k1"),  # k1 - 3 epsilon / 4 > 0
+    (MS, "missile.s = 0.0", "missile.s"),
+    (MS, "missile.s = -0.42", "missile.s"),
+    (MS, "missile.l = -0.68", "missile.l"),
+    (MS, "missile.jx = 0.0", "missile.jx"),
+    (MS, "missile.tau_a = 0.0", "missile.tau_a"),
+    (MS, "missile.tau_a = -0.01", "missile.tau_a"),
+    (MS, "missile.rho_air = -0.7", "missile.rho_air"),
+    (MS, "missile.v_mean = 0.0", "missile.v_mean"),
+    (MS, "missile.v_mean = -200.0", "missile.v_mean"),
+    (MS, "missile.v_amp = -0.1", "missile.v_amp"),
+    (MS, "missile.v_amp = 1.0", "missile.v_amp"),
+    (MS, "missile.v_amp = 1.5", "missile.v_amp"),
+    (MS, "missile.v_freq = -2.0", "missile.v_freq"),
+    (MS, "missile.v_freq = -1e-9", "missile.v_freq"),
+    (MS, "missile.mx_mean = 0.0", "missile.mx_mean"),
+    (MS, "missile.mx_mean = -2.12", "missile.mx_mean"),
+    (MS, "missile.mx_amp = -0.2", "missile.mx_amp"),
+    (MS, "missile.mx_amp = 1.0", "missile.mx_amp"),
+    (MS, "missile.mx_freq = -1.0", "missile.mx_freq"),
+    (MS, "missile.xi_const = 0.0", "missile.xi_const"),
+    (MS, "missile.xi_const = -1.0", "missile.xi_const"),
+    (N2, "run.seed = -1", "run.seed"),
+    (N2, "verify.tail_frac = 0.9", "verify.tail_frac"),
+    (MS, "verify.tol_x = 0.0", "verify.tol_x"),
+    (MS, "verify.audit_samples = 0", "verify.audit_samples"),
+]
+
+
+@pytest.mark.parametrize("sid,line,key", REJECTED, ids=[line for _, line, _ in REJECTED])
+def test_rejected_value_exits_2_naming_its_key(tmp_path, capsys, sid, line, key):
+    cfg = write_cfg(tmp_path, "scenario.id = %s\n%s\n" % (sid, line))
+    out = registry(tmp_path)
+    for argv in (["run", "--config", cfg, "--out", out], ["verify", "--config", cfg]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: %s: " % key), err
+    assert not os.path.exists(out)
+
+
+# (config lines, the key the error names) of a time grid that does not fit
+GRIDS = [
+    ("integrator.T = 1.0\nintegrator.h = 0.3", "integrator.T"),
+    ("integrator.T = 0.05\nintegrator.decimation = 100", "integrator.decimation"),
+    ("integrator.T = 1.0\nintegrator.h = 0.1\nintegrator.decimation = 3",
+     "integrator.decimation"),
+]
+
+
+@pytest.mark.parametrize("lines,key", GRIDS, ids=["T-h", "decimation-50", "decimation-3"])
+def test_time_grid_error_names_its_key_before_running(tmp_path, capsys, lines, key):
+    cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\n%s\n" % lines)
+    out = registry(tmp_path)
+    for argv in (["run", "--config", cfg, "--out", out],
+                 ["montecarlo", "--config", cfg, "--runs", "2", "--out", out]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: %s: " % key)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("how", ["line", "flag"])
+def test_empty_run_out_exits_2(tmp_path, monkeypatch, capsys, how):
+    text = "scenario.id = numeric-2d\nintegrator.T = 0.1\n"
+    argv = ["run", "--config", write_cfg(tmp_path, text + "run.out =\n" * (how == "line"))]
+    argv += ["--out", ""] * (how == "flag")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: run.out: must not be empty")
+    assert os.listdir(tmp_path) == ["case.cfg"]
+
+
+def test_stored_config_the_library_rejects_exits_2(tmp_path, capsys):
+    cfg = load_text("scenario.id = numeric-2d\nintegrator.T = 1.0\nintegrator.h = 0.3\n")
+    out = registry(tmp_path)
+    os.makedirs(os.path.join(out, cfg.run_id))
+    Path(out, cfg.run_id, "config.cfg").write_text(cfg.canonical)
+    for command in ("verify", "plot"):
+        assert main([command, cfg.run_id, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config.cfg: integrator.T: T must be an integer multiple of h" in err
 
 
 def test_internal_error_exits_4_with_one_line(tmp_path, capsys):

@@ -7,13 +7,14 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purefb import cli, config, runstore, scenarios
 from purefb.config import (
     SCHEMA,
     ConfigError,
+    build,
     load_file,
     load_text,
     schema_markdown,
@@ -122,12 +123,28 @@ def test_type_errors_name_the_key():
 
 
 def test_schema_checks_run_before_any_simulation():
-    with pytest.raises(ConfigError, match="positive"):
-        load_text(MINIMAL + "design.mu = -1.0, 0.2\n")
-    with pytest.raises(ConfigError, match="integrator.h"):
-        load_text(MINIMAL + "integrator.h = 0.0\n")
-    with pytest.raises(ConfigError, match="verify.tail_frac"):
-        load_text(MINIMAL + "verify.tail_frac = 0.9\n")
+    with pytest.raises(ConfigError, match="^design.mu: mu"):
+        build(load_text(MINIMAL + "design.mu = -1.0, 0.2\n"))
+    with pytest.raises(ConfigError, match="^integrator.h: h"):
+        build(load_text(MINIMAL + "integrator.h = 0.0\n"))
+    with pytest.raises(ConfigError, match="^verify.tail_frac"):
+        build(load_text(MINIMAL + "verify.tail_frac = 0.9\n"))
+
+
+def test_factory_keys_take_their_type_from_the_keyword():
+    """A key's type is its default's: a float, an int, a bool, a str or n floats."""
+    for sid, types in config._TYPES.items():
+        for name, like in types.items():
+            assert type(like) in (float, int, bool, str, tuple), (sid, name)
+            if isinstance(like, tuple):
+                assert all(type(v) is float for v in like), (sid, name)
+    n2 = config._TYPES["numeric-2d"]
+    assert {name for name, like in n2.items() if isinstance(like, tuple)} == {
+        "design.mu", "design.gamma", "design.k0", "init.x0", "uncertainty.theta",
+        "uncertainty.box_lo", "uncertainty.box_hi", "sweep.x0_lo", "sweep.x0_hi"}
+    assert n2["uncertainty.box_lo"] == n2["uncertainty.theta"] == (1.0, 2.0)
+    assert type(config._TYPES["stt-missile"]["integrator.decimation"]) is int
+    assert type(n2["design.mode"]) is str
 
 
 def test_comments_and_blank_lines_ignored():
@@ -198,36 +215,48 @@ def test_schema_doc_covers_every_key():
         assert fh.read() == doc
 
 
-# (lo, hi, open at lo, open at hi) of the floats drawn for each check; every
-# value in the range passes the check
-FLOAT_RANGES = {
-    None: (-1e3, 1e3, False, False),
-    config._positive: (0.0, 1e3, True, False),
-    config._nonneg: (0.0, 1e3, False, False),
-    config._each_positive: (0.0, 1e3, True, False),
-    config._fraction: (0.0, 0.5, True, False),
-    config._amplitude: (0.0, 1.0, False, True),
+# (lo, hi, open at lo, open at hi) of the numbers drawn for each key; every
+# value in the range passes the key's rules, and a key not named here draws
+# from ANY
+ANY = (-1e3, 1e3, False, False)
+POSITIVE = (0.0, 1e3, True, False)
+NONNEG = (0.0, 1e3, False, False)
+RANGES = {
+    **dict.fromkeys([
+        "integrator.T", "integrator.h", "integrator.decimation", "verify.tol_x",
+        "verify.tol_k", "verify.z_tail", "verify.energy_slack", "verify.budget_slack",
+        "verify.audit_samples", "design.mu", "design.gamma", "design.k0",
+        "design.smoothing", "design.k1", "design.mu2", "design.mu3", "design.gamma2",
+        "design.gamma3", "design.k20", "design.k30", "design.epsilon", "missile.s",
+        "missile.l", "missile.jx", "missile.tau_a", "missile.rho_air",
+        "missile.v_mean", "missile.mx_mean", "missile.xi_const"], POSITIVE),
+    **dict.fromkeys([
+        "run.seed", "verify.k_monotone", "verify.audit_seed", "design.deadzone",
+        "missile.v_freq", "missile.mx_freq"], NONNEG),
+    "verify.tail_frac": (0.0, 0.5, True, False),
+    "missile.v_amp": (0.0, 1.0, False, True),
+    "missile.mx_amp": (0.0, 1.0, False, True),
 }
 BOOL_SPELLINGS = ("true", "yes", "on", "1", "True", "false", "no", "off", "0", "OFF")
 
 
-def value_text(key):
-    """Strategy for the text of one value of key that passes its check."""
+def value_text(sid, key):
+    """Strategy for the text of one value of key that passes its rules."""
+    like = config._TYPES[sid][key.name]
+    lo, hi, open_lo, open_hi = RANGES.get(key.name, ANY)
     if key.choices:
         return st.sampled_from(key.choices)
-    if key.typ == "bool":
+    if isinstance(like, bool):
         return st.sampled_from(BOOL_SPELLINGS)
-    if key.typ == "str":
+    if isinstance(like, str):
         return st.text(alphabet="abxyz_/", min_size=1, max_size=8)
-    if key.typ == "int":
-        low = 1 if key.check is config._positive else 0
-        return st.integers(min_value=low, max_value=10**6).map(str)
-    lo, hi, open_lo, open_hi = FLOAT_RANGES[key.check]
+    if isinstance(like, int):
+        return st.integers(min_value=int(lo) + open_lo, max_value=10**6).map(str)
     number = st.floats(lo, hi, exclude_min=open_lo, exclude_max=open_hi)
     spelled = number.map(lambda v: "%.17g" % v)
-    if key.typ == "float":
+    if isinstance(like, float):
         return spelled
-    return st.lists(spelled, min_size=key.count, max_size=key.count).map(",".join)
+    return st.lists(spelled, min_size=len(like), max_size=len(like)).map(",".join)
 
 
 # values of the keys that set what a run costs, each small enough for a
@@ -254,7 +283,7 @@ def config_texts(draw, short=False):
         chosen += [k for k in keys if k.name in SHORT_RUN]
     lines = ["scenario.id = %s" % sid]
     lines += ["%s = %s" % (k.name, draw(SHORT_RUN[k.name] if short and k.name in SHORT_RUN
-                                        else value_text(k)))
+                                        else value_text(sid, k)))
               for k in chosen]
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
@@ -262,21 +291,16 @@ def config_texts(draw, short=False):
 def built(cfg):
     """What a stored run's loader takes from the scenario of cfg."""
     try:
-        scn = scenarios.build(cfg.sid, **cfg.scenario_overrides())
-    except ValueError as exc:  # e.g. theta outside its declared box
-        return type(exc), str(exc)
+        scn = build(cfg)
+    except ConfigError as exc:  # e.g. theta outside its declared box
+        return str(exc)
     return scn.meta, scn.recorder[0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(text=config_texts())
 def test_canonical_text_reparses_to_the_same_run(text):
-    try:
-        cfg = load_text(text)
-    except ConfigError as exc:
-        # T / h is the one check that spans two keys
-        assert "budget" in str(exc), exc
-        reject()
+    cfg = load_text(text)  # every value drawn has the right type
     again = load_text(cfg.canonical)
     assert (again.canonical, again.sha256) == (cfg.canonical, cfg.sha256)
     assert built(again) == built(cfg)

@@ -119,7 +119,7 @@ def test_design_validation():
                       epsilon=0.1)
     with pytest.raises(ValueError, match="xi"):
         MissileDesign(k1=5.0, mu2=0.5, mu3=0.5, gamma2=0.1, gamma3=0.1,
-                      epsilon=0.1, xi=0.0)
+                      epsilon=0.1, xi_const=0.0)
 
 
 def test_profile_positivity_guard():

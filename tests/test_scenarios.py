@@ -103,10 +103,28 @@ def test_non_integral_decimation_is_rejected(sid):
     with pytest.raises(ValueError, match="decimation must be a whole number, got 2.5"):
         scenarios.build(sid, decimation=2.5)
     assert scenarios.build(sid, decimation=100.0).decimation == 100
+    assert scenarios.build(sid, T=1.0, h=0.1, decimation=5.0).decimation == 5
     # a whole number too large for a float is kept and fails to divide the steps
-    huge = scenarios.build(sid, decimation=10 ** 400)
-    with pytest.raises(ValueError, match="decimation must divide"):
-        huge.run()
+    with pytest.raises(ValueError, match="decimation must divide the 10 integration steps"):
+        scenarios.build(sid, T=1.0, h=0.1, decimation=10 ** 400)
+
+
+def test_step_consistency_errors():
+    """Building checks the time grid; each message starts with its keyword."""
+    for sid in scenarios.SCENARIO_IDS:
+        for kwargs, message in [
+            ({"T": 1.0, "h": 0.3}, "T must be an integer multiple of h"),
+            ({"T": 1.0, "h": 0.1, "decimation": 3}, "decimation must divide"),
+            ({"T": 1.0, "h": 0.1, "decimation": 0}, "decimation must divide"),
+            ({"T": -1.0, "h": 0.1}, "T must be positive"),
+            ({"T": 0.0}, "T must be positive"),
+            ({"T": 1.0, "h": 0.0}, "h must be positive"),
+            ({"T": 1.0, "h": -0.1}, "h must be positive"),
+            ({"T": 1e308, "h": 1e-308}, "h = 1e-308 asks for inf steps"),
+            ({"T": 1.0, "h": 1e-8}, "h = 1e-08 asks for .* budget of %d" % scenarios.STEP_BUDGET),
+        ]:
+            with pytest.raises(ValueError, match="^" + message):
+                scenarios.build(sid, **kwargs)
 
 
 def bits(values):
@@ -542,7 +560,7 @@ def handwritten_numeric2d(scn, mode, sign, theta=(1.0, 2.0)):
 def handwritten_missile(sign):
     """stt-missile's (rhs_reference, probe) at its defaults, written out as its factory once did."""
     design = MissileDesign(k1=5.0, mu2=0.5, mu3=0.5, gamma2=0.1, gamma3=0.1,
-                           epsilon=0.1, xi=1.0)
+                           epsilon=0.1, xi_const=1.0)
     mparams = MissileParams(
         s=0.42, l=0.68, jx=100.0, tau_a=0.01, rho_air=0.7361,
         speed=lambda t: 200.0 * (1.0 + 0.1 * math.cos(2.0 * t)),

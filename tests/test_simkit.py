@@ -141,26 +141,6 @@ def test_accepted_step_replaces_rk4_step():
     assert len(calls) == 4 * 5 + 4 * 10  # the five declined steps, then the plain run
 
 
-def test_non_integral_decimation_is_rejected():
-    with pytest.raises(ValueError, match="decimation must be a whole number, got 2.5"):
-        integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.1, decimation=2.5)
-    traj = integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.1, decimation=5.0)
-    assert traj.data.shape == (3, 2)
-    with pytest.raises(ValueError, match="decimation must divide the 10 integration steps"):
-        integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.1, decimation=10 ** 400)
-
-
-def test_step_consistency_errors():
-    with pytest.raises(ValueError, match="integer"):
-        integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.3)
-    with pytest.raises(ValueError, match="decimation"):
-        integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.1, decimation=3)
-    with pytest.raises(ValueError):
-        integrate(lambda t, y: (0.0,), (0.0,), T=-1.0, h=0.1)
-    with pytest.raises(ValueError):
-        integrate(lambda t, y: (0.0,), (0.0,), T=1.0, h=0.0)
-
-
 def test_custom_recorder_columns():
     recorder = (
         ["y1", "twice"],
