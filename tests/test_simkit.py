@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from purefb import scenarios
 from purefb.simkit import (
     ABORT_LIMIT,
     CSV_BLOCK_ROWS,
@@ -139,6 +140,18 @@ def test_accepted_step_replaces_rk4_step():
     traj = integrate(rhs, (1.0,), T=1.0, h=0.1, loop=compile_loop(early, None, 0.0, [1.0]))
     assert np.array_equal(traj.data, integrate(rhs, (1.0,), T=1.0, h=0.1).data)
     assert len(calls) == 4 * 5 + 4 * 10  # the five declined steps, then the plain run
+
+
+def test_non_integral_decimation_is_rejected():
+    """integrate takes its decimation from Scenario, which keeps whole numbers only."""
+    with pytest.raises(ValueError, match="decimation must be a whole number, got 2.5"):
+        scenarios.build("numeric-2d", T=0.1, h=0.01, decimation=2.5)
+    # a whole float reaches integrate as an int: 10 steps, every 5th recorded
+    traj = scenarios.build("numeric-2d", T=0.1, h=0.01, decimation=5.0).run()
+    assert not traj.diverged
+    assert traj.data[:, 0].tolist() == pytest.approx([0.0, 0.05, 0.1], abs=1e-12)
+    with pytest.raises(ValueError, match="decimation must divide the 10 integration steps"):
+        scenarios.build("numeric-2d", T=0.1, h=0.01, decimation=10 ** 400)
 
 
 def test_custom_recorder_columns():
