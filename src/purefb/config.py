@@ -360,14 +360,20 @@ def build(cfg):
 
     Every value rule of a scenario keyword is checked here, by the library:
     its ValueError, which starts with the keyword it rejects, becomes a
-    ConfigError that names the keyword's key.
+    ConfigError that names the keyword's key.  ``theta_box`` is named by
+    the box edges the config sets, or by uncertainty.theta, which each
+    unset edge defaults to.
     """
     try:
         return scenarios.build(cfg.sid, **cfg.scenario_overrides())
     except ValueError as exc:
         keyword = re.match(r"\w*", str(exc)).group()
-        names = [name for name, kw in _KEYWORDS if kw == keyword and name in cfg.values]
-        raise ConfigError("%s: %s" % (names[0], exc) if names else str(exc)) from None
+        if keyword == "theta_box":
+            names = [name for name in ("uncertainty.box_lo", "uncertainty.box_hi")
+                     if cfg.values[name] is not None] or ["uncertainty.theta"]
+        else:
+            names = [name for name, kw in _KEYWORDS if kw == keyword and name in cfg.values]
+        raise ConfigError("%s: %s" % (" / ".join(names), exc) if names else str(exc)) from None
 
 
 def load_file(path, overrides=None):

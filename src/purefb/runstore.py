@@ -130,7 +130,7 @@ def _failure_point(value, where):
     if value is None:
         return None
     if (isinstance(value, list) and len(value) == 2 and isinstance(value[1], list)
-            and all(isinstance(v, (int, float)) for v in [value[0], *value[1]])):
+            and all(type(v) in (int, float) for v in [value[0], *value[1]])):
         return StatePoint(value[0], tuple(value[1]))
     raise RunStoreError(
         "%s: failure must be null or [t, [y...]], got %r" % (where, value))

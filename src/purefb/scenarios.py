@@ -246,6 +246,8 @@ def numeric2d(
     theta_box = tuple((float(lo), float(hi)) for lo, hi in theta_box)
     for v, (lo, hi) in zip(theta, theta_box):
         _check(lo <= v <= hi, "theta %r leaves its declared box", theta)
+    for i, (lo, hi) in enumerate(theta_box, 1):
+        _check(lo > 0.0, "theta_box[%d] must be a positive interval, got (%r, %r)", i, lo, hi)
 
     # envelope constants follow the box: |th1 x1| <= th1_hi * 1 * |x1|,
     # |th2 x1 x2| <= th2_hi * rho2 * (|x1|+|x2|), gains bracketed by the box

@@ -211,6 +211,9 @@ REJECTED = [
     (N2, "design.smoothing = 0.0", "design.smoothing"),
     (N2, "design.smoothing = -1e-6", "design.smoothing"),
     (N2, "uncertainty.box_hi = 0.5, 2.0", "uncertainty.theta"),
+    (N2, "uncertainty.box_lo = 0.0, 1.0", "uncertainty.box_lo"),
+    (N2, "uncertainty.box_lo = 1.0, -2.0", "uncertainty.box_lo"),
+    (N2, "uncertainty.theta = -1.0, 2.0", "uncertainty.theta"),
     (MS, "design.k1 = 0.0", "design.k1"),
     (MS, "design.k1 = -5.0", "design.k1"),
     (MS, "design.mu2 = 0.0", "design.mu2"),
@@ -392,16 +395,20 @@ def test_stored_header_only_csv_exits_2(short_cfg, tmp_path, capsys, damage):
         assert len(err) == 1 and "trajectory.csv" in err[0], err
 
 
-@pytest.mark.parametrize("edit", ["missing-key", "not-an-object", "bad-failure"])
+FAILURES = {"bad-failure": [1.0], "bool-t": [True, [1.0, 2.0]],
+            "bool-component": [1.0, [1.0, False]]}
+
+
+@pytest.mark.parametrize("edit", ["missing-key", "not-an-object", *FAILURES])
 def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys, edit):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
     rid = only_run_id(out)
     path = os.path.join(out, rid, "summary.json")
-    if edit == "bad-failure":
+    if edit in FAILURES:
         with open(path) as fh:
             summary = json.load(fh)
-        summary["failure"] = [1.0]
+        summary["failure"] = FAILURES[edit]
         text = json.dumps(summary)
     else:
         text = "{}" if edit == "missing-key" else "[]"

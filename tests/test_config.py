@@ -178,6 +178,18 @@ def test_uncertainty_box_defaults_to_theta():
     assert over["theta_box"] == ((1.0, 1.0), (2.0, 2.0))
 
 
+@pytest.mark.parametrize("lines,keys", [
+    ("uncertainty.box_lo = 0.0, 1.0\nuncertainty.box_hi = 1.2, 2.4\n",
+     "uncertainty.box_lo / uncertainty.box_hi"),
+    ("uncertainty.box_hi = 1.2, 2.4\nuncertainty.theta = -1.0, 2.0\n"
+     "uncertainty.box_lo = -1.0, 2.0\n", "uncertainty.box_lo / uncertainty.box_hi"),
+    ("uncertainty.theta = 0.0, 2.0\n", "uncertainty.theta"),
+], ids=["both-edges", "edges-beside-theta", "theta"])
+def test_a_box_edge_that_is_not_positive_names_its_keys(lines, keys):
+    with pytest.raises(ConfigError, match=r"^%s: theta_box\[1\] must be a positive" % keys):
+        build(load_text(MINIMAL + lines))
+
+
 def test_tolerances_mapping():
     cfg = load_text(MINIMAL + "verify.tol_x = 0.5\n")
     tol = cfg.tolerances()

@@ -303,6 +303,82 @@ def test_csv_round_trip_is_bit_exact(tmp_path, data):
     assert back.data.tobytes() == data.tobytes()
 
 
+def _written_and_wanted(tmp_path, data):
+    """The bytes write_csv writes for data, and repr(float(v)) per cell."""
+    columns = ("t",) + tuple("c%d" % j for j in range(1, data.shape[1]))
+    path = tmp_path / "r.csv"
+    Trajectory(sid="r", columns=columns, data=data, h=0.1).write_csv(path)
+    want = ",".join(columns) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in data)
+    return path.read_bytes(), want.encode()
+
+
+def _nans(*payloads):
+    return np.array([0x7FF0000000000000 | p for p in payloads], dtype=np.int64).view(float)
+
+
+def _signed_zeros(rows):
+    zeros = np.resize([0.0, -0.0, -0.0, 0.0, 1.0], rows)
+    return np.column_stack([np.arange(rows), zeros, -zeros])
+
+
+def _non_finite(rows):
+    """A signalling NaN, two quiet NaN payloads, a negative NaN and +-inf."""
+    nans = _nans(1, 0x8000000000001, 0x8000000000000)
+    pool = np.concatenate([nans, [np.inf, -np.inf, -np.nan, 0.5]])
+    return np.column_stack([np.arange(rows), np.resize(pool, rows),
+                            np.resize(pool[::-1], rows)])
+
+
+def _repeated_columns(rows):
+    x = np.random.default_rng(3).standard_normal(rows)
+    return np.column_stack([0.001 * np.arange(rows), x, x, np.full(rows, 0.1), x])
+
+
+def _one_value(rows):
+    return np.column_stack([np.arange(rows), np.full((rows, 5), -2.5e-310)])
+
+
+def _flat_across_the_edge(rows):
+    """A gain that settles inside one block and stays flat through the next."""
+    k = np.minimum(np.arange(rows), CSV_BLOCK_ROWS - 3) * 1e-3 + 0.1
+    return np.column_stack([0.001 * np.arange(rows), k, np.cumsum(k), k])
+
+
+@pytest.mark.parametrize("table", [_signed_zeros, _non_finite, _repeated_columns,
+                                   _one_value, _flat_across_the_edge])
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1,
+                                  2 * CSV_BLOCK_ROWS + 3])
+def test_repeated_cells_are_written_as_per_cell_repr(tmp_path, table, rows):
+    data = table(rows)
+    written, want = _written_and_wanted(tmp_path, data)
+    assert written == want
+    if np.isfinite(data).all():
+        assert read_csv(tmp_path / "r.csv").data.tobytes() == data.tobytes()
+
+
+def test_signed_zeros_of_one_block_keep_their_signs(tmp_path):
+    written, _ = _written_and_wanted(tmp_path, _signed_zeros(5))
+    assert written.splitlines()[1:] == [
+        b"0.0,0.0,-0.0", b"1.0,-0.0,0.0", b"2.0,-0.0,0.0", b"3.0,0.0,-0.0", b"4.0,1.0,-1.0"]
+
+
+# a few values, so that most cells of a block repeat one another
+POOL = [0.0, -0.0, 0.1, -7.25e-300, 1e16, float("inf"), *_nans(1, 0x8000000000000)]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 3 * CSV_BLOCK_ROWS), width=st.integers(1, 6),
+       cells=st.lists(st.sampled_from(POOL), min_size=1, max_size=40), seed=st.integers(0, 99))
+def test_cells_from_a_small_pool_are_written_as_per_cell_repr(tmp_path, rows, width, cells,
+                                                              seed):
+    picks = np.random.default_rng(seed).integers(0, len(cells), (rows, width))
+    data = np.column_stack([np.arange(rows) * 0.25, np.array(cells)[picks]])
+    written, want = _written_and_wanted(tmp_path, data)
+    assert written == want
+
+
 def test_summary_reports_terminal_and_extrema():
     traj = integrate(lambda t, y: (-y[0],), (2.0,), T=1.0, h=1e-2, sid="dec")
     s = traj.summary()
