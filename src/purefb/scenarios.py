@@ -40,9 +40,10 @@ its law is ``missile_control``.  ``Scenario.run`` traces
 included, and the row builder ``recorder`` holds, both at (0, y0), into
 one compiled run loop (``tape.compile_loop``) and hands it to
 ``integrate``.  A step or row the loop cannot vouch for runs on the plain
-path, one at a time, and the loop goes on after it; where the first step
-already fails, every step is a plain one.  Building a scenario does not
-trace.
+path, one at a time, and the loop goes on after it.  A run is compiled
+whole or not at all: where either trace fails (the first step already
+diverges, say), or where ``rhs`` is no longer ``rhs_reference``, every
+step and row is a plain one.  Building a scenario does not trace.
 
 The exact squared-error integrals ride along as ODE components so the
 update-law energy identity gamma_i * int z_i^2 = k_i(T) - k_i(0) can be
@@ -162,11 +163,12 @@ class Scenario:
     def run(self, seed=None):
         y0 = self.y0()
         # the one place that traces, step and row, both at (0, y0); the
-        # traced step is a step of rhs only while rhs is rhs_reference
-        step = None
+        # traced step is a step of rhs only while rhs is rhs_reference, so
+        # a replaced rhs runs as given, rows included
+        loop = None
         if self.rhs is self.rhs_reference:
-            step = lambda t, y: rk4_step(self.rhs_reference, y, t, self.h)
-        loop = compile_loop(step, self.recorder[1], 0.0, [float(v) for v in y0])
+            loop = compile_loop(lambda t, y: rk4_step(self.rhs_reference, y, t, self.h),
+                                self.recorder[1], 0.0, [float(v) for v in y0])
         return integrate(
             self.rhs, y0, self.T, self.h, self.decimation,
             recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,

@@ -207,7 +207,8 @@ def integrate(
     runs the steps and rows it can vouch for and returns at the first it
     cannot; that one step goes through ``rk4_step``, or that one row
     through build, and the loop is entered again.  So every row, flag and
-    failure point is that of the plain path.
+    failure point is that of the plain path.  With loop None (no loop, or
+    one whose trace failed), every step and row runs on the plain path.
     """
     steps = round(T / h)
     y = [float(v) for v in y0]
@@ -224,7 +225,7 @@ def integrate(
             raise ValueError("recorded row has %d cells for the %d columns %s"
                              % (width, len(columns), ",".join(columns)))
 
-    if loop is not None and loop.width is not None:
+    if loop is not None:
         fits(1 + loop.width)  # every row the loop records has this width
     failure = None
     s, left = 0, 0  # left: steps to the next row; 0 while the row at s is due

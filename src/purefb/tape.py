@@ -34,7 +34,10 @@ it cannot vouch for them:
 A ``try`` in the traced function is not on the tape: where an operation
 raises ArithmeticError or ValueError, the loop stops too.  It returns
 where it stopped, so that the caller takes that one step or row on the
-plain path and enters the loop again.
+plain path and enters the loop again.  Where the trace itself fails (the
+row or the step raises at the traced point, or does what a ``Var``
+cannot record), there is no loop: ``compile_loop`` returns None, as
+``compile_lanes`` does, and the caller runs on floats.
 
 One walk of the tape (``_Tape.walk``: the dead-line drop and the nesting
 above) has a second backend.  ``compile_lanes`` traces a generic
@@ -175,20 +178,23 @@ class _Tape:
         return body, render(", ".join(["%s"] * len(ops)), ops)[0]
 
     def statements(self, out):
-        """The loop backend: the live tape as statements, a guard that
-        misses breaking out, and the outputs' text.  A ``record`` line's
-        statement is its call alone."""
-        # the outputs are read once more, by whatever takes them
+        """The loop backend: one pass of the run loop as statements.  A
+        guard that misses breaks out, the ``record`` line runs where a row
+        is due, and the last statement assigns the outputs ``out`` to the
+        state."""
+        # the outputs are read once more, by the state assignment
         statements, items = self.walk(out, [v.name for v in out if v.__class__ is Var], {})
         body = []
         for line, text in statements:
             if line[0] is None:
                 body.append(("if %s: break" if not line[4] else "if not %s: break") % text)
             elif line[0] == "record":
-                body.append(text)
+                body += ["if not left:", "    " + text, "    left = decimation",
+                         "    if s == steps: break"]
             else:
                 body.append("%s = %s" % (line[0], text))
-        return body, items
+        body.append("%s= %s," % (self.state, items))
+        return body
 
     def lanes_source(self, out):
         """Source of ``def lanes(y, miss)`` returning the list ``out`` over
@@ -328,71 +334,36 @@ def select_lt(a, b, then, other):
     return tape.emit("(%s if %s < %s else %s)", (then, a, b, other), value)
 
 
-def _start(t, y):
-    """A new tape, and its Vars of t and of each entry of y."""
-    tape = _Tape()
-    return tape, Var(tape, "t", t), tape.inputs(y)
-
-
-def _compiled(source, name, tape):
-    ns = {"_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin, **tape.consts}
-    exec(compile(source, "<tape>", "exec"), ns)
-    fn = ns[name]
-    fn.source = source
-    return fn
-
-
-def _indented(lines, depth):
-    return "".join("    " * depth + text + "\n" for text in lines)
-
-
 def compile_loop(step, row, t, y):
     """A run loop compiled from the traces of ``row(t, y)`` and ``step(t, y)`` at (t, y).
 
     row maps (t, y) to a recorded row after t, step maps it to the next
-    state; either may be None.  Both are traced on one tape, the row
-    first, so what they share runs once.  Returns ``loop(s, y, left,
-    steps, h, decimation, record)``, which keeps the state y in locals and
-    from step index s on runs the traced step at t = s * h, counting
-    ``left`` down by one per step; where ``left`` is 0, it first calls
-    ``record([t, *row(t, y)])`` at the same t and y and sets ``left`` to
-    decimation.  It returns ``(s, y, left)`` where it cannot vouch for what
-    is due (a guard missed, or ArithmeticError or ValueError was raised):
-    the row at s where left == 0, else step s; or s == steps, left > 0
-    where the run is done.  A row or step whose trace fails never vouches.
+    state.  Both are traced on one tape, the row first, so what they share
+    runs once.  Returns ``loop(s, y, left, steps, h, decimation, record)``,
+    which keeps the state y in locals and from step index s on runs the
+    traced step at t = s * h, counting ``left`` down by one per step;
+    where ``left`` is 0, it first calls ``record([t, *row(t, y)])`` at the
+    same t and y and sets ``left`` to decimation.  It returns ``(s, y,
+    left)`` where it cannot vouch for what is due (a guard missed, or
+    ArithmeticError or ValueError was raised): the row at s where left ==
+    0, else step s; or s == steps, left > 0 where the run is done.
     Whatever the row alone computes beyond its ``record`` call runs at
     every step, and where it misses or raises, that step is not vouched
     for.  ``loop.source`` is the emitted source, ``loop.width`` the traced
-    row's length or None.
+    row's length.
+
+    Returns None where either trace fails (row or step raises at this
+    point, or does what a ``Var`` cannot record): a run is compiled whole
+    or not at all.
     """
-    tape, tv, ys = _start(t, y)
-    width = None
-    if row is not None:
-        try:
-            cells = list(row(tv, ys))
-            tape.record(cells)
-            width = len(cells)
-        except Exception:
-            tape, tv, ys = _start(t, y)  # no row is traced: each row is plain
-    traced = len(tape.lines)
-    body = None
-    if step is not None:
-        try:
-            body, items = tape.statements(list(step(tv, ys)))
-            body.append("%s= %s," % (tape.state, items))
-        except Exception:
-            pass  # no step is traced: each step is plain
-    if body is None:
-        # only a due row is computed; every step is plain
-        del tape.lines[traced:]
-        body, _ = tape.statements([])
-        body = ["if left: break", *body, "break"]
-    if width is None:
-        body.insert(0, "if not left: break")
-    else:
-        i = next(k for k, text in enumerate(body) if text.startswith("record("))
-        body[i:i + 1] = ["if not left:", "    " + body[i], "    left = decimation",
-                         "    if s == steps: break"]
+    tape = _Tape()
+    tv, ys = Var(tape, "t", t), tape.inputs(y)
+    try:
+        cells = list(row(tv, ys))
+        tape.record(cells)
+        body = tape.statements(list(step(tv, ys)))
+    except Exception:
+        return None
     # every way out of the loop returns where it stopped
     source = (
         "def loop(s, y, left, steps, h, decimation, record):\n"
@@ -405,9 +376,12 @@ def compile_loop(step, row, t, y):
         "        s += 1\n"
         "        left -= 1\n"
         "    return s, [%s], left\n"
-        % (tape.state, _indented(body, 3), tape.state))
-    loop = _compiled(source, "loop", tape)
-    loop.width = width
+        % (tape.state, "".join(" " * 12 + text + "\n" for text in body), tape.state))
+    ns = {"_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin, **tape.consts}
+    exec(compile(source, "<tape>", "exec"), ns)
+    loop = ns["loop"]
+    loop.source = source
+    loop.width = len(cells)
     return loop
 
 

@@ -140,27 +140,19 @@ def check_theorem1(traj, tol=None):
     checks = []
 
     # (a) every recorded signal stays finite and below the abort threshold
-    worst = 0.0
-    worst_col = ""
-    finite = True
-    for name in traj.columns[1:]:
-        colv = traj.col(name)
-        if not np.all(np.isfinite(colv)):
-            finite = False
-            worst_col = name
-            break
-        m = float(np.max(np.abs(colv)))
-        if m > worst:
-            worst, worst_col = m, name
-    checks.append(
-        CheckResult(
-            "bounded",
-            finite,
-            float("-inf") if not finite else ABORT_LIMIT - worst,
-            None,
-            "largest recorded magnitude %.6g in %s" % (worst, worst_col),
-        )
-    )
+    bad = np.argwhere(~np.isfinite(traj.data[:, 1:]))
+    if len(bad):
+        i, j = bad[0]  # the first non-finite sample, and its first non-finite column
+        checks.append(CheckResult("bounded", False, float("-inf"), float(t[i]),
+                                  "non-finite value in %s" % traj.columns[1 + j]))
+    else:
+        worst, worst_col = 0.0, ""
+        for name in traj.columns[1:]:
+            m = float(np.max(np.abs(traj.col(name))))
+            if m > worst:
+                worst, worst_col = m, name
+        checks.append(CheckResult("bounded", True, ABORT_LIMIT - worst, None,
+                                  "largest recorded magnitude %.6g in %s" % (worst, worst_col)))
 
     # (b) tail convergence of the plant state
     t_tail = t_final * (1.0 - tol.tail_frac)

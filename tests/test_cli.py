@@ -362,6 +362,10 @@ def test_stored_run_missing_file_exits_2(short_cfg, tmp_path, capsys, name):
         assert name in err and "internal error" not in err
 
 
+def _empty(lines):
+    return []
+
+
 def _header_only(lines):
     return lines[:1]
 
@@ -378,16 +382,17 @@ def _renamed_column(lines):
     return [lines[0].replace("psi1", "foo")] + lines[1:]
 
 
-@pytest.mark.parametrize("damage", [_header_only, _short_row, _cut_columns,
+@pytest.mark.parametrize("damage", [_empty, _header_only, _short_row, _cut_columns,
                                     _renamed_column],
-                         ids=["header-only", "short-row", "cut-columns",
+                         ids=["empty-file", "header-only", "short-row", "cut-columns",
                               "renamed-column"])
 def test_stored_header_only_csv_exits_2(short_cfg, tmp_path, capsys, damage):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
     rid = only_run_id(out)
     path = Path(out, rid, "trajectory.csv")
-    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    # each kept line ends in a newline; no line leaves a 0-byte file
+    path.write_text("".join(line + "\n" for line in damage(path.read_text().splitlines())))
     capsys.readouterr()
     for command in ("verify", "plot"):
         assert main([command, rid, "--out", out]) == 2
@@ -460,6 +465,29 @@ def test_verify_stored_run_rejects_run_flags(short_cfg, tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert flag[0] in captured.err and "verdict" not in captured.out
     assert not os.path.exists(os.path.join(out, rid, "report.json"))
+
+
+def test_stored_non_finite_cell_fails_bounded(tmp_path, capsys):
+    """A stored run that passes, with one recorded u cell made nan, fails
+    the bounded check, which names u and the time of that row."""
+    cfg = write_cfg(tmp_path, "scenario.id = stt-missile\n"
+                              "verify.tol_x = 0.00175\n")
+    out = registry(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    path = Path(out, rid, "trajectory.csv")
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index("u")] = "nan"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", rid, "--out", out]) == 1
+    text = capsys.readouterr().out
+    assert "[non-finite value in u]" in text and "verdict: FAIL" in text
+    bounded = strict_json(os.path.join(out, rid, "report.json"))["invariants"]["checks"][0]
+    assert bounded["name"] == "bounded" and not bounded["passed"]
+    assert bounded["where"] == float(cells[0])
 
 
 def replay(out, rid):
@@ -586,6 +614,10 @@ def test_plot_rerenders_identically(short_cfg, tmp_path):
 
 def test_usage_error_without_subcommand(capsys):
     assert main([]) == 2
+    capsys.readouterr()
+    # verify needs a stored run id or a config file
+    assert main(["verify"]) == 2
+    assert "--config" in capsys.readouterr().err
 
 
 N2_5S = "scenario.id = numeric-2d\nintegrator.T = 5.0\n"

@@ -111,6 +111,8 @@ def test_line_level_errors():
         load_text(MINIMAL + "not a setting\n")
     with pytest.raises(ConfigError, match="duplicate"):
         load_text(MINIMAL + "run.seed = 1\nrun.seed = 2\n")
+    with pytest.raises(ConfigError, match="^line 2: empty key$"):
+        load_text(MINIMAL + "= 1\n")
 
 
 def test_type_errors_name_the_key():

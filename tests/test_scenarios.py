@@ -102,6 +102,10 @@ def test_initial_gains_must_be_positive(sid, kwargs, stage):
 def test_non_integral_decimation_is_rejected(sid):
     with pytest.raises(ValueError, match="decimation must be a whole number, got 2.5"):
         scenarios.build(sid, decimation=2.5)
+    # float() of the value fails: ValueError, then TypeError
+    for value in ("ten", None):
+        with pytest.raises(ValueError, match="^decimation must be a whole number, got %r$" % value):
+            scenarios.build(sid, decimation=value)
     assert scenarios.build(sid, decimation=100.0).decimation == 100
     assert scenarios.build(sid, T=1.0, h=0.1, decimation=5.0).decimation == 5
     # a whole number too large for a float is kept and fails to divide the steps
@@ -305,17 +309,21 @@ def test_compiled_step_declines_and_the_plain_step_fails_as_before(mode, bad):
 
 
 def test_replaced_rhs_is_integrated_as_given():
+    """A replaced rhs compiles no loop: its steps and the rows both run as given."""
     scn = scenarios.build("numeric-2d", T=0.5)
-    calls = []
+    calls, rows = [], []
     reference = scn.rhs
+    names, build = scn.recorder
 
     def counting(t, y):
         calls.append(t)
         return reference(t, y)
 
     scn.rhs = counting
+    scn.recorder = (names, lambda t, y: rows.append(t) or build(t, y))
     traj = scn.run()
     assert len(calls) == 4 * 500
+    assert rows == traj.t.tolist()  # the recorder runs once per row, never on a trace
     assert np.array_equal(traj.data, scenarios.build("numeric-2d", T=0.5).run().data)
 
 
@@ -385,17 +393,19 @@ def test_every_scenario_runs_compiled(sid, monkeypatch):
 @pytest.mark.parametrize("sid,kwargs", CASES, ids=CASE_IDS)
 def test_compiled_row_matches_the_plain_row(sid, kwargs):
     """The row a run compiles, traced at (0, y0), is the plain row bit for
-    bit: in the run loop, and in the loop of rows alone that a run whose
-    rhs is replaced compiles."""
+    bit.  The auto-mode sign-flipped runs diverge in their first step, so
+    they compile no loop; their row is checked in the loop traced at the
+    first sampled point whose step does not diverge instead."""
     scn = scenarios.build(sid, **kwargs)
     build = scn.recorder[1]
-    loops = [looped(scn), compile_loop(None, build, 0.0, list(scn.y0()))]
-    for i in range(200):
-        y, t, _ = SAMPLERS[sid](scn, i)
-        s, t = on_grid(scn, t)
-        for loop in loops:
-            rows = loop_at(loop, scn, s, y)[0]
-            assert rows and bits(rows[0]) == bits([t, *build(t, y)])
+    points = [on_grid(scn, t) + (y,) for y, t, _ in (SAMPLERS[sid](scn, i) for i in range(200))]
+    loop = looped(scn)
+    assert (loop is None) == (kwargs.get("mode") == "auto" and kwargs["sign"] < 0)
+    if loop is None:
+        loop = next(filter(None, (looped(scn, t, y) for _, t, y in points)))
+    for s, t, y in points:
+        rows = loop_at(loop, scn, s, y)[0]
+        assert rows and bits(rows[0]) == bits([t, *build(t, y)])
 
 
 @pytest.mark.parametrize("sid,kwargs", RECORDED, ids=RECORDED_IDS)
@@ -441,7 +451,7 @@ def test_untraceable_recorder_records_as_given():
     scn = scenarios.build("stt-missile", T=0.1, decimation=1)
     names, build = scn.recorder
     scn.recorder = (names, lambda t, y: build(t, [float(v) for v in y]))
-    assert looped(scn).width is None  # the row's trace fails: every row is plain
+    assert looped(scn) is None  # the row's trace fails: every step and row is plain
     traj = scn.run()
     assert np.array_equal(traj.data,
                           scenarios.build("stt-missile", T=0.1, decimation=1).run().data)

@@ -111,7 +111,8 @@ def test_declined_or_failing_step_runs_rk4_step():
     rhs = lambda t, y: (y[0] ** 4,)
     h = 1e-2
     plain = integrate(rhs, (1.0,), T=2.0, h=h)
-    traced = compile_loop(lambda t, y: rk4_step(rhs, y, t, h), None, 0.0, [1.0])
+    state = lambda t, y: y  # integrate's default row
+    traced = compile_loop(lambda t, y: rk4_step(rhs, y, t, h), state, 0.0, [1.0])
     # the last step's stages overflow in ** inside the loop, which declines
     # that step; rk4_step meets the same error there
     s = round(plain.failure.t / h)
@@ -120,7 +121,11 @@ def test_declined_or_failing_step_runs_rk4_step():
     with pytest.raises(DivergenceError) as info:
         rk4_step(rhs, plain.failure.y, plain.failure.t, h)
     assert isinstance(info.value.__cause__, OverflowError)
-    for loop in (compile_loop(None, None, 0.0, [1.0]), traced):  # declines, fails
+    # a step whose trace fails (float() of a traced value) compiles no loop
+    untraced = compile_loop(lambda t, y: rk4_step(rhs, [float(v) for v in y], t, h),
+                            state, 0.0, [1.0])
+    assert untraced is None
+    for loop in (untraced, traced):  # every step plain; the loop fails at the last
         traj = integrate(rhs, (1.0,), T=2.0, h=h, loop=loop)
         assert np.array_equal(traj.data, plain.data)
         assert traj.diverged and traj.failure == plain.failure
@@ -137,7 +142,8 @@ def test_accepted_step_replaces_rk4_step():
         # vouches for the steps that start before 0.45: a guard on t
         return rk4_step(lambda s, v: (-v[0],), y, t, 0.1) if t < 0.45 else None
 
-    traj = integrate(rhs, (1.0,), T=1.0, h=0.1, loop=compile_loop(early, None, 0.0, [1.0]))
+    loop = compile_loop(early, lambda t, y: y, 0.0, [1.0])
+    traj = integrate(rhs, (1.0,), T=1.0, h=0.1, loop=loop)
     assert np.array_equal(traj.data, integrate(rhs, (1.0,), T=1.0, h=0.1).data)
     assert len(calls) == 4 * 5 + 4 * 10  # the five declined steps, then the plain run
 

@@ -42,34 +42,44 @@ RANGE_GUARD = r"if not v\d+ (>= \(-1000000000\.0\)|<= 1000000000\.0): break"
 
 
 def guards(source):
-    """The guard lines of a loop's source: each test that breaks out but the countdown's."""
+    """The guard lines of a loop's source: each test that breaks out but the end-of-run one."""
     lines = [line.strip() for line in source.splitlines()]
-    return [line for line in lines
-            if line.startswith("if ") and line.endswith(": break") and line != "if not left: break"]
+    return [line for line in lines if line.startswith("if ") and line.endswith(": break")
+            and line != "if s == steps: break"]
 
 
 def step_bits(out):
     return None if out is None else [v.hex() for v in out]
 
 
-def looped(fn, h, t, y, row=None):
-    """The run loop of rk4_step(fn, ., ., h) and row, both traced at (t, y)."""
+def state_row(t, y):
+    """integrate's default row: the state."""
+    return y
+
+
+def looped(fn, h, t, y, row=state_row):
+    """The run loop of rk4_step(fn, ., ., h) and row, both traced at (t, y),
+    or None where either trace fails."""
     return compile_loop(lambda t, y: rk4_step(fn, y, t, h), row, t, y)
 
 
 def stepper(fn, h, t, y):
     """One step of the run loop of rk4_step(fn, ., ., h), traced at (t, y),
     as ``step(t, y)``: the new state where the loop vouches for the step
-    from t = s * h, else None.  ``step.source`` is the loop's source."""
+    from t = s * h, else None; a loop whose trace fails vouches for none.
+    ``step.source`` is the loop's source, or None."""
     loop = looped(fn, h, t, y)
 
     def step(t, y):
         s = round(t / h)
         assert s * h == t  # the loop steps from t = s * h
-        end, out, _ = loop(s, list(y), 1, s + 1, h, 1, None)
+        if loop is None:
+            return None
+        # the row after the step is due, and is recorded before the loop returns
+        end, out, _ = loop(s, list(y), 1, s + 1, h, 1, [].append)
         return out if end == s + 1 else None
 
-    step.source = loop.source
+    step.source = None if loop is None else loop.source
     return step
 
 
@@ -138,13 +148,13 @@ def test_only_exact_rewrites():
 def test_failing_trace_point_runs_the_reference_until_traced():
     h = 0.125
     y = [2.0, 4.0, 1.0]
-    # 1/0 at the trace point: the loop vouches for no step
+    # 1/0 at the trace point: no loop is compiled, and no step is vouched for
     failed = stepper(guarded, h, 0.0, [0.0, 1.0, 1.0])
     assert failed(0.0, [0.0, 1.0, 1.0]) is None and failed(1.0, y) is None
     step = stepper(guarded, h, 1.0, y)
     assert step_bits(step(1.0, y)) == step_bits(rk4_step(guarded, y, 1.0, h))
-    # a loop traced where the trace fails vouches for no step
     loop = looped(guarded, h, 0.0, [0.0, 1.0, 1.0])
+    assert loop is None
     same_run(integrate(guarded, y, 1.0, h, loop=loop), integrate(guarded, y, 1.0, h, loop=None))
     loop = looped(guarded, h, 1.0, y)
     same_run(integrate(guarded, y, 1.0, h, loop=loop), integrate(guarded, y, 1.0, h, loop=None))
@@ -369,6 +379,31 @@ def test_lanes_select_is_where_and_bit_equal():
     outs, miss = lanes([np.array(xs), np.full(len(xs), 3.0)])
     assert not miss.any()
     assert [v.hex() for v in outs[0].tolist()] == [dead_zone([x, 3.0])[0].hex() for x in xs]
+
+
+def extremes(t, y):
+    """Infinities and a NaN as operands, each leaving a finite rate:
+    dy0 = -y0 and dy1 = 0.5 * y0 - y1 on finite states."""
+    inf, nan = math.inf, math.nan
+    return (select_lt(y[0], inf, -y[0], y[1]),
+            select_lt(-inf, y[1], 0.5, 1.0) * y[0] + select_lt(y[1] + nan, 0.0, y[0], -y[1]))
+
+
+def test_non_finite_constants_are_named_in_both_backends():
+    h = 0.125
+    step = stepper(extremes, h, 0.0, [1.0, 2.0])
+    lanes = compile_lanes(lambda v: extremes(v[0], v[1:]), [0.0, 1.0, 2.0])
+    for name in ("_c_inf", "_c_neginf", "_c_nan"):
+        assert name in step.source and name in lanes.source
+    for y in ([1.0, 2.0], [-3.5, 0.25], [0.0, -0.0]):
+        assert step_bits(step(0.5, y)) == step_bits(rk4_step(extremes, y, 0.5, h))
+    inf, nan = math.inf, math.nan
+    rows = [[0.0, 1.0, 2.0], [0.5, -3.5, 0.25], [0.0, inf, 1.0], [0.0, -inf, nan], [0.0, nan, -0.0]]
+    outs, miss = lanes([np.array(col) for col in zip(*rows)])
+    assert not miss.any()
+    for lane, row in enumerate(rows):
+        want = [v.hex() for v in extremes(row[0], row[1:])]
+        assert [float(out[lane]).hex() for out in outs] == want
 
 
 def test_lanes_decline_operations_numpy_rounds_differently():

@@ -67,6 +67,18 @@ def test_missing_metadata_is_an_error(paper_run):
         check_theorem1(clone)
 
 
+def test_non_finite_cell_fails_bounded_naming_its_column_and_time():
+    traj = scenarios.build("numeric-2d", T=5.0).run()
+    traj.data[7, traj.columns.index("u")] = np.nan
+    bounded = check_theorem1(traj).checks[0]
+    assert (bounded.name, bounded.passed, bounded.margin) == ("bounded", False, float("-inf"))
+    assert bounded.detail == "non-finite value in u" and bounded.where == traj.t[7]
+    # the first non-finite sample in time is named, whatever its column
+    traj.data[3, traj.columns.index("k2")] = np.inf
+    bounded = check_theorem1(traj).checks[0]
+    assert bounded.detail == "non-finite value in k2" and bounded.where == traj.t[3]
+
+
 def test_tight_tolerance_fails_cleanly(paper_run):
     traj, _ = paper_run
     report = check_theorem1(traj, VerifyTolerances(tol_x=1e-45))
