@@ -344,6 +344,10 @@ def load_text(text, overrides=None):
             problem = key.check(value)
             if problem:
                 raise ConfigError("%s: %s (got %r)" % (name, problem, value))
+    lo, hi = values.get("sweep.x0_lo"), values.get("sweep.x0_hi")
+    if lo is not None and not all(a <= b for a, b in zip(lo, hi)):
+        raise ConfigError("sweep.x0_lo / sweep.x0_hi: each lower corner component must "
+                          "be <= its upper one (got %r, %r)" % (lo, hi))
     lines = []
     for name in sorted(values):
         if values[name] is None or name == "run.out":

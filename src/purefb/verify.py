@@ -100,22 +100,48 @@ class InvariantReport(_Fields):
         return [c.name for c in self.checks if not c.passed]
 
 
-def _meta_cols(traj, key):
-    cols = traj.meta.get(key)
-    if not cols:
+def _meta(traj, key):
+    """The metadata entry ``key`` as an array: a column group (x_cols,
+    k_cols, intz_cols, z_cols) as the rows x stages block of its columns,
+    a per-stage constant (gamma, mu) as floats."""
+    names = traj.meta.get(key)
+    if not names:
         raise ValueError(
             "trajectory metadata lacks %r; monitors need the column grouping "
             "recorded by the scenario" % key
         )
-    return list(cols)
+    if key.endswith("_cols"):
+        return np.column_stack([traj.col(name) for name in names])
+    return np.array(names, dtype=float)
 
 
+def _tail(t, frac):
+    """The window of the last frac of the horizon: its start time and its
+    first row (t is strictly increasing)."""
+    start = float(t[-1]) * (1.0 - frac)
+    return start, int(np.searchsorted(t, start))
+
+
+def _first_min(v, below=float("inf")):
+    """(value, index) of the first minimum of v where it lies below
+    ``below``, else (below, None): what a scan ``if v[i] < best`` from
+    best = below keeps.  A NaN compares false, so it is never the minimum."""
+    hit = v < below
+    if not hit.any():
+        return below, None
+    i = int(np.argmin(np.where(hit, v, np.inf)))
+    return float(v[i]), i
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def check_theorem1(traj, tol=None):
     """Boundedness, convergence, gain settling and Barbalat-proxy checks.
 
     Expects the column grouping (x_cols, k_cols, intz_cols, gamma) in the
     trajectory metadata.  A diverged trajectory yields applicable=False and
-    passed=False.
+    passed=False.  Each check is arithmetic on the stage columns; a
+    reduction over the stages folds as Python's min and max do: ties keep
+    the first value, and a NaN is never taken over a number.
     """
     tol = tol or VerifyTolerances()
     if traj.diverged:
@@ -131,32 +157,34 @@ def check_theorem1(traj, tol=None):
             ],
             detail="divergence flag set",
         )
-    x_cols = _meta_cols(traj, "x_cols")
-    k_cols = _meta_cols(traj, "k_cols")
-    intz_cols = _meta_cols(traj, "intz_cols")
-    gammas = [float(g) for g in _meta_cols(traj, "gamma")]
+    sup = _tail_sup_x(traj, tol.tail_frac)
+    K = _meta(traj, "k_cols")
     t = traj.t
-    t_final = float(t[-1])
+    t_tail, i_tail = _tail(t, tol.tail_frac)
+    i_prev = _tail(t, 2.0 * tol.tail_frac)[1]
+    # the squared-error integrals where the window before the tail starts,
+    # where the tail starts, and at the end
+    iz_prev, iz_tail, iz_end = _meta(traj, "intz_cols")[[i_prev, i_tail, -1]]
+    gamma = _meta(traj, "gamma")
     checks = []
 
-    # (a) every recorded signal stays finite and below the abort threshold
-    bad = np.argwhere(~np.isfinite(traj.data[:, 1:]))
-    if len(bad):
-        i, j = bad[0]  # the first non-finite sample, and its first non-finite column
+    # (a) every recorded signal stays finite and within the abort limit;
+    # max |x| per column comes from two reductions, not a copy of the
+    # table, and is not finite where the column holds a non-finite cell
+    body = traj.data[:, 1:]
+    mags = np.maximum(np.max(body, axis=0), -np.min(body, axis=0))
+    if not np.isfinite(mags).all():
+        i, j = np.argwhere(~np.isfinite(body))[0]  # the first sample, then its first column
         checks.append(CheckResult("bounded", False, float("-inf"), float(t[i]),
                                   "non-finite value in %s" % traj.columns[1 + j]))
     else:
-        worst, worst_col = 0.0, ""
-        for name in traj.columns[1:]:
-            m = float(np.max(np.abs(traj.col(name))))
-            if m > worst:
-                worst, worst_col = m, name
-        checks.append(CheckResult("bounded", True, ABORT_LIMIT - worst, None,
-                                  "largest recorded magnitude %.6g in %s" % (worst, worst_col)))
+        j = int(np.argmax(mags))  # the first column on ties
+        worst = abs(float(mags[j]))  # an all-zero table gives +0.0 and names no column
+        name = traj.columns[1 + j] if worst > 0.0 else ""
+        checks.append(CheckResult("bounded", worst <= ABORT_LIMIT, ABORT_LIMIT - worst, None,
+                                  "largest recorded magnitude %.6g in %s" % (worst, name)))
 
     # (b) tail convergence of the plant state
-    t_tail = t_final * (1.0 - tol.tail_frac)
-    sup = _tail_sup_x(traj, x_cols, tol.tail_frac)
     checks.append(
         CheckResult(
             "state-tail",
@@ -167,20 +195,13 @@ def check_theorem1(traj, tol=None):
         )
     )
 
-    # (c) gains nondecreasing and settled
-    mono_margin = float("inf")
-    mono_where = None
-    settle_worst = 0.0
-    i_tail = int(np.searchsorted(t, t_tail))
-    for name in k_cols:
-        kv = traj.col(name)
-        if len(kv) > 1:
-            d = np.diff(kv)
-            j = int(np.argmin(d))
-            if d[j] < mono_margin:
-                mono_margin = float(d[j])
-                mono_where = float(t[j + 1])
-        settle_worst = max(settle_worst, float(kv[-1] - kv[i_tail]))
+    # (c) gains nondecreasing and settled; the worst decrement is the first
+    # column's on ties, and a column holding a NaN decrement (whose
+    # minimum is NaN) is passed over whole
+    dK = np.diff(K, axis=0)
+    mono_margin, c = _first_min(np.min(dK, axis=0, initial=np.inf))
+    mono_where = None if c is None else float(t[int(np.argmin(dK[:, c])) + 1])
+    settle_worst = max(0.0, *(K[-1] - K[i_tail]).tolist())
     checks.append(
         CheckResult(
             "gain-monotone",
@@ -204,41 +225,30 @@ def check_theorem1(traj, tol=None):
     # (d) squared-error integrals: bounded by the gain increments (the
     # update law gives gamma_i int z_i^2 <= k_i(T) - k_i(0) since psi >= 1)
     # and flattening out (Barbalat proxy on two equal tail windows)
-    energy_margin = float("inf")
-    energy_det = []
-    flat_ok = True
-    flat_margin = float("inf")
-    t_prev = t_final * (1.0 - 2.0 * tol.tail_frac)
-    i_prev = int(np.searchsorted(t, t_prev))
-    for name, kname, g in zip(intz_cols, k_cols, gammas):
-        iz = traj.col(name)
-        kv = traj.col(kname)
-        dk = float(kv[-1] - kv[0])
-        lhs = g * float(iz[-1])
-        m = dk + tol.energy_slack * max(1.0, abs(dk)) - lhs
-        energy_margin = min(energy_margin, m)
-        energy_det.append("%s: gamma*int=%.6g dk=%.6g" % (name, lhs, dk))
-        tail_inc = float(iz[-1] - iz[i_tail])
-        prev_inc = float(iz[i_tail] - iz[i_prev])
-        flat_margin = min(
-            flat_margin, tol.z_tail - tail_inc, prev_inc + 1e-9 - tail_inc
-        )
-        if tail_inc > tol.z_tail or tail_inc > prev_inc + 1e-9:
-            flat_ok = False
+    dk = K[-1] - K[0]
+    lhs = gamma * iz_end
+    energy = dk + tol.energy_slack * np.fmax(1.0, np.abs(dk)) - lhs
+    tail_inc = iz_end - iz_tail
+    prev_inc = iz_tail - iz_prev
+    # per stage, in stage order: the tail's own margin, then its margin
+    # against the window before it
+    flat = np.column_stack((tol.z_tail - tail_inc, prev_inc + 1e-9 - tail_inc))
+    energy_margin = min(float("inf"), *energy.tolist())
     checks.append(
         CheckResult(
             "error-energy",
             energy_margin >= 0.0,
             energy_margin,
             None,
-            "; ".join(energy_det),
+            "; ".join("%s: gamma*int=%.6g dk=%.6g" % stage for stage in
+                      zip(traj.meta["intz_cols"], lhs.tolist(), dk.tolist())),
         )
     )
     checks.append(
         CheckResult(
             "error-tail-flat",
-            flat_ok,
-            flat_margin,
+            not np.any((tail_inc > tol.z_tail) | (tail_inc > prev_inc + 1e-9)),
+            min(float("inf"), *flat.ravel().tolist()),
             t_tail,
             "squared-error integrals must stop growing in the tail",
         )
@@ -248,10 +258,11 @@ def check_theorem1(traj, tol=None):
     )
 
 
-def _tail_sup_x(traj, x_cols, tail_frac):
-    """sup |x| over the tail window, the last tail_frac of the horizon."""
-    mask = traj.t >= float(traj.t[-1]) * (1.0 - tail_frac)
-    return max(float(np.max(np.abs(traj.col(c)[mask]))) for c in x_cols)
+def _tail_sup_x(traj, tail_frac):
+    """sup |x| over the tail window; across the x columns it folds as
+    Python's max does."""
+    rows = _meta(traj, "x_cols")[_tail(traj.t, tail_frac)[1]:]
+    return max(np.max(np.abs(rows), axis=0).tolist())
 
 
 @dataclass
@@ -389,14 +400,12 @@ def dominance_audit(
             out = np.array(values)
         for s in np.flatnonzero(miss).tolist():
             out[:, s] = body(draws[s].tolist())
-        for s, slack in enumerate(out[2].tolist()):
-            if slack < min_slack:
-                min_slack = slack
-                row = draws[s].tolist()
-                worst = {"z": row[:i], "k": row[i:], "lhs": float(out[0, s]),
-                         "rhs": float(out[1, s]), "sample": start + s}
-            if slack < 0.0:
-                violations += 1
+        violations += int(np.count_nonzero(out[2] < 0.0))
+        min_slack, s = _first_min(out[2], min_slack)
+        if s is not None:
+            row = draws[s].tolist()
+            worst = {"z": row[:i], "k": row[i:], "lhs": float(out[0, s]),
+                     "rhs": float(out[1, s]), "sample": start + s}
     return AuditReport(
         stage=stage,
         samples=samples,
@@ -421,6 +430,7 @@ class BudgetReport(_Fields):
         self.passed = self.applicable and self.min_slack >= 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lyapunov_budget(traj, oracle, slack=VerifyTolerances.budget_slack):
     """Check the integrated energy bound along a recorded trajectory.
 
@@ -448,38 +458,19 @@ def lyapunov_budget(traj, oracle, slack=VerifyTolerances.budget_slack):
             traj.sid, False, 0.0, None, 0.0,
             "budget needs adaptation on every stage",
         )
-    z_cols = _meta_cols(traj, "z_cols")
-    k_cols = _meta_cols(traj, "k_cols")
-    mu = [float(v) for v in _meta_cols(traj, "mu")]
-    gamma = [float(v) for v in _meta_cols(traj, "gamma")]
+    Z, K, mu, gamma = (_meta(traj, key) for key in ("z_cols", "k_cols", "mu", "gamma"))
     eps = oracle.epsilon()
-    V = np.zeros(traj.data.shape[0])
-    for name in z_cols:
-        zv = traj.col(name)
-        V += 0.5 * zv * zv
-
-    def affine(krow):
-        out = 0.0
-        for bi, mi, gi, kv in zip(oracle.b, mu, gamma, krow):
-            out += -0.5 * (bi * mi / gi) * kv * kv + 2.0 * eps * kv / gi
-        return out
-
-    kcols = [traj.col(name) for name in k_cols]
-    k0 = [float(c[0]) for c in kcols]
-    c0 = float(V[0]) - affine(k0)
-    min_slack = float("inf")
-    where = None
-    for idx in range(len(V)):
-        krow = [float(c[idx]) for c in kcols]
-        s = affine(krow) + c0 + slack - float(V[idx])
-        if s < min_slack:
-            min_slack = s
-            where = float(traj.t[idx])
+    # V and the affine bound are summed stage by stage, so each row's
+    # slack holds the bits of the sums taken on its floats
+    V = sum(0.5 * z * z for z in Z.T)
+    affine = sum(-0.5 * (bi * mi / gi) * k * k + 2.0 * eps * k / gi
+                 for bi, mi, gi, k in zip(oracle.b, mu, gamma, K.T))
+    min_slack, idx = _first_min(affine + (V[0] - affine[0]) + slack - V)
     return BudgetReport(
         scenario=traj.sid,
         applicable=True,
         min_slack=min_slack,
-        where=where,
+        where=None if idx is None else float(traj.t[idx]),
         epsilon=eps,
         detail="offset anchored at t=0 with the run's recorded constants",
     )
@@ -509,8 +500,7 @@ def _mc_run(sid, overrides, tol):
         "diverged": traj.diverged,
         "passed": report.passed,
         "failed": report.failed_names(),
-        "tail_sup_x": (None if traj.diverged
-                       else _tail_sup_x(traj, traj.meta["x_cols"], tol.tail_frac)),
+        "tail_sup_x": None if traj.diverged else _tail_sup_x(traj, tol.tail_frac),
     }
 
 

@@ -222,4 +222,6 @@ def test_auto_mode_stage_limit():
 def test_auto_mode_needs_bounds():
     with pytest.raises(SynthesisError):
         ControllerStack(None, auto_params())
+    with pytest.raises(SynthesisError, match="stage counts differ"):
+        ControllerStack(two_state_bounds(), auto_params(n=3))
 

@@ -252,6 +252,8 @@ REJECTED = [
     (N2, "verify.tail_frac = 0.9", "verify.tail_frac"),
     (MS, "verify.tol_x = 0.0", "verify.tol_x"),
     (MS, "verify.audit_samples = 0", "verify.audit_samples"),
+    (N2, "sweep.x0_lo = 3.0, 3.0\nsweep.x0_hi = -3.0, -3.0", "sweep.x0_lo / sweep.x0_hi"),
+    (N2, "sweep.x0_lo = -1.0, 2.0\nsweep.x0_hi = 1.0, 1.5", "sweep.x0_lo / sweep.x0_hi"),
 ]
 
 
@@ -488,6 +490,30 @@ def test_stored_non_finite_cell_fails_bounded(tmp_path, capsys):
     bounded = strict_json(os.path.join(out, rid, "report.json"))["invariants"]["checks"][0]
     assert bounded["name"] == "bounded" and not bounded["passed"]
     assert bounded["where"] == float(cells[0])
+
+
+def test_stored_cell_beyond_the_abort_limit_fails_bounded_without_a_warning(tmp_path, capsys):
+    """A finite z2 cell of 1e300 fails bounded; V = z^2 / 2 overflows in
+    the budget, and no numpy warning reaches stderr."""
+    cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\nintegrator.T = 5.0\n")
+    out = registry(tmp_path)
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    path = Path(out, rid, "trajectory.csv")
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[lines[0].split(",").index("z2")] = "1e300"
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", rid, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    assert "[largest recorded magnitude 1e+300 in z2]" in captured.out
+    report = strict_json(os.path.join(out, rid, "report.json"))
+    bounded = report["invariants"]["checks"][0]
+    assert bounded["name"] == "bounded" and not bounded["passed"]
+    assert report["budget"]["min_slack"] is None  # -inf, written as null
 
 
 def replay(out, rid):

@@ -248,6 +248,10 @@ RANGES = {
         "run.seed", "verify.k_monotone", "verify.audit_seed", "design.deadzone",
         "missile.v_freq", "missile.mx_freq"], NONNEG),
     "verify.tail_frac": (0.0, 0.5, True, False),
+    # every corner component drawn lies on its side of 0, and so of the
+    # other corner, whether that one is drawn or the default
+    "sweep.x0_lo": (-1e3, 0.0, False, False),
+    "sweep.x0_hi": NONNEG,
     "missile.v_amp": (0.0, 1.0, False, True),
     "missile.mx_amp": (0.0, 1.0, False, True),
 }

@@ -45,6 +45,8 @@ def test_measured_convergence_order():
     rhs = lambda t, y: (y[1], -math.sin(y[0]) - 0.2 * y[1])
     order = measure_order(rhs, (1.2, 0.0), T=2.0, h=0.02)
     assert 3.7 <= order <= 4.3
+    with pytest.raises(ValueError, match="too simple"):
+        measure_order(lambda t, y: (0.0,), (1.0,), T=1.0, h=0.1)
 
 
 def test_integration_is_deterministic():
@@ -169,6 +171,8 @@ def test_custom_recorder_columns():
                      recorder=recorder)
     assert traj.columns == ("t", "y1", "twice")
     np.testing.assert_allclose(traj.col("twice"), 2.0 * traj.col("y1"))
+    with pytest.raises(KeyError, match=r"no column 'thrice'; have \['t', 'y1', 'twice'\]"):
+        traj.col("thrice")
 
 
 # cells whose float64 bits a conversion could lose: infinities, NaN, the

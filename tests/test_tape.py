@@ -24,6 +24,10 @@ def branchy(t, y):
     return (y[0] * 3.0 if y[0] > 1.0 else y[0] - 3.0,)
 
 
+def truthy(t, y):
+    return (y[0] * 2.0 if y[0] else 1.0,)
+
+
 def raised(fn, *args):
     with pytest.raises(Exception) as info:
         fn(*args)
@@ -115,6 +119,14 @@ def test_guard_miss_takes_the_other_branch():
     other = stepper(branchy, h, 0.0, [0.5])
     assert other(0.0, [2.0]) is None
     assert step_bits(other(0.0, [-0.0])) == step_bits(rk4_step(branchy, [-0.0], 0.0, h))
+    # the truth test of a traced value is the guard != 0.0
+    step = stepper(truthy, h, 0.0, [2.0])
+    assert "if not y0 != 0.0: break" in guards(step.source)
+    assert step_bits(step(0.0, [0.5])) == step_bits(rk4_step(truthy, [0.5], 0.0, h))
+    assert step(0.0, [0.0]) is None and step(0.0, [-0.0]) is None
+    # the first step, from y0 = 0, misses and runs plain; the loop takes the rest
+    fused = integrate(truthy, [0.0], 1.0, h, loop=looped(truthy, h, 0.0, [2.0]))
+    same_run(fused, integrate(truthy, [0.0], 1.0, h))
 
 
 def test_select_compiles_to_a_conditional_expression():
@@ -168,6 +180,18 @@ def test_untraceable_function_runs_the_reference():
     traj = integrate(uses_math, [2.0], 1.0, 0.25, loop=looped(uses_math, 0.25, 0.5, [2.0]))
     assert not traj.diverged and traj.data.shape == (5, 2)
     same_run(traj, integrate(uses_math, [2.0], 1.0, 0.25, loop=None))
+    # a row cell a Var cannot record fails the row's trace, next to a step
+    # that traces: a str, or a bool, which the plain run records as 1.0
+    def halve(t, y):
+        return (-0.5 * y[0],)
+
+    assert looped(halve, 0.25, 0.0, [2.0]) is not None
+    assert looped(halve, 0.25, 0.0, [2.0], row=lambda t, y: [y[0], "label"]) is None
+    recorder = (("y1", "flag"), lambda t, y: [y[0], True])
+    loop = looped(halve, 0.25, 0.0, [2.0], row=recorder[1])
+    assert loop is None
+    traj = integrate(halve, [2.0], 1.0, 0.25, recorder=recorder, loop=loop)
+    assert traj.col("flag").tolist() == [1.0] * 5
 
 
 # -- nesting ------------------------------------------------------------------

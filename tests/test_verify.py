@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from purefb import scenarios, verify
 from purefb.config import load_file
+from purefb.simkit import ABORT_LIMIT, Trajectory
 from purefb.tape import compile_lanes
 from purefb.verify import (
     VerifyTolerances,
@@ -77,6 +79,103 @@ def test_non_finite_cell_fails_bounded_naming_its_column_and_time():
     traj.data[3, traj.columns.index("k2")] = np.inf
     bounded = check_theorem1(traj).checks[0]
     assert bounded.detail == "non-finite value in k2" and bounded.where == traj.t[3]
+
+
+def test_finite_cell_beyond_the_abort_limit_fails_bounded():
+    traj = scenarios.build("numeric-2d", T=5.0).run()
+    traj.data[40, traj.columns.index("z2")] = 1e300
+    bounded = check_theorem1(traj).checks[0]
+    assert (bounded.name, bounded.passed, bounded.margin) == ("bounded", False, ABORT_LIMIT - 1e300)
+    assert bounded.detail == "largest recorded magnitude 1e+300 in z2" and bounded.where is None
+    # V = z^2 / 2 overflows in that row: the budget reads -inf there, without a warning
+    budget = lyapunov_budget(traj, scenarios.build("numeric-2d").oracle)
+    assert (budget.min_slack, budget.where) == (float("-inf"), traj.t[40])
+
+
+HAND_NAMES = ("x1", "x2", "z1", "z2", "k1", "k2", "u", "intz1", "intz2")
+
+
+def hand_table(**cols):
+    """A two-stage trajectory over t = 0, 1, 2, 3, 4 with the column
+    grouping of a numeric-2d run; a column not given is all zeros."""
+    data = np.column_stack([np.arange(5.0)] + [cols.get(name, [0.0] * 5) for name in HAND_NAMES])
+    meta = {"x_cols": ["x1", "x2"], "z_cols": ["z1", "z2"], "k_cols": ["k1", "k2"],
+            "intz_cols": ["intz1", "intz2"], "gamma": [1.0, 0.5], "mu": [1.0, 0.5],
+            "n": 2, "adaptive": [1, 2]}
+    return Trajectory(sid="hand", columns=("t", *HAND_NAMES), data=data, h=1.0, meta=meta)
+
+
+def test_monitor_edge_rules_on_a_hand_table():
+    """Ties go to the first column, then the first row; a NaN is never the
+    minimum or the maximum.  With tail_frac 0.25 the tail starts at t = 3
+    and the window before it at t = 2."""
+    nan = float("nan")
+    tol = VerifyTolerances(tail_frac=0.25)
+    cols = dict(
+        x1=[1.0, 0.5, 0.25, 0.0, 0.0],
+        x2=[-2.0, 1.0, 0.5, 0.125, -0.0625],
+        u=[0.0, 0.0, -3.0, 0.0, 0.0],
+        # decrements: k1 1, -0.5, 0.5, 1 and k2 -0.5, 0.5, 0, 0.25
+        k1=[1.0, 2.0, 1.5, 2.0, 3.0],
+        k2=[1.0, 0.5, 1.0, 1.0, 1.25],
+        intz1=[0.0, 1.0, 2.0, 2.5, 2.75],
+        intz2=[0.0, 0.5, 1.0, 1.0, 1.0],
+    )
+    checks = {c.name: c for c in check_theorem1(hand_table(**cols), tol).checks}
+    # |u| = 3 at t = 2 ties |k1| = 3 at t = 4: the earlier column is named
+    assert checks["bounded"].detail == "largest recorded magnitude 3 in k1"
+    assert (checks["bounded"].passed, checks["bounded"].margin) == (True, ABORT_LIMIT - 3.0)
+    assert checks["state-tail"].margin == tol.tol_x - 0.125
+    # the equal worst decrements -0.5: k1's at t = 2 wins over k2's at t = 1
+    assert (checks["gain-monotone"].margin, checks["gain-monotone"].where) == (
+        -0.5 + tol.k_monotone, 2.0)
+    assert checks["gain-settled"].margin == tol.tol_k - 1.0  # k1: 3 - 2
+    # gamma * int: 2.75 and 0.5 against k(T) - k(0): 2 and 0.25
+    assert checks["error-energy"].margin == 2.0 + tol.energy_slack * 2.0 - 2.75
+    assert checks["error-energy"].detail == (
+        "intz1: gamma*int=2.75 dk=2; intz2: gamma*int=0.5 dk=0.25")
+    # intz1 grows 0.25 in the tail, 0.5 before it; intz2 is flat
+    assert not checks["error-tail-flat"].passed
+    assert checks["error-tail-flat"].margin == tol.z_tail - 0.25
+
+    cols["k1"][3] = nan  # k1's decrements 0.5 and 1 become NaN, as does its tail change
+    cols["intz1"][4] = nan  # so do intz1's energy and tail increment
+    checks = {c.name: c for c in check_theorem1(hand_table(**cols), tol).checks}
+    assert (checks["bounded"].detail, checks["bounded"].where) == ("non-finite value in k1", 3.0)
+    # a column holding a NaN decrement is passed over whole: -0.5 in k1 is not taken
+    assert (checks["gain-monotone"].margin, checks["gain-monotone"].where) == (
+        -0.5 + tol.k_monotone, 1.0)
+    assert checks["gain-settled"].margin == tol.tol_k - 0.25  # k2: 1.25 - 1
+    assert checks["error-energy"].margin == 0.25 + tol.energy_slack - 0.5
+    assert checks["error-energy"].detail.startswith("intz1: gamma*int=nan dk=2;")
+    assert checks["error-tail-flat"].passed
+    assert checks["error-tail-flat"].margin == 1e-9  # intz2: 0 + 1e-9 - 0
+
+    # a finite cell beyond the abort limit fails; one at the limit passes
+    for cell, passed in ((2.0 * ABORT_LIMIT, False), (ABORT_LIMIT, True)):
+        bounded = check_theorem1(hand_table(u=[0.0, cell, 0.0, 0.0, 0.0]), tol).checks[0]
+        assert (bounded.passed, bounded.margin) == (passed, ABORT_LIMIT - cell)
+        assert bounded.detail == "largest recorded magnitude %.6g in u" % cell
+
+
+def test_budget_slack_is_the_first_minimum_on_a_hand_table():
+    """b = 1 and mu = gamma give the bound -(k1^2 + k2^2) / 2 with epsilon 0,
+    constant at gains held at 1, so each row's slack is budget_slack - V."""
+    oracle = SimpleNamespace(b=(1.0, 1.0), epsilon=lambda: 0.0)
+    ones = [1.0] * 5
+
+    def budget(z1):
+        return lyapunov_budget(hand_table(z1=z1, k1=ones, k2=ones), oracle, slack=0.0)
+
+    # V = 2 at t = 1 and t = 3: the first row is reported
+    report = budget([0.0, 2.0, 1.0, 2.0, 0.0])
+    assert (report.min_slack, report.where, report.passed) == (-2.0, 1.0, False)
+    # a NaN row is never the minimum
+    report = budget([0.0, float("nan"), 1.0, 2.0, 0.0])
+    assert (report.min_slack, report.where) == (-2.0, 3.0)
+    # a NaN at t = 0 makes every slack NaN: no row is the minimum
+    report = budget([float("nan"), 2.0, 1.0, 2.0, 0.0])
+    assert (report.min_slack, report.where, report.passed) == (float("inf"), None, True)
 
 
 def test_tight_tolerance_fails_cleanly(paper_run):
