@@ -19,8 +19,9 @@ at import: a scenario section's key the factory keyword of its name,
 the ``dominance_audit`` keyword.  Only the other keys state their own.  A
 key's type is its default's in each scenario: a float, an int, a bool, a
 str or n floats.  ``load_text`` checks types, choices and the rules of the
-keys that set no scenario keyword; ``build`` leaves every other value rule
-to the library and names the key of the keyword a ValueError starts with.
+keys that set neither a scenario keyword nor a ``VerifyTolerances`` field;
+``build`` leaves every other value rule to the library and names the key
+of the keyword or field a ValueError starts with.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ def _nonneg(v):
     return None if v >= 0 else "must be >= 0"
 
 
-def _fraction(v):
-    return None if 0.0 < v <= 0.5 else "must lie in (0, 0.5]"
-
-
 def _nonempty(v):
     return None if v else "must not be empty"
 
@@ -77,7 +74,7 @@ class Key:
     default: object = None
     required: bool = False
     choices: Optional[tuple] = None
-    check: Optional[Callable] = None  # value rule of a key that sets no scenario keyword
+    check: Optional[Callable] = None  # value rule the library does not own
     like: Optional[str] = None  # the key whose default gives this key's type
 
 
@@ -95,17 +92,13 @@ SCHEMA = (
     Key("integrator.decimation", "record every this many steps (must divide T/h)"),
     Key("design.sign_flip", "sabotage toggle: flip the sign of the applied input "
         "(negative controls only)", default=False),
-    Key("verify.tol_x", "tail sup-norm threshold on the state", check=_positive),
-    Key("verify.tol_k", "gain settling threshold over the tail", check=_positive),
-    Key("verify.tail_frac", "fraction of the horizon treated as the tail window",
-        check=_fraction),
-    Key("verify.z_tail", "allowed tail increment of each squared-error integral",
-        check=_positive),
-    Key("verify.energy_slack", "slack in gamma_i * int z_i^2 <= k_i(T) - k_i(0)",
-        check=_positive),
-    Key("verify.budget_slack", "absolute slack of the energy-budget monitor",
-        check=_positive),
-    Key("verify.k_monotone", "tolerated per-sample gain decrease", check=_nonneg),
+    Key("verify.tol_x", "tail sup-norm threshold on the state"),
+    Key("verify.tol_k", "gain settling threshold over the tail"),
+    Key("verify.tail_frac", "fraction of the horizon treated as the tail window"),
+    Key("verify.z_tail", "allowed tail increment of each squared-error integral"),
+    Key("verify.energy_slack", "slack in gamma_i * int z_i^2 <= k_i(T) - k_i(0)"),
+    Key("verify.budget_slack", "absolute slack of the energy-budget monitor"),
+    Key("verify.k_monotone", "tolerated per-sample gain decrease"),
     Key("verify.audit_samples", "sample count for the stage-dominance audit",
         check=_positive),
     Key("verify.audit_seed", "seed of the dominance audit", check=_nonneg),
@@ -164,6 +157,8 @@ _KEYWORDS = tuple(
     (k.name, k.name.partition(".")[2])
     for k in SCHEMA if k.name.partition(".")[0] in SCENARIO_SECTIONS
 )
+# (key path, field) of every verify.* key that sets a VerifyTolerances field
+_TOLERANCES = tuple(("verify." + f.name, f.name) for f in fields(VerifyTolerances))
 
 
 def _defaults(sid):
@@ -304,7 +299,8 @@ def load_text(text, overrides=None):
 
     overrides maps key paths to raw string values applied on top of the
     file (CLI flags); they go through the same checks.  The value rules of
-    the scenario keywords are the library's: ``build`` checks them.
+    the scenario keywords and the tolerances are the library's: ``build``
+    checks them.
     """
     raw = parse_text(text)
     for name, value in (overrides or {}).items():
@@ -362,13 +358,14 @@ def load_text(text, overrides=None):
 def build(cfg):
     """The scenario of cfg, from ``scenarios.build``.
 
-    Every value rule of a scenario keyword is checked here, by the library:
-    its ValueError, which starts with the keyword it rejects, becomes a
-    ConfigError that names the keyword's key.  ``theta_box`` is named by
-    the box edges the config sets, or by uncertainty.theta, which each
-    unset edge defaults to.
+    Every value rule of a scenario keyword or a ``VerifyTolerances`` field
+    is checked here, by the library: its ValueError, which starts with the
+    keyword or field it rejects, becomes a ConfigError that names its key.
+    ``theta_box`` is named by the box edges the config sets, or by
+    uncertainty.theta, which each unset edge defaults to.
     """
     try:
+        cfg.tolerances()
         return scenarios.build(cfg.sid, **cfg.scenario_overrides())
     except ValueError as exc:
         keyword = re.match(r"\w*", str(exc)).group()
@@ -376,7 +373,8 @@ def build(cfg):
             names = [name for name in ("uncertainty.box_lo", "uncertainty.box_hi")
                      if cfg.values[name] is not None] or ["uncertainty.theta"]
         else:
-            names = [name for name, kw in _KEYWORDS if kw == keyword and name in cfg.values]
+            names = [name for name, kw in _KEYWORDS + _TOLERANCES
+                     if kw == keyword and name in cfg.values]
         raise ConfigError("%s: %s" % (" / ".join(names), exc) if names else str(exc)) from None
 
 

@@ -72,6 +72,17 @@ class VerifyTolerances(_Fields):
     energy_slack: float = 1e-6  # slack in gamma_i int z_i^2 <= k_i(T)-k_i(0)
     budget_slack: float = 1e-6  # absolute slack of the energy budget
 
+    def __post_init__(self):
+        # each message starts with the field it rejects
+        for name in ("tol_x", "tol_k", "z_tail", "energy_slack", "budget_slack"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError("%s must be positive, got %r" % (name, getattr(self, name)))
+        if not self.k_monotone >= 0.0:
+            raise ValueError("k_monotone must be >= 0, got %r" % self.k_monotone)
+        if not 0.0 < self.tail_frac <= 0.5:
+            # above 0.5 the window before the tail is clipped at t = 0
+            raise ValueError("tail_frac must lie in (0, 0.5], got %r" % self.tail_frac)
+
 
 @dataclass
 class CheckResult(_Fields):

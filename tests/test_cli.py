@@ -5,6 +5,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from purefb import scenarios
@@ -48,7 +49,8 @@ def test_run_persists_and_exits_zero(short_cfg, tmp_path, capsys):
     rid = only_run_id(out)
     assert rid in lines
     root = os.path.join(out, rid)
-    for name in ("config.cfg", "trajectory.csv", "summary.json", "record.json"):
+    for name in ("config.cfg", "trajectory.csv", "trajectory.npy", "summary.json",
+                 "record.json"):
         assert os.path.isfile(os.path.join(root, name))
     plots = os.listdir(os.path.join(root, "plots"))
     assert "states.svg" in plots and "input.svg" in plots
@@ -190,7 +192,7 @@ def test_decimation_too_large_for_a_float_exits_2(tmp_path, capsys):
 
 # (scenario, config lines, the key the error names): every value the config
 # rejects at least once, before anything runs; a scenario keyword's rule is
-# the library's, the rules of run.seed, run.out and verify.* the config's
+# the library's, the rules of run.seed, run.out and verify.audit_* the config's
 N2, MS = "numeric-2d", "stt-missile"
 REJECTED = [
     (N2, "integrator.T = 0.0", "integrator.T"),
@@ -250,7 +252,14 @@ REJECTED = [
     (MS, "missile.xi_const = -1.0", "missile.xi_const"),
     (N2, "run.seed = -1", "run.seed"),
     (N2, "verify.tail_frac = 0.9", "verify.tail_frac"),
+    (N2, "verify.tail_frac = 0.0", "verify.tail_frac"),
+    (MS, "verify.tail_frac = -0.1", "verify.tail_frac"),
     (MS, "verify.tol_x = 0.0", "verify.tol_x"),
+    (N2, "verify.tol_k = -1e-3", "verify.tol_k"),
+    (N2, "verify.z_tail = 0.0", "verify.z_tail"),
+    (MS, "verify.energy_slack = -1e-6", "verify.energy_slack"),
+    (N2, "verify.budget_slack = 0.0", "verify.budget_slack"),
+    (MS, "verify.k_monotone = -1e-12", "verify.k_monotone"),
     (MS, "verify.audit_samples = 0", "verify.audit_samples"),
     (N2, "sweep.x0_lo = 3.0, 3.0\nsweep.x0_hi = -3.0, -3.0", "sweep.x0_lo / sweep.x0_hi"),
     (N2, "sweep.x0_lo = -1.0, 2.0\nsweep.x0_hi = 1.0, 1.5", "sweep.x0_lo / sweep.x0_hi"),
@@ -351,7 +360,8 @@ def test_unknown_run_id_exits_2(tmp_path, capsys):
     assert "no run" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["summary.json", "trajectory.csv"])
+@pytest.mark.parametrize("name", ["summary.json", "trajectory.csv", "trajectory.npy",
+                                  "record.json"])
 def test_stored_run_missing_file_exits_2(short_cfg, tmp_path, capsys, name):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
@@ -389,9 +399,11 @@ def _renamed_column(lines):
                          ids=["empty-file", "header-only", "short-row", "cut-columns",
                               "renamed-column"])
 def test_stored_header_only_csv_exits_2(short_cfg, tmp_path, capsys, damage):
+    # the CSV is parsed only where no seal and no twin stand in for it
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
     rid = only_run_id(out)
+    as_parent_run(os.path.join(out, rid))
     path = Path(out, rid, "trajectory.csv")
     # each kept line ends in a newline; no line leaves a 0-byte file
     path.write_text("".join(line + "\n" for line in damage(path.read_text().splitlines())))
@@ -421,11 +433,13 @@ def test_stored_summary_missing_key_exits_2(short_cfg, tmp_path, capsys, edit):
         text = "{}" if edit == "missing-key" else "[]"
     with open(path, "w") as fh:
         fh.write(text + "\n")
+    reseal(os.path.join(out, rid))
     capsys.readouterr()
     for command in ("verify", "plot"):
         assert main([command, rid, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "summary.json" in err and "internal error" not in err
+        assert "seal" not in err
 
 
 @pytest.mark.parametrize("text", [b"{bad\n", b"\xff\xfe{}\n"], ids=["json", "utf-8"])
@@ -435,11 +449,12 @@ def test_stored_summary_that_does_not_parse_exits_2(short_cfg, tmp_path, capsys,
     rid = only_run_id(out)
     path = Path(out, rid, "summary.json")
     path.write_bytes(text)
+    reseal(os.path.join(out, rid))
     capsys.readouterr()
     for command in ("verify", "plot"):
         assert main([command, rid, "--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and str(path) in err[0], err
+        assert len(err) == 1 and str(path) in err[0] and "seal" not in err[0], err
 
 
 def test_stored_config_that_does_not_parse_exits_2(short_cfg, tmp_path, capsys):
@@ -471,12 +486,15 @@ def test_verify_stored_run_rejects_run_flags(short_cfg, tmp_path, capsys, flag):
 
 def test_stored_non_finite_cell_fails_bounded(tmp_path, capsys):
     """A stored run that passes, with one recorded u cell made nan, fails
-    the bounded check, which names u and the time of that row."""
+    the bounded check, which names u and the time of that row.  The cell
+    is edited in the CSV of a run stored without seals, which verify
+    parses."""
     cfg = write_cfg(tmp_path, "scenario.id = stt-missile\n"
                               "verify.tol_x = 0.00175\n")
     out = registry(tmp_path)
     assert main(["run", "--config", cfg, "--out", out]) == 0
     rid = only_run_id(out)
+    as_parent_run(os.path.join(out, rid))
     path = Path(out, rid, "trajectory.csv")
     lines = path.read_text().splitlines()
     cells = lines[3].split(",")
@@ -494,11 +512,13 @@ def test_stored_non_finite_cell_fails_bounded(tmp_path, capsys):
 
 def test_stored_cell_beyond_the_abort_limit_fails_bounded_without_a_warning(tmp_path, capsys):
     """A finite z2 cell of 1e300 fails bounded; V = z^2 / 2 overflows in
-    the budget, and no numpy warning reaches stderr."""
+    the budget, and no numpy warning reaches stderr.  The cell is edited as
+    in the test above."""
     cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\nintegrator.T = 5.0\n")
     out = registry(tmp_path)
     assert main(["run", "--config", cfg, "--out", out]) == 0
     rid = only_run_id(out)
+    as_parent_run(os.path.join(out, rid))
     path = Path(out, rid, "trajectory.csv")
     lines = path.read_text().splitlines()
     cells = lines[5].split(",")
@@ -580,6 +600,8 @@ def test_earlier_summary_layout_verifies_and_plots_the_same(tmp_path, capsys,
     rid = only_run_id(out)
     want = replay(out, rid)
     assert want[0] == (code, 0)
+    # the writers of the earlier layouts sealed nothing
+    as_parent_run(os.path.join(out, rid))
     for layout in ("five-key", "repeated"):
         write_earlier_summary_layout(os.path.join(out, rid), layout)
         assert replay(out, rid) == want, layout
@@ -600,6 +622,113 @@ def test_stored_meta_does_not_change_the_verdict(tmp_path):
     summary["meta"] = dict(earlier_meta(load_file(cfg)), gamma=[50.0, 50.0],
                            x_cols=["x1"])
     path.write_text(json.dumps(summary))
+    reseal(os.path.join(out, rid))
+    assert replay(out, rid) == want
+
+
+def as_parent_run(root):
+    """Rewrite a stored run as writers before the seals left it: no
+    trajectory.npy, and a record.json without seals, byte for byte."""
+    path = Path(root, "record.json")
+    record = json.loads(path.read_text())
+    del record["sha256"]
+    record["files"].remove("trajectory.npy")
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    os.remove(os.path.join(root, "trajectory.npy"))
+
+
+def reseal(root):
+    """Seal a stored run's files as they are now, as save_run would."""
+    path = Path(root, "record.json")
+    record = json.loads(path.read_text())
+    record["sha256"] = {name: hashlib.sha256(Path(root, name).read_bytes()).hexdigest()
+                        for name in record["sha256"]}
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _changed_digit(root):
+    path = Path(root, "trajectory.csv")
+    lines = path.read_text().splitlines()
+    last = lines[5][-1]
+    assert last.isdigit()
+    lines[5] = lines[5][:-1] + ("1" if last != "1" else "2")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _flipped_byte(root):
+    path = Path(root, "trajectory.npy")
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _edited_summary(root):
+    path = Path(root, "summary.json")
+    path.write_text(path.read_text().replace('"t_final": 2.0', '"t_final": 3.0'))
+
+
+def _deleted_twin(root):
+    os.remove(os.path.join(root, "trajectory.npy"))
+
+
+@pytest.mark.parametrize("tamper,name", [(_changed_digit, "trajectory.csv"),
+                                         (_flipped_byte, "trajectory.npy"),
+                                         (_edited_summary, "summary.json"),
+                                         (_deleted_twin, "trajectory.npy")],
+                         ids=["csv-digit", "npy-byte", "summary", "no-twin"])
+def test_broken_seal_exits_2_naming_the_file(short_cfg, tmp_path, capsys, tamper, name):
+    out = registry(tmp_path)
+    assert main(["run", "--config", short_cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    root = os.path.join(out, rid)
+    before = Path(root, "record.json").read_bytes()
+    tamper(root)
+    assert Path(root, "record.json").read_bytes() == before
+    capsys.readouterr()
+    for command in ("verify", "plot"):
+        assert main([command, rid, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and os.path.join(root, name) in err[0], err
+        assert "internal error" not in err[0]
+    assert not os.path.exists(os.path.join(root, "report.json"))
+
+
+@pytest.mark.parametrize("table", [
+    lambda data: data.astype(np.float32),
+    lambda data: data[:, :-1],
+    lambda data: data[:, 0],
+    lambda data: data[::-1],
+], ids=["float32", "one-column-short", "1-d", "time-reversed"])
+def test_resealed_twin_must_be_the_recorded_table(short_cfg, tmp_path, capsys, table):
+    out = registry(tmp_path)
+    assert main(["run", "--config", short_cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    root = os.path.join(out, rid)
+    twin = os.path.join(root, "trajectory.npy")
+    np.save(twin, table(np.load(twin)), allow_pickle=False)
+    reseal(root)
+    capsys.readouterr()
+    for command in ("verify", "plot"):
+        assert main([command, rid, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: %s: " % twin), err
+
+
+@pytest.mark.parametrize("text,codes", [(SHORT, (1, 0)),
+                                        (SHORT + "design.sign_flip = true\n", (3, 0)),
+                                        ("scenario.id = stt-missile\nintegrator.T = 2.0\n",
+                                         (1, 0))],
+                         ids=["numeric-2d", "sign-flip", "stt-missile"])
+def test_run_stored_without_seals_verifies_and_plots_the_same(tmp_path, text, codes):
+    """A run stored before the seals has no twin: its table is parsed from
+    trajectory.csv, and its report and charts are those of a sealed run."""
+    cfg = write_cfg(tmp_path, text)
+    out = registry(tmp_path)
+    main(["run", "--config", cfg, "--out", out])
+    rid = only_run_id(out)
+    want = replay(out, rid)
+    assert want[0] == codes
+    as_parent_run(os.path.join(out, rid))
     assert replay(out, rid) == want
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from purefb import cli, runstore, scenarios
 from purefb.config import load_text
-from purefb.simkit import StatePoint
+from purefb.simkit import StatePoint, read_csv
 
 
 def short_config(out_dir):
@@ -31,6 +31,7 @@ def test_save_and_load_round_trip(tmp_path):
     paths = runstore.save_run(cfg, traj)
     assert os.path.isfile(paths.config)
     assert os.path.isfile(paths.trajectory)
+    assert os.path.isfile(paths.twin)
     assert os.path.isfile(paths.summary)
     assert os.path.isfile(paths.record)
     cfg2, scn2, traj2 = runstore.load_run(str(tmp_path), cfg.run_id)
@@ -111,3 +112,55 @@ def test_diverged_run_round_trips_and_verifies(tmp_path, capsys):
     assert back.failure == traj.failure
     assert cli.main(["verify", cfg.run_id, "--out", str(tmp_path)]) == 3
     assert "verdict: FAIL" in capsys.readouterr().out
+
+
+# config texts of the tables the twin must hold bit for bit
+TWIN_CASES = {
+    "paper": "scenario.id = numeric-2d\nintegrator.T = 2.0\n",
+    "auto": "scenario.id = numeric-2d\nintegrator.T = 2.0\ndesign.mode = auto\n",
+    "missile": "scenario.id = stt-missile\nintegrator.decimation = 1\n",
+    "sign-flip": "scenario.id = numeric-2d\nintegrator.T = 1.0\ndesign.sign_flip = true\n",
+}
+
+
+@pytest.mark.parametrize("case", list(TWIN_CASES))
+def test_twin_holds_the_csv_table_bit_for_bit(tmp_path, case):
+    cfg = load_text(TWIN_CASES[case] + "run.out = %s\n" % tmp_path)
+    traj = run_once(cfg)
+    paths = runstore.save_run(cfg, traj)
+    _, _, back = runstore.load_run(str(tmp_path), cfg.run_id)
+    parsed = read_csv(paths.trajectory)
+    assert back.columns == parsed.columns == traj.columns
+    assert back.data.dtype == parsed.data.dtype == np.float64
+    assert back.data.shape == parsed.data.shape
+    nan = np.isnan(parsed.data)
+    assert np.array_equal(np.isnan(back.data), nan)
+    assert np.array_equal(back.data.view(np.int64)[~nan], parsed.data.view(np.int64)[~nan])
+    assert back.data.tobytes() == traj.data.tobytes()
+    assert back.diverged == traj.diverged == (case == "sign-flip")
+
+
+def test_sealed_run_does_not_parse_the_csv(tmp_path, monkeypatch):
+    cfg = short_config(tmp_path)
+    runstore.save_run(cfg, run_once(cfg))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sealed run parsed trajectory.csv")
+
+    monkeypatch.setattr(runstore, "read_csv", refuse)
+    runstore.load_run(str(tmp_path), cfg.run_id)
+
+
+@pytest.mark.parametrize("seals", [{}, [], {"trajectory.csv": None}, {"trajectory.csv": 0}],
+                         ids=["empty", "a-list", "a-null-digest", "a-number"])
+def test_record_without_a_seal_of_each_file_is_rejected(tmp_path, seals):
+    cfg = short_config(tmp_path)
+    paths = runstore.save_run(cfg, run_once(cfg))
+    with open(paths.record) as fh:
+        record = json.load(fh)
+    record["sha256"] = seals
+    with open(paths.record, "w") as fh:
+        json.dump(record, fh)
+    with pytest.raises(runstore.RunStoreError,
+                       match="trajectory.csv does not match its seal in .*record.json$"):
+        runstore.load_run(str(tmp_path), cfg.run_id)

@@ -178,6 +178,22 @@ def test_budget_slack_is_the_first_minimum_on_a_hand_table():
     assert (report.min_slack, report.where, report.passed) == (float("inf"), None, True)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("tail_frac", 0.0), ("tail_frac", -0.1), ("tail_frac", 0.6), ("tail_frac", 1.0),
+    ("tol_x", 0.0), ("tol_k", -1e-3), ("z_tail", 0.0), ("energy_slack", -1e-6),
+    ("budget_slack", 0.0), ("k_monotone", -1e-12), ("tol_x", float("nan")),
+    ("tail_frac", float("nan")), ("k_monotone", float("nan")),
+])
+def test_tolerances_reject_a_value_naming_the_field(name, value):
+    with pytest.raises(ValueError, match="^%s must " % name):
+        VerifyTolerances(**{name: value})
+
+
+def test_tolerances_accept_their_edges():
+    tol = VerifyTolerances(tail_frac=0.5, k_monotone=0.0)
+    assert (tol.tail_frac, tol.k_monotone) == (0.5, 0.0)
+
+
 def test_tight_tolerance_fails_cleanly(paper_run):
     traj, _ = paper_run
     report = check_theorem1(traj, VerifyTolerances(tol_x=1e-45))
