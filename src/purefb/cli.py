@@ -200,9 +200,9 @@ def _cmd_verify(args):
 
 def _cmd_montecarlo(args):
     cfg = _load_config(args)
-    if cfg.sid != configmod.N2:
-        raise _CliError(
-            "the sweep is defined for scenario %r" % configmod.N2)
+    sweep = configmod._APPLIES_TO["sweep.x0_lo"]
+    if cfg.sid not in sweep:
+        raise _CliError("the sweep is defined for scenario %s" % ", ".join(map(repr, sweep)))
     if args.runs < 1:
         raise _CliError("--runs must be at least 1")
     configmod.build(cfg)  # the base config's values, checked before the sweep

@@ -9,9 +9,9 @@ The SHA-256 of that canonical text identifies the run in the registry, so
 two configs that mean the same thing hash the same way regardless of key
 order or float spelling.
 
-Schema keys are either common or scoped to one scenario; the scenario is
-picked by the required ``scenario.id`` key.  ``schema_markdown`` renders
-the documented schema shipped under docs/.
+The required ``scenario.id`` key picks the scenario.  A key applies to the
+scenarios whose library sets it (or the key it is ``like``), or to all if
+none does.  ``schema_markdown`` renders the schema shipped under docs/.
 
 A key that sets a library keyword takes that keyword's default, read once
 at import: a scenario section's key the factory keyword of its name,
@@ -65,21 +65,17 @@ def _nonempty(v):
 
 @dataclass(frozen=True)
 class Key:
-    """One schema entry; scen=None means common to all scenarios."""
+    """One schema entry; the scenarios it applies to are derived (_APPLIES_TO)."""
 
     name: str
     doc: str
-    scen: Optional[str] = None
     # own default (None: unset); a key that sets a library keyword has none
     default: object = None
     required: bool = False
     choices: Optional[tuple] = None
     check: Optional[Callable] = None  # value rule the library does not own
-    like: Optional[str] = None  # the key whose default gives this key's type
+    like: Optional[str] = None  # the key that gives this key's type and scenarios
 
-
-N2 = "numeric-2d"
-MS = "stt-missile"
 
 SCHEMA = (
     Key("scenario.id", "registered scenario to run", required=True,
@@ -104,48 +100,46 @@ SCHEMA = (
     Key("verify.audit_seed", "seed of the dominance audit", check=_nonneg),
     # two-state numeric benchmark
     Key("design.mode", "gain-shape source: the benchmark's closed forms or "
-        "constructive synthesis", scen=N2, choices=scenarios.MODES),
-    Key("design.mu", "per-stage control weights mu_i", scen=N2),
-    Key("design.gamma", "per-stage adaptation rates", scen=N2),
-    Key("design.k0", "initial adaptive gains", scen=N2),
-    Key("design.deadzone", "freeze adaptation while |z_i| is below this", scen=N2),
-    Key("design.smoothing",
-        "smooth-absolute-value width used inside synthesized shapes", scen=N2),
-    Key("init.x0", "initial plant state", scen=N2),
-    Key("uncertainty.theta", "constant uncertainty vector of the run", scen=N2),
+        "constructive synthesis", choices=scenarios.MODES),
+    Key("design.mu", "per-stage control weights mu_i"),
+    Key("design.gamma", "per-stage adaptation rates"),
+    Key("design.k0", "initial adaptive gains"),
+    Key("design.deadzone", "freeze adaptation while |z_i| is below this"),
+    Key("design.smoothing", "smooth-absolute-value width used inside synthesized shapes"),
+    Key("init.x0", "initial plant state"),
+    Key("uncertainty.theta", "constant uncertainty vector of the run"),
     Key("uncertainty.box_lo", "lower edge of the declared uncertainty box (defaults "
-        "to theta)", scen=N2, like="uncertainty.theta"),
+        "to theta)", like="uncertainty.theta"),
     Key("uncertainty.box_hi", "upper edge of the declared uncertainty box (defaults "
-        "to theta)", scen=N2, like="uncertainty.theta"),
+        "to theta)", like="uncertainty.theta"),
     Key("sweep.x0_lo", "lower corner of the initial-state box sampled by the sweep",
-        default=(-3.0, -3.0), scen=N2),
+        default=(-3.0, -3.0), like="init.x0"),
     Key("sweep.x0_hi", "upper corner of the initial-state box sampled by the sweep",
-        default=(3.0, 3.0), scen=N2),
+        default=(3.0, 3.0), like="init.x0"),
     # missile roll channel
-    Key("init.roll_deg", "initial roll angle, degrees", scen=MS),
-    Key("init.rate", "initial roll rate, rad/s", scen=MS),
-    Key("init.defl", "initial aileron deflection, rad", scen=MS),
-    Key("design.k1", "fixed first-stage gain", scen=MS),
-    Key("design.mu2", "second-stage control weight", scen=MS),
-    Key("design.mu3", "third-stage control weight", scen=MS),
-    Key("design.gamma2", "second-stage adaptation rate", scen=MS),
-    Key("design.gamma3", "third-stage adaptation rate", scen=MS),
-    Key("design.k20", "initial second-stage gain", scen=MS),
-    Key("design.k30", "initial third-stage gain", scen=MS),
-    Key("design.epsilon",
-        "completion-of-squares constant (needs k1 - 3 epsilon / 4 > 0)", scen=MS),
-    Key("missile.s", "reference area, m^2", scen=MS),
-    Key("missile.l", "reference length, m", scen=MS),
-    Key("missile.jx", "roll inertia, kg m^2", scen=MS),
-    Key("missile.tau_a", "actuator time constant, s", scen=MS),
-    Key("missile.rho_air", "air density, kg/m^3", scen=MS),
-    Key("missile.v_mean", "mean airspeed, m/s", scen=MS),
-    Key("missile.v_amp", "relative airspeed ripple amplitude", scen=MS),
-    Key("missile.v_freq", "airspeed ripple frequency, rad/s", scen=MS),
-    Key("missile.mx_mean", "mean roll-moment slope, 1/rad", scen=MS),
-    Key("missile.mx_amp", "relative roll-moment-slope ripple amplitude", scen=MS),
-    Key("missile.mx_freq", "roll-moment-slope ripple frequency, rad/s", scen=MS),
-    Key("missile.xi_const", "constant deflection weight xi used inside psi3", scen=MS),
+    Key("init.roll_deg", "initial roll angle, degrees"),
+    Key("init.rate", "initial roll rate, rad/s"),
+    Key("init.defl", "initial aileron deflection, rad"),
+    Key("design.k1", "fixed first-stage gain"),
+    Key("design.mu2", "second-stage control weight"),
+    Key("design.mu3", "third-stage control weight"),
+    Key("design.gamma2", "second-stage adaptation rate"),
+    Key("design.gamma3", "third-stage adaptation rate"),
+    Key("design.k20", "initial second-stage gain"),
+    Key("design.k30", "initial third-stage gain"),
+    Key("design.epsilon", "completion-of-squares constant (needs k1 - 3 epsilon / 4 > 0)"),
+    Key("missile.s", "reference area, m^2"),
+    Key("missile.l", "reference length, m"),
+    Key("missile.jx", "roll inertia, kg m^2"),
+    Key("missile.tau_a", "actuator time constant, s"),
+    Key("missile.rho_air", "air density, kg/m^3"),
+    Key("missile.v_mean", "mean airspeed, m/s"),
+    Key("missile.v_amp", "relative airspeed ripple amplitude"),
+    Key("missile.v_freq", "airspeed ripple frequency, rad/s"),
+    Key("missile.mx_mean", "mean roll-moment slope, 1/rad"),
+    Key("missile.mx_amp", "relative roll-moment-slope ripple amplitude"),
+    Key("missile.mx_freq", "roll-moment-slope ripple frequency, rad/s"),
+    Key("missile.xi_const", "constant deflection weight xi used inside psi3"),
 )
 
 _BY_NAME = {k.name: k for k in SCHEMA}
@@ -161,26 +155,33 @@ _KEYWORDS = tuple(
 _TOLERANCES = tuple(("verify." + f.name, f.name) for f in fields(VerifyTolerances))
 
 
-def _defaults(sid):
-    """Scenario sid's optional keys and their defaults; a key whose path is
-    a prefix below plus a keyword's name takes that keyword's default."""
+def _library(sid):
+    """The library defaults of scenario sid by key path: a prefix below plus
+    a keyword's name."""
     sources = [(section + ".", scenarios.SCENARIOS[sid])
                for section in SCENARIO_SECTIONS]
     sources += [("verify.", VerifyTolerances), ("verify.audit_", dominance_audit)]
-    library = {
+    return {
         prefix + p.name: p.default
         for prefix, source in sources
         for p in inspect.signature(source).parameters.values()
         if p.default is not p.empty
     }
-    return {k.name: library.get(k.name, k.default) for k in SCHEMA
-            if k.scen in (None, sid) and not k.required}
 
 
-_DEFAULTS = {sid: _defaults(sid) for sid in scenarios.SCENARIO_IDS}
-# per scenario, a value of each key's type: its default, or the default of
-# the key it is like
-_TYPES = {sid: {name: d[_BY_NAME[name].like or name] for name in d}
+_LIBRARY = {sid: _library(sid) for sid in scenarios.SCENARIO_IDS}
+# the scenarios whose library sets each key, or the key it is like; a key
+# no library sets applies to every scenario
+_APPLIES_TO = {k.name: tuple(sid for sid, lib in _LIBRARY.items()
+                             if (k.like or k.name) in lib) or scenarios.SCENARIO_IDS
+               for k in SCHEMA}
+# per scenario, the default of each optional key that applies to it
+_DEFAULTS = {sid: {k.name: lib.get(k.name, k.default) for k in SCHEMA
+                   if sid in _APPLIES_TO[k.name] and not k.required}
+             for sid, lib in _LIBRARY.items()}
+# per scenario, a value of each key's type: its default, or if it has none
+# the default of the key it is like
+_TYPES = {sid: {name: d[_BY_NAME[name].like] if v is None else v for name, v in d.items()}
           for sid, d in _DEFAULTS.items()}
 
 
@@ -322,10 +323,10 @@ def load_text(text, overrides=None):
         key = _BY_NAME.get(name)
         if key is None:
             raise ConfigError("unknown key %r" % name)
-        if key.scen is not None and key.scen != sid:
+        if sid not in _APPLIES_TO[name]:
             raise ConfigError(
-                "%s: not a setting of scenario %r (it belongs to %r)"
-                % (name, sid, key.scen)
+                "%s: not a setting of scenario %r (it belongs to %s)"
+                % (name, sid, ", ".join(map(repr, _APPLIES_TO[name])))
             )
         values[name] = _coerce(name, types[name], text_value)
     for name, default in _DEFAULTS[sid].items():
@@ -380,9 +381,9 @@ def build(cfg):
 
 def load_file(path, overrides=None):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
     return load_text(text, overrides=overrides)
 
@@ -413,7 +414,7 @@ def schema_markdown():
         "|---|---|---|---|---|",
     ]
     for key in SCHEMA:
-        scens = [sid for sid in sorted(_TYPES) if key.scen in (None, sid)]
+        scens = _APPLIES_TO[key.name]
         if key.required:
             default = "(required)"
         else:
@@ -426,9 +427,7 @@ def schema_markdown():
             likes = {sid: _TYPES[sid][key.name] for sid in scens}
             typ = _per_scenario({sid: "%d floats" % len(t) if isinstance(t, tuple)
                                  else type(t).__name__ for sid, t in likes.items()})
-        out.append(
-            "| `%s` | %s | %s | %s | %s |"
-            % (key.name, typ, default, key.scen or "all", key.doc)
-        )
+        applies = "all" if scens == scenarios.SCENARIO_IDS else ", ".join(scens)
+        out.append("| `%s` | %s | %s | %s | %s |" % (key.name, typ, default, applies, key.doc))
     out.append("")
     return "\n".join(out)

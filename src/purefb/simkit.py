@@ -104,6 +104,8 @@ class Trajectory:
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
             raise ValueError("data shape does not match column names")
+        if not len(self.data):
+            raise ValueError("data has no rows")
         t = self.data[:, 0]
         if not np.all(t[1:] > t[:-1]):
             raise ValueError("sample times must be strictly increasing")

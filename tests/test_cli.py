@@ -470,6 +470,19 @@ def test_stored_config_that_does_not_parse_exits_2(short_cfg, tmp_path, capsys):
         assert len(err) == 1 and "config.cfg" in err[0] and "line 26" in err[0], err
 
 
+def test_stored_config_that_is_not_utf8_exits_2(short_cfg, tmp_path, capsys):
+    out = registry(tmp_path)
+    assert main(["run", "--config", short_cfg, "--out", out]) == 0
+    rid = only_run_id(out)
+    with open(os.path.join(out, rid, "config.cfg"), "ab") as fh:
+        fh.write(b"# caf\xe9\n")
+    capsys.readouterr()
+    for command in ("verify", "plot"):
+        assert main([command, rid, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "config.cfg" in err[0] and "utf-8" in err[0], err
+
+
 @pytest.mark.parametrize("flag", [["--config", "/nonexistent.cfg"], ["--seed", "9"],
                                   ["--mode", "auto"]],
                          ids=["config", "seed", "mode"])
@@ -698,7 +711,8 @@ def test_broken_seal_exits_2_naming_the_file(short_cfg, tmp_path, capsys, tamper
     lambda data: data[:, :-1],
     lambda data: data[:, 0],
     lambda data: data[::-1],
-], ids=["float32", "one-column-short", "1-d", "time-reversed"])
+    lambda data: data[:0],
+], ids=["float32", "one-column-short", "1-d", "time-reversed", "no-rows"])
 def test_resealed_twin_must_be_the_recorded_table(short_cfg, tmp_path, capsys, table):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0

@@ -212,6 +212,13 @@ def test_load_file_missing(tmp_path):
         load_file(tmp_path / "nope.cfg")
 
 
+def test_load_file_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"scenario.id = numeric-2d\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot read config .*latin1.cfg: 'utf-8'"):
+        load_file(path)
+
+
 def test_bundled_configs_validate():
     paper = load_file(os.path.join(REPO, "configs", "numeric-2d.cfg"))
     assert paper.sid == "numeric-2d"
@@ -294,7 +301,7 @@ def config_texts(draw, short=False):
     When short, every key of SHORT_RUN is set, to one of its values.
     """
     sid = draw(st.sampled_from(scenarios.SCENARIO_IDS))
-    keys = [k for k in SCHEMA if k.name != "scenario.id" and k.scen in (None, sid)]
+    keys = [k for k in SCHEMA if k.name != "scenario.id" and sid in config._APPLIES_TO[k.name]]
     chosen = draw(st.lists(st.sampled_from(keys), unique_by=lambda k: k.name))
     if short:
         chosen = [k for k in chosen if k.name not in SHORT_RUN]
@@ -340,8 +347,9 @@ def exits_without_internal_error(argv):
 def test_a_valid_config_runs_or_exits_2(text):
     """A config the schema accepts runs (0, 1, 3) or exits 2, never 4.
 
-    A stored run verifies the same way, and every JSON file the commands
-    write is RFC 8259 JSON: a strict parser reads it.
+    A stored run verifies and plots the same way, and so does a two-run
+    sweep.  Every JSON file the commands write is RFC 8259 JSON: a strict
+    parser reads it.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "case.cfg")
@@ -352,6 +360,9 @@ def test_a_valid_config_runs_or_exits_2(text):
         exits_without_internal_error(["verify", "--config", path])
         for rid in runstore.list_runs(runs):
             exits_without_internal_error(["verify", rid, "--out", runs])
+            exits_without_internal_error(["plot", rid, "--out", runs])
+        exits_without_internal_error(["montecarlo", "--config", path, "--out", runs,
+                                      "--runs", "2"])
         for root, _, files in os.walk(tmp):
             for name in files:
                 if name.endswith(".json"):

@@ -58,3 +58,14 @@ def test_library_imports_no_front_end_module(name):
 
 def test_purefb_imports_sees_relative_imports():
     assert {".simkit", ".tape"} <= purefb_imports("purefb.scenarios")
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "scenarios"])
+def test_only_scenarios_names_a_scenario_id(name):
+    """Which keys and sweeps a scenario takes is read from its factory's
+    keywords, so no other module spells out a scenario id."""
+    path = importlib.import_module("purefb." + name).__file__
+    ids = set(importlib.import_module("purefb.scenarios").SCENARIO_IDS)
+    named = [node.value for node in ast.walk(ast.parse(Path(path).read_text()))
+             if isinstance(node, ast.Constant) and node.value in ids]
+    assert named == []
