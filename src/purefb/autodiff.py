@@ -19,19 +19,18 @@ quotient divides once, so its value is the float quotient.  Partials are
 extracted with ``partial(y, j, tag)`` so that a function which degenerates
 to a constant of the queried pass correctly reports a zero derivative.
 
-Supported primitives: ``+ - * /``, integer powers, ``sin``, ``cos``,
-``exp``, ``sqrt`` and ``smooth_abs``.  Anything else (``math.*`` calls,
-float-exponent ``**``, plain ``abs``) fails loudly rather than silently
-dropping derivatives.  The innermost scalar may also be a tracing
-``tape.Var``: ``sqrt``, ``sin`` and ``cos`` hand it to the tape, so they
-are traced; ``exp`` is not.
+Supported primitives: ``+ - * /``, integer powers, ``smooth_abs`` and the
+primitive set ``sqrt``, ``sin``, ``cos``, ``exp`` and ``select_lt``, which
+take a real number to ``math`` (or the plain conditional) and any other
+scalar (a ``Dual`` with its chain rules, a tracing ``tape.Var``) to its own
+method of the same name.  Anything else (``math.*`` calls, float-exponent
+``**``, plain ``abs``) fails loudly rather than silently dropping derivatives.
 """
 
 from __future__ import annotations
 
 import math
-
-from .tape import Var
+import numbers
 
 __all__ = [
     "Dual",
@@ -43,6 +42,7 @@ __all__ = [
     "real_value",
     "second_derivative",
     "seed",
+    "select_lt",
     "sin",
     "smooth_abs",
     "sqrt",
@@ -89,7 +89,7 @@ class Dual:
 
     Each of ``+ - * /`` has two rules.  Both operands belong to this pass:
     values and partials combine elementwise.  The other operand is a
-    constant of this pass (a float, a ``tape.Var`` or a dual of an older
+    constant of this pass (a float, another scalar or a dual of an older
     pass): it meets the value and each partial.  A dual of a newer pass
     takes the operation over through its reflected method, where this dual
     is the constant.  A quotient divides once, ``value / b`` and
@@ -206,46 +206,52 @@ class Dual:
         coef = n * vn1
         return Dual(self.tag, vn1 * self.value, tuple([coef * p for p in self.partials]))
 
+    def sin(self):
+        c = cos(self.value)
+        return Dual(self.tag, sin(self.value), tuple([c * p for p in self.partials]))
 
-def sin(x):
-    if x.__class__ is Dual:
-        c = cos(x.value)
-        return Dual(x.tag, sin(x.value), tuple([c * p for p in x.partials]))
-    if x.__class__ is Var:
-        return x.sin()
-    return math.sin(x)
+    def cos(self):
+        s = sin(self.value)
+        return Dual(self.tag, cos(self.value), tuple([-(s * p) for p in self.partials]))
 
+    def exp(self):
+        e = exp(self.value)
+        return Dual(self.tag, e, tuple([e * p for p in self.partials]))
 
-def cos(x):
-    if x.__class__ is Dual:
-        s = sin(x.value)
-        return Dual(x.tag, cos(x.value), tuple([-(s * p) for p in x.partials]))
-    if x.__class__ is Var:
-        return x.cos()
-    return math.cos(x)
-
-
-def exp(x):
-    if x.__class__ is Dual:
-        e = exp(x.value)
-        return Dual(x.tag, e, tuple([e * p for p in x.partials]))
-    return math.exp(x)
-
-
-def sqrt(x):
-    if x.__class__ is Dual:
-        r = sqrt(x.value)
+    def sqrt(self):
+        r = sqrt(self.value)
         if real_value(r) == 0.0:
             raise EvaluationError("sqrt is not differentiable at zero")
         half_inv = 0.5 / r
-        return Dual(x.tag, r, tuple([half_inv * p for p in x.partials]))
-    if x.__class__ is Var:
-        # no domain guard on the tape: the compiled sqrt raises where this
-        # one would, and a raise already sends the step or row to the plain path
+        return Dual(self.tag, r, tuple([half_inv * p for p in self.partials]))
+
+
+def sin(x):
+    return math.sin(x) if isinstance(x, numbers.Real) else x.sin()
+
+
+def cos(x):
+    return math.cos(x) if isinstance(x, numbers.Real) else x.cos()
+
+
+def exp(x):
+    return math.exp(x) if isinstance(x, numbers.Real) else x.exp()
+
+
+def sqrt(x):
+    if not isinstance(x, numbers.Real):
         return x.sqrt()
     if x < 0.0:
         raise EvaluationError("sqrt of negative value %r" % (x,))
     return math.sqrt(x)
+
+
+def select_lt(a, b, then, other):
+    """``then if a < b else other``, or the method of the first operand that is not real."""
+    for x in (a, b, then, other):
+        if not isinstance(x, numbers.Real):
+            return x.select_lt(a, b, then, other)
+    return then if a < b else other
 
 
 def smooth_abs(a, eps):

@@ -44,8 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .autodiff import partial, seed, smooth_abs
-from .tape import select_lt
+from .autodiff import partial, seed, select_lt, smooth_abs
 
 __all__ = [
     "ControllerStack",

@@ -55,7 +55,8 @@ def _build_parser():
         p.add_argument("--out", default=None, help="override run.out")
         p.add_argument("--mode", choices=configmod._BY_NAME["design.mode"].choices,
                        default=None,
-                       help="override design.mode (two-state scenario only)")
+                       help="override design.mode (scenario %s)"
+                       % ", ".join(configmod._APPLIES_TO["design.mode"]))
 
     p_run = sub.add_parser("run", help="simulate and persist one run")
     common(p_run, config_required=True)

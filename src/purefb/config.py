@@ -384,7 +384,9 @@ def load_file(path, overrides=None):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
+        # an OSError's own text names the file again
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError("cannot read config %s: %s" % (path, reason)) from None
     return load_text(text, overrides=overrides)
 
 

@@ -232,7 +232,11 @@ def load_run(out_dir, run_id):
             )
         scn = configmod.build(cfg)
     except configmod.ConfigError as exc:
-        raise RunStoreError("%s: %s" % (paths.config, exc)) from None
+        # a read error names the file already, a parse or build error does not
+        text = str(exc)
+        if paths.config not in text:
+            text = "%s: %s" % (paths.config, text)
+        raise RunStoreError(text) from None
     try:
         sealed = _check_seals(paths)
         summary = _json_object(paths.summary)

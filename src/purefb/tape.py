@@ -24,7 +24,8 @@ it cannot vouch for them:
 * a comparison on a ``Var`` (a range check, any data-dependent branch)
   becomes a guard: where it comes out differently than at the traced
   point, a NaN operand included, the loop stops;
-* ``select_lt`` records a conditional expression instead of a guard;
+* ``autodiff.select_lt`` with a ``Var`` among its operands
+  (``Var.select_lt``) records a conditional expression instead of a guard;
 * lines that no output or guard reads are dropped unless they may raise
   (division by a ``Var``, powers, sqrt, cos, sin);
 * a line read exactly once that cannot raise is written into its reader
@@ -60,7 +61,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["Var", "compile_lanes", "compile_loop", "select_lt"]
+__all__ = ["Var", "compile_lanes", "compile_loop"]
 
 
 # inlined expressions nest at most this deep, far below the parser's limit
@@ -299,9 +300,6 @@ class Var:
     def __neg__(self):
         return self.tape.emit("-%s", (self,), -self.value)
 
-    def __pos__(self):
-        return self
-
     def __abs__(self):
         return self.tape.emit("abs(%s)", (self,), abs(self.value))
 
@@ -309,7 +307,7 @@ class Var:
         return self != 0.0
 
     def sqrt(self):
-        """math.sqrt of this value, for ``autodiff.sqrt``; raises below zero."""
+        """math.sqrt of this value, for ``autodiff.sqrt``; raises below zero, like its guard."""
         return self.tape.emit("_sqrt(%s)", (self,), math.sqrt(self.value), True)
 
     def cos(self):
@@ -320,18 +318,10 @@ class Var:
         """math.sin of this value, for ``autodiff.sin``; raises at infinities."""
         return self.tape.emit("_sin(%s)", (self,), math.sin(self.value), True)
 
-
-def select_lt(a, b, then, other):
-    """``then if a < b else other``; traced as a conditional expression, not a guard."""
-    args = (a, b, then, other)
-    for x in args:
-        if x.__class__ is Var:
-            tape = x.tape
-            break
-    else:
-        return then if a < b else other
-    value = _value(then) if _value(a) < _value(b) else _value(other)
-    return tape.emit("(%s if %s < %s else %s)", (then, a, b, other), value)
+    def select_lt(self, a, b, then, other):
+        """``then if a < b else other``, traced as a conditional expression, not a guard."""
+        value = _value(then) if _value(a) < _value(b) else _value(other)
+        return self.tape.emit("(%s if %s < %s else %s)", (then, a, b, other), value)
 
 
 def compile_loop(step, row, t, y):

@@ -36,8 +36,9 @@ from typing import Optional
 import numpy as np
 
 from . import scenarios
+from .autodiff import select_lt
 from .simkit import ABORT_LIMIT
-from .tape import compile_lanes, select_lt
+from .tape import compile_lanes
 
 __all__ = [
     "AuditReport",

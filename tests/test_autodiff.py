@@ -1,6 +1,8 @@
 """Forward-mode dual arithmetic against finite differences and hand values."""
 
+import collections
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from purefb.autodiff import (
     real_value,
     second_derivative,
     seed,
+    select_lt,
     sin,
     smooth_abs,
     sqrt,
 )
+from purefb.backstep import ControllerStack, DesignParams
+from purefb.plant import BoundSpec
 
 rng = np.random.default_rng(20260822)
 
@@ -199,6 +204,118 @@ def test_seed_set_mismatch_detected():
 def test_real_value_unwraps_nesting():
     d = Dual(2, Dual(1, 4.0, (1.0,)), (Dual(1, 1.0, (0.0,)),))
     assert real_value(d) == 4.0
+
+
+# -- the primitive protocol ---------------------------------------------------
+
+
+def test_real_numbers_take_math():
+    assert sqrt(np.float32(4.0)) == math.sqrt(4.0)
+    assert sin(np.int64(1)) == math.sin(1)
+    assert cos(True) == math.cos(1)
+    assert exp(np.float64(0.5)) == math.exp(0.5)
+    assert select_lt(np.float32(1.0), 2, 3.0, np.int64(4)) == 3.0
+    with pytest.raises(EvaluationError, match="sqrt of negative"):
+        sqrt(-1)
+
+
+def _unbox(x):
+    return x.v if x.__class__ is Boxed else x
+
+
+def _boxed_op(fn, reflected=False):
+    def method(self, other):
+        if other.__class__ not in (Boxed, float, int):
+            return NotImplemented  # a Dual takes over through its reflected method
+        a, b = (other, self) if reflected else (self, other)
+        return Boxed(fn(_unbox(a), _unbox(b)))
+
+    return method
+
+
+def _boxed_primitive(name, fn):
+    def method(self):
+        Boxed.calls[name] += 1
+        return Boxed(fn(self.v))
+
+    return method
+
+
+class Boxed:
+    """A third scalar: a float with arithmetic, abs and its own primitives,
+    which count their calls.  Neither autodiff nor backstep knows it."""
+
+    __slots__ = ("v",)
+    calls = collections.Counter()
+
+    def __init__(self, v):
+        self.v = v
+
+    __add__ = _boxed_op(operator.add)
+    __radd__ = _boxed_op(operator.add, True)
+    __sub__ = _boxed_op(operator.sub)
+    __rsub__ = _boxed_op(operator.sub, True)
+    __mul__ = _boxed_op(operator.mul)
+    __rmul__ = _boxed_op(operator.mul, True)
+    __truediv__ = _boxed_op(operator.truediv)
+    __rtruediv__ = _boxed_op(operator.truediv, True)
+    sqrt = _boxed_primitive("sqrt", math.sqrt)
+    sin = _boxed_primitive("sin", math.sin)
+    cos = _boxed_primitive("cos", math.cos)
+    exp = _boxed_primitive("exp", math.exp)
+
+    def __neg__(self):
+        return Boxed(-self.v)
+
+    def __abs__(self):
+        return Boxed(abs(self.v))
+
+    def select_lt(self, a, b, then, other):
+        Boxed.calls["select_lt"] += 1
+        return then if _unbox(a) < _unbox(b) else other
+
+
+def bits(values):
+    return [None if v is None else float(_unbox(v)).hex() for v in values]
+
+
+def test_dual_chain_rules_run_over_a_third_scalar():
+    def f(x, y):
+        return exp(sin(x) * y) + cos(x) / sqrt(y)
+
+    point = (0.7, 1.3)
+    Boxed.calls.clear()
+    got, got_tag = seed([Boxed(v) for v in point])
+    want, want_tag = seed(list(point))
+    got, want = f(*got), f(*want)
+    assert set(Boxed.calls) == {"sqrt", "sin", "cos", "exp"}
+    assert bits([real_value(got)]) == bits([real_value(want)])
+    assert bits([partial(got, j, got_tag) for j in (0, 1)]) == bits(
+        [partial(want, j, want_tag) for j in (0, 1)])
+
+
+def test_a_third_scalar_runs_the_auto_stack_and_the_dead_zone():
+    """Nested passes (stage 3 differentiates through stage 2's) over a
+    scalar that supplies its own sqrt and select_lt give the float bits."""
+    bounds = BoundSpec(
+        rho=(lambda xb: 1.0,
+             lambda xb: 0.5 + 0.1 * xb[0] * xb[0],
+             lambda xb: 0.3 + 0.05 * (xb[1] * xb[1] + xb[2] * xb[2])),
+        phi=(lambda xb: 1.0 + 0.2 * xb[1] * xb[1],
+             lambda xb: 1.0 + 0.1 * xb[2] * xb[2]),
+    )
+    stack = ControllerStack(bounds, DesignParams(mu=(0.3,) * 3, gamma=(0.1,) * 3,
+                                                 deadzone=0.05))
+    x, k = (0.01, -0.4, 0.7), (0.5, 0.4, 0.3)  # |z1| inside the dead zone
+    want = stack.evaluate(x, k)
+    Boxed.calls.clear()
+    got = stack.evaluate([Boxed(v) for v in x], [Boxed(v) for v in k])
+    rates = stack.gain_rates(got)
+    assert Boxed.calls["sqrt"] > 0 and Boxed.calls["select_lt"] == 3
+    assert rates[0] == 0.0 and rates[1].__class__ is Boxed
+    for field in ("z", "psi", "eta", "alpha"):
+        assert bits(getattr(got, field)) == bits(getattr(want, field)), field
+    assert bits(rates) == bits(stack.gain_rates(want))
 
 
 # -- algebraic identities (properties) ----------------------------------------

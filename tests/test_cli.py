@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from purefb import config as configmod
 from purefb import scenarios
 from purefb.cli import main
 from purefb.config import load_file, load_text
@@ -361,17 +362,18 @@ def test_unknown_run_id_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["summary.json", "trajectory.csv", "trajectory.npy",
-                                  "record.json"])
+                                  "record.json", "config.cfg"])
 def test_stored_run_missing_file_exits_2(short_cfg, tmp_path, capsys, name):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
     rid = only_run_id(out)
-    os.remove(os.path.join(out, rid, name))
+    path = os.path.join(out, rid, name)
+    os.remove(path)
     capsys.readouterr()
     for command in ("verify", "plot"):
         assert main([command, rid, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert name in err and "internal error" not in err
+        assert err.count(path) == 1 and "internal error" not in err, err
 
 
 def _empty(lines):
@@ -474,13 +476,24 @@ def test_stored_config_that_is_not_utf8_exits_2(short_cfg, tmp_path, capsys):
     out = registry(tmp_path)
     assert main(["run", "--config", short_cfg, "--out", out]) == 0
     rid = only_run_id(out)
-    with open(os.path.join(out, rid, "config.cfg"), "ab") as fh:
+    path = os.path.join(out, rid, "config.cfg")
+    with open(path, "ab") as fh:
         fh.write(b"# caf\xe9\n")
     capsys.readouterr()
     for command in ("verify", "plot"):
         assert main([command, rid, "--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "config.cfg" in err[0] and "utf-8" in err[0], err
+        assert err[0].count(path) == 1, err
+
+
+def test_mode_help_names_the_scenarios_that_take_design_mode(capsys):
+    assert main(["run", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    start = text.index("override design.mode")
+    mode_help = text[start:text.index(")", start)]
+    named = {sid for sid in scenarios.SCENARIO_IDS if sid in mode_help}
+    assert named == set(configmod._APPLIES_TO["design.mode"]) != set()
 
 
 @pytest.mark.parametrize("flag", [["--config", "/nonexistent.cfg"], ["--seed", "9"],

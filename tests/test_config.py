@@ -208,8 +208,10 @@ def test_missile_overrides_mapping():
 
 
 def test_load_file_missing(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read"):
-        load_file(tmp_path / "nope.cfg")
+    path = tmp_path / "nope.cfg"
+    with pytest.raises(ConfigError, match="cannot read") as info:
+        load_file(path)
+    assert str(info.value).count(str(path)) == 1, info.value
 
 
 def test_load_file_not_utf8(tmp_path):

@@ -36,11 +36,19 @@ def purefb_imports(name):
     return found
 
 
-@pytest.mark.parametrize("name", ["purefb.tape", "purefb.simkit"])
+@pytest.mark.parametrize("name", ["purefb.tape", "purefb.simkit", "purefb.autodiff"])
 def test_plain_layers_import_no_purefb_module(name):
-    """The tape compiles any traced function and simkit steps any rhs:
-    neither knows another purefb module."""
+    """The tape compiles any traced function, simkit steps any rhs and
+    autodiff differentiates over any scalar with its own primitives: none
+    knows another purefb module."""
     assert purefb_imports(name) == set()
+
+
+def test_only_the_compilers_callers_import_the_tracer():
+    """Every other module is generic over its scalar and never names the
+    tracer; scenarios calls compile_loop, verify compile_lanes."""
+    tracer = {".tape", "purefb.tape"}
+    assert {m for m in MODULES if purefb_imports("purefb." + m) & tracer} == {"scenarios", "verify"}
 
 
 LIBRARY = ["autodiff", "backstep", "missile", "plant", "scenarios", "simkit",

@@ -2,15 +2,16 @@
 rewrites, inlining."""
 
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
 
 from purefb import autodiff, scenarios
-from purefb.autodiff import partial, real_value, seed
+from purefb.autodiff import partial, real_value, seed, select_lt
 from purefb.simkit import ABORT_LIMIT, DivergenceError, integrate, rk4_step
-from purefb.tape import Var, compile_lanes, compile_loop, select_lt
+from purefb.tape import Var, _Tape, compile_lanes, compile_loop
 
 
 def guarded(t, y):
@@ -346,6 +347,32 @@ def test_loop_step_guard_misses_run_the_plain_step_and_reenter(decimation):
     plain_run = integrate(kicked, y, 3.5, h, decimation, recorder=(("a", "b"), kicked_row))
     same_run(fused, plain_run)
     assert len(fused.data) == 1 + 28 // decimation
+
+
+def traced_bits(x):
+    """A scalar's tape name (or None) and the bits of its value."""
+    if x.__class__ is Var:
+        return x.name, x.value.hex()
+    return None, float(x).hex()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_a_var_on_the_left_of_a_dual_defers_to_the_dual(op):
+    """Var's method declines a Dual, so the Dual's reflected method runs:
+    the result is the reflected form's, value and partials."""
+    var = Var(_Tape(), "y0", 2.0)
+    (d,), tag = seed([3.0])
+    got = op(var, d)
+    want = getattr(d, "__r%s__" % op.__name__)(var)
+    assert got.__class__ is autodiff.Dual and got.tag == want.tag == tag
+    assert traced_bits(got.value) == traced_bits(want.value)
+    assert [traced_bits(p) for p in got.partials] == [traced_bits(p) for p in want.partials]
+
+
+def test_a_var_does_not_compare_with_a_dual():
+    (d,), _tag = seed([3.0])
+    with pytest.raises(TypeError):
+        Var(_Tape(), "y0", 2.0) < d
 
 
 # -- numpy lanes --------------------------------------------------------------
