@@ -30,19 +30,15 @@ differentiates through it; the dual-number tower in ``autodiff`` makes that
 legal.  The tower depth grows with the stage index, so automatic synthesis
 is limited to four stages.
 
-A scenario may instead supply externally derived gain shapes ("paper"
-stages): plain callables psi(z, k, x) of the growing prefixes (k holds the
-gains of the stages below, x the reconstructed state prefix).  Their shape
-enters the virtual control unsquared, alpha_i = -mu_i k_i psi_i z_i; the
-update law, written once in ``ControllerStack.gain_rates``, always squares
-the shape.  Supplied shapes must satisfy psi_i >= 1 by their own algebra
-(see docs/modeling-notes.md); building a stack samples nothing.
+``ControllerStack`` is this constructive synthesis only: a law with shapes
+derived by hand (numeric-2d's published one) lives in ``scenarios``.  Every
+law takes its gain update, dead zone included, from ``DesignParams.gain_rates``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .autodiff import partial, seed, select_lt, smooth_abs
 
@@ -62,17 +58,12 @@ class SynthesisError(ValueError):
 
 @dataclass(frozen=True)
 class DesignParams:
-    """Per-stage design constants of the adaptive controller.
-
-    paper_stages holds one gain shape psi(z, k, x) per stage, or None to
-    build the shapes from the bounds.  Supplied shapes must stay >= 1.
-    """
+    """Per-stage design constants of the adaptive controller."""
 
     mu: tuple
     gamma: tuple
     deadzone: float = 0.0
     smoothing: float = 1e-6
-    paper_stages: Optional[tuple] = None
 
     def __post_init__(self):
         n = len(self.mu)
@@ -88,17 +79,20 @@ class DesignParams:
             raise SynthesisError("deadzone must be >= 0")
         if not self.smoothing > 0.0:
             raise SynthesisError("smoothing must be positive")
-        if self.paper_stages is not None and len(self.paper_stages) != n:
-            raise SynthesisError("paper mode needs one gain shape per stage")
 
     @property
     def n(self):
         return len(self.mu)
 
-    @property
-    def mode(self):
-        """Either "auto" (shapes synthesized from the bounds) or "paper"."""
-        return "auto" if self.paper_stages is None else "paper"
+    def gain_rates(self, psi, z):
+        """Update law gamma_i psi_i^2 z_i^2 of each stage from shapes psi and
+        errors z; the dead zone is a ``select_lt``, so it traces branch-free."""
+        dz = self.deadzone
+        rates = []
+        for g, ps, zi in zip(self.gamma, psi, z):
+            rate = g * ps * ps * zi * zi
+            rates.append(select_lt(abs(zi), dz, 0.0, rate) if dz > 0.0 else rate)
+        return rates
 
 
 class StageEval(NamedTuple):
@@ -119,32 +113,21 @@ class ControllerStack:
 
     def __init__(self, bounds, params):
         n = params.n
-        if params.mode == "auto":
-            if bounds is None:
-                raise SynthesisError("automatic synthesis needs bound functions")
-            if bounds.n != n:
-                raise SynthesisError("bound and design stage counts differ")
-            if n > MAX_AUTO_STAGES:
-                raise SynthesisError(
-                    "automatic synthesis supports at most %d stages; the "
-                    "derivative tower depth grows with the stage index"
-                    % MAX_AUTO_STAGES
-                )
+        if bounds is None:
+            raise SynthesisError("automatic synthesis needs bound functions")
+        if bounds.n != n:
+            raise SynthesisError("bound and design stage counts differ")
+        if n > MAX_AUTO_STAGES:
+            raise SynthesisError(
+                "automatic synthesis supports at most %d stages; the "
+                "derivative tower depth grows with the stage index"
+                % MAX_AUTO_STAGES
+            )
         self.n = n
         self.params = params
         self.bounds = bounds
 
     # -- forward sweeps ----------------------------------------------------
-
-    def _stage_psi_eta(self, st, z, k, x, psi):
-        """Gain shape (and dominance coefficient, auto mode) of stage st."""
-        paper = self.params.paper_stages
-        if paper is not None:
-            return paper[st](z, k, x), None
-        if st == 0:
-            return self.bounds.rho[0](x[:1]) + 1.0, None
-        et = self._eta_core(st, z, k, x, psi)
-        return et + self.bounds.phi[st - 1](x[: st + 1]) + 1.0, et
 
     def _sweep(self, v, k, m, from_z):
         """The one forward sweep over stages 0..m-1, from x or from z.
@@ -154,12 +137,8 @@ class ControllerStack:
         stage; from z, every stage but the last, which x-bar does not need.
         """
         mu = self.params.mu
-        paper = self.params.paper_stages is not None
         x = [v[0]] if from_z else v
-        z = []
-        psi = []
-        eta = []
-        alpha = []
+        z, psi, eta, alpha = [], [], [], []
         for st in range(m):
             if st == 0:
                 zi = v[0]
@@ -169,12 +148,16 @@ class ControllerStack:
             else:
                 zi = v[st] - alpha[st - 1]
             z.append(zi)
-            ps, et = self._stage_psi_eta(st, z, k, x, psi)
+            if st == 0:  # psi_1 = rho_1 + 1; eta exists from stage 2 on
+                ps, et = self.bounds.rho[0](x[:1]) + 1.0, None
+            else:
+                et = self._eta_core(st, z, k, x, psi)
+                ps = et + self.bounds.phi[st - 1](x[: st + 1]) + 1.0
             psi.append(ps)
             eta.append(et)
             if from_z and st == m - 1:
                 break
-            body = ps if paper else ps * ps
+            body = ps * ps
             alpha.append(-(mu[st] * k[st] * body * zi))
         return x, StageEval(z, psi, eta, alpha)
 
@@ -241,17 +224,3 @@ class ControllerStack:
     def alpha_value(self, stage, xbar, kbar):
         """Virtual control of a 1-based stage at state coordinates."""
         return self.evaluate(xbar, kbar, upto=stage).alpha[stage - 1]
-
-    def gain_rates(self, ev):
-        """Update law gamma_i psi_i^2 z_i^2 of each stage of a sweep ev.
-
-        The dead zone is written with ``select_lt``, so a traced sweep
-        compiles it to a conditional expression rather than a guard.
-        """
-        dz = self.params.deadzone
-        rates = []
-        for g, ps, zi in zip(self.params.gamma, ev.psi, ev.z):
-            rate = g * ps * ps * zi * zi
-            rates.append(select_lt(abs(zi), dz, 0.0, rate) if dz > 0.0 else rate)
-        return rates
-

@@ -32,14 +32,16 @@ keywords are the run-config keys by name: ``section.key`` arrives as
 ``key`` (see ``RunConfig.scenario_overrides``).  Building checks every
 rule on a keyword's value, and each ValueError starts with its keyword.
 
-numeric-2d's plant is ``PlantSpec.rates``; its law is
-``ControllerStack.evaluate`` and ``gain_rates``.  stt-missile's plant is
-``stt_dynamics`` (flight condition through ``autodiff.cos``/``sin``) and
-its law is ``missile_control``.  ``Scenario.run`` traces
-``simkit.rk4_step`` of ``rhs_reference`` at the run's h, abort rule
-included, and the row builder ``recorder`` holds, both at (0, y0), into
-one compiled run loop (``tape.compile_loop``) and hands it to
-``integrate``.  A step or row the loop cannot vouch for runs on the plain
+numeric-2d's plant is ``PlantSpec.rates``.  Its law is picked once, at
+build time: the published ``_n2_paper_law`` in paper mode, or
+``ControllerStack.evaluate`` in auto mode, the only mode that builds a
+stack; both take ``DesignParams.gain_rates`` as update law.  stt-missile's
+plant is ``stt_dynamics`` (flight condition through
+``autodiff.cos``/``sin``) and its law is ``missile_control``.
+``Scenario.run`` traces ``simkit.rk4_step`` of ``rhs_reference`` at the
+run's h, abort rule included, and the row builder ``recorder`` holds,
+both at (0, y0), into one compiled run loop (``tape.compile_loop``) and
+hands it to ``integrate``.  A step or row the loop cannot vouch for runs on the plain
 path, one at a time, and the loop goes on after it.  A run is compiled
 whole or not at all: where either trace fails (the first step already
 diverges, say), or where ``rhs`` is no longer ``rhs_reference``, every
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .autodiff import cos, sin
@@ -227,6 +230,18 @@ def _n2_psi2_closed_form(z1, k1, x1, x2, mu1, gamma1):
     )
 
 
+def _n2_paper_law(params, x, k):
+    """The benchmark's published law (z, u, dk/dt, shapes): psi1 = 2 and the
+    closed-form psi2 enter the virtual controls unsquared."""
+    mu, gamma = params.mu, params.gamma
+    z1 = x[0]
+    alpha1 = -(mu[0] * k[0] * 2.0 * z1)
+    z2 = x[1] - alpha1
+    psi2 = _n2_psi2_closed_form(z1, k[0], x[0], x[1], mu[0], gamma[0])
+    z, psi = (z1, z2), (2.0, psi2)
+    return z, -(mu[1] * k[1] * psi2 * z2), params.gain_rates(psi, z), psi
+
+
 def numeric2d(
     mode="paper",
     theta=(1.0, 2.0),
@@ -242,6 +257,11 @@ def numeric2d(
     h=1e-3,
     decimation=100,
 ):
+    _check(mode in MODES, "mode must be %s, got %r", " or ".join(map(repr, MODES)), mode)
+    for keyword, value in (("x0", x0), ("k0", k0), ("mu", mu), ("gamma", gamma),
+                           ("theta", theta), ("theta_box", theta_box)):
+        _check(value is None or len(value) == 2, "%s must have 2 entries, one per stage; "
+               "got %d", keyword, len(value or ()))
     theta = tuple(float(v) for v in theta)
     if theta_box is None:
         theta_box = tuple((v, v) for v in theta)
@@ -264,27 +284,16 @@ def numeric2d(
     mu = tuple(float(v) for v in mu)
     gamma = tuple(float(v) for v in gamma)
     k0 = tuple(_initial_gain("k0", i, v) for i, v in enumerate(k0, 1))
-    _check(mode in MODES, "mode must be %s, got %r", " or ".join(map(repr, MODES)), mode)
-    stages = None
+    params = DesignParams(mu=mu, gamma=gamma, deadzone=float(deadzone),
+                          smoothing=float(smoothing))
     if mode == "paper":
-        mu1, gamma1 = mu[0], gamma[0]
-        stages = (
-            lambda z, k, x: 2.0,
-            lambda z, k, x: _n2_psi2_closed_form(z[0], k[0], x[0], x[1], mu1, gamma1),
-        )
-    params = DesignParams(
-        mu=mu,
-        gamma=gamma,
-        deadzone=float(deadzone),
-        smoothing=float(smoothing),
-        paper_stages=stages,
-    )
-    stack = ControllerStack(bounds, params)
+        stack, law, extra = None, partial(_n2_paper_law, params), ("psi1", "psi2")
+    else:
+        stack, extra = ControllerStack(bounds, params), ("psi1", "psi2", "eta2")
 
-    def law(x, k):
-        ev = stack.evaluate(x, k)
-        shapes = ev.psi if mode == "paper" else (*ev.psi, ev.eta[1])
-        return ev.z, ev.alpha[-1], stack.gain_rates(ev), shapes
+        def law(x, k):
+            ev = stack.evaluate(x, k)
+            return ev.z, ev.alpha[-1], params.gain_rates(ev.psi, ev.z), (*ev.psi, ev.eta[1])
 
     return Scenario(
         sid="numeric-2d",
@@ -297,7 +306,7 @@ def numeric2d(
         stack=stack,
         plant=lambda t, x, u: spec.rates(x, u, theta),
         law=law,
-        extra=("psi1", "psi2", "eta2") if mode == "auto" else ("psi1", "psi2"),
+        extra=extra,
         T=T,
         h=h,
         decimation=decimation,

@@ -378,8 +378,6 @@ def dominance_audit(
         raise ValueError("the dominance construction starts at stage 2")
     if stage > stack.n:
         raise ValueError("stage %d is beyond the stack's %d stages" % (stage, stack.n))
-    if stack.params.mode != "auto":
-        raise ValueError("the audit targets the constructive (auto) synthesis")
     if samples < 1:
         raise ValueError("the audit needs at least one sample")
     i = stage

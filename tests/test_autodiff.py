@@ -310,12 +310,12 @@ def test_a_third_scalar_runs_the_auto_stack_and_the_dead_zone():
     want = stack.evaluate(x, k)
     Boxed.calls.clear()
     got = stack.evaluate([Boxed(v) for v in x], [Boxed(v) for v in k])
-    rates = stack.gain_rates(got)
+    rates = stack.params.gain_rates(got.psi, got.z)
     assert Boxed.calls["sqrt"] > 0 and Boxed.calls["select_lt"] == 3
     assert rates[0] == 0.0 and rates[1].__class__ is Boxed
     for field in ("z", "psi", "eta", "alpha"):
         assert bits(getattr(got, field)) == bits(getattr(want, field)), field
-    assert bits(rates) == bits(stack.gain_rates(want))
+    assert bits(rates) == bits(stack.params.gain_rates(want.psi, want.z))
 
 
 # -- algebraic identities (properties) ----------------------------------------

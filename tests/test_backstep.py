@@ -1,4 +1,5 @@
-"""Controller synthesis: sweeps, dominance coefficients, gain shapes."""
+"""Controller synthesis: sweeps, dominance coefficients, gain shapes, and
+numeric-2d's published law beside it."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from purefb.backstep import (
     SynthesisError,
 )
 from purefb.plant import BoundSpec
-from purefb.scenarios import _n2_phi1, _n2_rho1, _n2_rho2, numeric2d
+from purefb.scenarios import _n2_phi1, _n2_psi2_closed_form, _n2_rho1, _n2_rho2, numeric2d
 
 rng = np.random.default_rng(77103)
 
@@ -48,15 +49,17 @@ def three_stage_stack():
 
 def test_paper_sweep_hand_values():
     """Benchmark start point: alpha1 = -mu1 k1 psi1 z1 with psi1 = 2."""
-    stack = numeric2d(mode="paper").stack
-    ev = stack.evaluate((-2.0, 3.0), (0.01, 0.01))
-    assert ev.alpha[0] == pytest.approx(0.008, abs=0.0)
-    assert ev.z[0] == -2.0
-    assert ev.z[1] == pytest.approx(2.992, abs=0.0)
+    scn = numeric2d(mode="paper")
+    assert scn.stack is None  # the published law builds no stack
+    z, u, _, psi = scn.law((-2.0, 3.0), (0.01, 0.01))
+    # z2 = x2 - alpha1, so at x2 = 0 the second error is -alpha1
+    assert scn.law((-2.0, 0.0), (0.01, 0.01))[0][1] == pytest.approx(-0.008, abs=0.0)
+    assert z[0] == -2.0
+    assert z[1] == pytest.approx(2.992, abs=0.0)
+    assert psi[0] == 2.0
     # (1+2 mk) rho2 + 8 g1 mu1 z1^2 + phi1 + 1 + 2(1+phi1+2 mk phi1) mk
-    assert ev.psi[1] == pytest.approx(8.6092448, rel=1e-15)
-    assert ev.alpha[1] == pytest.approx(-0.2 * 0.01 * 8.6092448 * 2.992, rel=1e-15)
-    assert ev.eta == [None, None]
+    assert psi[1] == pytest.approx(8.6092448, rel=1e-15)
+    assert u == pytest.approx(-0.2 * 0.01 * 8.6092448 * 2.992, rel=1e-15)
 
 
 def test_auto_sweep_hand_values():
@@ -112,13 +115,22 @@ def test_transform_reconstruct_round_trip():
 @pytest.mark.parametrize("mode", ["paper", "auto"])
 def test_psi_floor_holds_at_random_points(mode):
     """Every stage shape stays >= 1 over a wide (z, k) box."""
-    stack = numeric2d(mode=mode).stack
+    if mode == "auto":
+        reconstruct = numeric2d(mode="auto").stack.reconstruct
+
+        def shapes(zb, kb):
+            return reconstruct(zb, kb)[1]
+    else:
+        def shapes(zb, kb):
+            # psi1 = 2 and the published psi2 at x1 = z1, x2 = z2 + alpha1
+            x2 = zb[1] + -(0.2 * kb[0] * 2.0 * zb[0])
+            return [2.0, _n2_psi2_closed_form(zb[0], kb[0], zb[0], x2, 0.2, 0.2)]
+
     worst = np.inf
     for _ in range(10000):
         zb = [float(v) for v in rng.uniform(-5.0, 5.0, size=2)]
         kb = [float(v) for v in rng.uniform(0.01, 10.0, size=2)]
-        _, psi, _, _ = stack.reconstruct(zb, kb)
-        worst = min(worst, min(float(p) for p in psi))
+        worst = min(worst, min(float(p) for p in shapes(zb, kb)))
     assert worst >= 1.0
 
 
@@ -159,34 +171,32 @@ def test_virtual_control_derivatives_match_finite_differences():
 
 @pytest.mark.parametrize("mode", ["paper", "auto"])
 def test_origin_is_a_fixed_point(mode):
-    stack = numeric2d(mode=mode).stack
-    ev = stack.evaluate((0.0, 0.0), (0.01, 0.01))
-    assert ev.z == [0.0, 0.0]
-    assert ev.alpha == [0.0, 0.0]
-    assert stack.gain_rates(ev) == [0.0, 0.0]
+    law = numeric2d(mode=mode).law
+    z, u, rates, _ = law((0.0, 0.0), (0.01, 0.01))
+    # z2 = x2 - alpha1 = 0 at x2 = 0 holds alpha1 = 0 too
+    assert list(z) == [0.0, 0.0]
+    assert u == 0.0
+    assert rates == [0.0, 0.0]
 
 
 def test_gain_rate_dominates_raw_error_energy():
     # psi >= 1 makes gamma_i z_i^2 a lower bound on the update rate
     stack = numeric2d(mode="auto").stack
-    gamma = stack.params.gamma
+    params = stack.params
     for _ in range(300):
         zb = [float(v) for v in rng.uniform(-5.0, 5.0, size=2)]
         kb = [float(v) for v in rng.uniform(0.01, 10.0, size=2)]
         x = stack.reconstruct(zb, kb[:1])[0]
         ev = stack.evaluate(x, kb)
-        for rate, g, zi in zip(stack.gain_rates(ev), gamma, ev.z):
+        for rate, g, zi in zip(params.gain_rates(ev.psi, ev.z), params.gamma, ev.z):
             floor = g * zi ** 2
             assert rate >= floor - 1e-12 * max(1.0, floor)
 
 
 def test_gain_rate_dead_zone():
-    params = DesignParams(mu=(0.2,), gamma=(0.2,),
-                          deadzone=0.1, paper_stages=(lambda z, k, x: 2.0,))
-    stack = ControllerStack(None, params)
-    assert stack.gain_rates(stack.evaluate((0.05,), (1.0,))) == [0.0]
-    assert stack.gain_rates(stack.evaluate((-2.0,), (1.0,))) == [
-        pytest.approx(3.2, rel=1e-15)]
+    params = DesignParams(mu=(0.2,), gamma=(0.2,), deadzone=0.1)
+    assert params.gain_rates((2.0,), (0.05,)) == [0.0]
+    assert params.gain_rates((2.0,), (-2.0,)) == [pytest.approx(3.2, rel=1e-15)]
 
 
 # ------------------------------------------------------------- validation
@@ -197,13 +207,6 @@ def test_design_params_validation():
         DesignParams(mu=(0.2,), gamma=(0.2, 0.2))
     with pytest.raises(SynthesisError, match=r"mu\[1\]"):
         DesignParams(mu=(-1.0,), gamma=(0.2,))
-    with pytest.raises(SynthesisError, match="one gain shape per stage"):
-        DesignParams(mu=(0.2, 0.2), gamma=(0.2, 0.2),
-                     paper_stages=(lambda z, k, x: 2.0,))
-    # the mode follows from whether gain shapes are supplied
-    assert DesignParams(mu=(0.2,), gamma=(0.2,)).mode == "auto"
-    assert DesignParams(mu=(0.2,), gamma=(0.2,),
-                        paper_stages=(lambda z, k, x: 2.0,)).mode == "paper"
     with pytest.raises(ValueError, match="mode"):
         numeric2d(mode="other")
 

@@ -77,3 +77,14 @@ def test_only_scenarios_names_a_scenario_id(name):
     named = [node.value for node in ast.walk(ast.parse(Path(path).read_text()))
              if isinstance(node, ast.Constant) and node.value in ids]
     assert named == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "scenarios"])
+def test_only_scenarios_names_a_controller_mode(name):
+    """scenarios picks numeric-2d's law once, at build time; no other module
+    asks which mode a scenario or a stack is in."""
+    path = importlib.import_module("purefb." + name).__file__
+    modes = set(importlib.import_module("purefb.scenarios").MODES)
+    named = [(node.lineno, node.value) for node in ast.walk(ast.parse(Path(path).read_text()))
+             if isinstance(node, ast.Constant) and node.value in modes]
+    assert named == []

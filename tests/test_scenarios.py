@@ -1,6 +1,7 @@
 """Scenario registry: wiring, recorders, and the compiled step, row and run loop
 against the plain path."""
 
+import hashlib
 import inspect
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purefb import scenarios, simkit
+from purefb.backstep import DesignParams
 from purefb.config import load_text
 from purefb.missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from purefb.plant import PlantSpec
@@ -88,6 +90,33 @@ def test_theta_outside_declared_box_rejected():
         )
 
 
+# numeric-2d keywords it rejects, and the start of each message: its keyword
+REJECTED = [
+    ({"mode": "other"}, "mode must be 'paper' or 'auto'"),
+    ({"theta": (1.0, 2.0, 3.0)}, "theta must have 2 entries"),
+    ({"theta": (1.0,)}, "theta must have 2 entries"),
+    ({"theta_box": ((1.0, 1.0),)}, "theta_box must have 2 entries"),
+    ({"theta": (0.0, 2.0)}, r"theta_box\[1\] must be a positive interval"),
+    ({"x0": (1.0,)}, "x0 must have 2 entries"),
+    ({"x0": (1.0, 2.0, 3.0)}, "x0 must have 2 entries"),
+    ({"k0": (0.01,)}, "k0 must have 2 entries"),
+    ({"mu": (0.2, 0.2, 0.2)}, "mu must have 2 entries"),
+    ({"mu": (0.2, 0.2, 0.2), "mode": "auto"}, "mu must have 2 entries"),
+    ({"mu": (0.2, -0.2)}, r"mu\[2\] must be positive"),
+    ({"gamma": (0.2,)}, "gamma must have 2 entries"),
+    ({"gamma": (0.2, 0.2, 0.2), "mode": "auto"}, "gamma must have 2 entries"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", REJECTED,
+                         ids=["-".join("%s=%s" % kv for kv in kw.items()) for kw, _ in REJECTED])
+def test_numeric2d_rejects_each_keyword_by_name(kwargs, message):
+    """Building rejects the value before anything runs, naming the
+    keyword first: a wrong-length vector keyword included."""
+    with pytest.raises(ValueError, match="^" + message):
+        scenarios.build("numeric-2d", **kwargs)
+
+
 @pytest.mark.parametrize("sid, kwargs, stage", [
     ("numeric-2d", {"k0": (0.01, 0.0)}, "k2"),
     ("stt-missile", {"k20": -0.1}, "k2"),
@@ -147,7 +176,10 @@ CASE_IDS = ["%s-dz%g-sign%+d" % loop for loop in LOOPS] + [
 
 def loop_state(scn, z, k, intz):
     """Augmented state whose errors are z, at gains k."""
-    x, _, _, _ = scn.stack.reconstruct(z, k[:1])
+    if scn.stack is None:  # the published law: x1 = z1, x2 = z2 + alpha1
+        x = [z[0], z[1] + -(scn.meta["mu"][0] * k[0] * 2.0 * z[0])]
+    else:
+        x, _, _, _ = scn.stack.reconstruct(z, k[:1])
     return [float(v) for v in x] + list(k) + list(intz)
 
 
@@ -276,6 +308,30 @@ def test_compiled_step_matches_rk4_step_everywhere(mode, z, k, intz, s):
     rows, got = loop_at(loop, scn, s, y)
     assert got == plain_step(scn, t, y)
     check_rows(scn, rows, s, y, got)
+
+
+# sha256 prefixes of the run loop source Scenario.run compiles at T = 1.0;
+# a change to the emitted code updates these and names itself in CHANGES.md
+LOOP_PINS = [
+    ("numeric-2d", {"mode": "paper"}, "568efe7768dd0dc8"),
+    ("numeric-2d", {"mode": "auto"}, "535c2ac06d051337"),
+    ("numeric-2d", {"mode": "paper", "deadzone": 0.05}, "ec83e88414c11f0f"),
+    ("numeric-2d", {"mode": "auto", "deadzone": 0.05}, "06f50e5d23e0edfb"),
+    ("numeric-2d", {"mode": "paper", "sign": -1.0}, "944b081451351a77"),
+    ("stt-missile", {}, "6b6924877ebbcdd8"),
+    ("stt-missile", {"sign": -1.0}, "a838dda4fc489706"),
+]
+
+
+@pytest.mark.parametrize("sid, kwargs, pin", LOOP_PINS,
+                         ids=["%s-%s" % (sid, "-".join("%s=%s" % kv for kv in kw.items()))
+                              for sid, kw, _ in LOOP_PINS])
+def test_compiled_run_loop_source_is_pinned(sid, kwargs, pin, monkeypatch):
+    handed = []
+    monkeypatch.setattr(scenarios, "integrate",
+                        lambda *args, loop, **kwargs: handed.append(loop))
+    scenarios.build(sid, T=1.0, **kwargs).run()
+    assert hashlib.sha256(handed[0].source.encode()).hexdigest()[:16] == pin
 
 
 def run_from(scn, y0, loop=None, rhs=None):
@@ -537,32 +593,39 @@ def test_factory_defaults_match_schema_defaults(sid):
 # -- the closed loop as each factory once assembled it by hand ------------
 
 
-def handwritten_numeric2d(scn, mode, sign, theta=(1.0, 2.0)):
+def handwritten_numeric2d(scn, mode, sign, deadzone, theta=(1.0, 2.0)):
     """numeric-2d's (rhs_reference, probe), written out as its factory once did."""
-    stack = scn.stack
+    mu, gamma = scn.meta["mu"], scn.meta["gamma"]
+    params = DesignParams(mu=tuple(mu), gamma=tuple(gamma), deadzone=deadzone)
     plant = PlantSpec(drift=(scenarios._n2_drift1, scenarios._n2_drift2),
                       gain=(scenarios._n2_gain1, scenarios._n2_gain2))
 
     def control(y):
-        ev = stack.evaluate((y[0], y[1]), (y[2], y[3]))
-        return ev, sign * ev.alpha[1]
+        """(z, psi, recorded shapes, sign * u) at y."""
+        x1, x2, k1, k2 = y[:4]
+        if mode == "auto":
+            ev = scn.stack.evaluate((x1, x2), (k1, k2))
+            return ev.z, ev.psi, (*ev.psi, ev.eta[1]), sign * ev.alpha[1]
+        # the published law: psi1 = 2 and the closed-form psi2, unsquared
+        alpha1 = -(mu[0] * k1 * 2.0 * x1)
+        z2 = x2 - alpha1
+        psi = (2.0, scenarios._n2_psi2_closed_form(x1, k1, x1, x2, mu[0], gamma[0]))
+        return (x1, z2), psi, psi, sign * -(mu[1] * k2 * psi[1] * z2)
 
     def rhs_reference(t, y):
         x = (y[0], y[1])
-        ev, u = control(y)
-        z1, z2 = ev.z
+        z, psi, _, u = control(y)
         return (
             plant.stage_rate(0, x, y[1], theta),
             plant.stage_rate(1, x, u, theta),
-            *stack.gain_rates(ev),
-            z1 * z1,
-            z2 * z2,
+            *params.gain_rates(psi, z),
+            z[0] * z[0],
+            z[1] * z[1],
         )
 
     def probe(t, y):
-        ev, u = control(y)
-        shapes = ev.psi if mode == "paper" else (*ev.psi, ev.eta[1])
-        return ev.z, u, shapes
+        z, _, shapes, u = control(y)
+        return z, u, shapes
 
     return rhs_reference, probe
 
@@ -619,7 +682,8 @@ def test_assembled_loop_is_the_handwritten_one(sid, kwargs):
     scn = scenarios.build(sid, **kwargs)
     sign = kwargs.get("sign", 1.0)
     if sid == "numeric-2d":
-        rhs, probe = handwritten_numeric2d(scn, kwargs.get("mode", "paper"), sign)
+        rhs, probe = handwritten_numeric2d(scn, kwargs.get("mode", "paper"), sign,
+                                           kwargs.get("deadzone", 0.0))
     else:
         rhs, probe = handwritten_missile(sign)
     row = handwritten_row(probe, scn.n, len(scn.adaptive))

@@ -1,6 +1,7 @@
 """Stability monitors: invariant checks, energy budget, dominance audit."""
 
 import dataclasses
+import hashlib
 import json
 import os
 from types import SimpleNamespace
@@ -279,16 +280,11 @@ def test_dominance_audit_trivial_at_zero_error(auto_scenario):
     assert report.violations == 0
 
 
-def test_dominance_audit_guards(auto_scenario, paper_scenario):
+def test_dominance_audit_guards(auto_scenario):
     with pytest.raises(ValueError, match="stage 2"):
         dominance_audit(
             auto_scenario.stack, auto_scenario.bounds, auto_scenario.oracle,
             stage=1,
-        )
-    with pytest.raises(ValueError, match="auto"):
-        dominance_audit(
-            paper_scenario.stack, auto_scenario.bounds, auto_scenario.oracle,
-            stage=2,
         )
 
 
@@ -411,6 +407,18 @@ def test_dominance_audit_report_is_pinned(case):
     scn = build()
     report = dominance_audit(scn.stack, scn.bounds, scn.oracle, stage=2, **kwargs)
     assert report.to_dict() == want
+
+
+def test_audit_lanes_source_is_pinned(auto_scenario, monkeypatch):
+    """sha256 prefix of the lanes source the audit compiles (numeric-2d auto,
+    stage 2); a change to the emitted code updates it and names itself in
+    CHANGES.md."""
+    compiled = []
+    monkeypatch.setattr(verify, "compile_lanes",
+                        lambda fn, point: compiled.append(compile_lanes(fn, point)) or compiled[0])
+    scn = auto_scenario
+    dominance_audit(scn.stack, scn.bounds, scn.oracle, stage=2, samples=1000, seed=1)
+    assert hashlib.sha256(compiled[0].source.encode()).hexdigest()[:16] == "2237f173dcd8a1d1"
 
 
 # ------------------------------------------------------------- monte carlo
