@@ -218,9 +218,3 @@ class ControllerStack:
         for r in range(1, i + 1):
             eta = eta + c[r]
         return eta
-
-    # -- point evaluations -------------------------------------------------
-
-    def alpha_value(self, stage, xbar, kbar):
-        """Virtual control of a 1-based stage at state coordinates."""
-        return self.evaluate(xbar, kbar, upto=stage).alpha[stage - 1]

@@ -7,8 +7,9 @@ ignored, is the cascade
     d(rate)/dt  = rho_air V(t)^2 s l mx(t) / (2 Jx) * defl
     d(defl)/dt  = (cmd - defl) / tau_a
 
-with a first-order actuator lag.  Speed and roll-moment slope vary with
-time inside known positive bounds.  All angles are radians internally.
+with a first-order actuator lag and the positive flight-condition profiles
+V(t) = v_mean (1 + v_amp cos(v_freq t)), mx(t) = mx_mean (1 + mx_amp sin(mx_freq t)).
+All angles are radians internally.
 
 The controller fixes the first gain k1, adapts k2 and k3, and uses one
 explicit gain shape on the last stage:
@@ -22,45 +23,60 @@ explicit gain shape on the last stage:
 
 with phi2 = constant xi_const, a positive weight (1 by default).  The
 completion-of-squares constant epsilon must satisfy k1 - 3 epsilon / 4 > 0,
-which keeps the first error term negative definite.
+which keeps the first error term negative definite.  ``stt_dynamics`` is
+a scenario plant once ``params`` is bound, ``missile_control`` a law once
+``design`` is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
-__all__ = [
-    "MissileDesign",
-    "MissileParams",
-    "ControlDiag",
-    "missile_control",
-    "stt_dynamics",
-]
+from .autodiff import cos, sin
+
+__all__ = ["MissileDesign", "MissileParams", "missile_control", "stt_dynamics"]
 
 
 @dataclass(frozen=True)
 class MissileParams:
-    """Airframe constants and time-varying flight condition profiles."""
+    """Airframe constants and flight-condition profiles; profiles checked first."""
 
     s: float  # reference area, m^2
     l: float  # reference length, m
     jx: float  # roll inertia, kg m^2
     tau_a: float  # actuator time constant, s
     rho_air: float  # air density, kg/m^3
-    speed: Callable  # t -> airspeed, m/s
-    mx_slope: Callable  # t -> roll-moment slope, 1/rad
+    v_mean: float  # airspeed profile: mean, m/s
+    v_amp: float  # relative amplitude
+    v_freq: float  # rad/s
+    mx_mean: float  # roll-moment slope profile: mean, 1/rad
+    mx_amp: float  # relative amplitude
+    mx_freq: float  # rad/s
 
     def __post_init__(self):
+        # cos and sin reach -1 and 1: a profile mean * (1 + amp * wave), amp >= 0,
+        # is positive at every t exactly when mean > 0 and amp < 1
+        for what, p, mean, amp, freq in (
+                ("speed", "v", self.v_mean, self.v_amp, self.v_freq),
+                ("moment-slope", "mx", self.mx_mean, self.mx_amp, self.mx_freq)):
+            if not mean > 0.0:
+                raise ValueError("%s_mean must be positive, got %r" % (p, mean))
+            if not 0.0 <= amp < 1.0:
+                raise ValueError("%s_amp must lie in [0, 1), or the %s profile is not "
+                                 "positive; got %r" % (p, what, amp))
+            if not freq >= 0.0:
+                raise ValueError("%s_freq must be >= 0, got %r" % (p, freq))
         for name in ("s", "l", "jx", "tau_a", "rho_air"):
             if not getattr(self, name) > 0.0:
                 raise ValueError("%s must be positive, got %r" % (name, getattr(self, name)))
 
     def moment_gain(self, t):
         """Deflection-to-roll-acceleration gain at time t, 1/s^2."""
-        v = self.speed(t)
-        return self.rho_air * v * v * self.s * self.l * self.mx_slope(t) / (2.0 * self.jx)
+        v = self.v_mean * (1.0 + self.v_amp * cos(self.v_freq * t))
+        # the slope inline: the traced tape keeps its operation order
+        return (self.rho_air * v * v * self.s * self.l
+                * (self.mx_mean * (1.0 + self.mx_amp * sin(self.mx_freq * t))) / (2.0 * self.jx))
 
 
 @dataclass(frozen=True)
@@ -86,34 +102,26 @@ class MissileDesign:
             )
 
 
-def stt_dynamics(state, t, cmd, params):
-    """Open-loop roll-channel derivative under deflection command cmd."""
-    roll, rate, defl = state
+def stt_dynamics(t, x, u, params):
+    """Open-loop roll-channel derivative under deflection command u."""
+    roll, rate, defl = x
     return (
         rate,
         params.moment_gain(t) * defl,
-        (cmd - defl) / params.tau_a,
+        (u - defl) / params.tau_a,
     )
 
 
-class ControlDiag(NamedTuple):
-    """Per-evaluation controller internals for recording."""
+def missile_control(x, k, design):
+    """The law at state x and gains k = (k2, k3).
 
-    z1: float
-    z2: float
-    z3: float
-    psi3: float
-
-
-def missile_control(state, gains, design):
-    """Deflection command and gain rates at one state.
-
-    Returns (cmd, dk2, dk3, diag).  dk2 is evaluated before psi3, which
-    depends on it.  The law reads neither time nor the airframe: the flight
-    condition enters only through ``stt_dynamics``.
+    Returns ((z1, z2, z3), cmd, (dk2, dk3), (psi3, roll_deg)).  dk2 is
+    evaluated before psi3, which depends on it.  The law reads neither time
+    nor the airframe: the flight condition enters only through
+    ``stt_dynamics``.
     """
-    roll, rate, defl = state
-    k2, k3 = gains
+    roll, rate, defl = x
+    k2, k3 = k
     d = design
     z1 = roll
     z2 = rate + d.k1 * z1
@@ -133,4 +141,5 @@ def missile_control(state, gains, design):
     )
     dk3 = d.gamma3 * psi3 * psi3 * z3 * z3
     cmd = -(d.mu3 * k3 * psi3 * psi3 * z3)
-    return cmd, dk2, dk3, ControlDiag(z1, z2, z3, psi3)
+    roll_deg = roll * (180.0 / math.pi)  # the bits of math.degrees, on a Var too
+    return (z1, z2, z3), cmd, (dk2, dk3), (psi3, roll_deg)

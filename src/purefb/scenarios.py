@@ -17,7 +17,8 @@ Two benchmarks are registered:
 ``stt-missile``
     Three-state missile roll channel with actuator lag and time-varying
     flight condition; uses the specialized three-step law from
-    ``missile``.
+    ``missile``.  It declares no theta box: its flight condition is a
+    known profile, held with the airframe in ``MissileParams``.
 
 A scenario bundles the plant truth, the bound declarations the controller
 is allowed to see, the oracle constants only the verifier may read, and the
@@ -36,8 +37,9 @@ numeric-2d's plant is ``PlantSpec.rates``.  Its law is picked once, at
 build time: the published ``_n2_paper_law`` in paper mode, or
 ``ControllerStack.evaluate`` in auto mode, the only mode that builds a
 stack; both take ``DesignParams.gain_rates`` as update law.  stt-missile's
-plant is ``stt_dynamics`` (flight condition through
-``autodiff.cos``/``sin``) and its law is ``missile_control``.
+plant is ``stt_dynamics`` bound to its ``MissileParams`` (flight condition
+through ``autodiff.cos``/``sin``) and its law is ``missile_control`` bound to
+its ``MissileDesign``.
 ``Scenario.run`` traces ``simkit.rk4_step`` of ``rhs_reference`` at the
 run's h, abort rule included, and the row builder ``recorder`` holds,
 both at (0, y0), into one compiled run loop (``tape.compile_loop``) and
@@ -59,7 +61,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from .autodiff import cos, sin
 from .backstep import ControllerStack, DesignParams
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
@@ -97,7 +98,6 @@ class Scenario:
     x0: tuple
     adaptive: tuple  # 1-based stages with gain adaptation
     k0: tuple  # initial gains, aligned with adaptive
-    theta: UncertaintyProfile
     plant: Callable  # (t, x, u) -> dx/dt
     law: Callable  # (x, k) -> (z, u, dk/dt, extra values)
     extra: tuple  # names of the law's extra values, recorded after u
@@ -106,6 +106,7 @@ class Scenario:
     decimation: int
     sign: float  # the plant receives sign * u
     meta: dict = field(default_factory=dict)  # mu and gamma of the adaptive stages
+    theta: Optional[UncertaintyProfile] = None  # declared box of a constant theta
     bounds: Optional[BoundSpec] = None
     oracle: Optional[OracleConstants] = None
     stack: Optional[ControllerStack] = None
@@ -177,6 +178,16 @@ class Scenario:
             recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,
             loop=loop,
         )
+
+
+def _pair(keyword, value, rule="have 2 entries, one per stage"):
+    """value, once checked to be a collection of two entries."""
+    try:
+        ok = len(value) == 2
+    except TypeError:  # a scalar, say
+        ok = False
+    _check(ok, "%s must %s; got %r", keyword, rule, value)
+    return value
 
 
 def _initial_gain(keyword, stage, value):
@@ -259,13 +270,14 @@ def numeric2d(
 ):
     _check(mode in MODES, "mode must be %s, got %r", " or ".join(map(repr, MODES)), mode)
     for keyword, value in (("x0", x0), ("k0", k0), ("mu", mu), ("gamma", gamma),
-                           ("theta", theta), ("theta_box", theta_box)):
-        _check(value is None or len(value) == 2, "%s must have 2 entries, one per stage; "
-               "got %d", keyword, len(value or ()))
+                           ("theta", theta)):
+        _pair(keyword, value)
     theta = tuple(float(v) for v in theta)
     if theta_box is None:
         theta_box = tuple((v, v) for v in theta)
-    theta_box = tuple((float(lo), float(hi)) for lo, hi in theta_box)
+    theta_box = tuple((float(lo), float(hi)) for lo, hi in (
+        _pair("theta_box[%d]" % i, edges, "be a (lo, hi) pair")
+        for i, edges in enumerate(_pair("theta_box", theta_box), 1)))
     for v, (lo, hi) in zip(theta, theta_box):
         _check(lo <= v <= hi, "theta %r leaves its declared box", theta)
     for i, (lo, hi) in enumerate(theta_box, 1):
@@ -347,50 +359,20 @@ def stt_missile(
     h=1e-3,
     decimation=20,
 ):
-    def speed(t):
-        return v_mean * (1.0 + v_amp * cos(v_freq * t))
-
-    def mx_slope(t):
-        return mx_mean * (1.0 + mx_amp * sin(mx_freq * t))
-
-    # cos and sin reach -1 and 1: a profile mean * (1 + amp * wave), amp >= 0,
-    # is positive at every t exactly when mean > 0 and amp < 1
-    for what, p, mean, amp, freq in (("speed", "v", v_mean, v_amp, v_freq),
-                                     ("moment-slope", "mx", mx_mean, mx_amp, mx_freq)):
-        _check(mean > 0.0, "%s_mean must be positive, got %r", p, mean)
-        _check(0.0 <= amp < 1.0, "%s_amp must lie in [0, 1), or the %s profile is not "
-               "positive; got %r", p, what, amp)
-        _check(freq >= 0.0, "%s_freq must be >= 0, got %r", p, freq)
     mparams = MissileParams(
-        s=s, l=l, jx=jx, tau_a=tau_a, rho_air=rho_air, speed=speed, mx_slope=mx_slope
+        s=s, l=l, jx=jx, tau_a=tau_a, rho_air=rho_air, v_mean=v_mean, v_amp=v_amp,
+        v_freq=v_freq, mx_mean=mx_mean, mx_amp=mx_amp, mx_freq=mx_freq,
     )
-    box = (
-        (v_mean * (1.0 - v_amp), v_mean * (1.0 + v_amp)),
-        (mx_mean * (1.0 - mx_amp), mx_mean * (1.0 + mx_amp)),
-    )
-    design = MissileDesign(
-        k1=k1,
-        mu2=mu2,
-        mu3=mu3,
-        gamma2=gamma2,
-        gamma3=gamma3,
-        epsilon=epsilon,
-        xi_const=xi_const,
-    )
-
-    def law(x, k):
-        cmd, kd2, kd3, diag = missile_control(x, k, design)
-        roll_deg = x[0] * (180.0 / math.pi)  # the bits of math.degrees, on a Var too
-        return (diag.z1, diag.z2, diag.z3), cmd, (kd2, kd3), (diag.psi3, roll_deg)
+    design = MissileDesign(k1=k1, mu2=mu2, mu3=mu3, gamma2=gamma2, gamma3=gamma3,
+                           epsilon=epsilon, xi_const=xi_const)
 
     return Scenario(
         sid="stt-missile",
         x0=(math.radians(roll_deg), float(rate), float(defl)),
         adaptive=(2, 3),
         k0=(_initial_gain("k20", 2, k20), _initial_gain("k30", 3, k30)),
-        theta=UncertaintyProfile(box=box),
-        plant=lambda t, x, u: stt_dynamics(x, t, u, mparams),
-        law=law,
+        plant=partial(stt_dynamics, params=mparams),
+        law=partial(missile_control, design=design),
         extra=("psi3", "roll_deg"),
         T=T,
         h=h,

@@ -319,10 +319,10 @@ def _audit_sample(stack, bounds, vt, zb, kb):
     x, psi, eta, _ = stack.reconstruct(zb, kb)
 
     def alpha_of_x(xs):
-        return stack.alpha_value(st, xs, kb)
+        return stack.evaluate(xs, kb, upto=st).alpha[st - 1]
 
     def alpha_of_k(ks):
-        return stack.alpha_value(st, x[:st], ks)
+        return stack.evaluate(x[:st], ks, upto=st).alpha[st - 1]
 
     lhs = bounds.rho[st](x) * sum(abs(v) for v in x)
     for j in range(st):

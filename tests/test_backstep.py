@@ -139,10 +139,10 @@ def test_virtual_control_derivatives_match_finite_differences():
     stack = three_stage_stack()
 
     def a2(x1, x2, k1, k2):
-        return stack.alpha_value(2, (x1, x2), (k1, k2))
+        return stack.evaluate((x1, x2), (k1, k2), upto=2).alpha[1]
 
     def a3(x1, x2, x3, k1, k2, k3):
-        return stack.alpha_value(3, (x1, x2, x3), (k1, k2, k3))
+        return stack.evaluate((x1, x2, x3), (k1, k2, k3), upto=3).alpha[2]
 
     def central(f, point, j, h):
         hi = list(point)

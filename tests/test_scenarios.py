@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from purefb import scenarios, simkit
 from purefb.backstep import DesignParams
 from purefb.config import load_text
-from purefb.missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from purefb.plant import PlantSpec
 from purefb.simkit import ABORT_LIMIT, DivergenceError, StatePoint, integrate, rk4_step
 from purefb.tape import compile_loop
@@ -105,6 +104,13 @@ REJECTED = [
     ({"mu": (0.2, -0.2)}, r"mu\[2\] must be positive"),
     ({"gamma": (0.2,)}, "gamma must have 2 entries"),
     ({"gamma": (0.2, 0.2, 0.2), "mode": "auto"}, "gamma must have 2 entries"),
+    # a scalar where a vector belongs, and a theta_box entry that is not a pair
+    ({"x0": 5.0}, "x0 must have 2 entries"),
+    ({"theta": 5.0}, "theta must have 2 entries"),
+    ({"mu": 0.2}, "mu must have 2 entries"),
+    ({"theta_box": 1.0}, "theta_box must have 2 entries"),
+    ({"theta_box": ((0.8, 1.2), (1.6,))}, r"theta_box\[2\] must be a \(lo, hi\) pair"),
+    ({"theta_box": ((0.8, 1.2), 1.6)}, r"theta_box\[2\] must be a \(lo, hi\) pair"),
 ]
 
 
@@ -524,6 +530,11 @@ def test_missile_run_matches_the_reference_integration(sign):
     assert repr(traj.failure) == repr(ref.failure)
 
 
+def test_missile_declares_no_theta_box():
+    """stt-missile's flight condition is a known profile, not an uncertainty box."""
+    assert scenarios.build("stt-missile").theta is None
+
+
 def test_missile_wiring():
     scn = scenarios.build("stt-missile")
     assert scn.n == 3
@@ -631,32 +642,32 @@ def handwritten_numeric2d(scn, mode, sign, deadzone, theta=(1.0, 2.0)):
 
 
 def handwritten_missile(sign):
-    """stt-missile's (rhs_reference, probe) at its defaults, written out as its factory once did."""
-    design = MissileDesign(k1=5.0, mu2=0.5, mu3=0.5, gamma2=0.1, gamma3=0.1,
-                           epsilon=0.1, xi_const=1.0)
-    mparams = MissileParams(
-        s=0.42, l=0.68, jx=100.0, tau_a=0.01, rho_air=0.7361,
-        speed=lambda t: 200.0 * (1.0 + 0.1 * math.cos(2.0 * t)),
-        mx_slope=lambda t: 2.12 * (1.0 + 0.2 * math.sin(1.0 * t)),
-    )
+    """stt-missile's (rhs_reference, probe) at its defaults, written out from the
+    roll-channel and three-step equations of ``missile``, in their operation order."""
+    k1, mu2, mu3, gamma2, gamma3, epsilon, xi = 5.0, 0.5, 0.5, 0.1, 0.1, 0.1, 1.0
 
     def control(y):
-        cmd, kd2, kd3, diag = missile_control(y[:3], (y[3], y[4]), design)
-        return sign * cmd, kd2, kd3, diag
+        """(z, psi3, dk2/dt, dk3/dt, sign * cmd) at y."""
+        roll, rate, defl, k2, k3 = y[:5]
+        z1 = roll
+        z2 = rate + k1 * z1
+        z3 = defl + mu2 * k2 * z2
+        dk2 = gamma2 * z2 * z2  # before psi3, which reads it
+        psi3 = (mu2 * k2 + mu2 * dk2 + xi * mu2 * mu2 * k2 * k2 + 0.5 * xi * mu2 * k2
+                + mu2 * k1 * k1 * k2 / math.sqrt(epsilon) + mu2 * k1 * k2 + xi + 1.0)
+        dk3 = gamma3 * psi3 * psi3 * z3 * z3
+        return (z1, z2, z3), psi3, dk2, dk3, sign * -(mu3 * k3 * psi3 * psi3 * z3)
 
     def rhs_reference(t, y):
-        cmd, kd2, kd3, diag = control(y)
-        return (
-            *stt_dynamics(y[:3], t, cmd, mparams),
-            kd2,
-            kd3,
-            diag.z2 * diag.z2,
-            diag.z3 * diag.z3,
-        )
+        (_, z2, z3), _, dk2, dk3, cmd = control(y)
+        # rho_air V(t)^2 s l mx(t) / (2 Jx), V = 200 (1 + 0.1 cos 2t), mx = 2.12 (1 + 0.2 sin t)
+        v = 200.0 * (1.0 + 0.1 * math.cos(2.0 * t))
+        gain = 0.7361 * v * v * 0.42 * 0.68 * (2.12 * (1.0 + 0.2 * math.sin(1.0 * t))) / 200.0
+        return (y[1], gain * y[2], (cmd - y[2]) / 0.01, dk2, dk3, z2 * z2, z3 * z3)
 
     def probe(t, y):
-        cmd, _, _, diag = control(y)
-        return (diag.z1, diag.z2, diag.z3), cmd, (diag.psi3, math.degrees(y[0]))
+        z, psi3, _, _, cmd = control(y)
+        return z, cmd, (psi3, math.degrees(y[0]))
 
     return rhs_reference, probe
 
