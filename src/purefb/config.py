@@ -14,7 +14,8 @@ scenarios whose library sets it (or the key it is ``like``), or to all if
 none does.  ``schema_markdown`` renders the schema shipped under docs/.
 
 A key that sets a library keyword takes that keyword's default, read once
-at import: a scenario section's key the factory keyword of its name,
+at import: a scenario section's key the factory keyword of its name (from
+``scenarios.DEFAULTS``, which also types a library call's keywords),
 ``verify.<field>`` the ``VerifyTolerances`` field and ``verify.audit_*``
 the ``dominance_audit`` keyword.  Only the other keys state their own.  A
 key's type is its default's in each scenario: a float, an int, a bool, a
@@ -156,17 +157,16 @@ _TOLERANCES = tuple(("verify." + f.name, f.name) for f in fields(VerifyTolerance
 
 
 def _library(sid):
-    """The library defaults of scenario sid by key path: a prefix below plus
-    a keyword's name."""
-    sources = [(section + ".", scenarios.SCENARIOS[sid])
-               for section in SCENARIO_SECTIONS]
-    sources += [("verify.", VerifyTolerances), ("verify.audit_", dominance_audit)]
-    return {
-        prefix + p.name: p.default
-        for prefix, source in sources
-        for p in inspect.signature(source).parameters.values()
-        if p.default is not p.empty
-    }
+    """The library defaults of scenario sid by key path: a section's prefix
+    plus a keyword of ``scenarios.DEFAULTS``, or a verify prefix plus one."""
+    lib = {section + "." + keyword: default for section in SCENARIO_SECTIONS
+           for keyword, default in scenarios.DEFAULTS[sid].items()}
+    lib.update((prefix + p.name, p.default)
+               for prefix, source in (("verify.", VerifyTolerances),
+                                      ("verify.audit_", dominance_audit))
+               for p in inspect.signature(source).parameters.values()
+               if p.default is not p.empty)
+    return lib
 
 
 _LIBRARY = {sid: _library(sid) for sid in scenarios.SCENARIO_IDS}
@@ -408,9 +408,9 @@ def schema_markdown():
         "Unknown keys are rejected.  Keys marked with a scenario apply only",
         "when `scenario.id` selects it.  Types are checked when a config is",
         "loaded (a key's type is that of its default), value rules when its",
-        "scenario is built, both before anything runs.  A run may take at",
-        "most %d integration steps (`integrator.T / integrator.h`)."
-        % scenarios.STEP_BUDGET,
+        "scenario is built, both before anything runs; a library call gets",
+        "the same type rule from `scenarios.build`.  A run may take at most",
+        "%d integration steps (`integrator.T / integrator.h`)." % scenarios.STEP_BUDGET,
         "",
         "| key | type | default | applies to | description |",
         "|---|---|---|---|---|",

@@ -30,8 +30,12 @@ adaptive gains k, integrals of z_i^2) and applies the sign: it derives
 adaptive stage) and the recorded row t, x1..xn, z1..zn, k_i, u, <extras>,
 intz_i, with k_i and intz_i for each adaptive stage i.  A factory's
 keywords are the run-config keys by name: ``section.key`` arrives as
-``key`` (see ``RunConfig.scenario_overrides``).  Building checks every
-rule on a keyword's value, and each ValueError starts with its keyword.
+``key`` (see ``RunConfig.scenario_overrides``).  ``build`` types each
+keyword like its default in ``DEFAULTS`` by one rule, ``_typed``: a float
+default takes a real number but a bool, as a float; an n-tuple default n
+entries, each typed like its own as keyword[i]; any other default leaves
+the value to its keyword's own rule.  The factories convert nothing.
+Each ValueError of a keyword's value starts with the keyword.
 
 numeric-2d's plant is ``PlantSpec.rates``.  Its law is picked once, at
 build time: the published ``_n2_paper_law`` in paper mode, or
@@ -56,7 +60,10 @@ checked without quadrature error.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
+from collections.abc import Sized
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -67,7 +74,7 @@ from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
 from .simkit import integrate, rk4_step
 from .tape import compile_loop
 
-__all__ = ["Scenario", "build", "MODES", "SCENARIO_IDS", "STEP_BUDGET"]
+__all__ = ["Scenario", "build", "DEFAULTS", "MODES", "SCENARIO_IDS", "STEP_BUDGET"]
 
 # numeric-2d's controller modes: the benchmark's closed-form gain shapes, or
 # constructive synthesis
@@ -81,6 +88,11 @@ def _check(ok, message, *args):
     """ValueError(message % args) unless ok; each message starts with its keyword."""
     if not ok:
         raise ValueError(message % args)
+
+
+def _real(value):
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -124,12 +136,9 @@ class Scenario:
         _check(steps >= 1 and abs(steps * h - T) <= 1e-9 * max(1.0, T),
                "T must be an integer multiple of h, got T = %r, h = %r", T, h)
         d = self.decimation
-        if not isinstance(d, int):  # an int of any size is kept as it is
-            try:
-                whole = float(d).is_integer()
-            except (TypeError, ValueError):
-                whole = False
-            _check(whole, "decimation must be a whole number, got %r", d)
+        if type(d) is not int:  # an int of any size is kept as it is
+            _check(_real(d) and float(d).is_integer(),
+                   "decimation must be a whole number, got %r", d)
         d = self.decimation = int(d)
         _check(d >= 1 and steps % d == 0,
                "decimation must divide the %d integration steps, got %d", steps, d)
@@ -180,20 +189,27 @@ class Scenario:
         )
 
 
-def _pair(keyword, value, rule="have 2 entries, one per stage"):
-    """value, once checked to be a collection of two entries."""
-    try:
-        ok = len(value) == 2
-    except TypeError:  # a scalar, say
-        ok = False
-    _check(ok, "%s must %s; got %r", keyword, rule, value)
+def _typed(keyword, value, like, rule=None):
+    """value typed like its keyword's default like, as the module docstring says."""
+    if type(like) is float and type(value) is not float:
+        _check(_real(value), "%s must be a real number, got %r", keyword, value)
+        return float(value)
+    if type(like) is tuple:
+        if type(value) is tuple and [*map(type, value + like)] == [float] * 2 * len(like):
+            return value  # n floats where n floats belong, as they are
+        _check(isinstance(value, Sized) and not isinstance(value, (str, bytes))
+               and len(value) == len(like), "%s must %s; got %r", keyword,
+               rule or "have %d entries, one per stage" % len(like), value)
+        # an entry that is itself a tuple is a (lo, hi) pair
+        return tuple(_typed("%s[%d]" % (keyword, i), v, w, "be a (lo, hi) pair")
+                     for i, (v, w) in enumerate(zip(value, like), 1))
     return value
 
 
 def _initial_gain(keyword, stage, value):
-    """value as a float, once checked positive."""
+    """value, once checked positive."""
     _check(value > 0.0, "%s: initial gain k%d must be positive, got %r", keyword, stage, value)
-    return float(value)
+    return value
 
 
 # -- two-state numeric benchmark ------------------------------------------
@@ -269,15 +285,8 @@ def numeric2d(
     decimation=100,
 ):
     _check(mode in MODES, "mode must be %s, got %r", " or ".join(map(repr, MODES)), mode)
-    for keyword, value in (("x0", x0), ("k0", k0), ("mu", mu), ("gamma", gamma),
-                           ("theta", theta)):
-        _pair(keyword, value)
-    theta = tuple(float(v) for v in theta)
-    if theta_box is None:
-        theta_box = tuple((v, v) for v in theta)
-    theta_box = tuple((float(lo), float(hi)) for lo, hi in (
-        _pair("theta_box[%d]" % i, edges, "be a (lo, hi) pair")
-        for i, edges in enumerate(_pair("theta_box", theta_box), 1)))
+    point = tuple((v, v) for v in theta)
+    theta_box = point if theta_box is None else _typed("theta_box", theta_box, point)
     for v, (lo, hi) in zip(theta, theta_box):
         _check(lo <= v <= hi, "theta %r leaves its declared box", theta)
     for i, (lo, hi) in enumerate(theta_box, 1):
@@ -293,11 +302,8 @@ def numeric2d(
     )
     spec = PlantSpec(drift=(_n2_drift1, _n2_drift2), gain=(_n2_gain1, _n2_gain2))
     bounds = BoundSpec(rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
-    mu = tuple(float(v) for v in mu)
-    gamma = tuple(float(v) for v in gamma)
     k0 = tuple(_initial_gain("k0", i, v) for i, v in enumerate(k0, 1))
-    params = DesignParams(mu=mu, gamma=gamma, deadzone=float(deadzone),
-                          smoothing=float(smoothing))
+    params = DesignParams(mu=mu, gamma=gamma, deadzone=deadzone, smoothing=smoothing)
     if mode == "paper":
         stack, law, extra = None, partial(_n2_paper_law, params), ("psi1", "psi2")
     else:
@@ -309,7 +315,7 @@ def numeric2d(
 
     return Scenario(
         sid="numeric-2d",
-        x0=tuple(float(v) for v in x0),
+        x0=x0,
         adaptive=(1, 2),
         k0=k0,
         theta=UncertaintyProfile(box=theta_box),
@@ -319,10 +325,7 @@ def numeric2d(
         plant=lambda t, x, u: spec.rates(x, u, theta),
         law=law,
         extra=extra,
-        T=T,
-        h=h,
-        decimation=decimation,
-        sign=sign,
+        T=T, h=h, decimation=decimation, sign=sign,
         meta={"mu": list(mu), "gamma": list(gamma)},
     )
 
@@ -368,30 +371,31 @@ def stt_missile(
 
     return Scenario(
         sid="stt-missile",
-        x0=(math.radians(roll_deg), float(rate), float(defl)),
+        x0=(math.radians(roll_deg), rate, defl),
         adaptive=(2, 3),
         k0=(_initial_gain("k20", 2, k20), _initial_gain("k30", 3, k30)),
         plant=partial(stt_dynamics, params=mparams),
         law=partial(missile_control, design=design),
         extra=("psi3", "roll_deg"),
-        T=T,
-        h=h,
-        decimation=decimation,
-        sign=sign,
+        T=T, h=h, decimation=decimation, sign=sign,
         meta={"mu": [mu2, mu3], "gamma": [gamma2, gamma3]},
     )
 
 
 SCENARIOS = {"numeric-2d": numeric2d, "stt-missile": stt_missile}
 SCENARIO_IDS = tuple(sorted(SCENARIOS))
+# each factory's keyword defaults, read once: what build types a keyword like
+DEFAULTS = {sid: {p.name: p.default for p in inspect.signature(f).parameters.values()}
+            for sid, f in SCENARIOS.items()}
 
 
 def build(sid, **overrides):
-    """Construct a registered scenario, applying keyword overrides."""
-    try:
-        factory = SCENARIOS[sid]
-    except KeyError:
-        raise ValueError(
-            "unknown scenario %r; registered: %s" % (sid, ", ".join(SCENARIO_IDS))
-        )
+    """Construct a registered scenario, each keyword override typed like its default."""
+    if sid not in SCENARIOS:
+        raise ValueError("unknown scenario %r; registered: %s" % (sid, ", ".join(SCENARIO_IDS)))
+    factory, defaults = SCENARIOS[sid], DEFAULTS[sid]
+    for keyword, value in overrides.items():
+        like = defaults.get(keyword)
+        if type(value) is not type(like) or type(like) is tuple:  # else typed already
+            overrides[keyword] = _typed(keyword, value, like)
     return factory(**overrides)

@@ -122,6 +122,12 @@ class Trajectory:
     def t(self):
         return self.data[:, 0]
 
+    def max_abs(self):
+        """The largest |value| of each column but t, from two reductions
+        rather than a copy of the table; not finite where a cell is not."""
+        v = self.data[:, 1:]
+        return np.abs(np.maximum(-np.min(v, axis=0), np.max(v, axis=0)))  # -0.0 -> 0.0
+
     @property
     def diverged(self):
         """True when the run stopped early; ``failure`` says where."""
@@ -150,11 +156,11 @@ class Trajectory:
 
     def summary(self):
         """Final time, and per column the last value and the largest |value|."""
-        names, values = self.columns[1:], self.data[:, 1:]
+        names = self.columns[1:]
         return {
             "t_final": float(self.data[-1, 0]),
-            "terminal": dict(zip(names, values[-1].tolist())),
-            "max_abs": dict(zip(names, np.max(np.abs(values), axis=0).tolist())),
+            "terminal": dict(zip(names, self.data[-1, 1:].tolist())),
+            "max_abs": dict(zip(names, self.max_abs().tolist())),
         }
 
 

@@ -30,7 +30,7 @@ report is made.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -74,7 +74,10 @@ class VerifyTolerances(_Fields):
     budget_slack: float = 1e-6  # absolute slack of the energy budget
 
     def __post_init__(self):
-        # each message starts with the field it rejects
+        # each message starts with the field it rejects; a field is first
+        # typed like its default, by the rule that types a scenario keyword
+        for f in fields(self):
+            scenarios._typed(f.name, getattr(self, f.name), f.default)
         for name in ("tol_x", "tol_k", "z_tail", "energy_slack", "budget_slack"):
             if not getattr(self, name) > 0.0:
                 raise ValueError("%s must be positive, got %r" % (name, getattr(self, name)))
@@ -180,18 +183,16 @@ def check_theorem1(traj, tol=None):
     gamma = _meta(traj, "gamma")
     checks = []
 
-    # (a) every recorded signal stays finite and within the abort limit;
-    # max |x| per column comes from two reductions, not a copy of the
-    # table, and is not finite where the column holds a non-finite cell
-    body = traj.data[:, 1:]
-    mags = np.maximum(np.max(body, axis=0), -np.min(body, axis=0))
+    # (a) every recorded signal stays finite and within the abort limit
+    mags = traj.max_abs()
     if not np.isfinite(mags).all():
-        i, j = np.argwhere(~np.isfinite(body))[0]  # the first sample, then its first column
+        # the first sample, then its first column
+        i, j = np.argwhere(~np.isfinite(traj.data[:, 1:]))[0]
         checks.append(CheckResult("bounded", False, float("-inf"), float(t[i]),
                                   "non-finite value in %s" % traj.columns[1 + j]))
     else:
         j = int(np.argmax(mags))  # the first column on ties
-        worst = abs(float(mags[j]))  # an all-zero table gives +0.0 and names no column
+        worst = float(mags[j])  # an all-zero table gives +0.0 and names no column
         name = traj.columns[1 + j] if worst > 0.0 else ""
         checks.append(CheckResult("bounded", worst <= ABORT_LIMIT, ABORT_LIMIT - worst, None,
                                   "largest recorded magnitude %.6g in %s" % (worst, name)))

@@ -133,6 +133,19 @@ def test_schema_checks_run_before_any_simulation():
         build(load_text(MINIMAL + "verify.tail_frac = 0.9\n"))
 
 
+def test_factory_defaults_are_typed_by_the_one_rule():
+    """Every factory default is of a type scenarios.build types (a keyword
+    cannot bypass the rule unseen), and the config takes each from that table."""
+    for sid, defaults in scenarios.DEFAULTS.items():
+        for keyword, like in defaults.items():
+            assert (type(like) in (float, int, str, type(None)) or type(like) is tuple
+                    and all(type(v) is float for v in like)), (sid, keyword)
+    for sid, defaults in config._DEFAULTS.items():
+        for name, keyword in config._KEYWORDS:
+            if keyword in scenarios.DEFAULTS[sid]:
+                assert defaults[name] == scenarios.DEFAULTS[sid][keyword], (sid, name)
+
+
 def test_factory_keys_take_their_type_from_the_keyword():
     """A key's type is its default's: a float, an int, a bool, a str or n floats."""
     for sid, types in config._TYPES.items():

@@ -4,6 +4,8 @@ against the plain path."""
 import hashlib
 import inspect
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,7 +139,7 @@ def test_initial_gains_must_be_positive(sid, kwargs, stage):
 def test_non_integral_decimation_is_rejected(sid):
     with pytest.raises(ValueError, match="decimation must be a whole number, got 2.5"):
         scenarios.build(sid, decimation=2.5)
-    # float() of the value fails: ValueError, then TypeError
+    # not a real number: a str, then None
     for value in ("ten", None):
         with pytest.raises(ValueError, match="^decimation must be a whole number, got %r$" % value):
             scenarios.build(sid, decimation=value)
@@ -146,6 +148,106 @@ def test_non_integral_decimation_is_rejected(sid):
     # a whole number too large for a float is kept and fails to divide the steps
     with pytest.raises(ValueError, match="decimation must divide the 10 integration steps"):
         scenarios.build(sid, T=1.0, h=0.1, decimation=10 ** 400)
+
+
+# a value of the wrong type for a keyword of either factory
+WRONG_TYPE = [
+    ("numeric-2d", {"x0": ("a", 1.0)}, r"x0\[1\] must be a real number"),
+    ("numeric-2d", {"mu": (0.2, None)}, r"mu\[2\] must be a real number"),
+    ("numeric-2d", {"k0": (0.01, "x")}, r"k0\[2\] must be a real number"),
+    ("numeric-2d", {"deadzone": None}, "deadzone must be a real number"),
+    ("numeric-2d", {"T": "40"}, "T must be a real number"),
+    ("stt-missile", {"roll_deg": None}, "roll_deg must be a real number"),
+    ("stt-missile", {"k1": None}, "k1 must be a real number"),
+    ("stt-missile", {"v_mean": "200"}, "v_mean must be a real number"),
+    ("stt-missile", {"rate": "0"}, "rate must be a real number"),
+]
+
+
+@pytest.mark.parametrize("sid, kwargs, message", WRONG_TYPE,
+                         ids=["%s-%s" % (sid, "-".join(kw)) for sid, kw, _ in WRONG_TYPE])
+def test_a_value_of_the_wrong_type_is_rejected_by_name(sid, kwargs, message):
+    with pytest.raises(ValueError, match="^" + message):
+        scenarios.build(sid, **kwargs)
+
+
+# how deep each factory keyword nests floats: theta_box holds (lo, hi) pairs
+DEPTH = {(sid, kw): 2 if kw == "theta_box" else int(isinstance(like, tuple))
+         for sid in scenarios.SCENARIO_IDS for kw, like in scenarios.DEFAULTS[sid].items()}
+
+
+def malformed(sid, keyword):
+    """Values keyword never takes: None (unless it is the default), a str, a
+    bool, floats nested one level too deep, or a sequence of the wrong length."""
+    depth, like = DEPTH[sid, keyword], scenarios.DEFAULTS[sid][keyword]
+    n = 1 if depth == 0 else 2  # a scalar, or two entries at each level
+    leaf = st.floats(allow_nan=False)
+    too_deep = leaf
+    for _ in range(depth + 1):
+        too_deep = st.lists(too_deep, max_size=3)
+    entry = leaf
+    for _ in range(depth - 1):
+        entry = st.lists(entry, min_size=2, max_size=2)
+    options = [st.text().filter(lambda s: s not in scenarios.MODES), st.booleans(),
+               too_deep, st.lists(entry, max_size=4).filter(lambda v: len(v) != n)]
+    return st.one_of(options + [st.none()] * (like is not None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_malformed_keyword_is_a_value_error_naming_it(data):
+    sid, keyword = data.draw(st.sampled_from(sorted(DEPTH)))
+    value = data.draw(malformed(sid, keyword))
+    with pytest.raises(ValueError, match=r"^%s(\[\d+\])* " % re.escape(keyword)):
+        scenarios.build(sid, **{keyword: value})
+
+
+def whole(sid, keyword, like):
+    """A whole-numbered value of a float or float-tuple keyword that builds alone."""
+    for pick in (math.ceil, math.floor):
+        value = (tuple(float(pick(v)) for v in like) if isinstance(like, tuple)
+                 else float(pick(like)))
+        try:
+            scenarios.build(sid, **{keyword: value})
+            return value
+        except ValueError:
+            pass
+    raise AssertionError((sid, keyword))
+
+
+# per scenario, the (default, whole-numbered) values of each float or tuple
+# keyword; but h, whose whole value (1.0) leaves no step to compile
+WHOLE = {sid: {kw: (like, whole(sid, kw, like)) for kw, like in defaults.items()
+               if isinstance(like, (float, tuple)) and kw != "h"}
+         for sid, defaults in scenarios.DEFAULTS.items()}
+WHOLE["numeric-2d"]["theta_box"] = ((1.0, 1.0), (2.0, 2.0)), ((1.0, 2.0), (1.0, 3.0))
+
+
+def loosen(value):
+    """value with each whole float as an int and each tuple as a list."""
+    if isinstance(value, tuple):
+        return [loosen(v) for v in value]
+    return int(value) if value.is_integer() else value
+
+
+def built(sid, kwargs):
+    """The y0 and compiled run-loop source of the built scenario, or its error."""
+    try:
+        scn = scenarios.build(sid, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    with mock.patch.object(scenarios, "integrate", lambda *args, loop, **kw: loop):
+        loop = scn.run()
+    return repr(scn.y0()), loop and loop.source
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ints_and_lists_build_what_floats_and_tuples_do(data):
+    sid = data.draw(st.sampled_from(scenarios.SCENARIO_IDS))
+    keywords = data.draw(st.lists(st.sampled_from(sorted(WHOLE[sid])), unique=True))
+    call = {kw: data.draw(st.sampled_from(WHOLE[sid][kw])) for kw in keywords}
+    assert built(sid, {kw: loosen(v) for kw, v in call.items()}) == built(sid, call)
 
 
 def test_step_consistency_errors():

@@ -184,6 +184,8 @@ def test_budget_slack_is_the_first_minimum_on_a_hand_table():
     ("tol_x", 0.0), ("tol_k", -1e-3), ("z_tail", 0.0), ("energy_slack", -1e-6),
     ("budget_slack", 0.0), ("k_monotone", -1e-12), ("tol_x", float("nan")),
     ("tail_frac", float("nan")), ("k_monotone", float("nan")),
+    # not a real number, or a bool: rejected before the value rule
+    ("tol_x", None), ("tol_x", "0.1"), ("tail_frac", None), ("k_monotone", True),
 ])
 def test_tolerances_reject_a_value_naming_the_field(name, value):
     with pytest.raises(ValueError, match="^%s must " % name):
