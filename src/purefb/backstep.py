@@ -31,8 +31,10 @@ legal.  The tower depth grows with the stage index, so automatic synthesis
 is limited to four stages.
 
 ``ControllerStack`` is this constructive synthesis only: a law with shapes
-derived by hand (numeric-2d's published one) lives in ``scenarios``.  Every
-law takes its gain update, dead zone included, from ``DesignParams.gain_rates``.
+derived by hand (numeric-2d's published one) lives in ``scenarios``.  Both
+numeric-2d laws take their gain update, dead zone included, from
+``DesignParams.gain_rates``; ``missile.missile_control`` writes its own
+gamma_2 z_2^2 and gamma_3 psi_3^2 z_3^2, since dk_2/dt enters psi_3.
 """
 
 from __future__ import annotations

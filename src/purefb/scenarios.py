@@ -28,14 +28,15 @@ law ``law(x, k) -> (z, u, dk/dt, extra values)`` and the input ``sign``.
 adaptive gains k, integrals of z_i^2) and applies the sign: it derives
 ``rhs_reference`` (plant rates at sign * u, gain rates, z_i^2 of each
 adaptive stage) and the recorded row t, x1..xn, z1..zn, k_i, u, <extras>,
-intz_i, with k_i and intz_i for each adaptive stage i.  A factory's
-keywords are the run-config keys by name: ``section.key`` arrives as
-``key`` (see ``RunConfig.scenario_overrides``).  ``build`` types each
-keyword like its default in ``DEFAULTS`` by one rule, ``_typed``: a float
-default takes a real number but a bool, as a float; an n-tuple default n
-entries, each typed like its own as keyword[i]; any other default leaves
-the value to its keyword's own rule.  The factories convert nothing.
-Each ValueError of a keyword's value starts with the keyword.
+intz_i, with k_i and intz_i for each adaptive stage i.  ``build`` alone
+calls a factory, whose keywords are the run-config keys by name (see
+``RunConfig.scenario_overrides``); it rejects any other keyword and types
+each like its default in ``DEFAULTS`` by one rule, ``_typed``: a float or
+int default takes a real number but a bool (a whole one for an int), as
+its default's type; an n-tuple default a sequence (not a str, set or
+mapping) of n entries, each typed like its own as keyword[i]; any other
+default leaves the value to its keyword's own rule.  Nothing behind
+``build`` converts a value.  Each ValueError of a keyword starts with it.
 
 numeric-2d's plant is ``PlantSpec.rates``.  Its law is picked once, at
 build time: the published ``_n2_paper_law`` in paper mode, or
@@ -63,7 +64,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
-from collections.abc import Sized
+from collections.abc import Mapping, Set, Sized
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -90,11 +91,6 @@ def _check(ok, message, *args):
         raise ValueError(message % args)
 
 
-def _real(value):
-    """True for a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass
 class Scenario:
     """One runnable closed loop plus everything the verifier needs.
@@ -103,7 +99,7 @@ class Scenario:
     ``rhs_reference``, ``rhs`` (what ``run`` integrates) and ``recorder``
     (column names, row builder); also ``n`` (from x0) and the meta entries
     x_cols, z_cols, k_cols, intz_cols, n and adaptive.  Checks T and h > 0,
-    at most ``STEP_BUDGET`` steps, T/h whole and divided by decimation.
+    at most ``STEP_BUDGET`` steps, T/h whole and divided by decimation, an int.
     """
 
     sid: str
@@ -127,7 +123,7 @@ class Scenario:
     n: int = field(init=False)
 
     def __post_init__(self):
-        T, h = self.T, self.h = float(self.T), float(self.h)
+        T, h, d = self.T, self.h, self.decimation
         _check(T > 0.0, "T must be positive, got %r", T)
         _check(h > 0.0, "h must be positive, got %r", h)
         _check(T / h <= STEP_BUDGET, "h = %r asks for %.3g steps over T = %r, more than "
@@ -135,15 +131,10 @@ class Scenario:
         steps = round(T / h)
         _check(steps >= 1 and abs(steps * h - T) <= 1e-9 * max(1.0, T),
                "T must be an integer multiple of h, got T = %r, h = %r", T, h)
-        d = self.decimation
-        if type(d) is not int:  # an int of any size is kept as it is
-            _check(_real(d) and float(d).is_integer(),
-                   "decimation must be a whole number, got %r", d)
-        d = self.decimation = int(d)
+        _check(type(d) is int, "decimation must be a whole number, got %r", d)
         _check(d >= 1 and steps % d == 0,
                "decimation must divide the %d integration steps, got %d", steps, d)
         _check(len(self.k0) == len(self.adaptive), "need one initial gain per adaptive stage")
-        self.sign = float(self.sign)
         self.n = len(self.x0)
         n, m = self.n, len(self.adaptive)
         plant, law, sign = self.plant, self.law, self.sign
@@ -171,7 +162,7 @@ class Scenario:
         self.recorder = (names, build_row)
 
     def y0(self):
-        return tuple(self.x0) + tuple(self.k0) + (0.0,) * len(self.adaptive)
+        return self.x0 + self.k0 + (0.0,) * len(self.adaptive)
 
     def run(self, seed=None):
         y0 = self.y0()
@@ -181,7 +172,7 @@ class Scenario:
         loop = None
         if self.rhs is self.rhs_reference:
             loop = compile_loop(lambda t, y: rk4_step(self.rhs_reference, y, t, self.h),
-                                self.recorder[1], 0.0, [float(v) for v in y0])
+                                self.recorder[1], 0.0, y0)
         return integrate(
             self.rhs, y0, self.T, self.h, self.decimation,
             recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,
@@ -191,12 +182,17 @@ class Scenario:
 
 def _typed(keyword, value, like, rule=None):
     """value typed like its keyword's default like, as the module docstring says."""
-    if type(like) is float and type(value) is not float:
-        _check(_real(value), "%s must be a real number, got %r", keyword, value)
-        return float(value)
-    if type(like) is tuple:
+    kind = type(like)
+    if kind in (float, int) and type(value) is not kind:  # an int of any size as it is
+        _check(isinstance(value, numbers.Real) and not isinstance(value, bool)
+               and (kind is float or float(value).is_integer()), "%s must be a %s number, "
+               "got %r", keyword, "real" if kind is float else "whole", value)
+        return kind(value)
+    if kind is tuple:
         if type(value) is tuple and [*map(type, value + like)] == [float] * 2 * len(like):
             return value  # n floats where n floats belong, as they are
+        _check(not isinstance(value, (Set, Mapping)), "%s must be a sequence, got %r",
+               keyword, value)
         _check(isinstance(value, Sized) and not isinstance(value, (str, bytes))
                and len(value) == len(like), "%s must %s; got %r", keyword,
                rule or "have %d entries, one per stage" % len(like), value)
@@ -269,7 +265,7 @@ def _n2_paper_law(params, x, k):
     return z, -(mu[1] * k[1] * psi2 * z2), params.gain_rates(psi, z), psi
 
 
-def numeric2d(
+def _numeric2d(
     mode="paper",
     theta=(1.0, 2.0),
     theta_box=None,
@@ -333,7 +329,7 @@ def numeric2d(
 # -- missile roll channel --------------------------------------------------
 
 
-def stt_missile(
+def _stt_missile(
     roll_deg=10.0,
     rate=0.0,
     defl=0.0,
@@ -382,7 +378,7 @@ def stt_missile(
     )
 
 
-SCENARIOS = {"numeric-2d": numeric2d, "stt-missile": stt_missile}
+SCENARIOS = {"numeric-2d": _numeric2d, "stt-missile": _stt_missile}
 SCENARIO_IDS = tuple(sorted(SCENARIOS))
 # each factory's keyword defaults, read once: what build types a keyword like
 DEFAULTS = {sid: {p.name: p.default for p in inspect.signature(f).parameters.values()}
@@ -395,7 +391,10 @@ def build(sid, **overrides):
         raise ValueError("unknown scenario %r; registered: %s" % (sid, ", ".join(SCENARIO_IDS)))
     factory, defaults = SCENARIOS[sid], DEFAULTS[sid]
     for keyword, value in overrides.items():
-        like = defaults.get(keyword)
+        if keyword not in defaults:
+            raise ValueError("%s is not a keyword of %s; its keywords are %s"
+                             % (keyword, sid, ", ".join(defaults)))
+        like = defaults[keyword]
         if type(value) is not type(like) or type(like) is tuple:  # else typed already
             overrides[keyword] = _typed(keyword, value, like)
     return factory(**overrides)

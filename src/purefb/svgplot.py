@@ -45,10 +45,13 @@ def _scale(lo, hi):
 
 
 def _nice_ticks(lo, hi):
-    """Tick positions at a 1/2/5 x 10^k step covering an ``_Axis``'s [lo, hi]."""
+    """Tick positions at a 1/2/5 x 10^k step covering [lo, hi], or None where
+    that step cannot move a tick forward (a span of none or a few ulps)."""
     s = _scale(lo, hi)
     raw = (hi * s - lo * s) / TICKS / s
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    if mag == 0.0:  # raw, or its 10^k, is 0 or underflowed to it
+        return None
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if raw <= step:
@@ -60,6 +63,8 @@ def _nice_ticks(lo, hi):
     end = min(hi + step * 1e-9, sys.float_info.max)
     while value <= end:
         ticks.append(0.0 if abs(value) < step * 1e-9 else value)
+        if not value + step > value:  # step is below half an ulp of value
+            return None
         value += step
     return ticks
 
@@ -70,9 +75,14 @@ def _fmt(v):
 
 class _Axis:
     def __init__(self, lo, hi, pix_lo, pix_hi):
-        if hi <= lo:
-            pad = 1.0 if lo == 0.0 else abs(lo) * 0.5
+        self.ticks = _nice_ticks(lo, hi)
+        # a constant series, or one its ticks cannot step across, is widened
+        # by half its magnitude, or where that is not enough (0 or near it) by 1
+        for pad in (max(abs(lo), abs(hi)) * 0.5, 1.0):
+            if self.ticks is not None:
+                break
             lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+            self.ticks = _nice_ticks(lo, hi)
         self.lo, self.hi = lo, hi
         self.scale = _scale(lo, hi)
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
@@ -140,7 +150,7 @@ def line_plot(path, t, series, title="", ylabel=""):
             '<text x="%d" y="20" text-anchor="middle" font-size="14">%s</text>'
             % (WIDTH // 2, title)
         )
-    for tick in _nice_ticks(xaxis.lo, xaxis.hi):
+    for tick in xaxis.ticks:
         px = xaxis.pix(tick)
         parts.append(
             '<line x1="%.2f" y1="%d" x2="%.2f" y2="%d" stroke="#ddd"/>'
@@ -150,7 +160,7 @@ def line_plot(path, t, series, title="", ylabel=""):
             '<text x="%.2f" y="%d" text-anchor="middle">%s</text>'
             % (px, HEIGHT - MARGIN_B + 18, _fmt(tick))
         )
-    for tick in _nice_ticks(yaxis.lo, yaxis.hi):
+    for tick in yaxis.ticks:
         py = yaxis.pix(tick)
         parts.append(
             '<line x1="%d" y1="%.2f" x2="%d" y2="%.2f" stroke="#ddd"/>'

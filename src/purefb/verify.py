@@ -30,6 +30,7 @@ report is made.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -515,6 +516,18 @@ def _mc_run(sid, overrides, tol):
     }
 
 
+def _box(sid, keyword, box):
+    """box typed like (lo, hi) pairs of the default of sid's keyword, each
+    lo <= hi a finite width apart (numpy draws from no wider interval)."""
+    name, like = keyword + "_box", scenarios.DEFAULTS.get(sid, {}).get(keyword)
+    scenarios._check(type(like) is tuple, "%s: scenario %r has no keyword %s", name, sid, keyword)
+    box = scenarios._typed(name, box, tuple((v, v) for v in like))
+    for i, (lo, hi) in enumerate(box, 1):
+        scenarios._check(lo <= hi and math.isfinite(hi - lo), "%s[%d] must have lo <= hi, "
+                         "a finite width apart, got (%r, %r)", name, i, lo, hi)
+    return box
+
+
 def monte_carlo(
     sid,
     M,
@@ -531,12 +544,17 @@ def monte_carlo(
     each run also draws a constant uncertainty vector from it (declared as
     the run's box).  All draws come from one generator seeded up front and
     the runs execute in order in this process, so the aggregate is
-    deterministic.  ``workers`` must be 1.
+    deterministic.  ``workers`` must be 1.  Each box is typed like the
+    (lo, hi) pairs of its keyword's default, each lo <= hi a finite width
+    apart.
     """
     if M < 1:
         raise ValueError("Monte-Carlo needs at least one run")
     if workers != 1:
         raise ValueError("the sweep runs in one process; workers must be 1")
+    x0_box = _box(sid, "x0", x0_box)
+    if theta_box is not None:
+        theta_box = _box(sid, "theta", theta_box)
     tol = tol or VerifyTolerances()
     rng = np.random.default_rng(seed)
     base = dict(overrides or {})
@@ -548,7 +566,7 @@ def monte_carlo(
             over["theta"] = tuple(
                 float(rng.uniform(lo, hi)) for lo, hi in theta_box
             )
-            over["theta_box"] = tuple(tuple(edge) for edge in theta_box)
+            over["theta_box"] = theta_box
         results.append(_mc_run(sid, over, tol))
     passes = sum(1 for r in results if r["passed"])
     return MonteCarloReport(

@@ -12,7 +12,7 @@ from purefb.backstep import (
     SynthesisError,
 )
 from purefb.plant import BoundSpec
-from purefb.scenarios import _n2_phi1, _n2_psi2_closed_form, _n2_rho1, _n2_rho2, numeric2d
+from purefb.scenarios import _n2_phi1, _n2_psi2_closed_form, _n2_rho1, _n2_rho2, build
 
 rng = np.random.default_rng(77103)
 
@@ -49,7 +49,7 @@ def three_stage_stack():
 
 def test_paper_sweep_hand_values():
     """Benchmark start point: alpha1 = -mu1 k1 psi1 z1 with psi1 = 2."""
-    scn = numeric2d(mode="paper")
+    scn = build("numeric-2d", mode="paper")
     assert scn.stack is None  # the published law builds no stack
     z, u, _, psi = scn.law((-2.0, 3.0), (0.01, 0.01))
     # z2 = x2 - alpha1, so at x2 = 0 the second error is -alpha1
@@ -63,7 +63,7 @@ def test_paper_sweep_hand_values():
 
 
 def test_auto_sweep_hand_values():
-    stack = numeric2d(mode="auto").stack
+    stack = build("numeric-2d", mode="auto").stack
     ev = stack.evaluate((-2.0, 3.0), (0.01, 0.01))
     # psi1 = rho1 + 1 = 2 and the virtual control is quadratic in psi
     assert ev.psi[0] == 2.0
@@ -102,7 +102,7 @@ def test_eta_closed_form_degenerate_cascade():
 
 
 def test_transform_reconstruct_round_trip():
-    stack = numeric2d(mode="auto").stack
+    stack = build("numeric-2d", mode="auto").stack
     for _ in range(1000):
         x = tuple(float(v) for v in rng.uniform(-4.0, 4.0, size=2))
         k = tuple(float(v) for v in rng.uniform(0.01, 8.0, size=2))
@@ -116,7 +116,7 @@ def test_transform_reconstruct_round_trip():
 def test_psi_floor_holds_at_random_points(mode):
     """Every stage shape stays >= 1 over a wide (z, k) box."""
     if mode == "auto":
-        reconstruct = numeric2d(mode="auto").stack.reconstruct
+        reconstruct = build("numeric-2d", mode="auto").stack.reconstruct
 
         def shapes(zb, kb):
             return reconstruct(zb, kb)[1]
@@ -171,7 +171,7 @@ def test_virtual_control_derivatives_match_finite_differences():
 
 @pytest.mark.parametrize("mode", ["paper", "auto"])
 def test_origin_is_a_fixed_point(mode):
-    law = numeric2d(mode=mode).law
+    law = build("numeric-2d", mode=mode).law
     z, u, rates, _ = law((0.0, 0.0), (0.01, 0.01))
     # z2 = x2 - alpha1 = 0 at x2 = 0 holds alpha1 = 0 too
     assert list(z) == [0.0, 0.0]
@@ -181,7 +181,7 @@ def test_origin_is_a_fixed_point(mode):
 
 def test_gain_rate_dominates_raw_error_energy():
     # psi >= 1 makes gamma_i z_i^2 a lower bound on the update rate
-    stack = numeric2d(mode="auto").stack
+    stack = build("numeric-2d", mode="auto").stack
     params = stack.params
     for _ in range(300):
         zb = [float(v) for v in rng.uniform(-5.0, 5.0, size=2)]
@@ -208,7 +208,7 @@ def test_design_params_validation():
     with pytest.raises(SynthesisError, match=r"mu\[1\]"):
         DesignParams(mu=(-1.0,), gamma=(0.2,))
     with pytest.raises(ValueError, match="mode"):
-        numeric2d(mode="other")
+        build("numeric-2d", mode="other")
 
 
 def test_auto_mode_stage_limit():

@@ -794,6 +794,30 @@ def test_plot_rerenders_identically(short_cfg, tmp_path):
     assert states.read_bytes() == first
 
 
+# runs whose charts have an axis one or two ulps wide, or constant at a
+# subnormal value, and what `run` then printed as its error
+NARROW = {
+    # gains in [0.1, 0.10000000000000002]: MemoryError
+    "roll": (Path(__file__).parent.parent / "configs" / "stt-missile.cfg").read_text()
+    .replace("init.roll_deg = 10.0", "init.roll_deg = 3.02e-6"),
+    # u constant at -1.5e-323: ZeroDivisionError
+    "mu2": "scenario.id = stt-missile\ndesign.mu2 = 4.9406564584124654e-324\n"
+           "design.k20 = 15\nintegrator.T = 0.01\nintegrator.h = 0.001\n"
+           "integrator.decimation = 1\n",
+    # math domain error
+    "x0": "scenario.id = numeric-2d\ninit.x0 = 5e-324, 5e-324\nintegrator.T = 0.02\n"
+          "integrator.h = 0.001\nintegrator.decimation = 1\n",
+}
+
+
+@pytest.mark.parametrize("case", list(NARROW))
+def test_a_near_constant_chart_is_drawn(tmp_path, case):
+    out = registry(tmp_path)
+    assert main(["run", "--config", write_cfg(tmp_path, NARROW[case]), "--out", out]) in (0, 1, 3)
+    assert sorted(os.listdir(Path(out, only_run_id(out), "plots"))) == [
+        "errors.svg", "gains.svg", "input.svg", "states.svg"]
+
+
 def test_usage_error_without_subcommand(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -805,7 +829,9 @@ def test_usage_error_without_subcommand(capsys):
 N2_5S = "scenario.id = numeric-2d\nintegrator.T = 5.0\n"
 MS_2S = "scenario.id = stt-missile\nintegrator.T = 2.0\n"
 
-# SHA-256 of the files `run` and `verify <id>` write.  The numeric-2d
+# SHA-256 of the files `run` and `verify <id>` write.  The charts' digests
+# were recorded at the commit before svgplot widened an axis too narrow for
+# its ticks to step across; no chart here has one.  The numeric-2d
 # digests, at T = 5 s, were recorded at the commit before Scenario assembled
 # the closed loop.  numeric-2d's arithmetic is + - * / and sqrt, which IEEE
 # 754 rounds the same way on every machine.  The sign-flipped run's
@@ -818,41 +844,73 @@ GOLDEN = {
         "trajectory.csv": "174790d398c80a76749a2c608bfed8603e4171e4d4e45c79f2d3fcf6e2c4d3e2",
         "summary.json": "15af3c2f7a4eec67cad6c0c181b22cc8f2760c01dedda8e2f95a7c28a467ce2a",
         "report.json": "9fc4a3ab736384de9f73097ec2318284449fcb24e367ee50eca8cad2efc8812a",
+        "plots/errors.svg": "1246073e9dda89053a0e81ded1dd3f691ce0797af632420bb6651426c99eb9b8",
+        "plots/gains.svg": "d5ab0b7e814ce112de725be5bb4b8b3bff3616a947dbec1a4c7de9ef52450ba2",
+        "plots/input.svg": "f8b233ec0e5f2ed759c4d15c922711f666c7d3a0a0b5dab60c5d57a121c98389",
+        "plots/states.svg": "c187d09f5c8fc770431e550c02a12892a00ea61e0c165a833a1c6b62fc7f27f6",
     }),
     "auto": (N2_5S + "design.mode = auto\nverify.audit_samples = 500\n", (0, 1), {
         "trajectory.csv": "763502e88dae9174f1c0b2496f7705bb7e29bb32c80d46c18495e047672605d4",
         "summary.json": "7d77d94dfbbb272c405bdcf0b315dc00f6aec26b7e1a5841f9e5c9ac7c5c31d4",
         "report.json": "6a9cb52bff0a5a13c9635bcafc9a765cbe7282ab4b5c2bed6e23afca80355e47",
+        "plots/errors.svg": "ffe16beb3eb4148e234b91a882bbe91e61a550f47cca971a0b803228dc66dc83",
+        "plots/gains.svg": "9275816fb1716586f87ee9427b93d454224e257bfc224901bc0ed298b2dbbdd2",
+        "plots/input.svg": "33607dc4f0f969793d6c5948a403a9193297208dc258bd58e0f0d5f42453ce83",
+        "plots/states.svg": "ed743f26650952b821dcaeb2cca1353ef402741a5a4826c128a21db2dbae726f",
     }),
     "deadzone": (N2_5S + "design.deadzone = 0.01\n", (0, 1), {
         "trajectory.csv": "5ed13146e145876147f0f3a5c20bc93755da2e16e86773a78d10289dcc0d6b87",
         "summary.json": "0637a499fbd1b2e74b035d98af0de95958a95eb2c5d8085781f7f965b09747c8",
         "report.json": "ec0719def77e7900c18aeb6362250a3fb95a470032fad828c76c01eb31214b0c",
+        "plots/errors.svg": "1246073e9dda89053a0e81ded1dd3f691ce0797af632420bb6651426c99eb9b8",
+        "plots/gains.svg": "a26a6026baf06382d65405c1955e3d2f34ef567876a0cef1a4359f529d3ac960",
+        "plots/input.svg": "f8b233ec0e5f2ed759c4d15c922711f666c7d3a0a0b5dab60c5d57a121c98389",
+        "plots/states.svg": "c187d09f5c8fc770431e550c02a12892a00ea61e0c165a833a1c6b62fc7f27f6",
     }),
     "sign-flip": (N2_5S + "design.sign_flip = true\n", (3, 3), {
         "trajectory.csv": "8643167030a5a7f5785291e4ad562813c97b9213c000d1588e1fdd7b592b030b",
         "summary.json": "6466de659240b5f6ec74484a439fc8935185e02b913e8ad5739d1ba80aa54ea7",
+        "plots/errors.svg": "53dd3a734c006cf1ce4f2f23c574ade73391b1255a288abe42fd9ee9dfdd0695",
+        "plots/gains.svg": "3feca2caf8d2c6814bb8cf9e9915a2a10ceba2afa6cc781397549c03058d0fdd",
+        "plots/input.svg": "6ede5099651a480ff72948b8c6354e69ecab249055a8d430bb030c332aa8c34b",
+        "plots/states.svg": "6d5dfd01110e73e57eb71fd5250c76e84820684aee49175f6bf39358d3da763d",
     }),
     # the first step fails, so no step is compiled: beyond the abort limit
     # at t = 0.001, and not finite at t = 0
     "auto-sign-flip": (N2_5S + "design.mode = auto\ndesign.sign_flip = true\n", (3, 3), {
         "trajectory.csv": "8567e6013713d71feb9957ad7ca866ed7863208cfeb327167bc68b15caf7b8b7",
         "summary.json": "370d5eda908ded62b659c4d97d1ddd0c920b89498fb9c3aca5e523e5d334ee6a",
+        "plots/errors.svg": "b45ce71cf3b2d4d235d0e69593659b0548946b37f67e66215b69239fcf8b822d",
+        "plots/gains.svg": "3feca2caf8d2c6814bb8cf9e9915a2a10ceba2afa6cc781397549c03058d0fdd",
+        "plots/input.svg": "52253120cfbf6de4da8f45bf480442c6ea8fd589e4ae2be6bc4c0e3773ae6f72",
+        "plots/states.svg": "6d5dfd01110e73e57eb71fd5250c76e84820684aee49175f6bf39358d3da763d",
     }),
     "far-x0": (N2_5S + "init.x0 = 10.0, -10.0\n", (3, 3), {
         "trajectory.csv": "f6f357e27a0782633c2b1db5db8e45a46624a46b582047ebce3ed1e71789c47b",
         "summary.json": "56a7e090a15ede3b11eb747318a2b6c6f382872f7c33672806d69834bca7beb5",
+        "plots/errors.svg": "11c3e208d818ea2b956b4e397a936225ec14447b7ad2d222c3579eafd2a14a62",
+        "plots/gains.svg": "3feca2caf8d2c6814bb8cf9e9915a2a10ceba2afa6cc781397549c03058d0fdd",
+        "plots/input.svg": "95af9d8429d9e9e12b7e32f47f63e05387d212b6a2f0539d1387f34ac08a7b9f",
+        "plots/states.svg": "2dc6e25428b092fd3af3d8b344d6b32c8fefa5beb6033a3f568b4b658a42794f",
     }),
     "missile": (MS_2S, (0, 1), {
         "trajectory.csv": "9840602c195daeae31f41e4a0f995c3c44c50483434215359d23bf4870475117",
         "summary.json": "affe997d76e0a519363374a7a33f0f59e01678ad91501615a955f7dadf9041c0",
         "report.json": "c1bed7855db43274b4f6ee21dec03e1ea9178c37a2cf1d85b77c5d0a7c1882e2",
+        "plots/errors.svg": "e6641b984120c80a604307a2e1d98d24cd042921c32f377d6eefa07ed924c8fa",
+        "plots/gains.svg": "9f886509a062e96b2a82c73cc0e19ed5b6834814091ff52d12d003a5340b835c",
+        "plots/input.svg": "7014a8e518e3c55c13a69d2f0ab6348d0186e10947c6ecad70e4296d013f7fde",
+        "plots/states.svg": "d66c1136dd9803f257b15c54e512707414d90daf71b9ae113a9b63da36d551b4",
     }),
     "missile-sign-flip": (MS_2S + "design.sign_flip = true\n"
                           "integrator.decimation = 1\n", (3, 3), {
         "trajectory.csv": "826cb7a036fc58c2d2c636c9265ec2cec7a4a915612ecf6083480bf659c3fd2c",
         "summary.json": "adb14dd5e08eb07f99fb3e77ca6d24f98c232f72eee50cd5eb21a04f2760fc06",
         "report.json": "907488e64aaf549237afa98008a131d2bf326649beadf8f3ea54611e2452de48",
+        "plots/errors.svg": "b571a6f8609e06d502714dc3afedd12644f7724f7aaaf8ccc28c7cb4ce04d9e5",
+        "plots/gains.svg": "f85488cd5908343490014b9c014a9c77e3fb5b910af7df459344fa8e36f3f789",
+        "plots/input.svg": "4116864336011db47d7b33fa6039fb8e8bbf9071707bae1d3cc8692027d8e02d",
+        "plots/states.svg": "d9a8a1298f8bfcef08e0ac09c2988e8ad06426ae59af26e9e0438bf7392ac849",
     }),
 }
 

@@ -7,7 +7,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from purefb import cli, config, runstore, scenarios
@@ -359,6 +359,13 @@ def exits_without_internal_error(argv):
 
 @settings(max_examples=40, deadline=None)
 @given(text=config_texts(short=True))
+# the input is constant at -1.5e-323 and its chart's ticks underflowed
+@example(text="scenario.id = stt-missile\ndesign.mu2 = 4.9406564584124654e-324\n"
+              "design.k20 = 15\nintegrator.T = 0.01\nintegrator.h = 0.001\n"
+              "integrator.decimation = 1\n")
+# a sweep box wider than the largest float, which numpy cannot draw from
+@example(text="scenario.id = numeric-2d\nintegrator.T = 0.1\n"
+              "sweep.x0_lo = -1e308, -3.0\nsweep.x0_hi = 1e308, 3.0\n")
 def test_a_valid_config_runs_or_exits_2(text):
     """A config the schema accepts runs (0, 1, 3) or exits 2, never 4.
 

@@ -11,7 +11,7 @@ from purefb.missile import (
     missile_control,
     stt_dynamics,
 )
-from purefb.scenarios import stt_missile
+from purefb.scenarios import build
 
 rng = np.random.default_rng(90210)
 
@@ -151,4 +151,4 @@ def test_design_validation():
 
 def test_profile_positivity_guard():
     with pytest.raises(ValueError, match="not positive"):
-        stt_missile(v_amp=1.2)
+        build("stt-missile", v_amp=1.2)

@@ -2,12 +2,15 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import purefb
+from purefb.scenarios import Scenario
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(purefb.__path__))
 
@@ -88,3 +91,45 @@ def test_only_scenarios_names_a_controller_mode(name):
     named = [(node.lineno, node.value) for node in ast.walk(ast.parse(Path(path).read_text()))
              if isinstance(node, ast.Constant) and node.value in modes]
     assert named == []
+
+
+def source_of(name):
+    return Path(importlib.import_module("purefb." + name).__file__)
+
+
+def used_names(tree):
+    """Each name, attribute and imported name of a syntax tree, with its line."""
+    for node in ast.walk(tree):
+        for used in (getattr(node, "id", None), getattr(node, "attr", None),
+                     node.name if isinstance(node, ast.alias) else None):
+            if used is not None:
+                yield getattr(node, "lineno", None), used
+
+
+OUTSIDE = [source_of(m) for m in MODULES if m != "scenarios"] + sorted(
+    Path(__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", OUTSIDE, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_only_scenarios_names_a_factory(path):
+    """scenarios.build is the one way to a scenario, and the one place that
+    types its keywords: no other module or test reaches a factory."""
+    named = [(line, name) for line, name in used_names(ast.parse(path.read_text()))
+             if name in ("_numeric2d", "_stt_missile")]
+    assert named == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "scenarios"])
+def test_only_scenarios_constructs_a_scenario(name):
+    """A Scenario built past a factory would skip the typing rule."""
+    calls = [node.lineno for node in ast.walk(ast.parse(source_of(name).read_text()))
+             if isinstance(node, ast.Call) and "Scenario" in [n for _, n in used_names(node.func)]]
+    assert calls == []
+
+
+def test_scenario_converts_no_field():
+    """build hands Scenario every value typed, so it converts none."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(Scenario.__post_init__)))
+    calls = [node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert "float" not in calls and "int" not in calls

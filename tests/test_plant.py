@@ -12,7 +12,7 @@ from purefb.scenarios import (
     _n2_phi1,
     _n2_rho1,
     _n2_rho2,
-    numeric2d,
+    build,
 )
 
 rng = np.random.default_rng(415)
@@ -124,7 +124,7 @@ def test_probe_two_state_envelopes_hold():
         boxes.append(tuple(zip(lo.tolist(), hi.tolist())))
     plant = two_state_plant()
     for box in boxes:
-        scn = numeric2d(theta=tuple(lo for lo, _ in box), theta_box=box)
+        scn = build("numeric-2d", theta=tuple(lo for lo, _ in box), theta_box=box)
         bounds, oracle = scn.bounds, scn.oracle
         x = (signed_log_uniform(), signed_log_uniform())
         th = tuple(rng.uniform(lo, hi, size=2000) for lo, hi in box)

@@ -113,6 +113,11 @@ REJECTED = [
     ({"theta_box": 1.0}, "theta_box must have 2 entries"),
     ({"theta_box": ((0.8, 1.2), (1.6,))}, r"theta_box\[2\] must be a \(lo, hi\) pair"),
     ({"theta_box": ((0.8, 1.2), 1.6)}, r"theta_box\[2\] must be a \(lo, hi\) pair"),
+    # an unordered vector, and a keyword numeric-2d does not take
+    ({"x0": {3.0, -2.0}}, "x0 must be a sequence"),
+    ({"x0": {"a": 1.0, "b": 2.0}}, "x0 must be a sequence"),
+    ({"k0": iter((0.01, 0.01))}, "k0 must have 2 entries"),
+    ({"bogus": 1}, "bogus is not a keyword of numeric-2d; its keywords are mode, theta, "),
 ]
 
 
@@ -135,15 +140,27 @@ def test_initial_gains_must_be_positive(sid, kwargs, stage):
         scenarios.build(sid, **kwargs)
 
 
+@pytest.mark.parametrize("keyword", ["x0", "theta", "bogus"])
+def test_a_keyword_the_missile_does_not_take_is_named(keyword):
+    """Not a TypeError: a ValueError naming the keyword and the keywords
+    stt-missile takes."""
+    keywords = ", ".join(scenarios.DEFAULTS["stt-missile"])
+    with pytest.raises(ValueError, match="^%s is not a keyword of stt-missile; its keywords "
+                       "are %s$" % (keyword, keywords)):
+        scenarios.build("stt-missile", **{keyword: (0.0, 0.0, 0.0)})
+
+
 @pytest.mark.parametrize("sid", scenarios.SCENARIO_IDS)
 def test_non_integral_decimation_is_rejected(sid):
     with pytest.raises(ValueError, match="decimation must be a whole number, got 2.5"):
         scenarios.build(sid, decimation=2.5)
-    # not a real number: a str, then None
-    for value in ("ten", None):
+    # not a real number: a str, then None; a bool is not a number here
+    for value in ("ten", None, "10", True):
         with pytest.raises(ValueError, match="^decimation must be a whole number, got %r$" % value):
             scenarios.build(sid, decimation=value)
-    assert scenarios.build(sid, decimation=100.0).decimation == 100
+    for value in (100.0, np.int64(100), np.float64(100.0)):
+        decimation = scenarios.build(sid, decimation=value).decimation
+        assert type(decimation) is int and decimation == 100
     assert scenarios.build(sid, T=1.0, h=0.1, decimation=5.0).decimation == 5
     # a whole number too large for a float is kept and fails to divide the steps
     with pytest.raises(ValueError, match="decimation must divide the 10 integration steps"):
@@ -248,6 +265,58 @@ def test_ints_and_lists_build_what_floats_and_tuples_do(data):
     keywords = data.draw(st.lists(st.sampled_from(sorted(WHOLE[sid])), unique=True))
     call = {kw: data.draw(st.sampled_from(WHOLE[sid][kw])) for kw in keywords}
     assert built(sid, {kw: loosen(v) for kw, v in call.items()}) == built(sid, call)
+
+
+def spelled(value):
+    """Ways a caller may spell value: as it is or a numpy scalar, each whole
+    float also as an int, each tuple also as a list or a numpy array."""
+    if isinstance(value, tuple):
+        entries = st.tuples(*map(spelled, value))
+        return st.one_of(entries, entries.map(list), st.just(np.array(value)))
+    ways = [value, np.float64(value)]
+    if float(value).is_integer():
+        ways += [int(value), np.int64(value), float(value)]
+    return st.sampled_from(ways)
+
+
+def received(sid, kwargs):
+    """The keywords sid's factory receives from scenarios.build(sid, **kwargs)."""
+    calls = []
+    factory = scenarios.SCENARIOS[sid]
+
+    def recording(**given):
+        calls.append(given)
+        return factory(**given)
+
+    with mock.patch.dict(scenarios.SCENARIOS, {sid: recording}):
+        scenarios.build(sid, **kwargs)
+    return calls.pop()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_factory_receives_each_keyword_as_its_defaults_type(data):
+    """build types every keyword before the factory runs, so neither the
+    factory nor Scenario converts one; theta_box, whose default is None, is
+    typed by numeric-2d against theta."""
+    sid = data.draw(st.sampled_from(scenarios.SCENARIO_IDS))
+    values = dict(WHOLE[sid], h=(scenarios.DEFAULTS[sid]["h"],),
+                  decimation=(scenarios.DEFAULTS[sid]["decimation"],))
+    keywords = data.draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    call = {kw: data.draw(st.sampled_from(values[kw]).flatmap(spelled)) for kw in keywords}
+    if sid == "numeric-2d":
+        call["mode"] = data.draw(st.sampled_from(scenarios.MODES))
+    try:
+        got = received(sid, call)
+    except ValueError:  # a theta outside its box, say
+        return
+    for keyword, value in got.items():
+        if keyword == "theta_box":
+            continue
+        like = scenarios.DEFAULTS[sid][keyword]
+        assert type(value) is type(like), keyword
+        if type(like) is tuple:
+            assert [*map(type, value)] == [*map(type, like)], keyword
 
 
 def test_step_consistency_errors():

@@ -3,10 +3,13 @@
 import math
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from purefb import scenarios
 from purefb.simkit import Trajectory
@@ -17,6 +20,7 @@ from purefb.svgplot import (
     MARGIN_R,
     MARGIN_T,
     PLOT_W,
+    TICKS,
     WIDTH,
     _Axis,
     _nice_ticks,
@@ -90,6 +94,43 @@ def test_series_near_the_largest_float_renders(tmp_path, values):
     if values[0] < values[1]:
         assert ys == [HEIGHT - MARGIN_B, MARGIN_T]
         assert ">-1e+308<" in text and ">1e+308<" in text
+
+
+def ulps_above(lo, n):
+    """lo and the float n ulps above it (or below, past the largest float)."""
+    hi = lo
+    for _ in range(n):
+        hi = math.nextafter(hi, math.inf if hi < 1.7e308 else 0.0)
+    return sorted([lo, hi])
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.one_of(st.builds(ulps_above, FINITE, st.integers(0, 3)),
+                        st.lists(FINITE, min_size=2, max_size=2).map(sorted)))
+@example(values=[5e-324, 5e-324])  # numeric-2d's x0 = (5e-324, 5e-324)
+@example(values=[-1.5e-323, -1.5e-323])  # stt-missile's u at mu2 = 5e-324
+@example(values=[0.1, 0.10000000000000002])  # stt-missile's gains at roll_deg = 3.02e-6
+@example(values=ulps_above(0.1, 2))
+@example(values=ulps_above(2.0 ** 53, 3))  # a step of half an ulp, tied to even
+@example(values=[-1.7e308, 1.7e308])
+def test_an_axis_over_any_finite_span_renders(values):
+    """A constant series, one a few ulps wide, subnormal or near the largest
+    float: the ticks step forward, so a bounded number is drawn, and every
+    coordinate is finite and inside the plot."""
+    axis = _Axis(*values, HEIGHT - MARGIN_B, MARGIN_T)
+    assert 1 <= len(axis.ticks) <= 2 * TICKS + 3
+    assert all(math.isfinite(axis.pix(tick)) for tick in axis.ticks)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "narrow.svg")
+        assert line_plot(path, [0.0, 1.0], [("v", values)]) == path
+        text = Path(path).read_text()
+        (points,) = polyline_points(path)
+    assert "nan" not in text and "inf" not in text
+    ys = [float(point.split(",")[1]) for point in points]
+    assert all(MARGIN_T <= y <= HEIGHT - MARGIN_B for y in ys)
 
 
 def test_non_finite_samples_are_left_out(tmp_path):

@@ -437,6 +437,40 @@ def test_monte_carlo_runs_in_one_process():
                     workers=2)
 
 
+# boxes monte_carlo rejects before it draws, and the start of each message
+BAD_BOXES = [
+    ("numeric-2d", {"x0_box": ((1.0, 0.0), (0.0, 1.0))}, r"x0_box\[1\] must have lo <= hi"),
+    ("numeric-2d", {"x0_box": ((-1e308, 1e308), (0.0, 1.0))},
+     r"x0_box\[1\] must have lo <= hi, a finite width apart"),
+    ("numeric-2d", {"x0_box": ((0.0, 1.0),)}, "x0_box must have 2 entries"),
+    ("numeric-2d", {"x0_box": ((0.0, 1.0), (0.0,))}, r"x0_box\[2\] must be a \(lo, hi\) pair"),
+    ("numeric-2d", {"x0_box": ((0.0, 1.0), (0.0, "1"))}, r"x0_box\[2\]\[2\] must be a real"),
+    ("numeric-2d", {"x0_box": ((0.0, 1.0), (0.0, 1.0)), "theta_box": ((1.2, 0.8), (1.6, 2.4))},
+     r"theta_box\[1\] must have lo <= hi"),
+    ("numeric-2d", {"x0_box": ((0.0, 1.0), (0.0, 1.0)), "theta_box": {(0.8, 1.2), (1.6, 2.4)}},
+     "theta_box must be a sequence"),
+    ("stt-missile", {"x0_box": ((0.0, 1.0),) * 3},
+     "x0_box: scenario 'stt-missile' has no keyword x0"),
+]
+
+
+@pytest.mark.parametrize("sid, kwargs, message", BAD_BOXES, ids=[
+    "x0-inverted", "x0-too-wide", "x0-one-entry", "x0-not-a-pair", "x0-str", "theta-inverted", "theta-set",
+    "missile-x0"])
+def test_monte_carlo_rejects_a_malformed_box_by_name(sid, kwargs, message):
+    with pytest.raises(ValueError, match="^" + message):
+        monte_carlo(sid, 1, 0, overrides={"T": 0.1}, **kwargs)
+
+
+def test_monte_carlo_draws_the_same_from_a_box_of_ints_and_lists():
+    kwargs = dict(overrides={"T": 2.0}, x0_box=((-1.0, 1.0), (-1.0, 1.0)),
+                  theta_box=((1.0, 1.2), (2.0, 2.4)))
+    loose = dict(overrides={"T": 2.0}, x0_box=[[-1, 1], np.array([-1, 1])],
+                 theta_box=[(1, 1.2), [2, 2.4]])
+    assert monte_carlo("numeric-2d", 2, 5, **loose).to_dict() == \
+        monte_carlo("numeric-2d", 2, 5, **kwargs).to_dict()
+
+
 def test_monte_carlo_deterministic_aggregate():
     kwargs = dict(
         x0_box=((-3.0, 3.0), (-3.0, 3.0)),
