@@ -10,14 +10,8 @@ three-state missile roll autopilot).
 __version__ = "1.0.0"
 
 from .autodiff import EvaluationError, gradient, partial, real_value, smooth_abs
-from .backstep import ControllerStack, DesignParams, SynthesisError
-from .plant import (
-    BoundSpec,
-    OracleConstants,
-    PlantConfigError,
-    PlantSpec,
-    UncertaintyProfile,
-)
+from .backstep import ControllerStack, DesignParams
+from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
 from .scenarios import SCENARIO_IDS, build
 from .simkit import DivergenceError, Trajectory, integrate, measure_order, read_csv
 from .verify import (
@@ -35,10 +29,8 @@ __all__ = [
     "DivergenceError",
     "EvaluationError",
     "OracleConstants",
-    "PlantConfigError",
     "PlantSpec",
     "SCENARIO_IDS",
-    "SynthesisError",
     "Trajectory",
     "UncertaintyProfile",
     "VerifyTolerances",

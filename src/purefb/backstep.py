@@ -28,7 +28,8 @@ with eta_i built constructively:
 Because eta_i itself contains a derivative pass, synthesizing stage i+1
 differentiates through it; the dual-number tower in ``autodiff`` makes that
 legal.  The tower depth grows with the stage index, so automatic synthesis
-is limited to four stages.
+is limited to four stages.  A design or bound set that cannot be
+synthesized raises a plain ValueError.
 
 ``ControllerStack`` is this constructive synthesis only: a law with shapes
 derived by hand (numeric-2d's published one) lives in ``scenarios``.  Both
@@ -44,18 +45,9 @@ from typing import NamedTuple
 
 from .autodiff import partial, seed, select_lt, smooth_abs
 
-__all__ = [
-    "ControllerStack",
-    "DesignParams",
-    "StageEval",
-    "SynthesisError",
-]
+__all__ = ["ControllerStack", "DesignParams", "StageEval"]
 
 MAX_AUTO_STAGES = 4
-
-
-class SynthesisError(ValueError):
-    """A design parameter set or bound description cannot be synthesized."""
 
 
 @dataclass(frozen=True)
@@ -70,17 +62,17 @@ class DesignParams:
     def __post_init__(self):
         n = len(self.mu)
         if len(self.gamma) != n:
-            raise SynthesisError("mu and gamma must share one length")
+            raise ValueError("mu and gamma must share one length")
         for name, vals in (("mu", self.mu), ("gamma", self.gamma)):
             for i, v in enumerate(vals):
                 if not v > 0.0:
-                    raise SynthesisError(
+                    raise ValueError(
                         "%s[%d] must be positive, got %r" % (name, i + 1, v)
                     )
         if self.deadzone < 0.0:
-            raise SynthesisError("deadzone must be >= 0")
+            raise ValueError("deadzone must be >= 0")
         if not self.smoothing > 0.0:
-            raise SynthesisError("smoothing must be positive")
+            raise ValueError("smoothing must be positive")
 
     @property
     def n(self):
@@ -116,11 +108,11 @@ class ControllerStack:
     def __init__(self, bounds, params):
         n = params.n
         if bounds is None:
-            raise SynthesisError("automatic synthesis needs bound functions")
+            raise ValueError("automatic synthesis needs bound functions")
         if bounds.n != n:
-            raise SynthesisError("bound and design stage counts differ")
+            raise ValueError("bound and design stage counts differ")
         if n > MAX_AUTO_STAGES:
-            raise SynthesisError(
+            raise ValueError(
                 "automatic synthesis supports at most %d stages; the "
                 "derivative tower depth grows with the stage index"
                 % MAX_AUTO_STAGES

@@ -7,9 +7,10 @@ Subcommands:
     montecarlo  seeded initial-condition/uncertainty sweep
     plot        re-render the SVG charts of a stored run
 
-Exit codes: 0 success, 1 monitor failure, 2 usage or config error,
-3 divergence, 4 internal error (anything else that went wrong, such as
-an unwritable registry; printed as one line, without a traceback).
+Exit codes: 0 success, 1 monitor failure, 2 usage or config error (any
+ValueError), 3 divergence, 4 internal error (anything else that went
+wrong, such as an unwritable registry; printed as one line, without a
+traceback).
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ EXIT_INTERNAL = 4
 
 # where a stored run id is looked up without --out
 _REGISTRY = configmod._BY_NAME["run.out"].default
-
-
-class _CliError(Exception):
-    """Usage-level failure; message printed to stderr, exit 2."""
 
 
 def _build_parser():
@@ -93,7 +90,7 @@ def _overrides(args):
 
 def _load_config(args):
     if not args.config:
-        raise _CliError("a --config file is required here")
+        raise ValueError("a --config file is required here")
     return configmod.load_file(args.config, overrides=_overrides(args))
 
 
@@ -175,20 +172,20 @@ def _cmd_verify(args):
     if args.run_id is not None:
         given = [f for f in ("config", "seed", "mode") if getattr(args, f) is not None]
         if given:
-            raise _CliError("a stored run is verified as it ran; --%s cannot "
-                            "change it" % ", --".join(given))
+            raise ValueError("a stored run is verified as it ran; --%s cannot "
+                             "change it" % ", --".join(given))
         out_dir = args.out or _REGISTRY
         cfg, scn, traj = runstore.load_run(out_dir, args.run_id)
         paths = runstore.paths_for(out_dir, args.run_id)
     else:
         if args.out is not None:
-            raise _CliError("a fresh verify stores nothing; --out names the "
-                            "registry of a stored run id")
+            raise ValueError("a fresh verify stores nothing; --out names the "
+                             "registry of a stored run id")
         cfg = _load_config(args)
         scn, traj = _execute(cfg)
         paths = None
     payload, ok = _monitor_report(cfg, traj, scn)
-    verdict = "PASS" if ok and not traj.diverged else "FAIL"
+    verdict = "PASS" if ok else "FAIL"
     payload["verdict"] = verdict
     if paths is not None:
         report_path = runstore.save_report(paths, payload)
@@ -203,9 +200,9 @@ def _cmd_montecarlo(args):
     cfg = _load_config(args)
     sweep = configmod._APPLIES_TO["sweep.x0_lo"]
     if cfg.sid not in sweep:
-        raise _CliError("the sweep is defined for scenario %s" % ", ".join(map(repr, sweep)))
+        raise ValueError("the sweep is defined for scenario %s" % ", ".join(map(repr, sweep)))
     if args.runs < 1:
-        raise _CliError("--runs must be at least 1")
+        raise ValueError("--runs must be at least 1")
     configmod.build(cfg)  # the base config's values, checked before the sweep
     x0_box = tuple(zip(cfg["sweep.x0_lo"], cfg["sweep.x0_hi"]))
     overrides = cfg.scenario_overrides()
@@ -251,8 +248,8 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (_CliError, ValueError) as exc:
-        # ConfigError and RunStoreError are ValueErrors
+    except ValueError as exc:
+        # a rejected value; ConfigError and RunStoreError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -7,24 +7,15 @@ A plant is a lower-triangular cascade
 for i < n, with the input u taking the role of x_{n+1} in the last stage.
 Synthesis never sees the true f_i/g_i, only the declared bound functions:
 rho_i dominating the drift growth and phi_i bounding the control gain from
-above.  The true bounding constants are a verification-only oracle.
+above.  The true bounding constants are a verification-only oracle.  A
+description that breaks its contract raises a plain ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "BoundSpec",
-    "OracleConstants",
-    "PlantConfigError",
-    "PlantSpec",
-    "UncertaintyProfile",
-]
-
-
-class PlantConfigError(ValueError):
-    """A plant or uncertainty description violates its declared contract."""
+__all__ = ["BoundSpec", "OracleConstants", "PlantSpec", "UncertaintyProfile"]
 
 
 @dataclass(frozen=True)
@@ -42,9 +33,9 @@ class PlantSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise PlantConfigError("state dimension must be >= 1")
+            raise ValueError("state dimension must be >= 1")
         if len(self.gain) != self.n:
-            raise PlantConfigError(
+            raise ValueError(
                 "drift/gain must each supply one function per stage"
             )
 
@@ -80,7 +71,7 @@ class BoundSpec:
 
     def __post_init__(self):
         if len(self.phi) != self.n - 1:
-            raise PlantConfigError("phi must cover stages 1..n-1")
+            raise ValueError("phi must cover stages 1..n-1")
 
     @property
     def n(self):
@@ -110,15 +101,15 @@ class OracleConstants:
     def __post_init__(self):
         n = len(self.b)
         if len(self.B) != n or len(self.c) != n:
-            raise PlantConfigError("oracle constant tuples must share one length")
+            raise ValueError("oracle constant tuples must share one length")
         for i in range(n):
             if not 0.0 < self.b[i] <= self.B[i]:
-                raise PlantConfigError(
+                raise ValueError(
                     "need 0 < b[%d] <= B[%d], got %r, %r"
                     % (i + 1, i + 1, self.b[i], self.B[i])
                 )
             if not self.c[i] >= 0.0:
-                raise PlantConfigError("c[%d] must be >= 0" % (i + 1,))
+                raise ValueError("c[%d] must be >= 0" % (i + 1,))
 
     @property
     def n(self):

@@ -23,9 +23,13 @@ An incomplete (diverged) trajectory is reported as not applicable and
 failed, never silently passed.
 
 A report's JSON is its fields: every report (and ``VerifyTolerances``)
-shares one ``to_dict``, ``dataclasses.asdict``, and a verdict
-(``passed``, ``all_passed``) is a field derived from the others when the
-report is made.
+shares one ``to_dict``, ``dataclasses.asdict``, and every verdict is a
+field derived from the others when the report is made, by one rule: a
+margin (a check's, or a monitor's least slack) passes when it is >= 0,
+so a NaN margin fails; the audit and the budget read a NaN slack as -inf
+before they fold.  A report is applicable when its run did not diverge,
+and a sweep counts its runs and passes from its results.  A malformed
+keyword or field raises a ValueError that starts with its name.
 """
 
 from __future__ import annotations
@@ -55,6 +59,14 @@ __all__ = [
 ]
 
 
+def _finite(name, value):
+    """value typed as a float by the rule that types a scenario keyword,
+    and finite."""
+    value = scenarios._typed(name, value, 0.0)
+    scenarios._check(math.isfinite(value), "%s must be finite, got %r", name, value)
+    return value
+
+
 class _Fields:
     """A report's JSON layout is its dataclass fields."""
 
@@ -76,9 +88,9 @@ class VerifyTolerances(_Fields):
 
     def __post_init__(self):
         # each message starts with the field it rejects; a field is first
-        # typed like its default, by the rule that types a scenario keyword
+        # stored as a finite float (an infinite one makes a margin inf - inf)
         for f in fields(self):
-            scenarios._typed(f.name, getattr(self, f.name), f.default)
+            object.__setattr__(self, f.name, _finite(f.name, getattr(self, f.name)))
         for name in ("tol_x", "tol_k", "z_tail", "energy_slack", "budget_slack"):
             if not getattr(self, name) > 0.0:
                 raise ValueError("%s must be positive, got %r" % (name, getattr(self, name)))
@@ -94,22 +106,26 @@ class CheckResult(_Fields):
     """One monitored condition: signed margin >= 0 means satisfied."""
 
     name: str
-    passed: bool
     margin: float
     where: Optional[float] = None  # time of the worst margin, when meaningful
     detail: str = ""
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.passed = self.margin >= 0.0
 
 
 @dataclass
 class InvariantReport(_Fields):
     scenario: str
-    applicable: bool
     diverged: bool
     checks: list = field(default_factory=list)
     detail: str = ""
+    applicable: bool = field(init=False)
     passed: bool = field(init=False)
 
     def __post_init__(self):
+        self.applicable = not self.diverged
         self.passed = self.applicable and all(c.passed for c in self.checks)
 
     def failed_names(self):
@@ -161,18 +177,10 @@ def check_theorem1(traj, tol=None):
     """
     tol = tol or VerifyTolerances()
     if traj.diverged:
-        return InvariantReport(
-            scenario=traj.sid,
-            applicable=False,
-            diverged=True,
-            checks=[
-                CheckResult(
-                    "complete", False, float("-inf"), traj.failure.t,
-                    "run aborted before the horizon; invariants not evaluable",
-                )
-            ],
-            detail="divergence flag set",
-        )
+        return InvariantReport(traj.sid, True, [CheckResult(
+            "complete", float("-inf"), traj.failure.t,
+            "run aborted before the horizon; invariants not evaluable",
+        )], "divergence flag set")
     sup = _tail_sup_x(traj, tol.tail_frac)
     K = _meta(traj, "k_cols")
     t = traj.t
@@ -189,25 +197,18 @@ def check_theorem1(traj, tol=None):
     if not np.isfinite(mags).all():
         # the first sample, then its first column
         i, j = np.argwhere(~np.isfinite(traj.data[:, 1:]))[0]
-        checks.append(CheckResult("bounded", False, float("-inf"), float(t[i]),
+        checks.append(CheckResult("bounded", float("-inf"), float(t[i]),
                                   "non-finite value in %s" % traj.columns[1 + j]))
     else:
         j = int(np.argmax(mags))  # the first column on ties
         worst = float(mags[j])  # an all-zero table gives +0.0 and names no column
         name = traj.columns[1 + j] if worst > 0.0 else ""
-        checks.append(CheckResult("bounded", worst <= ABORT_LIMIT, ABORT_LIMIT - worst, None,
+        checks.append(CheckResult("bounded", ABORT_LIMIT - worst, None,
                                   "largest recorded magnitude %.6g in %s" % (worst, name)))
 
     # (b) tail convergence of the plant state
-    checks.append(
-        CheckResult(
-            "state-tail",
-            sup <= tol.tol_x,
-            tol.tol_x - sup,
-            t_tail,
-            "sup |x| over the tail window = %.6g (tol %.3g)" % (sup, tol.tol_x),
-        )
-    )
+    checks.append(CheckResult("state-tail", tol.tol_x - sup, t_tail,
+                              "sup |x| over the tail window = %.6g (tol %.3g)" % (sup, tol.tol_x)))
 
     # (c) gains nondecreasing and settled; the worst decrement is the first
     # column's on ties, and a column holding a NaN decrement (whose
@@ -216,25 +217,11 @@ def check_theorem1(traj, tol=None):
     mono_margin, c = _first_min(np.min(dK, axis=0, initial=np.inf))
     mono_where = None if c is None else float(t[int(np.argmin(dK[:, c])) + 1])
     settle_worst = max(0.0, *(K[-1] - K[i_tail]).tolist())
-    checks.append(
-        CheckResult(
-            "gain-monotone",
-            mono_margin >= -tol.k_monotone,
-            mono_margin + tol.k_monotone,
-            mono_where,
-            "worst recorded gain decrement %.3g" % min(mono_margin, 0.0),
-        )
-    )
-    checks.append(
-        CheckResult(
-            "gain-settled",
-            settle_worst <= tol.tol_k,
-            tol.tol_k - settle_worst,
-            t_tail,
-            "largest gain change over the tail = %.6g (tol %.3g)"
-            % (settle_worst, tol.tol_k),
-        )
-    )
+    checks.append(CheckResult("gain-monotone", mono_margin + tol.k_monotone, mono_where,
+                              "worst recorded gain decrement %.3g" % min(mono_margin, 0.0)))
+    checks.append(CheckResult("gain-settled", tol.tol_k - settle_worst, t_tail,
+                              "largest gain change over the tail = %.6g (tol %.3g)"
+                              % (settle_worst, tol.tol_k)))
 
     # (d) squared-error integrals: bounded by the gain increments (the
     # update law gives gamma_i int z_i^2 <= k_i(T) - k_i(0) since psi >= 1)
@@ -247,29 +234,14 @@ def check_theorem1(traj, tol=None):
     # per stage, in stage order: the tail's own margin, then its margin
     # against the window before it
     flat = np.column_stack((tol.z_tail - tail_inc, prev_inc + 1e-9 - tail_inc))
-    energy_margin = min(float("inf"), *energy.tolist())
-    checks.append(
-        CheckResult(
-            "error-energy",
-            energy_margin >= 0.0,
-            energy_margin,
-            None,
-            "; ".join("%s: gamma*int=%.6g dk=%.6g" % stage for stage in
-                      zip(traj.meta["intz_cols"], lhs.tolist(), dk.tolist())),
-        )
-    )
-    checks.append(
-        CheckResult(
-            "error-tail-flat",
-            not np.any((tail_inc > tol.z_tail) | (tail_inc > prev_inc + 1e-9)),
-            min(float("inf"), *flat.ravel().tolist()),
-            t_tail,
-            "squared-error integrals must stop growing in the tail",
-        )
-    )
-    return InvariantReport(
-        scenario=traj.sid, applicable=True, diverged=False, checks=checks
-    )
+    checks.append(CheckResult(
+        "error-energy", min(float("inf"), *energy.tolist()), None,
+        "; ".join("%s: gamma*int=%.6g dk=%.6g" % stage for stage in
+                  zip(traj.meta["intz_cols"], lhs.tolist(), dk.tolist())),
+    ))
+    checks.append(CheckResult("error-tail-flat", min(float("inf"), *flat.ravel().tolist()),
+                              t_tail, "squared-error integrals must stop growing in the tail"))
+    return InvariantReport(traj.sid, False, checks)
 
 
 def _tail_sup_x(traj, tail_frac):
@@ -290,7 +262,7 @@ class AuditReport(_Fields):
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        self.passed = self.violations == 0
+        self.passed = self.min_slack >= 0.0
 
 
 # relative step of the audit's central differences, and the relative
@@ -374,8 +346,13 @@ def dominance_audit(
     evaluated as lanes of ``tape.compile_lanes``, ``_AUDIT_BLOCK`` at a
     time; a lane that the lanes form masks runs the body on floats, in
     sample order.  Each lane holds the bits the body returns on floats, so
-    the report is the one a loop over the draws gives.
+    the report is the one a loop over the draws gives.  stage, samples and
+    seed are whole numbers, z_box and k_box (lo, hi) pairs a finite width
+    apart and vartheta a finite real.
     """
+    stage, samples, seed = (scenarios._typed(name, value, 0) for name, value in
+                            zip(("stage", "samples", "seed"), (stage, samples, seed)))
+    z_box, k_box = _pair("z_box", z_box), _pair("k_box", k_box)
     if stage < 2:
         raise ValueError("the dominance construction starts at stage 2")
     if stage > stack.n:
@@ -384,13 +361,13 @@ def dominance_audit(
         raise ValueError("the audit needs at least one sample")
     i = stage
     st = stage - 1
-    vt = oracle.vartheta(st) if vartheta is None else float(vartheta)
+    vt = oracle.vartheta(st) if vartheta is None else _finite("vartheta", vartheta)
     rng = np.random.default_rng(seed)
     # a sample's draws, in the order of the per-sample uniform draws they
     # replace: z, k, then theta, drawn for sampling-policy uniformity (see
     # above) and unused; blocks of rows continue one stream of draws
-    lo = np.array([float(z_box[0])] * i + [float(k_box[0])] * st)
-    span = np.array([float(z_box[1])] * i + [float(k_box[1])] * st) - lo
+    lo = np.array([z_box[0]] * i + [k_box[0]] * st)
+    span = np.array([z_box[1]] * i + [k_box[1]] * st) - lo
     width = i + st + len(theta_box or ())
 
     def body(v):
@@ -412,6 +389,7 @@ def dominance_audit(
             out = np.array(values)
         for s in np.flatnonzero(miss).tolist():
             out[:, s] = body(draws[s].tolist())
+        out[2, np.isnan(out[2])] = -np.inf  # a NaN slack is a violation
         violations += int(np.count_nonzero(out[2] < 0.0))
         min_slack, s = _first_min(out[2], min_slack)
         if s is not None:
@@ -456,8 +434,10 @@ def lyapunov_budget(traj, oracle, slack=VerifyTolerances.budget_slack):
     anchored at the first sample.
 
     Applicable only when every stage adapts its gain (the budget sums over
-    all stages); otherwise reports not-applicable without judging.
+    all stages); otherwise reports not-applicable without judging.  A row
+    whose slack is NaN reads as -inf, so the first such row fails it.
     """
+    slack = _finite("slack", slack)
     if traj.diverged:
         return BudgetReport(
             traj.sid, False, float("-inf"), None, 0.0,
@@ -477,7 +457,8 @@ def lyapunov_budget(traj, oracle, slack=VerifyTolerances.budget_slack):
     V = sum(0.5 * z * z for z in Z.T)
     affine = sum(-0.5 * (bi * mi / gi) * k * k + 2.0 * eps * k / gi
                  for bi, mi, gi, k in zip(oracle.b, mu, gamma, K.T))
-    min_slack, idx = _first_min(affine + (V[0] - affine[0]) + slack - V)
+    rows = affine + (V[0] - affine[0]) + slack - V
+    min_slack, idx = _first_min(np.where(np.isnan(rows), -np.inf, rows))
     return BudgetReport(
         scenario=traj.sid,
         applicable=True,
@@ -491,13 +472,15 @@ def lyapunov_budget(traj, oracle, slack=VerifyTolerances.budget_slack):
 @dataclass
 class MonteCarloReport(_Fields):
     scenario: str
-    runs: int
-    passes: int
     seed: int
     results: list = field(default_factory=list)
+    runs: int = field(init=False)
+    passes: int = field(init=False)
     all_passed: bool = field(init=False)
 
     def __post_init__(self):
+        self.runs = len(self.results)
+        self.passes = sum(r["passed"] for r in self.results)
         self.all_passed = self.passes == self.runs
 
 
@@ -516,16 +499,22 @@ def _mc_run(sid, overrides, tol):
     }
 
 
+def _pair(name, pair):
+    """pair typed as a (lo, hi) pair of floats, lo <= hi a finite width
+    apart (numpy draws from no wider interval)."""
+    lo, hi = pair = scenarios._typed(name, pair, (0.0, 0.0), "be a (lo, hi) pair")
+    scenarios._check(lo <= hi and math.isfinite(hi - lo), "%s must have lo <= hi, "
+                     "a finite width apart, got (%r, %r)", name, lo, hi)
+    return pair
+
+
 def _box(sid, keyword, box):
     """box typed like (lo, hi) pairs of the default of sid's keyword, each
-    lo <= hi a finite width apart (numpy draws from no wider interval)."""
+    a ``_pair``."""
     name, like = keyword + "_box", scenarios.DEFAULTS.get(sid, {}).get(keyword)
     scenarios._check(type(like) is tuple, "%s: scenario %r has no keyword %s", name, sid, keyword)
     box = scenarios._typed(name, box, tuple((v, v) for v in like))
-    for i, (lo, hi) in enumerate(box, 1):
-        scenarios._check(lo <= hi and math.isfinite(hi - lo), "%s[%d] must have lo <= hi, "
-                         "a finite width apart, got (%r, %r)", name, i, lo, hi)
-    return box
+    return tuple(_pair("%s[%d]" % (name, i), pair) for i, pair in enumerate(box, 1))
 
 
 def monte_carlo(
@@ -544,10 +533,11 @@ def monte_carlo(
     each run also draws a constant uncertainty vector from it (declared as
     the run's box).  All draws come from one generator seeded up front and
     the runs execute in order in this process, so the aggregate is
-    deterministic.  ``workers`` must be 1.  Each box is typed like the
-    (lo, hi) pairs of its keyword's default, each lo <= hi a finite width
-    apart.
+    deterministic.  ``workers`` must be 1.  M and seed are whole numbers;
+    each box is typed like the (lo, hi) pairs of its keyword's default,
+    each lo <= hi a finite width apart.
     """
+    M, seed = scenarios._typed("M", M, 0), scenarios._typed("seed", seed, 0)
     if M < 1:
         raise ValueError("Monte-Carlo needs at least one run")
     if workers != 1:
@@ -568,7 +558,4 @@ def monte_carlo(
             )
             over["theta_box"] = theta_box
         results.append(_mc_run(sid, over, tol))
-    passes = sum(1 for r in results if r["passed"])
-    return MonteCarloReport(
-        scenario=sid, runs=M, passes=passes, seed=seed, results=results
-    )
+    return MonteCarloReport(scenario=sid, seed=seed, results=results)

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from purefb.autodiff import gradient, smooth_abs
-from purefb.backstep import (
-    MAX_AUTO_STAGES,
-    ControllerStack,
-    DesignParams,
-    SynthesisError,
-)
+from purefb.backstep import MAX_AUTO_STAGES, ControllerStack, DesignParams
 from purefb.plant import BoundSpec
 from purefb.scenarios import _n2_phi1, _n2_psi2_closed_form, _n2_rho1, _n2_rho2, build
 
@@ -203,9 +198,9 @@ def test_gain_rate_dead_zone():
 
 
 def test_design_params_validation():
-    with pytest.raises(SynthesisError):
+    with pytest.raises(ValueError, match="^mu and gamma must share one length"):
         DesignParams(mu=(0.2,), gamma=(0.2, 0.2))
-    with pytest.raises(SynthesisError, match=r"mu\[1\]"):
+    with pytest.raises(ValueError, match=r"^mu\[1\] must be positive, got -1.0"):
         DesignParams(mu=(-1.0,), gamma=(0.2,))
     with pytest.raises(ValueError, match="mode"):
         build("numeric-2d", mode="other")
@@ -218,13 +213,13 @@ def test_auto_mode_stage_limit():
         phi=tuple(lambda xb: 1.0 for _ in range(n - 1)),
     )
     params = DesignParams(mu=(0.2,) * n, gamma=(0.2,) * n)
-    with pytest.raises(SynthesisError, match="stages"):
+    with pytest.raises(ValueError, match="supports at most %d stages" % MAX_AUTO_STAGES):
         ControllerStack(bounds, params)
 
 
 def test_auto_mode_needs_bounds():
-    with pytest.raises(SynthesisError):
+    with pytest.raises(ValueError, match="^automatic synthesis needs bound functions"):
         ControllerStack(None, auto_params())
-    with pytest.raises(SynthesisError, match="stage counts differ"):
+    with pytest.raises(ValueError, match="^bound and design stage counts differ"):
         ControllerStack(two_state_bounds(), auto_params(n=3))
 

@@ -133,3 +133,19 @@ def test_scenario_converts_no_field():
     calls = [node.func.id for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert "float" not in calls and "int" not in calls
+
+
+def test_only_the_front_end_errors_are_value_errors():
+    """A rejected value is a plain ValueError.  Only config.ConfigError,
+    which runstore.load_run tells apart, and runstore.RunStoreError, a
+    registry fault, subclass it; each class is followed through its bases."""
+    bases = {(m, node.name): {name for base in node.bases for _, name in used_names(base)}
+             for m in MODULES for node in ast.walk(ast.parse(source_of(m).read_text()))
+             if isinstance(node, ast.ClassDef)}
+    errors = {"ValueError"}
+    while True:
+        found = {key for key, names in bases.items() if names & errors}
+        if {name for _, name in found} <= errors:
+            break
+        errors |= {name for _, name in found}
+    assert found == {("config", "ConfigError"), ("runstore", "RunStoreError")}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from purefb.plant import BoundSpec, OracleConstants, PlantConfigError, PlantSpec
+from purefb.plant import BoundSpec, OracleConstants, PlantSpec
 from purefb.scenarios import (
     _n2_drift1,
     _n2_drift2,
@@ -59,18 +59,18 @@ def test_rates_drive_inner_stages_by_the_next_state_and_the_last_by_u(n):
 
 
 def test_plant_spec_validation():
-    with pytest.raises(PlantConfigError):
+    with pytest.raises(ValueError, match="^state dimension must be >= 1"):
         PlantSpec(drift=(), gain=())
-    with pytest.raises(PlantConfigError):
+    with pytest.raises(ValueError, match="^drift/gain must each supply one function per stage"):
         PlantSpec(drift=(_n2_drift1,), gain=(_n2_gain1, _n2_gain2))
     assert two_state_plant().n == 2
 
 
 def test_bound_spec_validation():
-    with pytest.raises(PlantConfigError):
+    with pytest.raises(ValueError, match=r"^phi must cover stages 1\.\.n-1"):
         BoundSpec(rho=(_n2_rho1,), phi=(_n2_phi1,))
     # phi covers the inner stages only
-    with pytest.raises(PlantConfigError, match="1..n-1"):
+    with pytest.raises(ValueError, match=r"^phi must cover stages 1\.\.n-1"):
         BoundSpec(rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1, _n2_phi1))
     b = BoundSpec(rho=(_n2_rho1, _n2_rho2), phi=(_n2_phi1,))
     assert b.phi == (_n2_phi1,) and b.n == 2
@@ -92,11 +92,11 @@ def test_oracle_derived_constants():
 
 
 def test_oracle_validation():
-    with pytest.raises(PlantConfigError):
+    with pytest.raises(ValueError, match=r"^need 0 < b\[1\] <= B\[1\], got 2.0, 1.0"):
         OracleConstants(b=(2.0,), B=(1.0,), c=(1.0,))
-    with pytest.raises(PlantConfigError):
+    with pytest.raises(ValueError, match=r"^c\[1\] must be >= 0"):
         OracleConstants(b=(1.0,), B=(1.0,), c=(-0.5,))
-    with pytest.raises(PlantConfigError):
+    with pytest.raises(ValueError, match="^oracle constant tuples must share one length"):
         OracleConstants(b=(1.0, 1.0), B=(1.0,), c=(1.0,))
 
 

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import math
 import re
+from collections.abc import Iterator
 from unittest import mock
 
 import numpy as np
@@ -121,8 +122,14 @@ REJECTED = [
 ]
 
 
-@pytest.mark.parametrize("kwargs, message", REJECTED,
-                         ids=["-".join("%s=%s" % kv for kv in kw.items()) for kw, _ in REJECTED])
+def _case_id(kwargs):
+    """`key=value` per keyword; an iterator, whose repr holds its address, is
+    named by its type, so the id is the same in every session."""
+    return "-".join("%s=<%s>" % (k, type(v).__name__) if isinstance(v, Iterator) else "%s=%s" % (k, v)
+                    for k, v in kwargs.items())
+
+
+@pytest.mark.parametrize("kwargs, message", REJECTED, ids=[_case_id(kw) for kw, _ in REJECTED])
 def test_numeric2d_rejects_each_keyword_by_name(kwargs, message):
     """Building rejects the value before anything runs, naming the
     keyword first: a wrong-length vector keyword included."""

@@ -14,6 +14,11 @@ from purefb.config import load_file
 from purefb.simkit import ABORT_LIMIT, Trajectory
 from purefb.tape import compile_lanes
 from purefb.verify import (
+    AuditReport,
+    BudgetReport,
+    CheckResult,
+    InvariantReport,
+    MonteCarloReport,
     VerifyTolerances,
     _audit_sample,
     check_theorem1,
@@ -171,12 +176,12 @@ def test_budget_slack_is_the_first_minimum_on_a_hand_table():
     # V = 2 at t = 1 and t = 3: the first row is reported
     report = budget([0.0, 2.0, 1.0, 2.0, 0.0])
     assert (report.min_slack, report.where, report.passed) == (-2.0, 1.0, False)
-    # a NaN row is never the minimum
-    report = budget([0.0, float("nan"), 1.0, 2.0, 0.0])
-    assert (report.min_slack, report.where) == (-2.0, 3.0)
-    # a NaN at t = 0 makes every slack NaN: no row is the minimum
+    # a NaN z cell makes its row's slack NaN, which reads as -inf and fails
+    report = budget([0.0, 2.0, 1.0, float("nan"), 0.0])
+    assert (report.min_slack, report.where, report.passed) == (float("-inf"), 3.0, False)
+    # a NaN at t = 0 makes every slack NaN: the first row fails it
     report = budget([float("nan"), 2.0, 1.0, 2.0, 0.0])
-    assert (report.min_slack, report.where, report.passed) == (float("inf"), None, True)
+    assert (report.min_slack, report.where, report.passed) == (float("-inf"), 0.0, False)
 
 
 @pytest.mark.parametrize("name,value", [
@@ -184,12 +189,38 @@ def test_budget_slack_is_the_first_minimum_on_a_hand_table():
     ("tol_x", 0.0), ("tol_k", -1e-3), ("z_tail", 0.0), ("energy_slack", -1e-6),
     ("budget_slack", 0.0), ("k_monotone", -1e-12), ("tol_x", float("nan")),
     ("tail_frac", float("nan")), ("k_monotone", float("nan")),
+    # an infinite tolerance would make a margin inf - inf
+    ("tol_x", float("inf")), ("k_monotone", float("inf")), ("tol_k", float("inf")),
     # not a real number, or a bool: rejected before the value rule
     ("tol_x", None), ("tol_x", "0.1"), ("tail_frac", None), ("k_monotone", True),
 ])
 def test_tolerances_reject_a_value_naming_the_field(name, value):
     with pytest.raises(ValueError, match="^%s must " % name):
         VerifyTolerances(**{name: value})
+
+
+def test_tolerances_store_their_fields_as_floats():
+    tol = VerifyTolerances(tol_x=1, tol_k=np.float32(0.5), tail_frac=np.float64(0.25))
+    assert [type(v) for v in tol.to_dict().values()] == [float] * 7
+    assert (tol.tol_x, tol.tol_k, tol.tail_frac) == (1.0, 0.5, 0.25)
+    json.dumps(tol.to_dict())
+
+
+def test_every_verdict_and_count_is_derived():
+    """No report takes a verdict or a count: a check passes when its margin
+    is >= 0, so a NaN margin fails, and a sweep counts its results."""
+    derived = {cls: {f.name for f in dataclasses.fields(cls) if not f.init} for cls in
+               (CheckResult, InvariantReport, AuditReport, BudgetReport, MonteCarloReport)}
+    assert derived == {CheckResult: {"passed"}, InvariantReport: {"applicable", "passed"},
+                       AuditReport: {"passed"}, BudgetReport: {"passed"},
+                       MonteCarloReport: {"runs", "passes", "all_passed"}}
+    margins = (0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan"))
+    assert [CheckResult("c", m).passed for m in margins] == [True, True, True, False, True,
+                                                            False, False]
+    report = InvariantReport("s", True, [CheckResult("c", 1.0)])
+    assert (report.applicable, report.passed) == (False, False)
+    sweep = MonteCarloReport("s", 0, [{"passed": True}, {"passed": False}, {"passed": True}])
+    assert (sweep.runs, sweep.passes, sweep.all_passed) == (3, 2, False)
 
 
 def test_tolerances_accept_their_edges():
@@ -306,6 +337,56 @@ def test_dominance_audit_needs_a_sample(auto_scenario, samples):
             auto_scenario.stack, auto_scenario.bounds, auto_scenario.oracle,
             stage=2, samples=samples,
         )
+
+
+@pytest.mark.parametrize("box", [{"z_box": (-1e150, 1e150)}, {"k_box": (0.01, 1e150)}],
+                         ids=["z", "k"])
+def test_dominance_audit_fails_on_a_nan_slack(auto_scenario, box):
+    """Draws this wide make every slack NaN (inf - inf): it reads as -inf,
+    so each sample violates and the first is the worst."""
+    scn = auto_scenario
+    report = dominance_audit(scn.stack, scn.bounds, scn.oracle, stage=2, samples=1000, **box)
+    assert (report.violations, report.min_slack, report.passed) == (1000, float("-inf"), False)
+    assert report.worst["sample"] == 0
+
+
+# keywords the monitors reject by name before they run, and each message
+NAN, INF = float("nan"), float("inf")
+BAD_AUDIT_KEYWORDS = [
+    ({"samples": 2.5}, "samples must be a whole number"),
+    ({"stage": 2.5}, "stage must be a whole number"),
+    ({"seed": "1"}, "seed must be a whole number"),
+    ({"z_box": (0.0,)}, r"z_box must be a \(lo, hi\) pair"),
+    ({"z_box": (-INF, 5.0)}, "z_box must have lo <= hi, a finite width apart"),
+    ({"k_box": (10.0, 0.01)}, "k_box must have lo <= hi"),
+    ({"k_box": (0.01, NAN)}, "k_box must have lo <= hi"),
+    ({"vartheta": NAN}, "vartheta must be finite"),
+    ({"vartheta": INF}, "vartheta must be finite"),
+    ({"vartheta": "2"}, "vartheta must be a real number"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", BAD_AUDIT_KEYWORDS, ids=[
+    "samples-2.5", "stage-2.5", "seed-str", "z_box-one-entry", "z_box-inf", "k_box-inverted",
+    "k_box-nan", "vartheta-nan", "vartheta-inf", "vartheta-str"])
+def test_dominance_audit_rejects_a_malformed_keyword_by_name(auto_scenario, kwargs, message):
+    scn = auto_scenario
+    with pytest.raises(ValueError, match="^" + message):
+        dominance_audit(scn.stack, scn.bounds, scn.oracle, **{"samples": 10, **kwargs})
+
+
+def test_dominance_audit_takes_whole_reals_as_ints(auto_scenario):
+    scn = auto_scenario
+    want = dominance_audit(scn.stack, scn.bounds, scn.oracle, stage=2, samples=20, seed=3)
+    got = dominance_audit(scn.stack, scn.bounds, scn.oracle, stage=2.0, samples=np.int64(20),
+                          seed=3.0, z_box=[-5, 5], k_box=(0.01, 10))
+    assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("slack", [NAN, INF, -INF, None])
+def test_budget_rejects_a_slack_that_is_not_a_finite_real(paper_run, slack):
+    with pytest.raises(ValueError, match="^slack must be "):
+        lyapunov_budget(paper_run[0], scenarios.build("numeric-2d").oracle, slack=slack)
 
 
 def test_audit_lanes_equal_the_sample_on_floats(auto_scenario):
@@ -429,6 +510,22 @@ def test_audit_lanes_source_is_pinned(auto_scenario, monkeypatch):
 def test_monte_carlo_requires_runs():
     with pytest.raises(ValueError):
         monte_carlo("numeric-2d", 0, 1, x0_box=((-1.0, 1.0), (-1.0, 1.0)))
+
+
+@pytest.mark.parametrize("M, seed, message", [
+    (2.5, 1, "M must be a whole number"), ("2", 1, "M must be a whole number"),
+    (1, 1.5, "seed must be a whole number"), (1, None, "seed must be a whole number"),
+], ids=["M-2.5", "M-str", "seed-1.5", "seed-None"])
+def test_monte_carlo_rejects_a_malformed_count_or_seed_by_name(M, seed, message):
+    with pytest.raises(ValueError, match="^" + message):
+        monte_carlo("numeric-2d", M, seed, x0_box=((-1.0, 1.0), (-1.0, 1.0)))
+
+
+def test_monte_carlo_takes_whole_reals_as_ints():
+    kwargs = dict(x0_box=((-1.0, 1.0), (-1.0, 1.0)), overrides={"T": 0.5})
+    got = monte_carlo("numeric-2d", 2.0, 7.0, **kwargs).to_dict()
+    assert got == monte_carlo("numeric-2d", 2, 7, **kwargs).to_dict()
+    assert type(got["seed"]) is int
 
 
 def test_monte_carlo_runs_in_one_process():
