@@ -3,7 +3,8 @@
 Each run lives under ``<out>/<run-id>/`` where the id is the first 12
 hex digits of the SHA-256 of the canonical config text, so re-running
 the same effective configuration lands in the same directory and
-rewrites byte-identical data files.  Layout:
+rewrites byte-identical data files.  ``FILES`` is the one list of a run
+directory's files, in this order:
 
     config.cfg       canonical config text (hash input, exact)
     trajectory.csv   recorded samples, the byte-exact record
@@ -11,14 +12,15 @@ rewrites byte-identical data files.  Layout:
                      which ``load_run`` reads instead of parsing the CSV
     summary.json     the failure point, which neither table holds, and
                      for a human reader the final time, terminal values
-                     and extrema
+                     and extrema, laid out by ``save_run`` alone
     record.json      registry bookkeeping (id, timestamp, file list) and
-                     the SHA-256 seals of trajectory.csv, trajectory.npy
-                     and summary.json (config.cfg's hash is the run id),
-                     written last
+                     the SHA-256 seals of the ``SEALED`` files, the three
+                     above (config.cfg's hash is the run id), written last
     report.json      verification report (written by the verify command)
-    aggregate-*.json sweep aggregates
     plots/*.svg      rendered charts
+
+Sweep aggregates go next to them as aggregate-*.json.  ``paths_for``
+gives a ``RunPaths``: run_id, root and one path per entry of ``FILES``.
 
 Every JSON file is RFC 8259 JSON: an infinite or NaN float, such as an
 extremum or a check margin of a diverged run, is written as null.
@@ -40,7 +42,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -54,48 +56,27 @@ class RunStoreError(ValueError):
     """Registry lookup or layout failure."""
 
 
-# the files record.json seals, in the order save_run writes them
-SEALED = ("trajectory.csv", "trajectory.npy", "summary.json")
+# each file of a run directory: its RunPaths attribute and its name
+FILES = {
+    "config": "config.cfg",
+    "trajectory": "trajectory.csv",
+    "twin": "trajectory.npy",
+    "summary": "summary.json",
+    "record": "record.json",
+    "report": "report.json",
+    "plots": "plots",
+}
+# the files record.json seals, by attribute
+SEALED = ("trajectory", "twin", "summary")
 # bytes hashed per read: a whole-file read would hold a run's CSV in memory
 _CHUNK = 1 << 16
 
-
-@dataclass(frozen=True)
-class RunPaths:
-    run_id: str
-    root: str
-
-    @property
-    def config(self):
-        return os.path.join(self.root, "config.cfg")
-
-    @property
-    def trajectory(self):
-        return os.path.join(self.root, "trajectory.csv")
-
-    @property
-    def twin(self):
-        return os.path.join(self.root, "trajectory.npy")
-
-    @property
-    def summary(self):
-        return os.path.join(self.root, "summary.json")
-
-    @property
-    def record(self):
-        return os.path.join(self.root, "record.json")
-
-    @property
-    def report(self):
-        return os.path.join(self.root, "report.json")
-
-    @property
-    def plots(self):
-        return os.path.join(self.root, "plots")
+RunPaths = namedtuple("RunPaths", ("run_id", "root", *FILES))
 
 
 def paths_for(out_dir, run_id):
-    return RunPaths(run_id=run_id, root=os.path.join(out_dir, run_id))
+    root = os.path.join(out_dir, run_id)
+    return RunPaths(run_id, root, *(os.path.join(root, name) for name in FILES.values()))
 
 
 def _finite(value):
@@ -132,14 +113,18 @@ def save_run(cfg, traj):
     traj.write_csv(paths.trajectory)
     np.save(paths.twin, traj.data, allow_pickle=False)
     # sid, h, seed and meta follow from config.cfg, the columns from the CSV
-    _write_json(paths.summary, {"failure": traj.failure, **traj.summary()})
+    names = traj.columns[1:]
+    _write_json(paths.summary, {
+        "failure": traj.failure, "t_final": float(traj.data[-1, 0]),
+        "terminal": dict(zip(names, traj.data[-1, 1:].tolist())),
+        "max_abs": dict(zip(names, traj.max_abs().tolist()))})
     record = {
         "run_id": cfg.run_id,
         "config_sha256": cfg.sha256,
         "scenario": cfg.sid,
         "written_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "files": ["config.cfg", *SEALED],
-        "sha256": {name: _sha256(os.path.join(paths.root, name)) for name in SEALED},
+        "files": [FILES[f] for f in ("config", *SEALED)],
+        "sha256": {FILES[f]: _sha256(getattr(paths, f)) for f in SEALED},
     }
     _write_json(paths.record, record)
     return paths
@@ -186,9 +171,9 @@ def _check_seals(paths):
     seals = _json_object(paths.record).get("sha256")
     if seals is None:
         return False
-    for name in SEALED:
-        path = os.path.join(paths.root, name)
-        if not isinstance(seals, dict) or _sha256(path) != seals.get(name):
+    for f in SEALED:
+        path = getattr(paths, f)
+        if not isinstance(seals, dict) or _sha256(path) != seals.get(FILES[f]):
             raise RunStoreError("%s does not match its seal in %s" % (path, paths.record))
     return True
 
@@ -260,8 +245,5 @@ def load_run(out_dir, run_id):
 def list_runs(out_dir):
     if not os.path.isdir(out_dir):
         return []
-    out = []
-    for name in sorted(os.listdir(out_dir)):
-        if os.path.isfile(os.path.join(out_dir, name, "record.json")):
-            out.append(name)
-    return out
+    return [name for name in sorted(os.listdir(out_dir))
+            if os.path.isfile(paths_for(out_dir, name).record)]

@@ -72,7 +72,7 @@ from typing import Callable, Optional
 from .backstep import ControllerStack, DesignParams
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
-from .simkit import integrate, rk4_step
+from .simkit import STEP_BUDGET, _check, check_grid, integrate, rk4_step
 from .tape import compile_loop
 
 __all__ = ["Scenario", "build", "DEFAULTS", "MODES", "SCENARIO_IDS", "STEP_BUDGET"]
@@ -80,15 +80,6 @@ __all__ = ["Scenario", "build", "DEFAULTS", "MODES", "SCENARIO_IDS", "STEP_BUDGE
 # numeric-2d's controller modes: the benchmark's closed-form gain shapes, or
 # constructive synthesis
 MODES = ("paper", "auto")
-
-# most integration steps (T / h) one run may ask for
-STEP_BUDGET = 10_000_000
-
-
-def _check(ok, message, *args):
-    """ValueError(message % args) unless ok; each message starts with its keyword."""
-    if not ok:
-        raise ValueError(message % args)
 
 
 @dataclass
@@ -98,8 +89,8 @@ class Scenario:
     Derives from ``plant``, ``law`` and ``sign`` the one layout of y:
     ``rhs_reference``, ``rhs`` (what ``run`` integrates) and ``recorder``
     (column names, row builder); also ``n`` (from x0) and the meta entries
-    x_cols, z_cols, k_cols, intz_cols, n and adaptive.  Checks T and h > 0,
-    at most ``STEP_BUDGET`` steps, T/h whole and divided by decimation, an int.
+    x_cols, z_cols, k_cols, intz_cols, n and adaptive.  Checks its time grid
+    by ``simkit.check_grid`` when built, as ``integrate`` does on each run.
     """
 
     sid: str
@@ -123,17 +114,7 @@ class Scenario:
     n: int = field(init=False)
 
     def __post_init__(self):
-        T, h, d = self.T, self.h, self.decimation
-        _check(T > 0.0, "T must be positive, got %r", T)
-        _check(h > 0.0, "h must be positive, got %r", h)
-        _check(T / h <= STEP_BUDGET, "h = %r asks for %.3g steps over T = %r, more than "
-               "the budget of %d", h, T / h, T, STEP_BUDGET)
-        steps = round(T / h)
-        _check(steps >= 1 and abs(steps * h - T) <= 1e-9 * max(1.0, T),
-               "T must be an integer multiple of h, got T = %r, h = %r", T, h)
-        _check(type(d) is int, "decimation must be a whole number, got %r", d)
-        _check(d >= 1 and steps % d == 0,
-               "decimation must divide the %d integration steps, got %d", steps, d)
+        check_grid(self.T, self.h, self.decimation)
         _check(len(self.k0) == len(self.adaptive), "need one initial gain per adaptive stage")
         self.n = len(self.x0)
         n, m = self.n, len(self.adaptive)

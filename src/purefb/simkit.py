@@ -27,8 +27,10 @@ import numpy as np
 
 __all__ = [
     "DivergenceError",
+    "STEP_BUDGET",
     "StatePoint",
     "Trajectory",
+    "check_grid",
     "integrate",
     "measure_order",
     "rk4_step",
@@ -36,6 +38,8 @@ __all__ = [
 
 ABORT_LIMIT = 1e9
 CSV_BLOCK_ROWS = 256
+# most integration steps (T / h) one run may ask for
+STEP_BUDGET = 10_000_000
 
 
 class StatePoint(NamedTuple):
@@ -54,6 +58,30 @@ class DivergenceError(RuntimeError):
     def __init__(self, t, y, detail="non-finite stage evaluation"):
         self.point = StatePoint(float(t), tuple(float(v) for v in y))
         super().__init__("%s at t=%.6g" % (detail, t))
+
+
+def _check(ok, message, *args):
+    """ValueError(message % args) unless ok; each message starts with its keyword."""
+    if not ok:
+        raise ValueError(message % args)
+
+
+def check_grid(T, h, decimation):
+    """The step count T/h of the time grid (T, h, decimation), or a
+    ValueError that starts with the one it rejects: T and h must be
+    positive, T a whole multiple of h in at most ``STEP_BUDGET`` steps, and
+    the int decimation must divide the step count."""
+    _check(T > 0.0, "T must be positive, got %r", T)
+    _check(h > 0.0, "h must be positive, got %r", h)
+    _check(T / h <= STEP_BUDGET, "h = %r asks for %.3g steps over T = %r, more than "
+           "the budget of %d", h, T / h, T, STEP_BUDGET)
+    steps = round(T / h)
+    _check(steps >= 1 and abs(steps * h - T) <= 1e-9 * max(1.0, T),
+           "T must be an integer multiple of h, got T = %r, h = %r", T, h)
+    _check(type(decimation) is int, "decimation must be a whole number, got %r", decimation)
+    _check(decimation >= 1 and steps % decimation == 0,
+           "decimation must divide the %d integration steps, got %d", steps, decimation)
+    return steps
 
 
 def rk4_step(rhs, y, t, h):
@@ -123,8 +151,9 @@ class Trajectory:
         return self.data[:, 0]
 
     def max_abs(self):
-        """The largest |value| of each column but t, from two reductions
-        rather than a copy of the table; not finite where a cell is not."""
+        """The largest |value| of each column but t (summary.json's max_abs,
+        check_theorem1's bounded check), from two reductions rather than a
+        copy of the table; not finite where a cell is not."""
         v = self.data[:, 1:]
         return np.abs(np.maximum(-np.min(v, axis=0), np.max(v, axis=0)))  # -0.0 -> 0.0
 
@@ -153,15 +182,6 @@ class Trajectory:
                 text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
                 rows = text[where].reshape(block.shape).tolist()
                 fh.write("\n".join(map(",".join, rows)) + "\n")
-
-    def summary(self):
-        """Final time, and per column the last value and the largest |value|."""
-        names = self.columns[1:]
-        return {
-            "t_final": float(self.data[-1, 0]),
-            "terminal": dict(zip(names, self.data[-1, 1:].tolist())),
-            "max_abs": dict(zip(names, self.max_abs().tolist())),
-        }
 
 
 def read_csv(path, sid="", h=0.0, seed=None):
@@ -203,9 +223,10 @@ def integrate(
     default the raw state is recorded under names y1..ym.  Each row goes
     straight into one flat float64 buffer, and the trajectory's ``data``
     is a zero-copy (rows, columns) view of it; a row whose length does not
-    match the columns raises ValueError.  T must be a positive whole
-    multiple of h and the int decimation must divide the step count T/h,
-    as ``Scenario`` checks, giving T/h/decimation + 1 retained samples.
+    match the columns raises ValueError.  Every call checks its grid by
+    ``check_grid``, which ``Scenario`` also calls when it is built, so a
+    run that does not diverge retains T/h/decimation + 1 samples, the last
+    at t = T.
     A step that ``rk4_step`` rejects stops the run instead of raising: the
     partial trajectory's ``failure`` holds the point of its
     DivergenceError, and that alone makes it ``diverged``.
@@ -218,7 +239,7 @@ def integrate(
     failure point is that of the plain path.  With loop None (no loop, or
     one whose trace failed), every step and row runs on the plain path.
     """
-    steps = round(T / h)
+    steps = check_grid(T, h, decimation)
     y = [float(v) for v in y0]
     if recorder is None:
         names = tuple("y%d" % (i + 1) for i in range(len(y)))

@@ -35,6 +35,7 @@ keyword or field raises a ValueError that starts with its name.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set, Sized
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -347,12 +348,16 @@ def dominance_audit(
     time; a lane that the lanes form masks runs the body on floats, in
     sample order.  Each lane holds the bits the body returns on floats, so
     the report is the one a loop over the draws gives.  stage, samples and
-    seed are whole numbers, z_box and k_box (lo, hi) pairs a finite width
-    apart and vartheta a finite real.
+    seed are whole numbers, seed >= 0, z_box and k_box (lo, hi) pairs a
+    finite width apart, theta_box a sequence of them and vartheta a finite
+    real; oracle has the stack's stage count.
     """
-    stage, samples, seed = (scenarios._typed(name, value, 0) for name, value in
-                            zip(("stage", "samples", "seed"), (stage, samples, seed)))
+    stage, samples = scenarios._typed("stage", stage, 0), scenarios._typed("samples", samples, 0)
+    seed = _seed(seed)
     z_box, k_box = _pair("z_box", z_box), _pair("k_box", k_box)
+    theta_box = _pairs("theta_box", () if theta_box is None else theta_box)
+    if oracle.n != stack.n:
+        raise ValueError("oracle of %d stages for a %d-stage stack" % (oracle.n, stack.n))
     if stage < 2:
         raise ValueError("the dominance construction starts at stage 2")
     if stage > stack.n:
@@ -368,7 +373,7 @@ def dominance_audit(
     # above) and unused; blocks of rows continue one stream of draws
     lo = np.array([z_box[0]] * i + [k_box[0]] * st)
     span = np.array([z_box[1]] * i + [k_box[1]] * st) - lo
-    width = i + st + len(theta_box or ())
+    width = i + st + len(theta_box)
 
     def body(v):
         return _audit_sample(stack, bounds, vt, v[:i], v[i:])
@@ -435,7 +440,8 @@ def lyapunov_budget(traj, oracle, slack=VerifyTolerances.budget_slack):
 
     Applicable only when every stage adapts its gain (the budget sums over
     all stages); otherwise reports not-applicable without judging.  A row
-    whose slack is NaN reads as -inf, so the first such row fails it.
+    whose slack is NaN reads as -inf, so the first such row fails it.  An
+    applicable budget needs an oracle of the run's stage count.
     """
     slack = _finite("slack", slack)
     if traj.diverged:
@@ -450,6 +456,8 @@ def lyapunov_budget(traj, oracle, slack=VerifyTolerances.budget_slack):
             traj.sid, False, 0.0, None, 0.0,
             "budget needs adaptation on every stage",
         )
+    if len(oracle.b) != n:
+        raise ValueError("oracle of %d stages for a %d-stage run" % (len(oracle.b), n))
     Z, K, mu, gamma = (_meta(traj, key) for key in ("z_cols", "k_cols", "mu", "gamma"))
     eps = oracle.epsilon()
     # V and the affine bound are summed stage by stage, so each row's
@@ -508,13 +516,26 @@ def _pair(name, pair):
     return pair
 
 
+def _pairs(name, box):
+    """box typed as a sequence of ``_pair`` entries, name[1], name[2], ..."""
+    scenarios._check(isinstance(box, Sized) and not isinstance(box, (str, bytes, Set, Mapping)),
+                     "%s must be a sequence of (lo, hi) pairs, got %r", name, box)
+    return tuple(_pair("%s[%d]" % (name, i), pair) for i, pair in enumerate(box, 1))
+
+
+def _seed(seed):
+    """seed typed as a whole number >= 0, as numpy's generators take it."""
+    seed = scenarios._typed("seed", seed, 0)
+    scenarios._check(seed >= 0, "seed must be non-negative, got %d", seed)
+    return seed
+
+
 def _box(sid, keyword, box):
     """box typed like (lo, hi) pairs of the default of sid's keyword, each
     a ``_pair``."""
     name, like = keyword + "_box", scenarios.DEFAULTS.get(sid, {}).get(keyword)
     scenarios._check(type(like) is tuple, "%s: scenario %r has no keyword %s", name, sid, keyword)
-    box = scenarios._typed(name, box, tuple((v, v) for v in like))
-    return tuple(_pair("%s[%d]" % (name, i), pair) for i, pair in enumerate(box, 1))
+    return _pairs(name, scenarios._typed(name, box, tuple((v, v) for v in like)))
 
 
 def monte_carlo(
@@ -533,11 +554,11 @@ def monte_carlo(
     each run also draws a constant uncertainty vector from it (declared as
     the run's box).  All draws come from one generator seeded up front and
     the runs execute in order in this process, so the aggregate is
-    deterministic.  ``workers`` must be 1.  M and seed are whole numbers;
+    deterministic.  ``workers`` must be 1.  M and seed >= 0 are whole numbers;
     each box is typed like the (lo, hi) pairs of its keyword's default,
     each lo <= hi a finite width apart.
     """
-    M, seed = scenarios._typed("M", M, 0), scenarios._typed("seed", seed, 0)
+    M, seed = scenarios._typed("M", M, 0), _seed(seed)
     if M < 1:
         raise ValueError("Monte-Carlo needs at least one run")
     if workers != 1:

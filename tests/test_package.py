@@ -149,3 +149,20 @@ def test_only_the_front_end_errors_are_value_errors():
             break
         errors |= {name for _, name in found}
     assert found == {("config", "ConfigError"), ("runstore", "RunStoreError")}
+
+
+REGISTRY_FILES = ("config.cfg", "trajectory.csv", "trajectory.npy", "summary.json",
+                  "record.json", "report.json")
+
+
+def test_only_runstore_files_names_a_registry_file():
+    """runstore.FILES is the one list of a run directory's files: in
+    src/purefb each of their names is a string constant exactly once,
+    as a value of that table."""
+    named = sorted((path.stem, node.value) for path in Path(purefb.__file__).parent.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant) and node.value in REGISTRY_FILES)
+    assert named == sorted(("runstore", name) for name in REGISTRY_FILES)
+    (table,) = [node.value for node in ast.parse(source_of("runstore").read_text()).body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "FILES"]
+    assert set(REGISTRY_FILES) <= {value.value for value in table.values}

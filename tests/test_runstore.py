@@ -1,6 +1,7 @@
 """Run registry: content addressing, round trips, tamper detection."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from purefb import cli, runstore, scenarios
 from purefb.config import load_text
-from purefb.simkit import StatePoint, read_csv
+from purefb.simkit import StatePoint, integrate, read_csv
 
 
 def short_config(out_dir):
@@ -94,6 +95,19 @@ def test_summary_holds_run_statistics(tmp_path):
     assert summary["failure"] is None
     assert summary["t_final"] == 2.0
     assert "x1" in summary["terminal"]
+
+
+def test_summary_reports_terminal_and_extrema(tmp_path):
+    """save_run lays out summary.json: the final time, and per column the
+    last value and the largest |value|."""
+    traj = integrate(lambda t, y: (-y[0], y[0] - 3.0), (2.0, 0.0), T=1.0, h=1e-2, sid="dec")
+    paths = runstore.save_run(short_config(tmp_path), traj)
+    summary = json.loads(Path(paths.summary).read_text())
+    y1, y2 = traj.data[-1, 1:].tolist()
+    assert summary == {"failure": None, "t_final": 1.0, "terminal": {"y1": y1, "y2": y2},
+                       "max_abs": {"y1": 2.0, "y2": -y2}}
+    assert y1 == pytest.approx(2.0 * math.exp(-1.0), rel=1e-8)
+    assert y2 == pytest.approx(2.0 * (1.0 - math.exp(-1.0)) - 3.0, rel=1e-8)
 
 
 def test_diverged_run_round_trips_and_verifies(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Fixed-step integration: accuracy, determinism, divergence handling."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,28 @@ def test_flat_table_holds_the_bits_of_the_recorded_rows(rhs, T, diverged):
     assert np.array_equal(traj.data.view(np.int64), want.view(np.int64))
 
 
+# time grids integrate rejects before it steps, and the start of each message
+BAD_GRIDS = [
+    (1.0, 0.3, 1, "T must be an integer multiple of h, got T = 1.0, h = 0.3"),
+    (1.0, 0.1, 3, "decimation must divide the 10 integration steps, got 3"),
+    (1.0, 0.1, -1, "decimation must divide the 10 integration steps, got -1"),
+    (1.0, 0.1, 0, "decimation must divide the 10 integration steps, got 0"),
+    (1.0, 0.1, 2.0, "decimation must be a whole number, got 2.0"),
+    (0.0, 0.1, 1, "T must be positive, got 0.0"),
+    (1.0, 0.0, 1, "h must be positive, got 0.0"),
+    (1.0, -0.1, 1, "h must be positive, got -0.1"),
+]
+
+
+@pytest.mark.parametrize("T, h, decimation, message", BAD_GRIDS, ids=[
+    "h-off-grid", "decimation-3", "decimation-negative", "decimation-0", "decimation-float",
+    "T-zero", "h-zero", "h-negative"])
+def test_integrate_rejects_a_bad_time_grid_by_name(T, h, decimation, message):
+    """integrate checks its grid as Scenario does, before the first step."""
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        integrate(lambda t, y: (0.0,), (0.0,), T=T, h=h, decimation=decimation)
+
+
 @pytest.mark.parametrize("build", [
     lambda t, y: (y[0], 1.0, 2.0),
     lambda t, y: (),
@@ -387,12 +410,3 @@ def test_cells_from_a_small_pool_are_written_as_per_cell_repr(tmp_path, rows, wi
     data = np.column_stack([np.arange(rows) * 0.25, np.array(cells)[picks]])
     written, want = _written_and_wanted(tmp_path, data)
     assert written == want
-
-
-def test_summary_reports_terminal_and_extrema():
-    traj = integrate(lambda t, y: (-y[0],), (2.0,), T=1.0, h=1e-2, sid="dec")
-    s = traj.summary()
-    assert set(s) == {"t_final", "terminal", "max_abs"}
-    assert s["t_final"] == pytest.approx(1.0)
-    assert s["terminal"]["y1"] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-8)
-    assert s["max_abs"]["y1"] == 2.0

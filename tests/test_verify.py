@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from purefb import scenarios, verify
+from purefb.plant import OracleConstants
 from purefb.config import load_file
 from purefb.simkit import ABORT_LIMIT, Trajectory
 from purefb.tape import compile_lanes
@@ -356,6 +357,11 @@ BAD_AUDIT_KEYWORDS = [
     ({"samples": 2.5}, "samples must be a whole number"),
     ({"stage": 2.5}, "stage must be a whole number"),
     ({"seed": "1"}, "seed must be a whole number"),
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"theta_box": 5}, r"theta_box must be a sequence of \(lo, hi\) pairs"),
+    ({"theta_box": "ab"}, r"theta_box must be a sequence of \(lo, hi\) pairs"),
+    ({"theta_box": ((1,),)}, r"theta_box\[1\] must be a \(lo, hi\) pair"),
+    ({"theta_box": ((0.8, 1.2), (2.4, 1.6))}, r"theta_box\[2\] must have lo <= hi"),
     ({"z_box": (0.0,)}, r"z_box must be a \(lo, hi\) pair"),
     ({"z_box": (-INF, 5.0)}, "z_box must have lo <= hi, a finite width apart"),
     ({"k_box": (10.0, 0.01)}, "k_box must have lo <= hi"),
@@ -367,7 +373,8 @@ BAD_AUDIT_KEYWORDS = [
 
 
 @pytest.mark.parametrize("kwargs, message", BAD_AUDIT_KEYWORDS, ids=[
-    "samples-2.5", "stage-2.5", "seed-str", "z_box-one-entry", "z_box-inf", "k_box-inverted",
+    "samples-2.5", "stage-2.5", "seed-str", "seed-negative", "theta_box-int", "theta_box-str",
+    "theta_box-one-entry", "theta_box-inverted", "z_box-one-entry", "z_box-inf", "k_box-inverted",
     "k_box-nan", "vartheta-nan", "vartheta-inf", "vartheta-str"])
 def test_dominance_audit_rejects_a_malformed_keyword_by_name(auto_scenario, kwargs, message):
     scn = auto_scenario
@@ -381,6 +388,38 @@ def test_dominance_audit_takes_whole_reals_as_ints(auto_scenario):
     got = dominance_audit(scn.stack, scn.bounds, scn.oracle, stage=2.0, samples=np.int64(20),
                           seed=3.0, z_box=[-5, 5], k_box=(0.01, 10))
     assert got.to_dict() == want.to_dict()
+
+
+def test_dominance_audit_draws_the_same_from_a_theta_box_of_ints_and_lists(auto_scenario):
+    """theta_box only sets how many unused theta columns each sample draws."""
+    scn = auto_scenario
+    want = dominance_audit(scn.stack, scn.bounds, scn.oracle, samples=20,
+                           theta_box=((0.8, 1.2), (1.6, 2.4))).to_dict()
+    got = dominance_audit(scn.stack, scn.bounds, scn.oracle, samples=20,
+                          theta_box=[[0.8, 1.2], np.array([1.6, 2.4])]).to_dict()
+    assert got == want
+    assert dominance_audit(scn.stack, scn.bounds, scn.oracle, samples=20).to_dict() != want
+
+
+def oracle_of(stages):
+    """An oracle of the given stage count from numeric-2d's constants."""
+    oracle = scenarios.build("numeric-2d").oracle
+    return OracleConstants(*((v * stages)[:stages] for v in (oracle.b, oracle.B, oracle.c)))
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+def test_budget_rejects_an_oracle_of_another_stage_count(stages):
+    traj = scenarios.build("numeric-2d", T=2.0).run()
+    assert lyapunov_budget(traj, oracle_of(2)).passed
+    with pytest.raises(ValueError, match="^oracle of %d stages for a 2-stage run$" % stages):
+        lyapunov_budget(traj, oracle_of(stages))
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+def test_dominance_audit_rejects_an_oracle_of_another_stage_count(auto_scenario, stages):
+    scn = auto_scenario
+    with pytest.raises(ValueError, match="^oracle of %d stages for a 2-stage stack$" % stages):
+        dominance_audit(scn.stack, scn.bounds, oracle_of(stages), stage=2, samples=10)
 
 
 @pytest.mark.parametrize("slack", [NAN, INF, -INF, None])
@@ -515,7 +554,8 @@ def test_monte_carlo_requires_runs():
 @pytest.mark.parametrize("M, seed, message", [
     (2.5, 1, "M must be a whole number"), ("2", 1, "M must be a whole number"),
     (1, 1.5, "seed must be a whole number"), (1, None, "seed must be a whole number"),
-], ids=["M-2.5", "M-str", "seed-1.5", "seed-None"])
+    (1, -1, "seed must be non-negative, got -1"),
+], ids=["M-2.5", "M-str", "seed-1.5", "seed-None", "seed-negative"])
 def test_monte_carlo_rejects_a_malformed_count_or_seed_by_name(M, seed, message):
     with pytest.raises(ValueError, match="^" + message):
         monte_carlo("numeric-2d", M, seed, x0_box=((-1.0, 1.0), (-1.0, 1.0)))
