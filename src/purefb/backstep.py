@@ -69,7 +69,7 @@ class DesignParams:
                     raise ValueError(
                         "%s[%d] must be positive, got %r" % (name, i + 1, v)
                     )
-        if self.deadzone < 0.0:
+        if not self.deadzone >= 0.0:
             raise ValueError("deadzone must be >= 0")
         if not self.smoothing > 0.0:
             raise ValueError("smoothing must be positive")

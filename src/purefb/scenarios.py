@@ -31,12 +31,9 @@ adaptive stage) and the recorded row t, x1..xn, z1..zn, k_i, u, <extras>,
 intz_i, with k_i and intz_i for each adaptive stage i.  ``build`` alone
 calls a factory, whose keywords are the run-config keys by name (see
 ``RunConfig.scenario_overrides``); it rejects any other keyword and types
-each like its default in ``DEFAULTS`` by one rule, ``_typed``: a float or
-int default takes a real number but a bool (a whole one for an int), as
-its default's type; an n-tuple default a sequence (not a str, set or
-mapping) of n entries, each typed like its own as keyword[i]; any other
-default leaves the value to its keyword's own rule.  Nothing behind
-``build`` converts a value.  Each ValueError of a keyword starts with it.
+each like its default in ``DEFAULTS`` by the library's one value rule,
+``simkit._typed``.  Nothing behind ``build`` converts a value.  Each
+ValueError of a keyword starts with it.
 
 numeric-2d's plant is ``PlantSpec.rates``.  Its law is picked once, at
 build time: the published ``_n2_paper_law`` in paper mode, or
@@ -63,8 +60,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
-from collections.abc import Mapping, Set, Sized
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -72,7 +67,7 @@ from typing import Callable, Optional
 from .backstep import ControllerStack, DesignParams
 from .missile import MissileDesign, MissileParams, missile_control, stt_dynamics
 from .plant import BoundSpec, OracleConstants, PlantSpec, UncertaintyProfile
-from .simkit import STEP_BUDGET, _check, check_grid, integrate, rk4_step
+from .simkit import STEP_BUDGET, _check, _typed, check_grid, integrate, rk4_step
 from .tape import compile_loop
 
 __all__ = ["Scenario", "build", "DEFAULTS", "MODES", "SCENARIO_IDS", "STEP_BUDGET"]
@@ -116,6 +111,7 @@ class Scenario:
     def __post_init__(self):
         check_grid(self.T, self.h, self.decimation)
         _check(len(self.k0) == len(self.adaptive), "need one initial gain per adaptive stage")
+        _check(self.sign in (1.0, -1.0), "sign must be 1.0 or -1.0, got %r", self.sign)
         self.n = len(self.x0)
         n, m = self.n, len(self.adaptive)
         plant, law, sign = self.plant, self.law, self.sign
@@ -159,28 +155,6 @@ class Scenario:
             recorder=self.recorder, sid=self.sid, seed=seed, meta=self.meta,
             loop=loop,
         )
-
-
-def _typed(keyword, value, like, rule=None):
-    """value typed like its keyword's default like, as the module docstring says."""
-    kind = type(like)
-    if kind in (float, int) and type(value) is not kind:  # an int of any size as it is
-        _check(isinstance(value, numbers.Real) and not isinstance(value, bool)
-               and (kind is float or float(value).is_integer()), "%s must be a %s number, "
-               "got %r", keyword, "real" if kind is float else "whole", value)
-        return kind(value)
-    if kind is tuple:
-        if type(value) is tuple and [*map(type, value + like)] == [float] * 2 * len(like):
-            return value  # n floats where n floats belong, as they are
-        _check(not isinstance(value, (Set, Mapping)), "%s must be a sequence, got %r",
-               keyword, value)
-        _check(isinstance(value, Sized) and not isinstance(value, (str, bytes))
-               and len(value) == len(like), "%s must %s; got %r", keyword,
-               rule or "have %d entries, one per stage" % len(like), value)
-        # an entry that is itself a tuple is a (lo, hi) pair
-        return tuple(_typed("%s[%d]" % (keyword, i), v, w, "be a (lo, hi) pair")
-                     for i, (v, w) in enumerate(zip(value, like), 1))
-    return value
 
 
 def _initial_gain(keyword, stage, value):
@@ -376,6 +350,7 @@ def build(sid, **overrides):
             raise ValueError("%s is not a keyword of %s; its keywords are %s"
                              % (keyword, sid, ", ".join(defaults)))
         like = defaults[keyword]
-        if type(value) is not type(like) or type(like) is tuple:  # else typed already
-            overrides[keyword] = _typed(keyword, value, like)
+        kind = type(like)
+        if type(value) is not kind or kind is tuple or kind is float and not math.isfinite(value):
+            overrides[keyword] = _typed(keyword, value, like)  # else typed already
     return factory(**overrides)

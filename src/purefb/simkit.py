@@ -12,7 +12,8 @@ builder, to compile a whole run loop, which ``integrate`` accepts as
 Divergence is handled as data, not as a crash: a non-finite step or a
 component exceeding ``ABORT_LIMIT`` ends the run early with the partial
 trajectory and its failure point, which the Monte-Carlo harness
-aggregates.
+aggregates.  simkit owns the library's value rule, ``_typed``: it types
+``check_grid``'s T and h and every keyword of ``scenarios`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import array
 import itertools
 import math
+import numbers
+from collections.abc import Mapping, Set, Sized
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -66,11 +69,40 @@ def _check(ok, message, *args):
         raise ValueError(message % args)
 
 
+def _typed(keyword, value, like, rule=None):
+    """value typed like its keyword's default like, or a ValueError that
+    starts with keyword or its entry: a float or int default takes a finite
+    real number but a bool (a whole one for an int), as its default's type;
+    an n-tuple default a sequence (not a str, set or mapping) of n entries,
+    each typed like its own as keyword[i], a tuple entry as a (lo, hi) pair
+    or as rule says; any other default leaves value to its keyword's rule."""
+    kind = type(like)
+    if kind is tuple:
+        if type(value) is tuple and [*map(type, value + like)] == [float] * 2 * len(like):
+            if all(map(math.isfinite, value)):
+                return value  # n finite floats where n floats belong, as they are
+        _check(not isinstance(value, (Set, Mapping)), "%s must be a sequence, got %r",
+               keyword, value)
+        _check(isinstance(value, Sized) and not isinstance(value, (str, bytes))
+               and len(value) == len(like), "%s must %s; got %r", keyword,
+               rule or "have %d entries, one per stage" % len(like), value)
+        return tuple(_typed("%s[%d]" % (keyword, i), v, w, "be a (lo, hi) pair")
+                     for i, (v, w) in enumerate(zip(value, like), 1))
+    if kind in (float, int) and type(value) is not kind:  # an int of any size as it is
+        _check(isinstance(value, numbers.Real) and not isinstance(value, bool)
+               and (kind is float or float(value).is_integer()), "%s must be a %s number, "
+               "got %r", keyword, "real" if kind is float else "whole", value)
+        value = kind(value)
+    _check(kind is not float or math.isfinite(value), "%s must be finite, got %r", keyword, value)
+    return value
+
+
 def check_grid(T, h, decimation):
     """The step count T/h of the time grid (T, h, decimation), or a
-    ValueError that starts with the one it rejects: T and h must be
-    positive, T a whole multiple of h in at most ``STEP_BUDGET`` steps, and
-    the int decimation must divide the step count."""
+    ValueError that starts with the one it rejects: T and h, typed as
+    floats, must be positive, T a whole multiple of h in at most
+    ``STEP_BUDGET`` steps, and the int decimation must divide the steps."""
+    T, h = _typed("T", T, 0.0), _typed("h", h, 0.0)
     _check(T > 0.0, "T must be positive, got %r", T)
     _check(h > 0.0, "h must be positive, got %r", h)
     _check(T / h <= STEP_BUDGET, "h = %r asks for %.3g steps over T = %r, more than "
@@ -289,17 +321,16 @@ def integrate(
 def measure_order(rhs, y0, T, h):
     """Self-convergence order of the integrator on a smooth problem.
 
-    Runs at steps 2h, h, h/2 and compares terminal states: for a 4th-order
-    method the coarse/fine difference ratio is about 16, so the returned
-    log2 ratio is about 4.
+    Integrates at steps 2h, h, h/2, each grid checked by ``integrate``,
+    and compares terminal states: for a 4th-order method the coarse/fine
+    difference ratio is about 16, so the returned log2 ratio is about 4.
     """
-    finals = []
+    h, finals = _typed("h", h, 0.0), []
     for step in (2.0 * h, h, 0.5 * h):
-        n = int(round(T / step))
-        y = [float(v) for v in y0]
-        for s in range(n):
-            y = rk4_step(rhs, y, s * step, step)
-        finals.append(y)
+        traj = integrate(rhs, y0, T, step)
+        if traj.diverged:
+            raise DivergenceError(*traj.failure, detail="the run at step %r diverged" % step)
+        finals.append(traj.data[-1, 1:].tolist())
     d_coarse = max(abs(a - b) for a, b in zip(finals[0], finals[1]))
     d_fine = max(abs(a - b) for a, b in zip(finals[1], finals[2]))
     if d_fine == 0.0 or d_coarse == 0.0:

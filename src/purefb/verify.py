@@ -43,7 +43,7 @@ import numpy as np
 
 from . import scenarios
 from .autodiff import select_lt
-from .simkit import ABORT_LIMIT
+from .simkit import ABORT_LIMIT, _check, _typed
 from .tape import compile_lanes
 
 __all__ = [
@@ -58,14 +58,6 @@ __all__ = [
     "lyapunov_budget",
     "monte_carlo",
 ]
-
-
-def _finite(name, value):
-    """value typed as a float by the rule that types a scenario keyword,
-    and finite."""
-    value = scenarios._typed(name, value, 0.0)
-    scenarios._check(math.isfinite(value), "%s must be finite, got %r", name, value)
-    return value
 
 
 class _Fields:
@@ -91,7 +83,7 @@ class VerifyTolerances(_Fields):
         # each message starts with the field it rejects; a field is first
         # stored as a finite float (an infinite one makes a margin inf - inf)
         for f in fields(self):
-            object.__setattr__(self, f.name, _finite(f.name, getattr(self, f.name)))
+            object.__setattr__(self, f.name, _typed(f.name, getattr(self, f.name), 0.0))
         for name in ("tol_x", "tol_k", "z_tail", "energy_slack", "budget_slack"):
             if not getattr(self, name) > 0.0:
                 raise ValueError("%s must be positive, got %r" % (name, getattr(self, name)))
@@ -352,7 +344,7 @@ def dominance_audit(
     finite width apart, theta_box a sequence of them and vartheta a finite
     real; oracle has the stack's stage count.
     """
-    stage, samples = scenarios._typed("stage", stage, 0), scenarios._typed("samples", samples, 0)
+    stage, samples = _typed("stage", stage, 0), _typed("samples", samples, 0)
     seed = _seed(seed)
     z_box, k_box = _pair("z_box", z_box), _pair("k_box", k_box)
     theta_box = _pairs("theta_box", () if theta_box is None else theta_box)
@@ -366,7 +358,7 @@ def dominance_audit(
         raise ValueError("the audit needs at least one sample")
     i = stage
     st = stage - 1
-    vt = oracle.vartheta(st) if vartheta is None else _finite("vartheta", vartheta)
+    vt = oracle.vartheta(st) if vartheta is None else _typed("vartheta", vartheta, 0.0)
     rng = np.random.default_rng(seed)
     # a sample's draws, in the order of the per-sample uniform draws they
     # replace: z, k, then theta, drawn for sampling-policy uniformity (see
@@ -443,7 +435,7 @@ def lyapunov_budget(traj, oracle, slack=VerifyTolerances.budget_slack):
     whose slack is NaN reads as -inf, so the first such row fails it.  An
     applicable budget needs an oracle of the run's stage count.
     """
-    slack = _finite("slack", slack)
+    slack = _typed("slack", slack, 0.0)
     if traj.diverged:
         return BudgetReport(
             traj.sid, False, float("-inf"), None, 0.0,
@@ -510,23 +502,23 @@ def _mc_run(sid, overrides, tol):
 def _pair(name, pair):
     """pair typed as a (lo, hi) pair of floats, lo <= hi a finite width
     apart (numpy draws from no wider interval)."""
-    lo, hi = pair = scenarios._typed(name, pair, (0.0, 0.0), "be a (lo, hi) pair")
-    scenarios._check(lo <= hi and math.isfinite(hi - lo), "%s must have lo <= hi, "
-                     "a finite width apart, got (%r, %r)", name, lo, hi)
+    lo, hi = pair = _typed(name, pair, (0.0, 0.0), "be a (lo, hi) pair")
+    _check(lo <= hi and math.isfinite(hi - lo), "%s must have lo <= hi, a finite width "
+           "apart, got (%r, %r)", name, lo, hi)
     return pair
 
 
 def _pairs(name, box):
     """box typed as a sequence of ``_pair`` entries, name[1], name[2], ..."""
-    scenarios._check(isinstance(box, Sized) and not isinstance(box, (str, bytes, Set, Mapping)),
-                     "%s must be a sequence of (lo, hi) pairs, got %r", name, box)
+    _check(isinstance(box, Sized) and not isinstance(box, (str, bytes, Set, Mapping)),
+           "%s must be a sequence of (lo, hi) pairs, got %r", name, box)
     return tuple(_pair("%s[%d]" % (name, i), pair) for i, pair in enumerate(box, 1))
 
 
 def _seed(seed):
     """seed typed as a whole number >= 0, as numpy's generators take it."""
-    seed = scenarios._typed("seed", seed, 0)
-    scenarios._check(seed >= 0, "seed must be non-negative, got %d", seed)
+    seed = _typed("seed", seed, 0)
+    _check(seed >= 0, "seed must be non-negative, got %d", seed)
     return seed
 
 
@@ -534,8 +526,8 @@ def _box(sid, keyword, box):
     """box typed like (lo, hi) pairs of the default of sid's keyword, each
     a ``_pair``."""
     name, like = keyword + "_box", scenarios.DEFAULTS.get(sid, {}).get(keyword)
-    scenarios._check(type(like) is tuple, "%s: scenario %r has no keyword %s", name, sid, keyword)
-    return _pairs(name, scenarios._typed(name, box, tuple((v, v) for v in like)))
+    _check(type(like) is tuple, "%s: scenario %r has no keyword %s", name, sid, keyword)
+    return _pairs(name, _typed(name, box, tuple((v, v) for v in like)))
 
 
 def monte_carlo(
@@ -558,7 +550,7 @@ def monte_carlo(
     each box is typed like the (lo, hi) pairs of its keyword's default,
     each lo <= hi a finite width apart.
     """
-    M, seed = scenarios._typed("M", M, 0), _seed(seed)
+    M, seed = _typed("M", M, 0), _seed(seed)
     if M < 1:
         raise ValueError("Monte-Carlo needs at least one run")
     if workers != 1:

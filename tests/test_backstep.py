@@ -202,6 +202,8 @@ def test_design_params_validation():
         DesignParams(mu=(0.2,), gamma=(0.2, 0.2))
     with pytest.raises(ValueError, match=r"^mu\[1\] must be positive, got -1.0"):
         DesignParams(mu=(-1.0,), gamma=(0.2,))
+    with pytest.raises(ValueError, match="^deadzone must be >= 0"):
+        DesignParams(mu=(0.2,), gamma=(0.2,), deadzone=float("nan"))
     with pytest.raises(ValueError, match="mode"):
         build("numeric-2d", mode="other")
 

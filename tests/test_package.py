@@ -166,3 +166,45 @@ def test_only_runstore_files_names_a_registry_file():
     (table,) = [node.value for node in ast.parse(source_of("runstore").read_text()).body
                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "FILES"]
     assert set(REGISTRY_FILES) <= {value.value for value in table.values}
+
+
+def private_reads(name):
+    """(module, name) of each private name that module ``name`` reads from
+    another purefb module, as ``from .m import _x`` or ``m._x``."""
+    tree = ast.parse(source_of(name).read_text())
+    bound, reads = {}, []  # bound: local name -> the purefb module it names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                bound.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            else:
+                reads += [(node.module, alias.name) for alias in node.names]
+    reads += [(bound[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound]
+    return [(m, x) for m, x in reads if x.startswith("_") and not x.startswith("__")]
+
+
+def defined_names(name):
+    """The names module ``name`` defines at its top level, imports aside."""
+    found = set()
+    for node in ast.parse(source_of(name).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_a_private_name_is_read_where_it_is_defined(name):
+    """A private name has one home: a module that reads one from another
+    reads it from the module that defines it, never through one that only
+    imports it."""
+    assert [(m, x) for m, x in private_reads(name) if x not in defined_names(m)] == []
+
+
+def test_private_reads_sees_both_forms():
+    assert {("simkit", "_check"), ("simkit", "_typed")} <= set(private_reads("verify"))
+    assert ("config", "_BY_NAME") in private_reads("cli")  # config imported as configmod

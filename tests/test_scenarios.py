@@ -119,6 +119,13 @@ REJECTED = [
     ({"x0": {"a": 1.0, "b": 2.0}}, "x0 must be a sequence"),
     ({"k0": iter((0.01, 0.01))}, "k0 must have 2 entries"),
     ({"bogus": 1}, "bogus is not a keyword of numeric-2d; its keywords are mode, theta, "),
+    # a real that is not finite, and a sign that is not +-1
+    ({"x0": (math.nan, 0.0)}, r"x0\[1\] must be finite, got nan"),
+    ({"deadzone": math.nan}, "deadzone must be finite, got nan"),
+    ({"smoothing": math.inf, "mode": "auto"}, "smoothing must be finite, got inf"),
+    ({"theta_box": ((0.8, math.inf), (1.6, 2.4))}, r"theta_box\[1\]\[2\] must be finite"),
+    ({"sign": 2.0}, "sign must be 1.0 or -1.0, got 2.0"),
+    ({"sign": 0.0}, "sign must be 1.0 or -1.0, got 0.0"),
 ]
 
 
@@ -174,7 +181,7 @@ def test_non_integral_decimation_is_rejected(sid):
         scenarios.build(sid, T=1.0, h=0.1, decimation=10 ** 400)
 
 
-# a value of the wrong type for a keyword of either factory
+# a value of the wrong type, or not finite, for a keyword of either factory
 WRONG_TYPE = [
     ("numeric-2d", {"x0": ("a", 1.0)}, r"x0\[1\] must be a real number"),
     ("numeric-2d", {"mu": (0.2, None)}, r"mu\[2\] must be a real number"),
@@ -185,11 +192,15 @@ WRONG_TYPE = [
     ("stt-missile", {"k1": None}, "k1 must be a real number"),
     ("stt-missile", {"v_mean": "200"}, "v_mean must be a real number"),
     ("stt-missile", {"rate": "0"}, "rate must be a real number"),
+    ("stt-missile", {"k1": math.inf}, "k1 must be finite, got inf"),
+    ("stt-missile", {"v_freq": math.inf}, "v_freq must be finite, got inf"),
+    ("stt-missile", {"roll_deg": math.nan}, "roll_deg must be finite, got nan"),
 ]
 
 
-@pytest.mark.parametrize("sid, kwargs, message", WRONG_TYPE,
-                         ids=["%s-%s" % (sid, "-".join(kw)) for sid, kw, _ in WRONG_TYPE])
+@pytest.mark.parametrize("sid, kwargs, message", WRONG_TYPE, ids=[
+    "-".join([sid] + ["%s=%s" % (k, v) if type(v) is float else k for k, v in kw.items()])
+    for sid, kw, _ in WRONG_TYPE])  # a float value (one not finite) is named too
 def test_a_value_of_the_wrong_type_is_rejected_by_name(sid, kwargs, message):
     with pytest.raises(ValueError, match="^" + message):
         scenarios.build(sid, **kwargs)

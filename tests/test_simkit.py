@@ -48,6 +48,34 @@ def test_measured_convergence_order():
     assert 3.7 <= order <= 4.3
     with pytest.raises(ValueError, match="too simple"):
         measure_order(lambda t, y: (0.0,), (1.0,), T=1.0, h=0.1)
+    with pytest.raises(DivergenceError):  # y' = y^2 blows up at t = 1
+        measure_order(lambda t, y: (y[0] * y[0],), (1.0,), T=2.0, h=0.1)
+
+
+@pytest.mark.parametrize("T, h, message", [
+    (1.0, 0.3, "T must be an integer multiple of h, got T = 1.0, h = 0.6"),
+    (1.0, 0.0, "h must be positive, got 0.0"),
+    (1.0, "0.1", "h must be a real number, got '0.1'"),
+], ids=["T-off-grid", "h-zero", "h-str"])
+def test_measure_order_rejects_a_bad_time_grid_by_name(T, h, message):
+    """Each of its grids is one integrate checks, so none is stepped past T."""
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        measure_order(lambda t, y: (-y[0],), (1.0,), T=T, h=h)
+
+
+def test_measure_order_is_that_of_a_plain_rk4_loop():
+    """On the acceptance problem, bit for bit the order of terminal states
+    stepped by rk4_step at 2h, h and h/2."""
+    rhs = lambda t, y: (y[1], -math.sin(y[0]) - 0.2 * y[1])
+    T, h, finals = 2.0, 0.02, []
+    for step in (2.0 * h, h, 0.5 * h):
+        y = [1.2, 0.0]
+        for s in range(round(T / step)):
+            y = rk4_step(rhs, y, s * step, step)
+        finals.append(y)
+    d_coarse, d_fine = (max(abs(a - b) for a, b in zip(u, v))
+                        for u, v in zip(finals, finals[1:]))
+    assert measure_order(rhs, (1.2, 0.0), T, h) == math.log2(d_coarse / d_fine)
 
 
 def test_integration_is_deterministic():
@@ -212,12 +240,15 @@ BAD_GRIDS = [
     (0.0, 0.1, 1, "T must be positive, got 0.0"),
     (1.0, 0.0, 1, "h must be positive, got 0.0"),
     (1.0, -0.1, 1, "h must be positive, got -0.1"),
+    ("1", 0.1, 1, "T must be a real number, got '1'"),
+    (1.0, None, 1, "h must be a real number, got None"),
+    (math.inf, 0.1, 1, "T must be finite, got inf"),
 ]
 
 
 @pytest.mark.parametrize("T, h, decimation, message", BAD_GRIDS, ids=[
     "h-off-grid", "decimation-3", "decimation-negative", "decimation-0", "decimation-float",
-    "T-zero", "h-zero", "h-negative"])
+    "T-zero", "h-zero", "h-negative", "T-str", "h-None", "T-inf"])
 def test_integrate_rejects_a_bad_time_grid_by_name(T, h, decimation, message):
     """integrate checks its grid as Scenario does, before the first step."""
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
