@@ -19,22 +19,24 @@ quotient divides once, so its value is the float quotient.  Partials are
 extracted with ``partial(y, j, tag)`` so that a function which degenerates
 to a constant of the queried pass correctly reports a zero derivative.
 
-Supported primitives: ``+ - * /``, integer powers, ``smooth_abs`` and the
-primitive set ``sqrt``, ``sin``, ``cos``, ``exp`` and ``select_lt``, which
-take a real number to ``math`` (or the plain conditional) and any other
-scalar (a ``Dual`` with its chain rules, a tracing ``tape.Var``) to its own
-method of the same name.  Anything else (``math.*`` calls, float-exponent
-``**``, plain ``abs``) fails loudly rather than silently dropping derivatives.
+Supported primitives: ``+ - * /``, integer powers, ``smooth_abs``,
+``select_lt`` and the table ``PRIMITIVES`` of ``sqrt``, ``sin``, ``cos`` and
+``exp``: a real takes ``math`` (or the plain conditional), any other scalar
+(a ``Dual``, a tracing ``tape.Var``) its method ``primitive(name)`` (or
+``select_lt``).  Anything else (``math.*`` calls, float-exponent ``**``,
+plain ``abs``) fails loudly rather than silently dropping derivatives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
 __all__ = [
     "Dual",
     "EvaluationError",
+    "PRIMITIVES",
     "cos",
     "exp",
     "gradient",
@@ -206,44 +208,45 @@ class Dual:
         coef = n * vn1
         return Dual(self.tag, vn1 * self.value, tuple([coef * p for p in self.partials]))
 
-    def sin(self):
-        c = cos(self.value)
-        return Dual(self.tag, sin(self.value), tuple([c * p for p in self.partials]))
+    def primitive(self, name):
+        """Primitive ``name`` of ``PRIMITIVES``: its value, and the partials
+        scaled by its slope there (the chain rule)."""
+        v = self.value
+        r = _apply(name, v)
+        d = PRIMITIVES[name][1](v, r)
+        return Dual(self.tag, r, tuple([d * p for p in self.partials]))
 
-    def cos(self):
-        s = sin(self.value)
-        return Dual(self.tag, cos(self.value), tuple([-(s * p) for p in self.partials]))
-
-    def exp(self):
-        e = exp(self.value)
-        return Dual(self.tag, e, tuple([e * p for p in self.partials]))
-
-    def sqrt(self):
-        r = sqrt(self.value)
-        if real_value(r) == 0.0:
-            raise EvaluationError("sqrt is not differentiable at zero")
-        half_inv = 0.5 / r
-        return Dual(self.tag, r, tuple([half_inv * p for p in self.partials]))
+    def select_lt(self, a, b, then, other):
+        """``then if a < b else other``, the branch taken on the innermost values."""
+        return then if real_value(a) < real_value(b) else other
 
 
-def sin(x):
-    return math.sin(x) if isinstance(x, numbers.Real) else x.sin()
-
-
-def cos(x):
-    return math.cos(x) if isinstance(x, numbers.Real) else x.cos()
-
-
-def exp(x):
-    return math.exp(x) if isinstance(x, numbers.Real) else x.exp()
-
-
-def sqrt(x):
-    if not isinstance(x, numbers.Real):
-        return x.sqrt()
+def _root(x):
     if x < 0.0:
         raise EvaluationError("sqrt of negative value %r" % (x,))
     return math.sqrt(x)
+
+
+def _root_slope(v, r):
+    if real_value(r) == 0.0:
+        raise EvaluationError("sqrt is not differentiable at zero")
+    return 0.5 / r
+
+
+# the primitive set: name -> (its function on a real, its slope at v, where it is r)
+PRIMITIVES = {
+    "sqrt": (_root, _root_slope),
+    "sin": (math.sin, lambda v, r: cos(v)),
+    "cos": (math.cos, lambda v, r: -sin(v)),
+    "exp": (math.exp, lambda v, r: r),
+}
+
+
+def _apply(name, x):
+    return PRIMITIVES[name][0](x) if isinstance(x, numbers.Real) else x.primitive(name)
+
+
+sqrt, sin, cos, exp = [functools.partial(_apply, name) for name in ("sqrt", "sin", "cos", "exp")]
 
 
 def select_lt(a, b, then, other):

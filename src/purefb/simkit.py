@@ -69,6 +69,14 @@ def _check(ok, message, *args):
         raise ValueError(message % args)
 
 
+def _float(value):
+    """float(value), or an infinity for a real beyond the largest float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _typed(keyword, value, like, rule=None):
     """value typed like its keyword's default like, or a ValueError that
     starts with keyword or its entry: a float or int default takes a finite
@@ -90,9 +98,9 @@ def _typed(keyword, value, like, rule=None):
                      for i, (v, w) in enumerate(zip(value, like), 1))
     if kind in (float, int) and type(value) is not kind:  # an int of any size as it is
         _check(isinstance(value, numbers.Real) and not isinstance(value, bool)
-               and (kind is float or float(value).is_integer()), "%s must be a %s number, "
+               and (kind is float or _float(value).is_integer()), "%s must be a %s number, "
                "got %r", keyword, "real" if kind is float else "whole", value)
-        value = kind(value)
+        value = kind(value) if kind is int else _float(value)
     _check(kind is not float or math.isfinite(value), "%s must be finite, got %r", keyword, value)
     return value
 

@@ -6,13 +6,14 @@ Running a generic function once on ``Var`` inputs -- such as
 ``simkit.rk4_step`` of a scenario's right-hand side, through the plant,
 the controller stack and the dual-number tower of ``autodiff``, which are
 all generic over their scalar -- records every float operation it makes
-(``+ - * / **``, ``abs`` and the ``sqrt``, ``cos`` and ``sin`` of
-``autodiff``), in order, and its control flow at the traced point as
-guards (tape-based AD as in Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., 2008).  ``compile_loop`` traces a recorded row and a step on one
-tape, so what they share is computed once, and emits a run loop that
-keeps the state in locals, compiled with ``compile()``: it steps, and on
-every decimation-th step records a row.
+(``+ - * / **``, ``abs`` and each primitive of ``autodiff.PRIMITIVES`` as
+a call ``_<name>(...)``, bound to ``math.<name>``), in order, and its
+control flow at the traced point as guards (tape-based AD as in Griewank
+& Walther, *Evaluating Derivatives*, 2nd ed., 2008).  ``compile_loop``
+traces a recorded row and a step on one tape, so what they share is
+computed once, and emits a run loop that keeps the state in locals,
+compiled with ``compile()``: it steps, and on every decimation-th step
+records a row.
 
 The loop computes the same bits as the traced functions, or stops where
 it cannot vouch for them:
@@ -27,7 +28,7 @@ it cannot vouch for them:
 * ``autodiff.select_lt`` with a ``Var`` among its operands
   (``Var.select_lt``) records a conditional expression instead of a guard;
 * lines that no output or guard reads are dropped unless they may raise
-  (division by a ``Var``, powers, sqrt, cos, sin);
+  (division by a ``Var``, powers, primitives);
 * a line read exactly once that cannot raise is written into its reader
   as a nested expression (up to ``_MAX_DEPTH`` deep) instead of a
   temporary; raising lines and guards stay statements, in order.
@@ -46,8 +47,8 @@ function once and emits the same expression text over numpy float64
 columns, one lane per evaluation point, as in the ensemble pattern of
 DifferentialEquations.jl (Rackauckas & Nie, JORS 5(1), 2017).  Elementwise
 ``+ - * /``, ``abs`` and ``sqrt`` round in numpy exactly as on Python
-floats, so each lane holds the serial bits; a tape with ``**``, cos or
-sin has no lanes form.  A conditional expression becomes ``np.where``,
+floats, so each lane holds the serial bits; a tape with ``**`` or another
+primitive has no lanes form.  A conditional expression becomes ``np.where``,
 and a guard, a division by a ``Var`` and a sqrt mark the lanes where the
 float code would branch otherwise or raise in a ``miss`` mask instead of
 returning.
@@ -69,7 +70,7 @@ _MAX_DEPTH = 40
 
 # lines that may raise and that numpy rounds as Python does: the format, the
 # condition under which the float form raises and the operand it tests
-# (division by a Var, sqrt); powers, cos and sin have no lanes form
+# (division by a Var, sqrt); powers and the other primitives have no lanes form
 _LANE_RAISES = {"%s / %s": ("%s == 0.0", 1), "_sqrt(%s)": ("%s < 0.0", 0)}
 
 # lines the lanes form writes differently: format -> (format, operand order)
@@ -85,6 +86,7 @@ class _Tape:
         self.lines = []
         self.seen = {}  # expression or guard text -> name
         self.consts = {}  # names of constants without a literal form
+        self.primitives = set()  # names of the primitives its lines call
 
     def operand(self, x):
         if x.__class__ is Var:
@@ -123,6 +125,10 @@ class _Tape:
         fmt = "record([t, %s])" % ", ".join(["%s"] * len(ops))
         deps = tuple(c.name for c in cells if c.__class__ is Var)
         self.lines.append(("record", fmt, ops, deps, True))
+
+    def functions(self, module):
+        """``_<name>``: module.<name> for exactly the primitives on the tape."""
+        return {"_" + name: getattr(module, name) for name in self.primitives}
 
     def inputs(self, values):
         """Vars y0, y1, ...: locals that each backend unpacks from its argument ``y``."""
@@ -306,17 +312,12 @@ class Var:
     def __bool__(self):
         return self != 0.0
 
-    def sqrt(self):
-        """math.sqrt of this value, for ``autodiff.sqrt``; raises below zero, like its guard."""
-        return self.tape.emit("_sqrt(%s)", (self,), math.sqrt(self.value), True)
-
-    def cos(self):
-        """math.cos of this value, for ``autodiff.cos``; raises at infinities."""
-        return self.tape.emit("_cos(%s)", (self,), math.cos(self.value), True)
-
-    def sin(self):
-        """math.sin of this value, for ``autodiff.sin``; raises at infinities."""
-        return self.tape.emit("_sin(%s)", (self,), math.sin(self.value), True)
+    def primitive(self, name):
+        """math.<name> of this value, for ``autodiff``: a line that may raise
+        (sqrt below zero, sin and cos at infinities, exp on overflow)."""
+        value = getattr(math, name)(self.value)
+        self.tape.primitives.add(name)
+        return self.tape.emit("_%s(%%s)" % name, (self,), value, True)
 
     def select_lt(self, a, b, then, other):
         """``then if a < b else other``, traced as a conditional expression, not a guard."""
@@ -367,7 +368,7 @@ def compile_loop(step, row, t, y):
         "        left -= 1\n"
         "    return s, [%s], left\n"
         % (tape.state, "".join(" " * 12 + text + "\n" for text in body), tape.state))
-    ns = {"_sqrt": math.sqrt, "_cos": math.cos, "_sin": math.sin, **tape.consts}
+    ns = {**tape.functions(math), **tape.consts}
     exec(compile(source, "<tape>", "exec"), ns)
     loop = ns["loop"]
     loop.source = source
@@ -390,7 +391,7 @@ def compile_lanes(fn, point):
 
     Returns None where the trace fails (``fn`` raises at this point or does
     what a ``Var`` cannot record), or where the tape holds an operation numpy does not round as Python does
-    (``**``, cos, sin); elementwise + - * /, abs and sqrt round alike.
+    (``**``, a primitive but sqrt); elementwise + - * /, abs and sqrt round alike.
     """
     tape = _Tape()
     try:
@@ -399,7 +400,7 @@ def compile_lanes(fn, point):
         return None
     if source is None:
         return None
-    ns = {"_sqrt": np.sqrt, "_where": np.where, **tape.consts}
+    ns = {"_where": np.where, **tape.functions(np), **tape.consts}
     exec(compile(source, "<lanes>", "exec"), ns)
     body = ns["lanes"]
 

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from purefb import autodiff
 from purefb.autodiff import (
+    PRIMITIVES,
     Dual,
     EvaluationError,
     cos,
@@ -219,6 +221,50 @@ def test_real_numbers_take_math():
         sqrt(-1)
 
 
+# each primitive's chain rule written out on floats: its value, and the
+# partial it makes of a partial p
+CHAIN_RULES = {
+    "sqrt": lambda v, p: (math.sqrt(v), (0.5 / math.sqrt(v)) * p),
+    "sin": lambda v, p: (math.sin(v), math.cos(v) * p),
+    "cos": lambda v, p: (math.cos(v), -(math.sin(v) * p)),
+    "exp": lambda v, p: (math.exp(v), math.exp(v) * p),
+}
+POINTS = (0.3, 1.0, 1.7, 2.9, 1e-300, 40.0)
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_a_real_argument_takes_math(name):
+    fn = getattr(autodiff, name)
+    assert [fn(v).hex() for v in POINTS] == [getattr(math, name)(v).hex() for v in POINTS]
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_a_dual_partial_is_the_chain_rule(name):
+    """The bits of the written-out rule, in every partial, and a central
+    difference's value."""
+    fn = getattr(autodiff, name)
+    for v in POINTS:
+        partials = (1.0, -0.3, 7.5)
+        got = fn(Dual(99, v, partials))
+        want = [CHAIN_RULES[name](v, p) for p in partials]
+        assert got.value.hex() == want[0][0].hex()
+        assert [p.hex() for p in got.partials] == [w[1].hex() for w in want]
+    for v in POINTS[:4]:
+        _, (slope,) = gradient(fn, [v])
+        fd = central_diff(fn, (v,), 0)
+        assert abs(slope - fd) <= 1e-6 * max(1.0, abs(fd)), (v, slope, fd)
+
+
+def test_a_select_on_a_dual_takes_the_branch_of_the_innermost_values():
+    f = lambda a: select_lt(a, 1.0, 1.0, a) * a  # a for a < 1, else a * a
+    assert gradient(f, [2.0]) == (4.0, (4.0,))
+    assert gradient(f, [0.5]) == (0.5, (1.0,))
+    assert gradient(lambda a: select_lt(1.0, a, a * a, a), [2.0]) == (4.0, (4.0,))
+    # nested: the outer pass's dual carries an inner one, compared by its float
+    assert second_derivative(f, 2.0) == 2.0
+    assert second_derivative(f, 0.5) == 0.0
+
+
 def _unbox(x):
     return x.v if x.__class__ is Boxed else x
 
@@ -233,17 +279,9 @@ def _boxed_op(fn, reflected=False):
     return method
 
 
-def _boxed_primitive(name, fn):
-    def method(self):
-        Boxed.calls[name] += 1
-        return Boxed(fn(self.v))
-
-    return method
-
-
 class Boxed:
-    """A third scalar: a float with arithmetic, abs and its own primitives,
-    which count their calls.  Neither autodiff nor backstep knows it."""
+    """A third scalar: a float with arithmetic, abs, its own primitive method
+    and select_lt, which count their calls.  Neither autodiff nor backstep knows it."""
 
     __slots__ = ("v",)
     calls = collections.Counter()
@@ -259,10 +297,10 @@ class Boxed:
     __rmul__ = _boxed_op(operator.mul, True)
     __truediv__ = _boxed_op(operator.truediv)
     __rtruediv__ = _boxed_op(operator.truediv, True)
-    sqrt = _boxed_primitive("sqrt", math.sqrt)
-    sin = _boxed_primitive("sin", math.sin)
-    cos = _boxed_primitive("cos", math.cos)
-    exp = _boxed_primitive("exp", math.exp)
+
+    def primitive(self, name):
+        Boxed.calls[name] += 1
+        return Boxed(getattr(math, name)(self.v))
 
     def __neg__(self):
         return Boxed(-self.v)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import textwrap
 from pathlib import Path
 
@@ -166,6 +167,51 @@ def test_only_runstore_files_names_a_registry_file():
     (table,) = [node.value for node in ast.parse(source_of("runstore").read_text()).body
                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "FILES"]
     assert set(REGISTRY_FILES) <= {value.value for value in table.values}
+
+
+PRIMITIVES = set(importlib.import_module("purefb.autodiff").PRIMITIVES)
+
+
+def spelled_primitives(tree, allowed=()):
+    """(line, word) of each primitive name that a name, attribute,
+    definition or string of tree spells as a word of letters; docstrings and
+    the top-level assignments to the names in allowed aside."""
+    skip = {id(node) for node in tree.body if isinstance(node, ast.Assign)
+            and {ast.unparse(t) for t in node.targets} & set(allowed)}
+    skip.update(id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and ast.get_docstring(node, clean=False) is not None)
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in skip:
+            stack.extend(ast.iter_child_nodes(node))
+            text = node.value if isinstance(node, ast.Constant) else next(
+                (getattr(node, f) for f in ("id", "attr", "name", "arg") if hasattr(node, f)), "")
+            words = re.findall("[a-z]+", text) if isinstance(text, str) else []
+            found += [(node.lineno, w) for w in words if w in PRIMITIVES]
+    return sorted(found)
+
+
+def test_a_primitive_is_one_table_entry():
+    """autodiff.PRIMITIVES is the primitive set: the tape spells no
+    primitive but in the lanes' sqrt rule, and each scalar takes every
+    primitive through its one method, so a new primitive is one entry."""
+    assert spelled_primitives(ast.parse(source_of("tape").read_text()), ["_LANE_RAISES"]) == []
+    methods = {(node.name, item.name)
+               for m in ("autodiff", "tape") for node in ast.parse(source_of(m).read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name in ("Dual", "Var")
+               for item in node.body if isinstance(item, ast.FunctionDef)}
+    assert {name for _, name in methods} & PRIMITIVES == set()
+    assert {("Dual", "primitive"), ("Var", "primitive"), ("Dual", "select_lt")} <= methods
+
+
+def test_spelled_primitives_sees_names_strings_and_attributes():
+    tree = ast.parse('"""sqrt"""\nT = {"_sqrt(%s)": 1}\nx = np.exp(y) + cos\ns = "_sin"\n'
+                     'def sqrt(expr):\n    """cos"""\n')
+    assert spelled_primitives(tree) == [(2, "sqrt"), (3, "cos"), (3, "exp"), (4, "sin"),
+                                        (5, "sqrt")]
+    assert spelled_primitives(tree, ["T"]) == [(3, "cos"), (3, "exp"), (4, "sin"), (5, "sqrt")]
 
 
 def private_reads(name):

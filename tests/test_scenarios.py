@@ -206,6 +206,17 @@ def test_a_value_of_the_wrong_type_is_rejected_by_name(sid, kwargs, message):
         scenarios.build(sid, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"T": 10 ** 400}, "T must be finite, got inf"),
+    ({"T": -10 ** 400}, "T must be finite, got -inf"),
+    ({"x0": (10 ** 400, 0.0)}, r"x0\[1\] must be finite, got inf"),
+], ids=["T", "T-negative", "x0"])
+def test_a_real_beyond_the_largest_float_is_rejected_by_name(kwargs, message):
+    """An int too large for a float is an infinity where a float belongs."""
+    with pytest.raises(ValueError, match="^%s$" % message):
+        scenarios.build("numeric-2d", **kwargs)
+
+
 # how deep each factory keyword nests floats: theta_box holds (lo, hi) pairs
 DEPTH = {(sid, kw): 2 if kw == "theta_box" else int(isinstance(like, tuple))
          for sid in scenarios.SCENARIO_IDS for kw, like in scenarios.DEFAULTS[sid].items()}

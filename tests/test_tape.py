@@ -290,6 +290,38 @@ def test_cos_of_infinity_declines_the_step_with_the_plain_error():
     assert repr(fused.failure) == repr(plain.failure)
 
 
+@pytest.mark.parametrize("name", sorted(autodiff.PRIMITIVES))
+def test_a_loop_over_each_primitive_is_compiled_and_bit_equal(name):
+    """An oscillator whose stiffness is a primitive of 0.25 + y0^2: the
+    loop calls it as ``_<name>`` and runs the whole run, bit for bit."""
+    prim = getattr(autodiff, name)
+
+    def spring(t, y):
+        return (y[1], -y[0] * prim(0.25 + y[0] * y[0]) - 0.5 * y[1])
+
+    h, y0 = 0.01, [1.2, -0.3]
+    loop = looped(spring, h, 0.0, y0)
+    assert loop is not None and "_%s(" % name in loop.source
+    assert loop(0, list(y0), 1, 200, h, 1, [].append)[0] == 200
+    same_run(integrate(spring, y0, 2.0, h, loop=loop), integrate(spring, y0, 2.0, h, loop=None))
+
+
+def test_a_loop_over_a_dual_select_guards_the_branch_and_is_bit_equal():
+    """Dual.select_lt compares the innermost values: a traced leaf records
+    that comparison as a guard, and steps on its other side run plain."""
+    def slope(t, y):
+        (d,), tag = seed([y[0]])
+        f = select_lt(d, 1.0, 1.0, d) * d  # y0 below 1, else y0^2
+        return (-0.5 * partial(f, 0, tag), y[0] - y[1])
+
+    h, y0 = 0.01, [2.0, 0.0]
+    loop = looped(slope, h, 0.0, y0)
+    assert loop is not None and re.search(r"if y0 < 1\.0: break", loop.source)
+    fused = integrate(slope, y0, 3.0, h, loop=loop)
+    assert fused.data[-1, 1] < 1.0  # the run crosses the branch
+    same_run(fused, integrate(slope, y0, 3.0, h, loop=None))
+
+
 @pytest.mark.parametrize("y", [[math.nan], [ABORT_LIMIT * (1.0 - 1e-16) - 1.0], [-math.inf]],
                          ids=["nan", "out-of-range", "inf"])
 def test_step_declines_states_the_integrator_stops_at(y):
@@ -380,7 +412,7 @@ def test_a_var_does_not_compare_with_a_dual():
 
 def root(x):
     """sqrt with no domain guard: math.sqrt on floats, the tape's own on a Var."""
-    return x.sqrt() if x.__class__ is Var else math.sqrt(x)
+    return x.primitive("sqrt") if x.__class__ is Var else math.sqrt(x)
 
 
 def lanes_fn(v):
@@ -455,6 +487,12 @@ def test_non_finite_constants_are_named_in_both_backends():
     for lane, row in enumerate(rows):
         want = [v.hex() for v in extremes(row[0], row[1:])]
         assert [float(out[lane]).hex() for out in outs] == want
+
+
+@pytest.mark.parametrize("name", sorted(autodiff.PRIMITIVES))
+def test_lanes_decline_every_primitive_but_sqrt(name):
+    lanes = compile_lanes(lambda v: [getattr(autodiff, name)(v[0])], [0.5])
+    assert (lanes is None) == (name != "sqrt")
 
 
 def test_lanes_decline_operations_numpy_rounds_differently():

@@ -382,6 +382,15 @@ def test_dominance_audit_rejects_a_malformed_keyword_by_name(auto_scenario, kwar
         dominance_audit(scn.stack, scn.bounds, scn.oracle, **{"samples": 10, **kwargs})
 
 
+def test_a_real_beyond_the_largest_float_is_rejected_by_name(auto_scenario):
+    """An int too large for a float is an infinity where a float belongs."""
+    with pytest.raises(ValueError, match="^tol_x must be finite, got inf$"):
+        VerifyTolerances(tol_x=10 ** 400)
+    scn = auto_scenario
+    with pytest.raises(ValueError, match="^vartheta must be finite, got inf$"):
+        dominance_audit(scn.stack, scn.bounds, scn.oracle, samples=10, vartheta=10 ** 400)
+
+
 def test_dominance_audit_takes_whole_reals_as_ints(auto_scenario):
     scn = auto_scenario
     want = dominance_audit(scn.stack, scn.bounds, scn.oracle, stage=2, samples=20, seed=3)
