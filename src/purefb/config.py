@@ -22,7 +22,8 @@ key's type is its default's in each scenario: a float, an int, a bool, a
 str or n floats.  ``load_text`` checks types, choices and the rules of the
 keys that set neither a scenario keyword nor a ``VerifyTolerances`` field;
 ``build`` leaves every other value rule to the library and names the key
-of the keyword or field a ValueError starts with.
+of the keyword or field a ValueError starts with.  The sweep corners are
+``monte_carlo``'s x0_box there: every (lo, hi) rule is ``simkit._pair``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from . import scenarios
-from .verify import VerifyTolerances, dominance_audit
+from .verify import VerifyTolerances, _box, dominance_audit
 
 __all__ = [
     "ConfigError",
@@ -154,6 +155,8 @@ _KEYWORDS = tuple(
 )
 # (key path, field) of every verify.* key that sets a VerifyTolerances field
 _TOLERANCES = tuple(("verify." + f.name, f.name) for f in fields(VerifyTolerances))
+# (key path, monte_carlo keyword) of the sweep corners
+_SWEEP = (("sweep.x0_lo", "x0_box"), ("sweep.x0_hi", "x0_box"))
 
 
 def _library(sid):
@@ -341,10 +344,6 @@ def load_text(text, overrides=None):
             problem = key.check(value)
             if problem:
                 raise ConfigError("%s: %s (got %r)" % (name, problem, value))
-    lo, hi = values.get("sweep.x0_lo"), values.get("sweep.x0_hi")
-    if lo is not None and not all(a <= b for a, b in zip(lo, hi)):
-        raise ConfigError("sweep.x0_lo / sweep.x0_hi: each lower corner component must "
-                          "be <= its upper one (got %r, %r)" % (lo, hi))
     lines = []
     for name in sorted(values):
         if values[name] is None or name == "run.out":
@@ -359,14 +358,17 @@ def load_text(text, overrides=None):
 def build(cfg):
     """The scenario of cfg, from ``scenarios.build``.
 
-    Every value rule of a scenario keyword or a ``VerifyTolerances`` field
-    is checked here, by the library: its ValueError, which starts with the
-    keyword or field it rejects, becomes a ConfigError that names its key.
+    Every value rule of a scenario keyword, a ``VerifyTolerances`` field
+    or the sweep corners (``monte_carlo``'s x0_box) is checked here, by the
+    library: its ValueError, which starts with the keyword or field it
+    rejects, becomes a ConfigError that names its key.
     ``theta_box`` is named by the box edges the config sets, or by
     uncertainty.theta, which each unset edge defaults to.
     """
     try:
         cfg.tolerances()
+        if "sweep.x0_lo" in cfg.values:
+            _box(cfg.sid, "x0", tuple(zip(cfg["sweep.x0_lo"], cfg["sweep.x0_hi"])))
         return scenarios.build(cfg.sid, **cfg.scenario_overrides())
     except ValueError as exc:
         keyword = re.match(r"\w*", str(exc)).group()
@@ -374,14 +376,14 @@ def build(cfg):
             names = [name for name in ("uncertainty.box_lo", "uncertainty.box_hi")
                      if cfg.values[name] is not None] or ["uncertainty.theta"]
         else:
-            names = [name for name, kw in _KEYWORDS + _TOLERANCES
+            names = [name for name, kw in _KEYWORDS + _TOLERANCES + _SWEEP
                      if kw == keyword and name in cfg.values]
         raise ConfigError("%s: %s" % (" / ".join(names), exc) if names else str(exc)) from None
 
 
 def load_file(path, overrides=None):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         # an OSError's own text names the file again

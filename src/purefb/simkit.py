@@ -13,7 +13,9 @@ Divergence is handled as data, not as a crash: a non-finite step or a
 component exceeding ``ABORT_LIMIT`` ends the run early with the partial
 trajectory and its failure point, which the Monte-Carlo harness
 aggregates.  simkit owns the library's value rule, ``_typed``: it types
-``check_grid``'s T and h and every keyword of ``scenarios`` and ``verify``.
+``check_grid``'s T and h and every keyword of ``scenarios`` and ``verify``,
+and each (lo, hi) entry by the one box rule, ``_pair``: two finite floats,
+lo <= hi, a finite width apart.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ def _typed(keyword, value, like, rule=None):
     """value typed like its keyword's default like, or a ValueError that
     starts with keyword or its entry: a float or int default takes a finite
     real number but a bool (a whole one for an int), as its default's type;
-    an n-tuple default a sequence (not a str, set or mapping) of n entries,
-    each typed like its own as keyword[i], a tuple entry as a (lo, hi) pair
-    or as rule says; any other default leaves value to its keyword's rule."""
+    an n-tuple default a sequence (not a str, set or mapping) of n entries
+    (or as rule says), each typed like its own as keyword[i], a tuple entry
+    by the box rule ``_pair``; any other default leaves value to its
+    keyword's rule."""
     kind = type(like)
     if kind is tuple:
         if type(value) is tuple and [*map(type, value + like)] == [float] * 2 * len(like):
@@ -94,7 +97,8 @@ def _typed(keyword, value, like, rule=None):
         _check(isinstance(value, Sized) and not isinstance(value, (str, bytes))
                and len(value) == len(like), "%s must %s; got %r", keyword,
                rule or "have %d entries, one per stage" % len(like), value)
-        return tuple(_typed("%s[%d]" % (keyword, i), v, w, "be a (lo, hi) pair")
+        return tuple(_pair("%s[%d]" % (keyword, i), v) if type(w) is tuple
+                     else _typed("%s[%d]" % (keyword, i), v, w)
                      for i, (v, w) in enumerate(zip(value, like), 1))
     if kind in (float, int) and type(value) is not kind:  # an int of any size as it is
         _check(isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -103,6 +107,15 @@ def _typed(keyword, value, like, rule=None):
         value = kind(value) if kind is int else _float(value)
     _check(kind is not float or math.isfinite(value), "%s must be finite, got %r", keyword, value)
     return value
+
+
+def _pair(name, pair):
+    """pair typed as a (lo, hi) pair of floats, lo <= hi a finite width
+    apart (numpy draws from no wider interval)."""
+    lo, hi = pair = _typed(name, pair, (0.0, 0.0), "be a (lo, hi) pair")
+    _check(lo <= hi and math.isfinite(hi - lo), "%s must have lo <= hi, a finite width "
+           "apart, got (%r, %r)", name, lo, hi)
+    return pair
 
 
 def check_grid(T, h, decimation):

@@ -29,13 +29,13 @@ margin (a check's, or a monitor's least slack) passes when it is >= 0,
 so a NaN margin fails; the audit and the budget read a NaN slack as -inf
 before they fold.  A report is applicable when its run did not diverge,
 and a sweep counts its runs and passes from its results.  A malformed
-keyword or field raises a ValueError that starts with its name.
+keyword or field raises a ValueError that starts with its name; a box
+takes ``simkit``'s one (lo, hi) rule, ``_pair``, by ``_typed``.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping, Set, Sized
+from collections.abc import Sized
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import scenarios
 from .autodiff import select_lt
-from .simkit import ABORT_LIMIT, _check, _typed
+from .simkit import ABORT_LIMIT, _check, _pair, _typed
 from .tape import compile_lanes
 
 __all__ = [
@@ -347,7 +347,9 @@ def dominance_audit(
     stage, samples = _typed("stage", stage, 0), _typed("samples", samples, 0)
     seed = _seed(seed)
     z_box, k_box = _pair("z_box", z_box), _pair("k_box", k_box)
-    theta_box = _pairs("theta_box", () if theta_box is None else theta_box)
+    theta_box = () if theta_box is None else theta_box
+    n = len(theta_box) if isinstance(theta_box, Sized) else 0  # any number of pairs
+    theta_box = _typed("theta_box", theta_box, ((0.0, 0.0),) * n, "be a sequence of (lo, hi) pairs")
     if oracle.n != stack.n:
         raise ValueError("oracle of %d stages for a %d-stage stack" % (oracle.n, stack.n))
     if stage < 2:
@@ -499,22 +501,6 @@ def _mc_run(sid, overrides, tol):
     }
 
 
-def _pair(name, pair):
-    """pair typed as a (lo, hi) pair of floats, lo <= hi a finite width
-    apart (numpy draws from no wider interval)."""
-    lo, hi = pair = _typed(name, pair, (0.0, 0.0), "be a (lo, hi) pair")
-    _check(lo <= hi and math.isfinite(hi - lo), "%s must have lo <= hi, a finite width "
-           "apart, got (%r, %r)", name, lo, hi)
-    return pair
-
-
-def _pairs(name, box):
-    """box typed as a sequence of ``_pair`` entries, name[1], name[2], ..."""
-    _check(isinstance(box, Sized) and not isinstance(box, (str, bytes, Set, Mapping)),
-           "%s must be a sequence of (lo, hi) pairs, got %r", name, box)
-    return tuple(_pair("%s[%d]" % (name, i), pair) for i, pair in enumerate(box, 1))
-
-
 def _seed(seed):
     """seed typed as a whole number >= 0, as numpy's generators take it."""
     seed = _typed("seed", seed, 0)
@@ -523,11 +509,10 @@ def _seed(seed):
 
 
 def _box(sid, keyword, box):
-    """box typed like (lo, hi) pairs of the default of sid's keyword, each
-    a ``_pair``."""
+    """box typed like (lo, hi) pairs of the default of sid's keyword."""
     name, like = keyword + "_box", scenarios.DEFAULTS.get(sid, {}).get(keyword)
     _check(type(like) is tuple, "%s: scenario %r has no keyword %s", name, sid, keyword)
-    return _pairs(name, _typed(name, box, tuple((v, v) for v in like)))
+    return _typed(name, box, tuple((v, v) for v in like))
 
 
 def monte_carlo(

@@ -213,7 +213,8 @@ REJECTED = [
     (N2, "design.deadzone = -1e-9", "design.deadzone"),
     (N2, "design.smoothing = 0.0", "design.smoothing"),
     (N2, "design.smoothing = -1e-6", "design.smoothing"),
-    (N2, "uncertainty.box_hi = 0.5, 2.0", "uncertainty.theta"),
+    # box_lo defaults to theta, so theta_box[1] = (1.0, 0.5) is unordered
+    (N2, "uncertainty.box_hi = 0.5, 2.0", "uncertainty.box_hi"),
     (N2, "uncertainty.box_lo = 0.0, 1.0", "uncertainty.box_lo"),
     (N2, "uncertainty.box_lo = 1.0, -2.0", "uncertainty.box_lo"),
     (N2, "uncertainty.theta = -1.0, 2.0", "uncertainty.theta"),
@@ -264,6 +265,10 @@ REJECTED = [
     (MS, "verify.audit_samples = 0", "verify.audit_samples"),
     (N2, "sweep.x0_lo = 3.0, 3.0\nsweep.x0_hi = -3.0, -3.0", "sweep.x0_lo / sweep.x0_hi"),
     (N2, "sweep.x0_lo = -1.0, 2.0\nsweep.x0_hi = 1.0, 1.5", "sweep.x0_lo / sweep.x0_hi"),
+    # corners more than the largest float apart, which numpy cannot draw from
+    (N2, "sweep.x0_lo = -1e308, -3.0\nsweep.x0_hi = 1e308, 3.0", "sweep.x0_lo / sweep.x0_hi"),
+    (N2, "uncertainty.box_lo = 1.2, 1.6\nuncertainty.box_hi = 0.8, 2.4",
+     "uncertainty.box_lo / uncertainty.box_hi"),
 ]
 
 
@@ -781,6 +786,16 @@ def test_montecarlo_usage_errors(tmp_path, capsys):
     assert main(["montecarlo", "--config", missile, "--runs", "2"]) == 2
     two = write_cfg(tmp_path, SHORT, "n.cfg")
     assert main(["montecarlo", "--config", two, "--runs", "0"]) == 2
+    # the box `run` rejects: the config names it before the sweep draws
+    wide = write_cfg(tmp_path, "scenario.id = numeric-2d\nsweep.x0_lo = -1e308, -3.0\n"
+                     "sweep.x0_hi = 1e308, 3.0\n", "wide.cfg")
+    out = registry(tmp_path)
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", wide, "--runs", "2", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: sweep.x0_lo / sweep.x0_hi: x0_box[1] must have lo <= hi"), err
+    assert not os.path.exists(out)
 
 
 def test_plot_rerenders_identically(short_cfg, tmp_path):

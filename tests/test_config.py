@@ -234,6 +234,15 @@ def test_load_file_not_utf8(tmp_path):
         load_file(path)
 
 
+def test_load_file_reads_past_a_utf8_bom(tmp_path):
+    """A byte-order mark does not change the text, nor so the run id."""
+    shipped = os.path.join(REPO, "configs", "numeric-2d.cfg")
+    path = tmp_path / "bom.cfg"
+    with open(shipped, "rb") as fh:
+        path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert load_file(path).run_id == load_file(shipped).run_id
+
+
 def test_bundled_configs_validate():
     paper = load_file(os.path.join(REPO, "configs", "numeric-2d.cfg"))
     assert paper.sid == "numeric-2d"
@@ -363,7 +372,8 @@ def exits_without_internal_error(argv):
 @example(text="scenario.id = stt-missile\ndesign.mu2 = 4.9406564584124654e-324\n"
               "design.k20 = 15\nintegrator.T = 0.01\nintegrator.h = 0.001\n"
               "integrator.decimation = 1\n")
-# a sweep box wider than the largest float, which numpy cannot draw from
+# a sweep box wider than the largest float, which numpy cannot draw from:
+# `run` exits 2 on it too, naming sweep.x0_lo / sweep.x0_hi
 @example(text="scenario.id = numeric-2d\nintegrator.T = 0.1\n"
               "sweep.x0_lo = -1e308, -3.0\nsweep.x0_hi = 1e308, 3.0\n")
 def test_a_valid_config_runs_or_exits_2(text):

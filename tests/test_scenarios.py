@@ -114,6 +114,8 @@ REJECTED = [
     ({"theta_box": 1.0}, "theta_box must have 2 entries"),
     ({"theta_box": ((0.8, 1.2), (1.6,))}, r"theta_box\[2\] must be a \(lo, hi\) pair"),
     ({"theta_box": ((0.8, 1.2), 1.6)}, r"theta_box\[2\] must be a \(lo, hi\) pair"),
+    # an unordered pair, named before the theta it may leave
+    ({"theta_box": ((1.2, 0.8), (1.6, 2.4))}, r"theta_box\[1\] must have lo <= hi"),
     # an unordered vector, and a keyword numeric-2d does not take
     ({"x0": {3.0, -2.0}}, "x0 must be a sequence"),
     ({"x0": {"a": 1.0, "b": 2.0}}, "x0 must be a sequence"),
