@@ -19,18 +19,18 @@ at import: a scenario section's key the factory keyword of its name (from
 ``verify.<field>`` the ``VerifyTolerances`` field and ``verify.audit_*``
 the ``dominance_audit`` keyword.  Only the other keys state their own.  A
 key's type is its default's in each scenario: a float, an int, a bool, a
-str or n floats.  ``load_text`` checks types, choices and the rules of the
-keys that set neither a scenario keyword nor a ``VerifyTolerances`` field;
-``build`` leaves every other value rule to the library and names the key
-of the keyword or field a ValueError starts with.  The sweep corners are
-``monte_carlo``'s x0_box there: every (lo, hi) rule is ``simkit._pair``.
+str or n floats.  ``load_text`` parses each value's text into its key's
+type and list length, and checks only ``scenario.id`` and the rules of the
+keys that set no library keyword or field; every other value rule
+(finiteness, a choice, a range, a (lo, hi) pair) is checked in ``build``
+by the library, which names the key of the keyword or field a ValueError
+starts with.  The sweep corners are ``monte_carlo``'s x0_box there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import inspect
-import math
 import re
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
@@ -74,7 +74,7 @@ class Key:
     # own default (None: unset); a key that sets a library keyword has none
     default: object = None
     required: bool = False
-    choices: Optional[tuple] = None
+    choices: Optional[tuple] = None  # listed by the schema; load_text checks scenario.id's
     check: Optional[Callable] = None  # value rule the library does not own
     like: Optional[str] = None  # the key that gives this key's type and scenarios
 
@@ -188,19 +188,12 @@ _TYPES = {sid: {name: d[_BY_NAME[name].like] if v is None else v for name, v in 
           for sid, d in _DEFAULTS.items()}
 
 
-def _finite(text):
-    v = float(text)
-    if not math.isfinite(v):
-        raise ValueError("must be finite")
-    return v
-
-
 def _coerce(name, like, text):
     """text as a value of the type of like."""
     text = text.strip()
     try:
         if isinstance(like, float):
-            return _finite(text)
+            return float(text)
         if isinstance(like, bool):  # before int: a bool is an int
             low = text.lower()
             if low in ("true", "yes", "on", "1"):
@@ -211,7 +204,7 @@ def _coerce(name, like, text):
         if isinstance(like, int):
             return int(text)
         if isinstance(like, tuple):
-            vals = tuple(_finite(p) for p in text.split(","))
+            vals = tuple(float(p) for p in text.split(","))
             if len(vals) != len(like):
                 raise ValueError("expected %d comma-separated values" % len(like))
             return vals
@@ -299,11 +292,12 @@ def parse_text(text):
 
 
 def load_text(text, overrides=None):
-    """Parse config text into a RunConfig, checking each value's type.
+    """Parse config text into a RunConfig, each value into its key's type.
 
     overrides maps key paths to raw string values applied on top of the
-    file (CLI flags); they go through the same checks.  The value rules of
-    the scenario keywords and the tolerances are the library's: ``build``
+    file (CLI flags); they are parsed the same way.  The value rules of
+    the scenario keywords, the tolerances and the sweep corners, finiteness
+    and ``design.mode``'s choice among them, are the library's: ``build``
     checks them.
     """
     raw = parse_text(text)
@@ -336,10 +330,6 @@ def load_text(text, overrides=None):
         values.setdefault(name, default)
     for name, value in values.items():
         key = _BY_NAME[name]
-        if key.choices is not None and value not in key.choices:
-            raise ConfigError(
-                "%s: %r is not one of %s" % (name, value, ", ".join(key.choices))
-            )
         if key.check is not None:
             problem = key.check(value)
             if problem:
@@ -408,10 +398,11 @@ def schema_markdown():
         "Format: one `section.key = value` per line; `#` starts a comment",
         "line; blank lines are ignored.  Float lists are comma separated.",
         "Unknown keys are rejected.  Keys marked with a scenario apply only",
-        "when `scenario.id` selects it.  Types are checked when a config is",
-        "loaded (a key's type is that of its default), value rules when its",
-        "scenario is built, both before anything runs; a library call gets",
-        "the same type rule from `scenarios.build`.  A run may take at most",
+        "when `scenario.id` selects it.  Loading a config parses each value",
+        "into its key's type and list length (those of its default); every",
+        "value rule, finiteness and choices included, is checked when its",
+        "scenario is built, before anything runs; a library call gets the",
+        "same rules from `scenarios.build`.  A run may take at most",
         "%d integration steps (`integrator.T / integrator.h`)." % scenarios.STEP_BUDGET,
         "",
         "| key | type | default | applies to | description |",

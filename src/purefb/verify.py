@@ -352,12 +352,12 @@ def dominance_audit(
     theta_box = _typed("theta_box", theta_box, ((0.0, 0.0),) * n, "be a sequence of (lo, hi) pairs")
     if oracle.n != stack.n:
         raise ValueError("oracle of %d stages for a %d-stage stack" % (oracle.n, stack.n))
-    if stage < 2:
-        raise ValueError("the dominance construction starts at stage 2")
+    _check(stage >= 2, "stage must be at least 2: the dominance construction starts at "
+           "stage 2, got %d", stage)
     if stage > stack.n:
         raise ValueError("stage %d is beyond the stack's %d stages" % (stage, stack.n))
-    if samples < 1:
-        raise ValueError("the audit needs at least one sample")
+    _check(samples >= 1, "samples must be positive: the audit needs at least one sample, "
+           "got %d", samples)
     i = stage
     st = stage - 1
     vt = oracle.vartheta(st) if vartheta is None else _typed("vartheta", vartheta, 0.0)
@@ -536,10 +536,8 @@ def monte_carlo(
     each lo <= hi a finite width apart.
     """
     M, seed = _typed("M", M, 0), _seed(seed)
-    if M < 1:
-        raise ValueError("Monte-Carlo needs at least one run")
-    if workers != 1:
-        raise ValueError("the sweep runs in one process; workers must be 1")
+    _check(M >= 1, "M must be positive: Monte-Carlo needs at least one run, got %d", M)
+    _check(workers == 1, "workers must be 1: the sweep runs in one process, got %r", workers)
     x0_box = _box(sid, "x0", x0_box)
     if theta_box is not None:
         theta_box = _box(sid, "theta", theta_box)

@@ -155,22 +155,29 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "what.ever" in capsys.readouterr().err
 
 
+# (key, config lines, the library's name of the value that is not finite)
 NON_FINITE = [
-    ("integrator.T", "integrator.T = inf\n"),
-    ("init.x0", "init.x0 = nan, 1.0\n"),
+    ("integrator.T", "integrator.T = inf\n", "T"),
+    ("init.x0", "init.x0 = nan, 1.0\n", "x0[1]"),
     ("uncertainty.theta", "uncertainty.theta = inf, 2.0\n"
                           "uncertainty.box_lo = 0.8, 1.6\n"
-                          "uncertainty.box_hi = inf, 2.4\n"),
+                          "uncertainty.box_hi = inf, 2.4\n", "theta[1]"),
+    ("design.mu", "design.mu = nan, 0.2\n", "mu[1]"),
+    ("verify.tol_x", "verify.tol_x = inf\n", "tol_x"),
+    ("uncertainty.box_hi", "uncertainty.box_hi = inf, 2.4\n", "theta_box[1][2]"),
 ]
 
 
-@pytest.mark.parametrize("key,text", NON_FINITE, ids=[k for k, _ in NON_FINITE])
-def test_non_finite_float_exits_2_before_running(tmp_path, capsys, key, text):
+@pytest.mark.parametrize("key,text,name", NON_FINITE, ids=[k for k, _, _ in NON_FINITE])
+def test_non_finite_float_exits_2_before_running(tmp_path, capsys, key, text, name):
+    """The config parses the value; the library rejects it when it builds."""
     cfg = write_cfg(tmp_path, "scenario.id = numeric-2d\n" + text)
     out = registry(tmp_path)
-    assert main(["run", "--config", cfg, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert "%s: must be finite" % key in err
+    for argv in (["run", "--config", cfg, "--out", out], ["verify", "--config", cfg]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: %s: %s must be finite, got "
+                                                   % (key, name)), err
     assert not os.path.exists(out)
 
 
@@ -269,6 +276,10 @@ REJECTED = [
     (N2, "sweep.x0_lo = -1e308, -3.0\nsweep.x0_hi = 1e308, 3.0", "sweep.x0_lo / sweep.x0_hi"),
     (N2, "uncertainty.box_lo = 1.2, 1.6\nuncertainty.box_hi = 0.8, 2.4",
      "uncertainty.box_lo / uncertainty.box_hi"),
+    # parsed at load, judged by the library at build
+    (N2, "design.mode = fast", "design.mode"),
+    (N2, "verify.tol_x = nan", "verify.tol_x"),
+    (N2, "sweep.x0_lo = nan, -3.0", "sweep.x0_lo / sweep.x0_hi"),
 ]
 
 

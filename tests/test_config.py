@@ -122,6 +122,8 @@ def test_type_errors_name_the_key():
         load_text(MINIMAL + "design.mu = 0.2\n")  # needs two components
     with pytest.raises(ConfigError, match="design.sign_flip"):
         load_text(MINIMAL + "design.sign_flip = maybe\n")
+    with pytest.raises(ConfigError, match="^uncertainty.box_lo: expected 2 comma-separated"):
+        load_text(MINIMAL + "uncertainty.box_lo = 0.8, 1.6, 9.9\n")  # zip would cut it
 
 
 def test_schema_checks_run_before_any_simulation():
@@ -131,6 +133,19 @@ def test_schema_checks_run_before_any_simulation():
         build(load_text(MINIMAL + "integrator.h = 0.0\n"))
     with pytest.raises(ConfigError, match="^verify.tail_frac"):
         build(load_text(MINIMAL + "verify.tail_frac = 0.9\n"))
+    # finiteness and choices too: such a config loads, and build names its
+    # key before the library's own message
+    for line, message in [
+        ("design.mu = nan, 0.2", "design.mu: mu[1] must be finite, got nan"),
+        ("verify.tol_x = inf", "verify.tol_x: tol_x must be finite, got inf"),
+        ("uncertainty.box_hi = inf, 2.4",
+         "uncertainty.box_hi: theta_box[1][2] must be finite, got inf"),
+        ("design.mode = fast", "design.mode: mode must be 'paper' or 'auto', got 'fast'"),
+    ]:
+        cfg = load_text(MINIMAL + line + "\n")
+        with pytest.raises(ConfigError) as info:
+            build(cfg)
+        assert str(info.value) == message
 
 
 def test_factory_defaults_are_typed_by_the_one_rule():
@@ -170,8 +185,8 @@ def test_comments_and_blank_lines_ignored():
 def test_overrides_go_through_validation():
     cfg = load_text(MINIMAL, overrides={"design.mode": "auto"})
     assert cfg["design.mode"] == "auto"
-    with pytest.raises(ConfigError, match="design.mode"):
-        load_text(MINIMAL, overrides={"design.mode": "wild"})
+    with pytest.raises(ConfigError, match="^design.mode: mode must be"):
+        build(load_text(MINIMAL, overrides={"design.mode": "wild"}))
 
 
 def test_scenario_overrides_mapping():

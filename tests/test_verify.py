@@ -314,14 +314,6 @@ def test_dominance_audit_trivial_at_zero_error(auto_scenario):
     assert report.violations == 0
 
 
-def test_dominance_audit_guards(auto_scenario):
-    with pytest.raises(ValueError, match="stage 2"):
-        dominance_audit(
-            auto_scenario.stack, auto_scenario.bounds, auto_scenario.oracle,
-            stage=1,
-        )
-
-
 @pytest.mark.parametrize("stage", [3, 7])
 def test_dominance_audit_stage_lies_in_the_stack(auto_scenario, stage):
     with pytest.raises(ValueError, match="stack's 2 stages"):
@@ -355,7 +347,10 @@ def test_dominance_audit_fails_on_a_nan_slack(auto_scenario, box):
 NAN, INF = float("nan"), float("inf")
 BAD_AUDIT_KEYWORDS = [
     ({"samples": 2.5}, "samples must be a whole number"),
+    ({"samples": 0}, "samples must be positive: the audit needs at least one sample, got 0$"),
     ({"stage": 2.5}, "stage must be a whole number"),
+    ({"stage": 1}, "stage must be at least 2: the dominance construction starts at stage 2, "
+                   "got 1$"),
     ({"seed": "1"}, "seed must be a whole number"),
     ({"seed": -1}, "seed must be non-negative, got -1"),
     ({"theta_box": 5}, r"theta_box must be a sequence of \(lo, hi\) pairs"),
@@ -373,7 +368,7 @@ BAD_AUDIT_KEYWORDS = [
 
 
 @pytest.mark.parametrize("kwargs, message", BAD_AUDIT_KEYWORDS, ids=[
-    "samples-2.5", "stage-2.5", "seed-str", "seed-negative", "theta_box-int", "theta_box-str",
+    "samples-2.5", "samples-0", "stage-2.5", "stage-1", "seed-str", "seed-negative", "theta_box-int", "theta_box-str",
     "theta_box-one-entry", "theta_box-inverted", "z_box-one-entry", "z_box-inf", "k_box-inverted",
     "k_box-nan", "vartheta-nan", "vartheta-inf", "vartheta-str"])
 def test_dominance_audit_rejects_a_malformed_keyword_by_name(auto_scenario, kwargs, message):
@@ -555,16 +550,12 @@ def test_audit_lanes_source_is_pinned(auto_scenario, monkeypatch):
 # ------------------------------------------------------------- monte carlo
 
 
-def test_monte_carlo_requires_runs():
-    with pytest.raises(ValueError):
-        monte_carlo("numeric-2d", 0, 1, x0_box=((-1.0, 1.0), (-1.0, 1.0)))
-
-
 @pytest.mark.parametrize("M, seed, message", [
     (2.5, 1, "M must be a whole number"), ("2", 1, "M must be a whole number"),
     (1, 1.5, "seed must be a whole number"), (1, None, "seed must be a whole number"),
     (1, -1, "seed must be non-negative, got -1"),
-], ids=["M-2.5", "M-str", "seed-1.5", "seed-None", "seed-negative"])
+    (0, 1, "M must be positive: Monte-Carlo needs at least one run, got 0$"),
+], ids=["M-2.5", "M-str", "seed-1.5", "seed-None", "seed-negative", "M-0"])
 def test_monte_carlo_rejects_a_malformed_count_or_seed_by_name(M, seed, message):
     with pytest.raises(ValueError, match="^" + message):
         monte_carlo("numeric-2d", M, seed, x0_box=((-1.0, 1.0), (-1.0, 1.0)))
@@ -578,9 +569,10 @@ def test_monte_carlo_takes_whole_reals_as_ints():
 
 
 def test_monte_carlo_runs_in_one_process():
-    with pytest.raises(ValueError, match="workers"):
+    with pytest.raises(ValueError) as info:
         monte_carlo("numeric-2d", 1, 1, x0_box=((-1.0, 1.0), (-1.0, 1.0)),
                     workers=2)
+    assert str(info.value) == "workers must be 1: the sweep runs in one process, got 2"
 
 
 # boxes monte_carlo rejects before it draws, and the start of each message
